@@ -10,17 +10,16 @@ signed-digit weight and rejection probability, an exact failure-probability
 model, and a first-order wiring/power cost model.
 """
 
-from .analytics import (EmpiricalReport, FitResult, SuccessModel, UniformityReport,
+from .analytics import (EmpiricalReport, FitResult, UniformityReport,
                         chi_square_uniformity, empirical_failure_rate,
                         fit_limb_count, limb_failure_mp, mrp_failure_bound,
-                        mrp_failure_exact_base, p_limb, p_mrp_lower_bound, p_seg,
-                        rejection_prob_extra_bits, seed_space_bits,
-                        seg_failure_prob, solve_p_r_max)
+                        mrp_failure_exact_base, p_seg, rejection_prob_extra_bits,
+                        seed_space_bits, seg_failure_prob, solve_p_r_max)
 from .costmodel import (CostParams, CostReport, build_cost_report,
                         central_wiring_power, distributed_wiring_power,
                         per_axis_bandwidth_density, required_throughput)
 from .errors import (ConfigError, FormatError, GenerationFailure, MrpgenError,
-                     ParamsError, RetryExhausted, VerifyMismatch)
+                     ParamsError, RetryExhausted)
 from .formats import (load_params, read_mrp, save_params, verify_mrp_file,
                       write_mrp)
 from .primes import (CatalogFilter, ModuliCatalog, PrimeRecord,
@@ -32,7 +31,7 @@ from .sampling import (EquivalenceReport, GenParams, Limb,
                        gen_seg, generate_limb, generate_mrp, generate_segment,
                        permute, reduce_coeffs, seed_source_from_rng,
                        verify_distributed_equivalence)
-from .xof import (Seed, XofInput, derive_polynomial_seed, encode_domain_input,
-                  split_words, xof_expand)
+from .xof import (Seed, derive_polynomial_seed, encode_domain_input, split_words,
+                  xof_expand)
 
 __version__ = "0.1.0"

@@ -24,7 +24,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from mpmath import mp, mpf
-from scipy import stats
 
 from .errors import ConfigError, GenerationFailure
 from .primes import sample_rejection_prob
@@ -66,22 +65,6 @@ def seg_failure_prob(p_r, t: int, seg_len: int) -> Fraction:
     acc = 1 - pr
     return sum((comb(t, i) * acc ** i * pr ** (t - i) for i in range(hi)),
                Fraction(0)) if hi > 0 else Fraction(0)
-
-
-def p_limb(p_seg_value, n_seg: int) -> Fraction:
-    """Exact p_seg^n_seg.
-
-    Beware the size of exact powers at large n_seg with fat denominators;
-    the mp route below covers the solver-scale exponents.
-    """
-    return _fraction(p_seg_value) ** n_seg
-
-
-def p_mrp_lower_bound(p_limb_worst, L: int) -> Fraction:
-    """Exact p_limb_worst^L, the product bound over an L-modulus base."""
-    if L < 1:
-        raise ValueError("L must be at least 1")
-    return _fraction(p_limb_worst) ** L
 
 
 def _seg_fail_mp(p_r: mpf, t: int, seg_len: int, binoms: Sequence[int] | None = None) -> mpf:
@@ -146,24 +129,6 @@ def solve_p_r_max(t: int, seg_len: int, n_seg: int, L: int, max_fail,
 
 
 @dataclass(frozen=True)
-class SuccessModel:
-    """Snapshot of the per-stage success chain for one profile."""
-
-    t: int
-    seg_len: int
-    n_seg: int
-    L: int
-    p_r_worst: Fraction
-
-    def seg_success(self) -> Fraction:
-        return p_seg(self.p_r_worst, self.t, self.seg_len)
-
-    def failure_bound(self) -> mpf:
-        return mrp_failure_bound(self.p_r_worst, self.t, self.seg_len,
-                                 self.n_seg, self.L)
-
-
-@dataclass(frozen=True)
 class FitResult:
     """Best integer limb count explaining a set of published thresholds."""
 
@@ -187,10 +152,28 @@ def fit_limb_count(rows: Sequence[tuple[int, object]], t: int, n_ring: int, max_
     seg_len.  Returns the L minimizing the max absolute deviation; ``ok``
     reports whether it lands inside ``tolerance`` (a no-fit is a value, not
     an error).
+
+    Only the integers around each row's exact crossing are scored: the bound
+    at a row's published p_r reaches the budget at the real limb count
+    L_row = log1p(-budget) / (n_seg * log1p(-seg_fail)).  A row's deviation
+    falls up to floor(L_row) and rises after ceil(L_row), so the maximum over
+    the rows falls below the smallest floor and rises above the largest ceil.
     """
     published = tuple(_fraction(p) for _, p in rows)
+    lo, hi = l_range
+    if not 1 <= lo <= hi:
+        raise ConfigError(f"limb-count range {lo}..{hi} is empty or below 1")
+    budget = _fraction(max_fail)
+    if budget < 1:
+        with mp.workdps(PRECISION_DPS):
+            log_keep = mp.log1p(-_to_mpf(budget))
+            roots = [log_keep / ((n_ring // seg_len)
+                                 * mp.log1p(-_seg_fail_mp(_to_mpf(p), t, seg_len)))
+                     for (seg_len, _), p in zip(rows, published)]
+            lo, hi = (int(mp.floor(min(max(min(roots), lo), hi))),
+                      int(mp.ceil(min(max(max(roots), lo), hi))))
     best = None
-    for L in range(l_range[0], l_range[1] + 1):
+    for L in range(lo, hi + 1):
         solved = tuple(solve_p_r_max(t, seg_len, n_ring // seg_len, L, max_fail,
                                      digits=digits)
                        for seg_len, _ in rows)
@@ -293,6 +276,9 @@ def chi_square_uniformity(limb: Limb, bins: int = 64) -> UniformityReport:
     starts = np.array([-(-b * q // bins) for b in range(bins + 1)], dtype=np.int64)
     widths = np.diff(starts)
     expected = n * widths / q
-    statistic, p_value = stats.chisquare(counts, f_exp=expected)
-    return UniformityReport(q=q, sample_count=n, statistic=float(statistic),
-                            dof=bins - 1, p_value=float(p_value))
+    statistic = float(((counts - expected) ** 2 / expected).sum())
+    dof = bins - 1
+    # chi-square survival function: the upper regularized incomplete gamma
+    p_value = float(mp.gammainc(dof / 2, statistic / 2, regularized=True))
+    return UniformityReport(q=q, sample_count=n, statistic=statistic,
+                            dof=dof, p_value=p_value)

@@ -5,7 +5,8 @@ result) on stdout and diagnostics on stderr.  Exit codes: 0 success, 1 for
 expected domain failures (generation shortfall, verification mismatch,
 no-fit, retry exhaustion), 2 for usage or input errors.  With --canonical
 the report carries no timestamp and is byte-reproducible for identical
-inputs.
+inputs.  Every subcommand runs in the calling thread: the catalog scan is
+pure-Python primality testing, which worker threads cannot overlap.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import hashlib
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -25,8 +25,6 @@ from . import __version__, analytics, costmodel, formats, primes, profiles, samp
 from .errors import (ConfigError, FormatError, GenerationFailure, MrpgenError,
                      ParamsError, RetryExhausted)
 from .xof import Seed, derive_polynomial_seed
-
-DOMAIN_ERRORS = (GenerationFailure, RetryExhausted)
 
 
 # ---------------------------------------------------------------- rendering
@@ -66,7 +64,7 @@ def _text_lines(value, key=""):
 
 
 def _digest(command: str, args: argparse.Namespace) -> str:
-    skip = {"handler", "format", "canonical", "threads"}
+    skip = {"handler", "format", "canonical"}
     payload = {k: str(v) for k, v in sorted(vars(args).items()) if k not in skip}
     blob = json.dumps({"command": command, "args": payload}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -200,35 +198,12 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _enumerate(filt: primes.CatalogFilter, threads: int) -> primes.ModuliCatalog:
-    if threads <= 1:
-        return primes.enumerate_supported(filt)
-    step = 2 * filt.n_ring
-    lo = max(filt.q_min_exclusive, step)
-    hi = 1 << filt.w
-    k_lo, k_hi = lo // step, (hi - 2) // step
-    bounds = np.linspace(k_lo, k_hi + 1, threads + 1, dtype=np.int64)
-
-    def chunk(i):
-        lo_q = int(bounds[i]) * step
-        hi_q = int(bounds[i + 1]) * step
-        sub = primes.CatalogFilter(filt.n_ring, filt.w, filt.hw_naf_max,
-                                   filt.p_r_max, max(filt.q_min_exclusive, lo_q - 1))
-        cat = primes.enumerate_supported(sub)
-        return [r for r in cat.records if r.q < hi_q or i == threads - 1]
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(chunk, range(threads)))
-    records = tuple(sorted((r for part in parts for r in part), key=lambda r: r.q))
-    return primes.ModuliCatalog(filt, records)
-
-
 def cmd_enum_primes(args) -> int:
     filt = primes.CatalogFilter(
         n_ring=1 << args.n, w=args.w, hw_naf_max=args.hwnaf_max,
         p_r_max=_parse_fraction(args.pr_max),
         q_min_exclusive=1 << args.qmin_bits if args.qmin_bits else 1)
-    catalog = _enumerate(filt, args.threads)
+    catalog = primes.enumerate_supported(filt)
     hist = primes.histogram(catalog)
     payload = {
         "count": len(catalog),
@@ -254,7 +229,7 @@ def _reference_filter(p_r_max) -> primes.CatalogFilter:
 
 
 def cmd_table1(args) -> int:
-    full = _enumerate(_reference_filter(Fraction(1, 2)), args.threads)
+    full = primes.enumerate_supported(_reference_filter(Fraction(1, 2)))
     rows = []
     all_match = True
     for p_r_max, count, hist, seg_len, bound in profiles.REFERENCE_ROWS:
@@ -337,7 +312,7 @@ def cmd_fit_table1(args) -> int:
                  for (seg_len, _), pub, sol in zip(rows, fit.published, fit.solved)],
     }
     if args.len4_check:
-        worst = _enumerate(_reference_filter(Fraction(1, 2)), args.threads).worst_p_r()
+        worst = primes.enumerate_supported(_reference_filter(Fraction(1, 2))).worst_p_r()
         seg_len = profiles.DEFAULT_SEG_LENS[-1]
         bound = analytics.mrp_failure_bound(worst, profiles.DEFAULT_T, seg_len,
                                             profiles.DEFAULT_N // seg_len, fit.L)
@@ -391,8 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Seed-expanded uniform multi-residue polynomial toolkit")
     parser.add_argument("--canonical", action="store_true",
                         help="omit timestamps; byte-reproducible reports")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for parallelizable subcommands")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 

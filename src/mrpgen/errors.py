@@ -55,9 +55,3 @@ class RetryExhausted(MrpgenError):
         self.last_failure = last_failure
         detail = f" (last: {last_failure})" if last_failure else ""
         super().__init__(f"no valid seed found in {attempts} attempts{detail}")
-
-
-class VerifyMismatch(MrpgenError):
-    """A stored polynomial does not match its recomputation."""
-
-    code = "verify-mismatch"

@@ -22,12 +22,13 @@ be re-derived and checked from its seed alone.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, ParamsError
+from .profiles import DEFAULT_R_BITS
 from .sampling import (GenParams, Limb, MultiResiduePolynomial, Permutation,
                        generate_mrp)
 from .xof import Seed
@@ -88,18 +89,17 @@ def read_mrp(path) -> tuple[MultiResiduePolynomial, GenParams]:
         raise FormatError(f"unknown backend id {backend_id}")
     base = tuple(int(q) for q in rd.u32_array(base_len))
     perm_kind = rd.u32()
-    if perm_kind == 0:
-        layout = Permutation.identity(n_ring)
-    elif perm_kind == 1:
-        layout = Permutation.reverse(n_ring)
-    elif perm_kind == 2:
-        layout = Permutation(rd.u32_array(n_ring).astype(np.int64))
-    else:
+    if perm_kind not in _PERM_IDS.values():
         raise FormatError(f"unknown permutation kind {perm_kind}")
+    # validate the header scalars before allocating anything sized by N
     try:
-        params = GenParams(N=n_ring, w=w, seg_len=n_ring // n_seg, n_seg=n_seg,
-                           base=base, layout=layout, r=r,
+        params = GenParams(N=n_ring, w=w, seg_len=n_ring // n_seg if n_seg else 0,
+                           n_seg=n_seg, base=base, r=r,
                            backend=_BACKEND_NAMES[backend_id])
+        if perm_kind == 1:
+            params = replace(params, layout=Permutation.reverse(n_ring))
+        elif perm_kind == 2:
+            params = replace(params, layout=Permutation(rd.u32_array(n_ring)))
     except ParamsError as exc:
         raise FormatError(f"MRP header holds an invalid profile: {exc}") from exc
     limbs = {q: Limb(q=q, coeffs=rd.u32_array(n_ring)) for q in base}
@@ -158,18 +158,20 @@ def load_params(path) -> GenParams:
         base = tuple(int(tok) for tok in fields["base"].replace(",", " ").split())
     except ValueError:
         raise ParamsError(f"{path}: base must be a list of integers") from None
-    n_ring = _parse_int(fields, "N", path)
-    layout = _parse_permutation(fields.get("permutation", "identity"), n_ring, path)
-    return GenParams(
-        N=n_ring,
+    params = GenParams(
+        N=_parse_int(fields, "N", path),
         w=_parse_int(fields, "w", path),
         seg_len=_parse_int(fields, "len", path),
         n_seg=_parse_int(fields, "n_seg", path),
         base=base,
-        layout=layout,
-        r=int(fields.get("r", "1344")),
+        r=_parse_int(fields, "r", path) if "r" in fields else DEFAULT_R_BITS,
         backend=fields.get("backend", "shake128"),
     )
+    # the layout is sized by N, so it is built only once N has been validated
+    value = fields.get("permutation", "identity")
+    if value == "identity":
+        return params
+    return replace(params, layout=_parse_permutation(value, params.N, path))
 
 
 def _parse_int(fields: dict, key: str, path) -> int:
@@ -180,8 +182,6 @@ def _parse_int(fields: dict, key: str, path) -> int:
 
 
 def _parse_permutation(value: str, n_ring: int, path: Path) -> Permutation:
-    if value == "identity":
-        return Permutation.identity(n_ring)
     if value == "reverse":
         return Permutation.reverse(n_ring)
     perm_path = Path(value)
@@ -189,7 +189,10 @@ def _parse_permutation(value: str, n_ring: int, path: Path) -> Permutation:
         perm_path = Path(path).parent / perm_path
     if not perm_path.exists():
         raise ParamsError(f"permutation index file not found: {perm_path}")
-    indices = [int(tok) for tok in perm_path.read_text().split()]
+    try:
+        indices = [int(tok) for tok in perm_path.read_text().split()]
+    except ValueError:
+        raise ParamsError(f"{perm_path}: permutation indices must be integers") from None
     return Permutation(indices)
 
 

@@ -1,9 +1,10 @@
 """Keccak-p[1600] sponge primitives for the KangarooTwelve backend.
 
 The standard SHA-3 XOF path of this library goes through ``hashlib``; this
-module exists only to provide the optional reduced-round backend (and a
-full-round SHAKE128 mode used by the test suite to cross-check the
-permutation against ``hashlib``).
+module exists only to provide the optional reduced-round backend.  The
+full-round mode, ``sponge(data, 0x1F, out_len, rounds=24)``, is SHAKE128; the
+tests use it to check the permutation and all 24 round constants against
+``hashlib``.
 """
 
 from .errors import ConfigError
@@ -90,11 +91,6 @@ def sponge(data: bytes, suffix: int, out_len: int, rounds: int, rate: int = 168)
         if len(out) < out_len:
             lanes = keccak_p(lanes, rounds)
     return bytes(out[:out_len])
-
-
-def shake128(data: bytes, out_len: int) -> bytes:
-    """Pure-Python SHAKE128 (24 rounds); the permutation's validation mode."""
-    return sponge(data, 0x1F, out_len, rounds=24)
 
 
 def turbo_shake128(data: bytes, domain: int, out_len: int) -> bytes:

@@ -17,7 +17,6 @@ DEFAULT_HW_NAF_MAX = 5
 DEFAULT_Q_MIN_EXCLUSIVE = 1 << 19
 DEFAULT_SEG_LENS = (32, 16, 8, 4)
 DEFAULT_MAX_FAIL = Fraction("0.03")
-SEED_BITS = 288
 
 HIST_BUCKETS = tuple(range(20, 33))
 

@@ -72,18 +72,6 @@ def derive_polynomial_seed(common: bytes, poly_id: int) -> Seed:
     return Seed(common + poly_id.to_bytes(4, "little"))
 
 
-@dataclass(frozen=True)
-class XofInput:
-    """The domain-separated hash input for one segment of one limb."""
-
-    seed: Seed
-    q: int
-    id_seg: int
-
-    def encode(self) -> bytes:
-        return encode_domain_input(self.seed, self.q, self.id_seg)
-
-
 def encode_domain_input(seed: Seed, q: int, id_seg: int) -> bytes:
     """Encode ``seed || q || id_seg`` into the fixed 42-byte hash input.
 

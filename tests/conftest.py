@@ -1,8 +1,10 @@
+import struct
 from pathlib import Path
 
 import pytest
 
 from mrpgen import GenParams, Seed, is_ntt_friendly
+from mrpgen.formats import MAGIC, VERSION
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -38,6 +40,12 @@ def ntt_primes(n_ring: int, count: int, q_min: int = 2, q_max: int = 1 << 24):
     if len(found) < count:
         raise RuntimeError(f"not enough NTT-friendly primes below {q_max} for N={n_ring}")
     return found
+
+
+def mrp_header(n_ring: int, n_seg: int, base=(7681,), perm_kind: int = 0) -> bytes:
+    """An MRP container header (32-bit words, r = 1344, SHAKE128), no limbs."""
+    return (MAGIC + struct.pack("<7I", VERSION, n_ring, 32, 1344, n_seg, 0, len(base))
+            + struct.pack(f"<{len(base)}I", *base) + struct.pack("<I", perm_kind))
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ from mrpgen import (CatalogFilter, CostParams, GenParams, GenerationFailure,
                     generate_mrp, generate_segment, histogram, is_prime,
                     mrp_failure_bound, mrp_failure_exact_base,
                     sample_rejection_prob, seed_source_from_rng,
-                    seed_space_bits, seg_failure_prob,
+                    seed_space_bits, seg_failure_prob, solve_p_r_max,
                     verify_distributed_equivalence, xof_expand)
 from mrpgen.profiles import (DEFAULT_HW_NAF_MAX, DEFAULT_MAX_FAIL, DEFAULT_N,
                              DEFAULT_Q_MIN_EXCLUSIVE, DEFAULT_T, DEFAULT_W,
@@ -189,9 +189,16 @@ def test_criterion_08_unbiasedness_exhaustive_w8():
 
 def _contrived_profile():
     # hunt a transform-friendly prime for N=128 whose rejection rate puts the
-    # whole-polynomial failure between 5% and 50% at len=32, n_seg=4
+    # whole-polynomial failure between 5% and 50% at len=32, n_seg=4.  On
+    # (2^31, 2^32), p_r = (2^32 - q) / 2^32, so the failure rate rises as q
+    # falls; the scan starts at the first candidate at or above the modulus
+    # where the bound reaches 5% (the solver returns the satisfying endpoint,
+    # so no earlier candidate can qualify) and takes the first hit.
     n_ring, seg_len, n_seg = 128, 32, 4
-    q = (1 << 32) - ((1 << 32) % (2 * n_ring)) + 1
+    p_star = solve_p_r_max(DEFAULT_T, seg_len, n_seg, 1, Fraction("0.05"))
+    step = 2 * n_ring
+    q_floor = (1 << 32) * (1 - p_star)
+    q = -(-(q_floor - 1) // step) * step + 1
     while q > 1 << 31:
         if is_prime(q):
             sf = seg_failure_prob(sample_rejection_prob(q, 32), DEFAULT_T, seg_len)
@@ -206,6 +213,7 @@ def _contrived_profile():
 
 def test_criterion_09_failure_model_agreement():
     params, _ = _contrived_profile()
+    assert params.base == (3754940929,)
     trials = 10_000
     rep = empirical_failure_rate(params, trials,
                                  seed_source_from_rng(random.Random(99)))

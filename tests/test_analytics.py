@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,10 +6,9 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from mrpgen import (GenParams, Limb, SuccessModel, chi_square_uniformity,
-                    empirical_failure_rate, fit_limb_count, limb_failure_mp,
-                    mrp_failure_bound, mrp_failure_exact_base, p_limb,
-                    p_mrp_lower_bound, p_seg, rejection_prob_extra_bits,
+from mrpgen import (GenParams, Limb, chi_square_uniformity, empirical_failure_rate,
+                    fit_limb_count, limb_failure_mp, mrp_failure_bound,
+                    mrp_failure_exact_base, p_seg, rejection_prob_extra_bits,
                     sample_rejection_prob, seed_space_bits,
                     seed_source_from_rng, seg_failure_prob, solve_p_r_max)
 
@@ -60,11 +60,11 @@ class TestPSeg:
 
 class TestPLimb:
     def test_identity_cases(self):
-        assert p_limb(1, 2048) == 1
-        assert p_limb(Fraction(9, 10), 1) == Fraction(9, 10)
+        assert limb_failure_mp(0, 2048) == 0
+        assert limb_failure_mp(Fraction(1, 10), 1) == pytest.approx(0.1, rel=1e-15)
 
     def test_exact_power(self):
-        assert p_limb(Fraction(1, 2), 10) == Fraction(1, 1024)
+        assert float(limb_failure_mp(Fraction(1, 2), 10)) == 1 - 1 / 1024
 
     def test_two_routes_agree_to_ten_digits(self):
         # float conversion keeps ~15.9 digits, enough to verify 10; mixing
@@ -91,24 +91,21 @@ class TestPLimb:
 
 class TestPMrpBound:
     def test_single_limb_identity(self):
-        assert p_mrp_lower_bound(Fraction(97, 100), 1) == Fraction(97, 100)
+        p_r = Fraction("0.03655")
+        limb = limb_failure_mp(seg_failure_prob(p_r, T, 32), 2048)
+        assert float(mrp_failure_bound(p_r, T, 32, 2048, 1)) == pytest.approx(
+            float(limb), rel=1e-14)
 
     def test_certain_success(self):
-        assert p_mrp_lower_bound(1, 40) == 1
+        assert mrp_failure_bound(0, T, 32, 2048, 40) == 0
 
     def test_bound_below_exact_product(self):
+        # the worst-modulus bound never understates the failure of the base
         rng = random.Random(4)
         for _ in range(50):
-            limbs = [Fraction(rng.randrange(900, 1000), 1000) for _ in range(6)]
-            worst = min(limbs)
-            product = Fraction(1)
-            for value in limbs:
-                product *= value
-            assert p_mrp_lower_bound(worst, len(limbs)) <= product
-
-    def test_rejects_bad_limb_count(self):
-        with pytest.raises(ValueError):
-            p_mrp_lower_bound(Fraction(1, 2), 0)
+            p_rs = [Fraction(1000 - rng.randrange(900, 1000), 1000) for _ in range(6)]
+            bound = mrp_failure_bound(max(p_rs), T, 32, 8, len(p_rs))
+            assert bound >= mrp_failure_exact_base(p_rs, T, 32, 8)
 
 
 class TestExactBaseFailure:
@@ -151,8 +148,8 @@ class TestSolvePrMax:
 
 
 class TestFitLimbCount:
-    def test_round_trips_synthetic_rows(self):
-        true_l = 17
+    @pytest.mark.parametrize("true_l", [1, 17, 40])
+    def test_round_trips_synthetic_rows(self, true_l):
         rows = [(seg_len, solve_p_r_max(T, seg_len, (1 << 14) // seg_len, true_l,
                                         Fraction("0.03")))
                 for seg_len in (32, 16, 8)]
@@ -208,15 +205,6 @@ class TestRejectionProbExtraBits:
             rejection_prob_extra_bits(256, 8, 2)
 
 
-class TestSuccessModel:
-    def test_wraps_the_chain(self):
-        model = SuccessModel(t=T, seg_len=32, n_seg=2048, L=64,
-                             p_r_worst=Fraction("0.03655"))
-        assert model.seg_success() == p_seg(Fraction("0.03655"), T, 32)
-        assert float(model.failure_bound()) == pytest.approx(
-            float(mrp_failure_bound(Fraction("0.03655"), T, 32, 2048, 64)))
-
-
 class TestEmpiricalFailureRate:
     def test_safe_profile_never_fails(self, desk_params):
         report = empirical_failure_rate(desk_params, 50,
@@ -251,6 +239,25 @@ class TestChiSquareUniformity:
         coeffs = np.tile(np.arange(q, dtype=np.uint32), 32)
         report = chi_square_uniformity(Limb(q=q, coeffs=coeffs), bins)
         assert report.p_value > 0.999
+
+    @pytest.mark.parametrize("bins", [3, 5])
+    def test_p_value_matches_closed_form(self, bins):
+        # for even dof the chi-square survival function is elementary:
+        # exp(-x/2) at dof 2 and exp(-x/2) * (1 + x/2) at dof 4
+        q = 97
+        values = list(range(q)) + list(range(40)) + [5] * 12
+        counts = [0] * bins
+        for v in values:
+            counts[v * bins // q] += 1
+        starts = [-(-b * q // bins) for b in range(bins + 1)]
+        expected = [Fraction(len(values) * (hi - lo), q) for lo, hi in zip(starts, starts[1:])]
+        x = float(sum((c - e) ** 2 / e for c, e in zip(counts, expected)))
+        closed = math.exp(-x / 2) * (1 if bins == 3 else 1 + x / 2)
+        report = chi_square_uniformity(Limb(q=q, coeffs=np.array(values, dtype=np.uint32)),
+                                       bins)
+        assert report.statistic == pytest.approx(x, rel=1e-12)
+        assert report.p_value == pytest.approx(closed, rel=1e-12)
+        assert 1e-6 < report.p_value < 0.5
 
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):

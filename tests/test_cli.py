@@ -115,13 +115,6 @@ class TestCatalogCommands:
         assert len(data_lines) == 3
         assert "count = 3" in lines
 
-    def test_enum_primes_threads_match_serial(self, capsys):
-        args = ["enum-primes", "--n", "8", "--w", "20", "--hwnaf-max", "5",
-                "--pr-max", "0.5"]
-        _, serial, _ = run(capsys, "--canonical", *args)
-        _, threaded, _ = run(capsys, "--canonical", "--threads", "4", *args)
-        assert serial == threaded
-
     def test_canonical_reports_are_byte_identical(self, capsys):
         args = ["--canonical", "enum-primes", "--n", "4", "--w", "16",
                 "--hwnaf-max", "4", "--pr-max", "0.25"]
@@ -153,6 +146,13 @@ class TestAnalyticsCommands:
         assert result["throughput_tbps"] == pytest.approx(65.536)
         assert result["central_power_w"] == pytest.approx(19.66, abs=0.01)
         assert result["per_axis_density_tbps_per_mm"] == pytest.approx(2.18, abs=0.01)
+
+    def test_fit_table1_recovers_sixty_four_limbs(self, capsys):
+        code, out, _ = run(capsys, "--canonical", "--format", "json", "fit-table1")
+        result = json.loads(out)["result"]
+        assert code == 0
+        assert result["L"] == 64 and result["ok"] is True
+        assert result["len4_check"]["ok"] is True
 
     def test_stats_on_stored_mrp(self, capsys, tmp_path, params_file):
         out_file = tmp_path / "p.mrp"
@@ -186,6 +186,14 @@ class TestErrorTaxonomy:
         code, _, err = run(capsys, "verify", "--mrp", path, "--seed", ZERO_SEED)
         assert code == 2
         assert "code=format-error" in err
+
+    def test_zero_segment_header_exits_two(self, capsys, tmp_path):
+        from conftest import mrp_header
+        path = tmp_path / "zero.mrp"
+        path.write_bytes(mrp_header(256, 0) + bytes(4 * 256))
+        code, _, err = run(capsys, "stats", "--mrp", path)
+        assert code == 2
+        assert "code=format-error" in err and "Traceback" not in err
 
     def test_missing_seed_exits_two(self, capsys, params_file):
         code, _, err = run(capsys, "gen-mrp", "--params", params_file)

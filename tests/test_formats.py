@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import mrp_header
 from mrpgen import (FormatError, GenParams, ParamsError, Permutation,
                     generate_mrp, load_params, read_mrp, save_params,
                     verify_mrp_file, write_mrp)
@@ -73,6 +76,27 @@ class TestMrpContainer:
         with pytest.raises(FormatError):
             read_mrp(path)
 
+    def test_rejects_zero_segment_count(self, tmp_path):
+        path = tmp_path / "zero.mrp"
+        path.write_bytes(mrp_header(256, 0) + bytes(4 * 256))
+        with pytest.raises(FormatError, match="seg_len"):
+            read_mrp(path)
+
+    @pytest.mark.parametrize("perm_kind", [0, 1])
+    def test_rejects_oversized_ring_before_allocating(self, tmp_path, perm_kind):
+        # N = 2^23 exceeds 42 words x 2^16 segments; no N-sized layout may
+        # be built before the header is validated
+        path = tmp_path / "huge.mrp"
+        path.write_bytes(mrp_header(1 << 23, 1 << 16, perm_kind=perm_kind))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError):
+                read_mrp(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestParamsFile:
     def test_round_trip(self, tmp_path, desk_params):
@@ -140,6 +164,33 @@ base = 7681 , 10753
         path.write_text("N = 256\nw = 32\nlen = 32\nn_seg = 8\nbase = 7687\n")
         with pytest.raises(ParamsError, match="7687"):
             load_params(path)
+
+    def test_non_integer_r_is_a_params_error(self, tmp_path):
+        path = tmp_path / "p.params"
+        path.write_text("N = 256\nw = 32\nr = abc\nlen = 32\nn_seg = 8\nbase = 7681\n")
+        with pytest.raises(ParamsError, match="'r'"):
+            load_params(path)
+
+    def test_non_integer_permutation_index(self, tmp_path):
+        (tmp_path / "bad.perm").write_text("0 1 two 3\n")
+        path = tmp_path / "p.params"
+        path.write_text("N = 256\nw = 32\nlen = 32\nn_seg = 8\nbase = 7681\n"
+                        "permutation = bad.perm\n")
+        with pytest.raises(ParamsError, match="bad.perm"):
+            load_params(path)
+
+    def test_oversized_ring_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "p.params"
+        path.write_text(f"N = {1 << 23}\nw = 32\nlen = 32\nn_seg = {1 << 18}\n"
+                        "base = 7681\npermutation = reverse\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParamsError):
+                load_params(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_missing_permutation_file(self, tmp_path):
         path = tmp_path / "p.params"
