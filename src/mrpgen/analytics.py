@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 from mpmath import mp, mpf
 
-from .errors import ConfigError, GenerationFailure
+from .errors import ConfigError, GenerationFailure, ParamsError
 from .primes import sample_rejection_prob
 from .sampling import GenParams, Limb, generate_mrp, reduce_coeffs
 from .xof import Seed
@@ -265,10 +265,10 @@ def chi_square_uniformity(limb: Limb, bins: int = 64) -> UniformityReport:
     divide evenly into bins are handled without bias.
     """
     if bins < 2:
-        raise ValueError("need at least 2 bins")
+        raise ConfigError("need at least 2 bins")
     n = len(limb.coeffs)
     if n < 5 * bins:
-        raise ValueError(f"need at least {5 * bins} samples for {bins} bins")
+        raise ParamsError(f"need at least {5 * bins} samples for {bins} bins")
     q = limb.q
     residues = reduce_coeffs(limb).astype(np.uint64)
     idx = (residues * np.uint64(bins)) // np.uint64(q)

@@ -98,17 +98,20 @@ def _seed_from_args(args) -> Seed:
     if getattr(args, "common", None) is not None:
         if args.poly_id is None:
             raise ParamsError("--common requires --poly-id")
-        common = bytes.fromhex(args.common)
+        try:
+            common = bytes.fromhex(args.common)
+        except ValueError:
+            raise ParamsError("--common must be hexadecimal") from None
         return derive_polynomial_seed(common, args.poly_id)
     raise ParamsError("a seed is required: --seed or --common/--poly-id")
 
 
 def _sha256_words(coeffs: np.ndarray) -> str:
-    return hashlib.sha256(np.asarray(coeffs, dtype="<u4").tobytes()).hexdigest()
+    return hashlib.sha256(np.ascontiguousarray(coeffs, dtype="<u4")).hexdigest()
 
 
 def _limb_summaries(mrp) -> dict:
-    return {str(q): _sha256_words(mrp.limbs[q].coeffs) for q in mrp.base}
+    return {str(q): _sha256_words(row) for q, row in zip(mrp.base, mrp.coeffs)}
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -140,7 +143,7 @@ def cmd_gen_limb(args) -> int:
     limb = sampling.generate_limb(seed, args.q, params)
     if args.out:
         with open(args.out, "wb") as fh:
-            fh.write(np.asarray(limb.coeffs, dtype="<u4").tobytes())
+            fh.write(np.ascontiguousarray(limb.coeffs, dtype="<u4"))
     payload = {
         "seed": seed.hex(), "q": args.q, "coeff_count": len(limb.coeffs),
         "sha256": _sha256_words(limb.coeffs),
@@ -329,8 +332,8 @@ def cmd_fit_table1(args) -> int:
 
 def cmd_stats(args) -> int:
     mrp, params = formats.read_mrp(args.mrp)
-    reports = [analytics.chi_square_uniformity(mrp.limbs[q], args.bins)
-               for q in params.base]
+    reports = [analytics.chi_square_uniformity(limb, args.bins)
+               for limb in mrp.limbs.values()]
     payload = {"mrp": str(args.mrp), "bins": args.bins,
                "limbs": [{"q": r.q, "samples": r.sample_count,
                           "statistic": r.statistic, "dof": r.dof,

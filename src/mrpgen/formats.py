@@ -15,8 +15,11 @@ integers are little-endian 32-bit words:
     mapping    N x u32  only when perm_kind = 2
     limbs      L x N x u32, in base order
 
-The header carries the full generation profile so a stored polynomial can
-be re-derived and checked from its seed alone.
+The limb section is a MultiResiduePolynomial's (L, N) array byte for byte:
+write_mrp writes its buffer after the header and read_mrp returns a view of
+the file's bytes, so neither copies a limb.  The header carries the full
+generation profile so a stored polynomial can be re-derived and checked from
+its seed alone.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ import numpy as np
 
 from .errors import FormatError, ParamsError
 from .profiles import DEFAULT_R_BITS
-from .sampling import (GenParams, Limb, MultiResiduePolynomial, Permutation,
-                       generate_mrp)
+from .sampling import GenParams, MultiResiduePolynomial, Permutation, generate_mrp
 from .xof import Seed
 
 MAGIC = b"MRPB"
@@ -50,12 +52,12 @@ def write_mrp(path, mrp: MultiResiduePolynomial, params: GenParams) -> None:
     header = MAGIC + struct.pack(
         "<7I", VERSION, params.N, params.w, params.r, params.n_seg,
         _BACKEND_IDS[params.backend], len(params.base))
-    body = [header, _u32s(params.base), struct.pack("<I", perm_kind)]
+    header += _u32s(params.base) + struct.pack("<I", perm_kind)
     if perm_kind == 2:
-        body.append(_u32s(params.layout.mapping))
-    for q in params.base:
-        body.append(_u32s(mrp.limbs[q].coeffs))
-    Path(path).write_bytes(b"".join(body))
+        header += _u32s(params.layout.mapping)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(np.ascontiguousarray(mrp.coeffs, dtype="<u4"))
 
 
 class _Reader:
@@ -74,10 +76,11 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def u32_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(4 * count), dtype="<u4").astype(np.uint32)
+        return np.frombuffer(self.take(4 * count), dtype="<u4")
 
 
 def read_mrp(path) -> tuple[MultiResiduePolynomial, GenParams]:
+    """Parse a container; the returned coeffs are a read-only view of its bytes."""
     rd = _Reader(Path(path).read_bytes())
     if rd.take(4) != MAGIC:
         raise FormatError("not an MRP file (bad magic)")
@@ -91,7 +94,14 @@ def read_mrp(path) -> tuple[MultiResiduePolynomial, GenParams]:
     perm_kind = rd.u32()
     if perm_kind not in _PERM_IDS.values():
         raise FormatError(f"unknown permutation kind {perm_kind}")
-    # validate the header scalars before allocating anything sized by N
+    # the raw scalars fix the body length; check it before anything sized
+    # by N is built, so a header alone cannot make the reader allocate
+    body = 4 * (base_len * n_ring + (n_ring if perm_kind == 2 else 0))
+    remaining = len(rd.data) - rd.pos
+    if remaining < body:
+        raise FormatError("truncated MRP file")
+    if remaining > body:
+        raise FormatError("trailing bytes after the last limb")
     try:
         params = GenParams(N=n_ring, w=w, seg_len=n_ring // n_seg if n_seg else 0,
                            n_seg=n_seg, base=base, r=r,
@@ -102,10 +112,8 @@ def read_mrp(path) -> tuple[MultiResiduePolynomial, GenParams]:
             params = replace(params, layout=Permutation(rd.u32_array(n_ring)))
     except ParamsError as exc:
         raise FormatError(f"MRP header holds an invalid profile: {exc}") from exc
-    limbs = {q: Limb(q=q, coeffs=rd.u32_array(n_ring)) for q in base}
-    if rd.pos != len(rd.data):
-        raise FormatError("trailing bytes after the last limb")
-    return MultiResiduePolynomial(base=base, limbs=limbs), params
+    coeffs = np.frombuffer(rd.data, dtype="<u4", offset=rd.pos).reshape(base_len, n_ring)
+    return MultiResiduePolynomial(base=base, coeffs=coeffs), params
 
 
 @dataclass
@@ -117,13 +125,12 @@ class VerifyReport:
 def verify_mrp_file(path, seed: Seed) -> VerifyReport:
     """Recompute a stored polynomial from its seed and compare bit-exactly."""
     stored, params = read_mrp(path)
-    recomputed = generate_mrp(seed, params)
-    for q in params.base:
-        if not np.array_equal(stored.limbs[q].coeffs, recomputed.limbs[q].coeffs):
-            first = int(np.argmax(stored.limbs[q].coeffs != recomputed.limbs[q].coeffs))
-            return VerifyReport(ok=False,
-                                detail=f"limb q={q} differs first at index {first}")
-    return VerifyReport(ok=True)
+    differs = stored.coeffs != generate_mrp(seed, params).coeffs
+    if not differs.any():
+        return VerifyReport(ok=True)
+    row, first = np.unravel_index(np.argmax(differs), differs.shape)
+    return VerifyReport(ok=False,
+                        detail=f"limb q={params.base[row]} differs first at index {first}")
 
 
 _PARAM_KEYS = ("N", "w", "r", "len", "n_seg", "base", "permutation", "backend")

@@ -8,6 +8,11 @@ copies of every residue class, so accepted words are uniform mod q without
 any bias correction; they are stored unreduced, as a downstream modular
 multiplier would receive them.
 
+``generate_segment`` is the engine unit and the reference: one block, one
+scan.  ``generate_limb`` computes the same n_seg units at once, as one
+(n_seg, t) word matrix filtered row by row, and a polynomial is one (L, N)
+``uint32`` array in base order, the same as the limb section of an MRP file.
+
 Because a segment is a pure function of (seed, q, id_seg) plus the profile,
 any schedule over any number of engines reproduces the serial client output
 bit for bit; the client validates a seed once (retrying on the rare
@@ -162,18 +167,22 @@ class Limb:
 
 @dataclass(eq=False)
 class MultiResiduePolynomial:
-    """One limb per base modulus, keyed by the modulus."""
+    """One polynomial: an (L, N) ``uint32`` array, row i the limb of base[i].
+
+    The array is the MRP file's limb section as it sits in memory, so the
+    file path writes and reads it without a per-limb copy.
+    """
 
     base: tuple[int, ...]
-    limbs: dict[int, Limb]
+    coeffs: np.ndarray
 
-    def limb(self, q: int) -> Limb:
-        return self.limbs[q]
+    @property
+    def limbs(self) -> dict[int, Limb]:
+        """The rows as Limb views keyed by modulus (a fresh dict per call)."""
+        return {q: Limb(q=q, coeffs=row) for q, row in zip(self.base, self.coeffs)}
 
     def equals(self, other: "MultiResiduePolynomial") -> bool:
-        return (self.base == other.base and
-                all(np.array_equal(self.limbs[q].coeffs, other.limbs[q].coeffs)
-                    for q in self.base))
+        return self.base == other.base and np.array_equal(self.coeffs, other.coeffs)
 
 
 def compute_threshold(q: int, w: int) -> int:
@@ -210,33 +219,47 @@ def generate_segment(seed: Seed, q: int, id_seg: int, params: GenParams) -> Segm
     Depends only on (seed, q, id_seg) and the profile scalars; the rest of
     the base, other segments, and scheduling cannot influence its bits.
     """
+    if q not in params.base:
+        raise ParamsError(f"q={q} is not in the profile base")
     if not 0 <= id_seg < params.n_seg:
-        raise ValueError(f"id_seg {id_seg} out of range for n_seg={params.n_seg}")
+        raise ParamsError(f"id_seg {id_seg} out of range for n_seg={params.n_seg}")
     data = encode_domain_input(seed, q, id_seg)
     return gen_seg(data, q, params.seg_len, params.w, params.r, params.backend)
 
 
 def generate_limb(seed: Seed, q: int, params: GenParams) -> Limb:
-    """Concatenate the n_seg segments for q and apply the layout permutation.
+    """All n_seg segments for q as one word matrix, then the layout permutation.
 
+    Row id_seg of the (n_seg, t) matrix is the block generate_segment would
+    expand; a running count of accepted words per row keeps each row's first
+    seg_len acceptances, so the result equals concatenating the segments.
     Raises GenerationFailure naming the first short (q, id_seg).
     """
     if q not in params.base:
-        raise ValueError(f"q={q} is not in the profile base")
-    parts = []
+        raise ParamsError(f"q={q} is not in the profile base")
+    nbytes = params.r // 8
+    blocks = bytearray(params.n_seg * nbytes)
     for id_seg in range(params.n_seg):
-        seg = generate_segment(seed, q, id_seg, params)
-        if not seg.complete(params.seg_len):
-            raise GenerationFailure(q, id_seg)
-        parts.append(seg.values)
-    coeffs = np.concatenate(parts) if len(parts) > 1 else parts[0]
-    return Limb(q=q, coeffs=permute(coeffs, params.layout))
+        blocks[id_seg * nbytes:(id_seg + 1) * nbytes] = xof_expand(
+            encode_domain_input(seed, q, id_seg), params.r, params.backend)
+    words = split_words(blocks, params.w).reshape(params.n_seg, params.t)
+    keep = words < compute_threshold(q, params.w)
+    # t <= 168 (r <= 1344, w >= 8), so a uint8 running count cannot wrap
+    rank = np.cumsum(keep, axis=1, dtype=np.uint8)
+    keep &= rank <= params.seg_len
+    coeffs = words[keep]
+    if len(coeffs) < params.N:
+        short = rank[:, -1] < params.seg_len
+        raise GenerationFailure(q, int(np.argmax(short)))
+    return Limb(q=q, coeffs=permute(coeffs.astype(np.uint32, copy=False), params.layout))
 
 
 def generate_mrp(seed: Seed, params: GenParams) -> MultiResiduePolynomial:
     """Generate one limb per base modulus; fails if any segment is short."""
-    limbs = {q: generate_limb(seed, q, params) for q in params.base}
-    return MultiResiduePolynomial(base=params.base, limbs=limbs)
+    coeffs = np.empty((len(params.base), params.N), dtype=np.uint32)
+    for row, q in enumerate(params.base):
+        coeffs[row] = generate_limb(seed, q, params).coeffs
+    return MultiResiduePolynomial(base=params.base, coeffs=coeffs)
 
 
 def reduce_coeffs(limb: Limb) -> np.ndarray:
@@ -292,17 +315,19 @@ class EquivalenceReport:
 def verify_distributed_equivalence(seed: Seed, params: GenParams, engine_count: int,
                                    schedules: int = 1,
                                    rng: random.Random | None = None) -> EquivalenceReport:
-    """Check that any engine partition reproduces the serial output bit-exactly.
+    """Check that any engine partition reproduces the batched output bit-exactly.
 
     Each work item (q, id_seg) is handed to a thread pool in a shuffled
-    order; workers receive nothing but the item and the profile, so the
-    assembled result also certifies that no cross-engine information flow
-    is needed.  A mismatch is a bug report, never an expected outcome.
+    order and computed with generate_segment; workers receive nothing but
+    the item and the profile.  The assembled limbs must equal generate_mrp's
+    batched word-matrix path, so a pass certifies both that no cross-engine
+    information flow is needed and that batched = per-segment.  A mismatch
+    is a bug report, never an expected outcome.
     """
     if engine_count < 1:
         raise ValueError("engine_count must be at least 1")
     rng = rng or random.Random(0)
-    serial = generate_mrp(seed, params)
+    batched = generate_mrp(seed, params)
     items = [(q, id_seg) for q in params.base for id_seg in range(params.n_seg)]
     report = EquivalenceReport(ok=True, engine_count=engine_count,
                                schedules=schedules, work_items=len(items))
@@ -316,10 +341,9 @@ def verify_distributed_equivalence(seed: Seed, params: GenParams, engine_count: 
         rng.shuffle(order)
         with ThreadPoolExecutor(max_workers=engine_count) as pool:
             results = dict(pool.map(engine_task, order))
-        for q in params.base:
+        for q, limb in zip(params.base, batched.coeffs):
             coeffs = np.concatenate([results[(q, i)] for i in range(params.n_seg)])
-            assembled = permute(coeffs, params.layout)
-            if not np.array_equal(assembled, serial.limbs[q].coeffs):
+            if not np.array_equal(permute(coeffs, params.layout), limb):
                 report.ok = False
                 report.mismatches.append({"schedule": schedule, "q": q})
     return report

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import keccak
-from .errors import ConfigError
+from .errors import ConfigError, ParamsError
 
 SEED_BYTES = 36          # 288-bit seed
 COMMON_PART_BYTES = 32   # shared seed part of a multi-polynomial key
@@ -39,14 +39,18 @@ class Seed:
 
     def __post_init__(self):
         if not isinstance(self.data, bytes) or len(self.data) != SEED_BYTES:
-            raise ValueError(f"seed must be exactly {SEED_BYTES} bytes")
+            raise ParamsError(f"seed must be exactly {SEED_BYTES} bytes")
 
     @classmethod
     def from_hex(cls, text: str) -> "Seed":
         text = text.strip()
         if len(text) != 2 * SEED_BYTES:
-            raise ValueError(f"seed hex must be {2 * SEED_BYTES} characters")
-        return cls(bytes.fromhex(text))
+            raise ParamsError(f"seed hex must be {2 * SEED_BYTES} characters")
+        try:
+            data = bytes.fromhex(text)
+        except ValueError:
+            raise ParamsError("seed hex must contain only hexadecimal digits") from None
+        return cls(data)
 
     @classmethod
     def zero(cls) -> "Seed":
@@ -66,9 +70,9 @@ def derive_polynomial_seed(common: bytes, poly_id: int) -> Seed:
     part and differ only in ``poly_id``, so the full seed stays 288 bits.
     """
     if len(common) != COMMON_PART_BYTES:
-        raise ValueError(f"common seed part must be {COMMON_PART_BYTES} bytes")
+        raise ParamsError(f"common seed part must be {COMMON_PART_BYTES} bytes")
     if not 0 <= poly_id < 2 ** 32:
-        raise ValueError("poly_id must fit in 32 bits")
+        raise ParamsError("poly_id must fit in 32 bits")
     return Seed(common + poly_id.to_bytes(4, "little"))
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from mrpgen import (GenParams, Limb, chi_square_uniformity, empirical_failure_rate,
+from mrpgen import (ConfigError, GenParams, Limb, ParamsError,
+                    chi_square_uniformity, empirical_failure_rate,
                     fit_limb_count, limb_failure_mp, mrp_failure_bound,
                     mrp_failure_exact_base, p_seg, rejection_prob_extra_bits,
                     sample_rejection_prob, seed_space_bits,
@@ -260,9 +261,9 @@ class TestChiSquareUniformity:
         assert 1e-6 < report.p_value < 0.5
 
     def test_requires_enough_samples(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             chi_square_uniformity(Limb(q=97, coeffs=np.zeros(100, dtype=np.uint32)), 64)
 
     def test_requires_two_bins(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             chi_square_uniformity(Limb(q=97, coeffs=np.zeros(1024, dtype=np.uint32)), 1)

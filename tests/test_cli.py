@@ -200,6 +200,36 @@ class TestErrorTaxonomy:
         assert code == 2
         assert "code=params-error" in err
 
+    @pytest.mark.parametrize("argv, code_name", [
+        (["verify", "--mrp", "{mrp}", "--seed", "0" * 74], "params-error"),
+        (["verify", "--mrp", "{mrp}", "--seed", "zz" * 36], "params-error"),
+        (["gen-mrp", "--params", "{params}", "--common", "00" * 31, "--poly-id", "0"],
+         "params-error"),
+        (["gen-mrp", "--params", "{params}", "--common", "zz" * 32, "--poly-id", "0"],
+         "params-error"),
+        (["gen-mrp", "--params", "{params}", "--common", "00" * 32,
+          "--poly-id", str(1 << 32)], "params-error"),
+        (["gen-limb", "--params", "{params}", "--seed", ZERO_SEED, "--q", "97"],
+         "params-error"),
+        (["gen-seg", "--params", "{params}", "--seed", ZERO_SEED, "--q", "97", "--id", "0"],
+         "params-error"),
+        (["gen-seg", "--params", "{params}", "--seed", ZERO_SEED, "--q", "7681", "--id", "8"],
+         "params-error"),
+        (["stats", "--mrp", "{mrp}"], "params-error"),
+        (["stats", "--mrp", "{mrp}", "--bins", "1"], "config-error"),
+    ], ids=["seed-length", "seed-not-hex", "common-length", "common-not-hex",
+            "poly-id-range", "limb-q-not-in-base", "seg-q-not-in-base", "seg-id-range",
+            "stats-too-few-samples", "stats-one-bin"])
+    def test_bad_input_is_a_typed_error(self, capsys, tmp_path, params_file, argv,
+                                        code_name):
+        mrp = tmp_path / "p.mrp"
+        run(capsys, "gen-mrp", "--seed", ZERO_SEED, "--params", params_file, "--out", mrp)
+        argv = [a.format(params=params_file, mrp=mrp) for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"code={code_name}" in err
+        assert "value-error" not in err and "Traceback" not in err
+
 
 class TestReportEnvelope:
     def test_json_envelope_fields(self, capsys):

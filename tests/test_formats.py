@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import mrp_header
+from conftest import mrp_header, ntt_primes
 from mrpgen import (FormatError, GenParams, ParamsError, Permutation,
                     generate_mrp, load_params, read_mrp, save_params,
                     verify_mrp_file, write_mrp)
@@ -84,18 +84,42 @@ class TestMrpContainer:
 
     @pytest.mark.parametrize("perm_kind", [0, 1])
     def test_rejects_oversized_ring_before_allocating(self, tmp_path, perm_kind):
-        # N = 2^23 exceeds 42 words x 2^16 segments; no N-sized layout may
-        # be built before the header is validated
-        path = tmp_path / "huge.mrp"
-        path.write_bytes(mrp_header(1 << 23, 1 << 16, perm_kind=perm_kind))
+        # N = 2^23 exceeds 42 words x 2^16 segments; N = 2^21 is a valid
+        # profile whose limbs are missing.  Neither header alone may make the
+        # reader build an N-sized layout.
+        for n_ring, base in ((1 << 23, (7681,)), (1 << 21, (104857601,))):
+            path = tmp_path / "huge.mrp"
+            path.write_bytes(mrp_header(n_ring, 1 << 16, base=base, perm_kind=perm_kind))
+            tracemalloc.start()
+            try:
+                with pytest.raises(FormatError):
+                    read_mrp(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, n_ring
+
+    def test_file_path_copies_no_limb(self, tmp_path, zero_seed):
+        # a ~1 MiB container: writing streams the (L, N) array and reading
+        # returns a view of the file's bytes, so neither holds a second copy
+        params = GenParams(N=1 << 12, w=32, seg_len=32, n_seg=1 << 7,
+                           base=tuple(ntt_primes(1 << 12, 64)))
+        mrp = generate_mrp(zero_seed, params)
+        path = tmp_path / "big.mrp"
         tracemalloc.start()
         try:
-            with pytest.raises(FormatError):
-                read_mrp(path)
-            peak = tracemalloc.get_traced_memory()[1]
+            write_mrp(path, mrp, params)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            loaded, _ = read_mrp(path)
+            read_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20
+        size = path.stat().st_size
+        assert size > mrp.coeffs.nbytes
+        assert write_peak < 0.25 * size
+        assert read_peak < 1.25 * size
+        assert np.array_equal(loaded.coeffs, mrp.coeffs)
 
 
 class TestParamsFile:

@@ -2,11 +2,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from mrpgen import (GenerationFailure, GenParams, ParamsError, Permutation,
                     RetryExhausted, Seed, client_generate_with_retry,
                     compute_threshold, gen_seg, generate_limb, generate_mrp,
-                    generate_segment, permute, reduce_coeffs,
+                    generate_segment, is_ntt_friendly, permute, reduce_coeffs,
                     sample_rejection_prob, seed_source_from_rng,
                     verify_distributed_equivalence)
 from mrpgen.xof import encode_domain_input
@@ -87,8 +89,12 @@ class TestGenerateSegment:
         assert not np.array_equal(a.values, b.values)
 
     def test_id_range_enforced(self, desk_params, zero_seed):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             generate_segment(zero_seed, 7681, desk_params.n_seg, desk_params)
+
+    def test_requires_base_membership(self, desk_params, zero_seed):
+        with pytest.raises(ParamsError, match="q=97"):
+            generate_segment(zero_seed, 97, 0, desk_params)
 
     def test_locality_ignores_base_composition(self, zero_seed):
         primes = ntt_primes(256, 4)
@@ -175,7 +181,7 @@ class TestGenerateLimb:
         assert sorted(a.tolist()) == sorted(b.tolist())
 
     def test_requires_base_membership(self, desk_params, zero_seed):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError, match="q=97"):
             generate_limb(zero_seed, 97, desk_params)
 
     def test_failure_names_first_short_segment(self, zero_seed):
@@ -197,6 +203,64 @@ class TestGenerateLimb:
             except GenerationFailure as exc:
                 failures.append((exc.q, exc.id_seg))
         assert failures[0] is not None and failures.count(failures[0]) == 3
+
+
+def _moduli_above_half_word(w: int, n_ring: int, count: int = 3) -> list[int]:
+    """The first NTT-friendly q > 2^(w-1): about half of all words are rejected."""
+    found = []
+    for q in range((1 << (w - 1)) + 1, 1 << w, 2 * n_ring):
+        if is_ntt_friendly(q, n_ring):
+            found.append(q)
+            if len(found) == count:
+                break
+    return found
+
+
+@st.composite
+def _short_prone_profiles(draw):
+    w = draw(st.sampled_from([8, 16, 32]))
+    # an 8-bit modulus q ≡ 1 (mod 2N) above 128 exists only for N <= 32.
+    # Long segments are where short ones and threshold-equal words show up,
+    # so the largest ring and the longest segment are drawn more often.
+    largest = 5 if w == 8 else 10
+    log_n = draw(st.integers(0, largest) | st.just(largest))
+    t = 1344 // w
+    longest = min(log_n, t.bit_length() - 1)
+    log_len = draw(st.integers(0, longest) | st.just(longest))
+    n_ring, seg_len = 1 << log_n, 1 << log_len
+    q = draw(st.sampled_from(_moduli_above_half_word(w, n_ring)))
+    kind = draw(st.sampled_from(["identity", "reverse", "explicit"]))
+    if kind == "identity":
+        layout = None
+    elif kind == "reverse":
+        layout = Permutation.reverse(n_ring)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+        layout = Permutation(rng.permutation(n_ring))
+    seed = Seed(draw(st.binary(min_size=36, max_size=36)))
+    return seed, GenParams(N=n_ring, w=w, seg_len=seg_len, n_seg=n_ring // seg_len,
+                           base=(q,), layout=layout)
+
+
+class TestBatchedLimbMatchesSegments:
+    @settings(deadline=None, max_examples=150)
+    @given(_short_prone_profiles())
+    def test_batched_equals_per_segment(self, case):
+        seed, params = case
+        q = params.base[0]
+        segments = [generate_segment(seed, q, i, params) for i in range(params.n_seg)]
+        short = [i for i, seg in enumerate(segments) if not seg.complete(params.seg_len)]
+        event("short" if short else "complete")
+        if short:
+            with pytest.raises(GenerationFailure) as err:
+                generate_limb(seed, q, params)
+            assert (err.value.q, err.value.id_seg) == (q, short[0])
+        else:
+            expected = permute(np.concatenate([seg.values for seg in segments]),
+                               params.layout)
+            limb = generate_limb(seed, q, params)
+            assert limb.coeffs.dtype == np.uint32
+            assert np.array_equal(limb.coeffs, expected)
 
 
 class TestGenerateMrp:

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import reference_keccak
-from mrpgen import (ConfigError, Seed, derive_polynomial_seed, encode_domain_input,
-                    split_words, xof_expand)
+from mrpgen import (ConfigError, ParamsError, Seed, derive_polynomial_seed,
+                    encode_domain_input, split_words, xof_expand)
 from mrpgen import keccak
 from mrpgen.xof import INPUT_BYTES, MAX_INPUT_BYTES, XOF_BLOCK_BYTES
 
@@ -20,9 +20,9 @@ class TestSeed:
         assert len(seed.hex()) == 72
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             Seed(bytes(35))
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             Seed.from_hex("ab" * 35)
 
     def test_derive_polynomial_seed(self):
@@ -34,9 +34,9 @@ class TestSeed:
         assert len(seeds) == 5
 
     def test_derive_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             derive_polynomial_seed(bytes(31), 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             derive_polynomial_seed(bytes(32), 1 << 32)
 
 
