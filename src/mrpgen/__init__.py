@@ -18,8 +18,8 @@ from .analytics import (EmpiricalReport, FitResult, UniformityReport,
 from .costmodel import (CostParams, CostReport, build_cost_report,
                         central_wiring_power, distributed_wiring_power,
                         per_axis_bandwidth_density, required_throughput)
-from .errors import (ConfigError, FormatError, GenerationFailure, MrpgenError,
-                     ParamsError, RetryExhausted)
+from .errors import (ConfigError, DomainFailure, FormatError, GenerationFailure,
+                     MrpgenError, ParamsError, RetryExhausted)
 from .formats import (load_params, read_mrp, save_params, verify_mrp_file,
                       write_mrp)
 from .primes import (CatalogFilter, ModuliCatalog, PrimeRecord,

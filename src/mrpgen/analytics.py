@@ -44,13 +44,21 @@ def _to_mpf(x) -> mpf:
     return mpf(x)
 
 
-def p_seg(p_r, t: int, seg_len: int) -> Fraction:
-    """Exact probability of collecting at least seg_len acceptances among t."""
+def _check_model(p_r, t: int, seg_len: int, n_seg: int = 1, L: int = 1) -> Fraction:
+    """p_r as a Fraction, once it and the counts are inside the model."""
+    for name, value, least in (("t", t, 0), ("seg_len", seg_len, 0),
+                               ("n_seg", n_seg, 1), ("L", L, 1)):
+        if value < least:
+            raise ParamsError(f"{name} must be at least {least}, got {value}")
     pr = _fraction(p_r)
     if not 0 <= pr <= 1:
-        raise ValueError("p_r must lie in [0, 1]")
-    if seg_len > t:
-        return Fraction(0)
+        raise ParamsError("p_r must lie in [0, 1]")
+    return pr
+
+
+def p_seg(p_r, t: int, seg_len: int) -> Fraction:
+    """Exact probability of collecting at least seg_len acceptances among t."""
+    pr = _check_model(p_r, t, seg_len)
     acc = 1 - pr
     return sum((comb(t, i) * acc ** i * pr ** (t - i) for i in range(seg_len, t + 1)),
                Fraction(0))
@@ -58,13 +66,10 @@ def p_seg(p_r, t: int, seg_len: int) -> Fraction:
 
 def seg_failure_prob(p_r, t: int, seg_len: int) -> Fraction:
     """Exact complement of p_seg, summed over the failing tail directly."""
-    pr = _fraction(p_r)
-    if not 0 <= pr <= 1:
-        raise ValueError("p_r must lie in [0, 1]")
-    hi = min(seg_len, t + 1)
+    pr = _check_model(p_r, t, seg_len)
     acc = 1 - pr
-    return sum((comb(t, i) * acc ** i * pr ** (t - i) for i in range(hi)),
-               Fraction(0)) if hi > 0 else Fraction(0)
+    return sum((comb(t, i) * acc ** i * pr ** (t - i) for i in range(min(seg_len, t + 1))),
+               Fraction(0))
 
 
 def _seg_fail_mp(p_r: mpf, t: int, seg_len: int, binoms: Sequence[int] | None = None) -> mpf:
@@ -74,19 +79,22 @@ def _seg_fail_mp(p_r: mpf, t: int, seg_len: int, binoms: Sequence[int] | None = 
     total = mpf(0)
     for i, c in enumerate(binoms):
         total += c * acc ** i * p_r ** (t - i)
-    return total
+    return min(total, mpf(1))  # a full tail (seg_len > t) can round above 1
 
 
 def limb_failure_mp(seg_fail, n_seg: int) -> mpf:
     """1 - (1 - seg_fail)^n_seg in log space, stable for tiny seg_fail."""
+    if n_seg < 1:
+        raise ParamsError(f"n_seg must be at least 1, got {n_seg}")
     with mp.workdps(PRECISION_DPS):
         return -mp.expm1(n_seg * mp.log1p(-_to_mpf(seg_fail)))
 
 
 def mrp_failure_bound(p_r, t: int, seg_len: int, n_seg: int, L: int) -> mpf:
     """1 - p_limb_worst^L for a base whose worst modulus has rejection p_r."""
+    pr = _check_model(p_r, t, seg_len, n_seg, L)
     with mp.workdps(PRECISION_DPS):
-        sf = _seg_fail_mp(_to_mpf(_fraction(p_r)), t, seg_len)
+        sf = _seg_fail_mp(_to_mpf(pr), t, seg_len)
         return -mp.expm1(n_seg * L * mp.log1p(-sf))
 
 
@@ -188,7 +196,7 @@ def seed_space_bits(seed_len: int, p_mrp) -> float:
     """Effective log2 seed-space size once invalid seeds are discarded."""
     p = _fraction(p_mrp)
     if not 0 < p <= 1:
-        raise ValueError("p_mrp must lie in (0, 1]")
+        raise ParamsError("p_mrp must lie in (0, 1]")
     return seed_len + math.log2(p)
 
 
@@ -199,12 +207,8 @@ def rejection_prob_extra_bits(q: int, m: int, x: int) -> Fraction:
     (2^n mod q) / 2^n and provably below 2^-x.  Never used on the sampling
     path, where the word size is fixed by the hardware profile.
     """
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    if x < 0:
-        raise ValueError("extra bit count must be non-negative")
-    if q >= 1 << m:
-        raise ValueError(f"q must fit in {m} bits")
+    if not (2 <= q < 1 << m and x >= 0):
+        raise ParamsError(f"need 2 <= q < 2^{m} and x >= 0, got q={q} x={x}")
     n = m + x
     p_r = Fraction((1 << n) % q, 1 << n)
     assert p_r < Fraction(q, 1 << n) < Fraction(1, 1 << x)
@@ -233,7 +237,7 @@ def empirical_failure_rate(params: GenParams, trials: int,
                            seed_source: Callable[[], Seed]) -> EmpiricalReport:
     """Run whole-polynomial generation on fresh seeds and count failures."""
     if trials < 1:
-        raise ValueError("trials must be at least 1")
+        raise ParamsError("trials must be at least 1")
     p_r_list = [sample_rejection_prob(q, params.w) for q in params.base]
     analytic = float(mrp_failure_exact_base(p_r_list, params.t, params.seg_len,
                                             params.n_seg))

@@ -1,12 +1,16 @@
 """Command-line entry point binding generation, catalogs, analytics, and cost.
 
 Every subcommand prints a report envelope (command, version, input digest,
-result) on stdout and diagnostics on stderr.  Exit codes: 0 success, 1 for
-expected domain failures (generation shortfall, verification mismatch,
-no-fit, retry exhaustion), 2 for usage or input errors.  With --canonical
-the report carries no timestamp and is byte-reproducible for identical
-inputs.  Every subcommand runs in the calling thread: the catalog scan is
-pure-Python primality testing, which worker threads cannot overlap.
+result) on stdout and diagnostics on stderr.  With --canonical the report
+carries no timestamp and is byte-reproducible for identical inputs.  Every
+subcommand runs in the calling thread: the catalog scan is pure-Python
+primality testing, which worker threads cannot overlap.
+
+Exit codes: 0 success; 1 an expected domain failure, raised as a
+``DomainFailure`` after the report is printed; 2 a usage error (argparse),
+any other ``MrpgenError`` or an ``OSError`` from a path (``code=io-error``);
+3 any other exception (``code=internal-error``), a bug.  ``main`` prints each
+error it catches as one ``error code=<code> <message>`` line on stderr.
 """
 
 from __future__ import annotations
@@ -16,14 +20,14 @@ import hashlib
 import json
 import random
 import sys
+from collections import Counter
 from datetime import datetime, timezone
 from fractions import Fraction
 
 import numpy as np
 
 from . import __version__, analytics, costmodel, formats, primes, profiles, sampling
-from .errors import (ConfigError, FormatError, GenerationFailure, MrpgenError,
-                     ParamsError, RetryExhausted)
+from .errors import DomainFailure, GenerationFailure, MrpgenError, ParamsError
 from .xof import Seed, derive_polynomial_seed
 
 
@@ -115,7 +119,10 @@ def _limb_summaries(mrp) -> dict:
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParamsError(f"not a decimal or a/b fraction: {text!r}") from None
 
 
 # ---------------------------------------------------------------- handlers
@@ -166,9 +173,7 @@ def cmd_gen_seg(args) -> int:
     }
     _emit(args, "gen-seg", payload)
     if not seg.complete(params.seg_len):
-        print(f"error code=generation-failure q={args.q} id_seg={args.id}",
-              file=sys.stderr)
-        return 1
+        raise GenerationFailure(args.q, args.id)
     return 0
 
 
@@ -196,12 +201,13 @@ def cmd_verify(args) -> int:
                "match": report.ok, "detail": report.detail or None}
     _emit(args, "verify", payload)
     if not report.ok:
-        print(f"error code=verify-mismatch {report.detail}", file=sys.stderr)
-        return 1
+        raise DomainFailure("verify-mismatch", report.detail)
     return 0
 
 
 def cmd_enum_primes(args) -> int:
+    if args.n < 0 or args.qmin_bits < 0:
+        raise ParamsError("--n and --qmin-bits must be non-negative")
     filt = primes.CatalogFilter(
         n_ring=1 << args.n, w=args.w, hw_naf_max=args.hwnaf_max,
         p_r_max=_parse_fraction(args.pr_max),
@@ -264,21 +270,13 @@ def cmd_table1(args) -> int:
     body.append(f"all_match = {all_match}")
     _emit(args, "table1", payload, body)
     if not all_match:
-        print("error code=reference-mismatch supported-set statistics deviate",
-              file=sys.stderr)
-        return 1
+        raise DomainFailure("reference-mismatch", "supported-set statistics deviate")
     return 0
 
 
 def _alt_convention_rows(catalog: primes.ModuliCatalog) -> dict:
-    out = {}
-    for convention in ("ceil", "floor"):
-        counts: dict[int, int] = {}
-        for rec in catalog.records:
-            b = primes.size_bucket(rec.q, convention)
-            counts[b] = counts.get(b, 0) + 1
-        out[convention] = {str(b): c for b, c in sorted(counts.items())}
-    return out
+    counts = {c: Counter(primes.size_bucket(r.q, c) for r in catalog) for c in ("ceil", "floor")}
+    return {c: {str(b): n for b, n in sorted(hist.items())} for c, hist in counts.items()}
 
 
 def cmd_analyze(args) -> int:
@@ -324,9 +322,7 @@ def cmd_fit_table1(args) -> int:
                                  "ok": float(bound) <= 0.0030}
     _emit(args, "fit-table1", payload)
     if not fit.ok:
-        print(f"error code=no-fit best L={fit.L} residual={fit.residual}",
-              file=sys.stderr)
-        return 1
+        raise DomainFailure("no-fit", f"best L={fit.L} residual={fit.residual}")
     return 0
 
 
@@ -459,21 +455,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except GenerationFailure as exc:
-        print(f"error code={exc.code} q={exc.q} id_seg={exc.id_seg}", file=sys.stderr)
-        return 1
-    except RetryExhausted as exc:
-        print(f"error code={exc.code} attempts={exc.attempts}", file=sys.stderr)
-        return 1
-    except (ParamsError, FormatError, ConfigError) as exc:
-        print(f"error code={exc.code} {exc}", file=sys.stderr)
-        return 2
     except MrpgenError as exc:
         print(f"error code={exc.code} {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
+        print(f"error code=io-error {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error code=value-error {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        print(f"error code=internal-error {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,7 +9,10 @@ each lane group shrinks the distance to a local hop and removes the cost,
 which is the whole argument for distributing the generation.
 """
 
+import math
 from dataclasses import dataclass
+
+from .errors import ParamsError
 
 
 @dataclass(frozen=True)
@@ -29,12 +32,12 @@ class CostParams:
 
     def __post_init__(self):
         for name in ("R", "w", "f_hz", "gamma", "d_mm"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.e_j_per_bit_mm < 0:
-            raise ValueError("wire energy must be non-negative")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ParamsError(f"{name} must be positive and finite")
+        if not 0 <= self.e_j_per_bit_mm < math.inf:
+            raise ParamsError("wire energy must be non-negative and finite")
         if self.gamma > 1:
-            raise ValueError("gamma is a fraction of cycles, at most 1")
+            raise ParamsError("gamma is a fraction of cycles, at most 1")
 
 
 def required_throughput(p: CostParams) -> float:
@@ -62,8 +65,8 @@ def distributed_wiring_power(p: CostParams, local_hop_mm: float = 0.0) -> float:
     The long-reach travel term disappears; an optional local hop distance
     prices the remaining adjacency wiring for sensitivity studies.
     """
-    if local_hop_mm < 0:
-        raise ValueError("local hop distance must be non-negative")
+    if not 0 <= local_hop_mm < math.inf:
+        raise ParamsError("local hop distance must be non-negative and finite")
     return required_throughput(p) * local_hop_mm * p.e_j_per_bit_mm
 
 

@@ -1,8 +1,11 @@
 """Exception taxonomy shared across the library and the CLI.
 
-Domain failures (generation shortfalls, mismatches, retry exhaustion) are
-expected outcomes of the probabilistic model and map to CLI exit code 1;
-configuration and input problems map to exit code 2.
+Each class carries the CLI exit code it maps to, so ``cli.main`` has one
+handler for all of them: 1 for a ``DomainFailure``, an expected outcome of
+the probabilistic model (shortfall, retry exhaustion, mismatch, no-fit)
+whose ``code`` names it; 2 for any other ``MrpgenError``, a bad input or
+configuration.  ``cli.main`` itself gives 2 to an ``OSError`` from a path
+(``code=io-error``) and 3 to any other exception (``code=internal-error``).
 """
 
 
@@ -10,6 +13,7 @@ class MrpgenError(Exception):
     """Base class for all library errors."""
 
     code = "error"
+    exit_code = 2
 
 
 class ConfigError(MrpgenError):
@@ -19,7 +23,7 @@ class ConfigError(MrpgenError):
 
 
 class ParamsError(MrpgenError):
-    """A generation-profile invariant is violated."""
+    """An argument or generation-profile value is out of its domain."""
 
     code = "params-error"
 
@@ -30,28 +34,36 @@ class FormatError(MrpgenError):
     code = "format-error"
 
 
-class GenerationFailure(MrpgenError):
+class DomainFailure(MrpgenError):
+    """An expected outcome of the model, not a bad input; ``code`` names it."""
+
+    exit_code = 1
+
+    def __init__(self, code: str, message: str):
+        self.code = code
+        super().__init__(message)
+
+
+class GenerationFailure(DomainFailure):
     """A segment came up short of its required sample count.
 
     Carries the failing modulus and segment index so a misbehaving profile
     can be debugged from the error alone.
     """
 
-    code = "generation-failure"
-
     def __init__(self, q: int, id_seg: int):
         self.q = q
         self.id_seg = id_seg
-        super().__init__(f"segment generation failed at q={q} id_seg={id_seg}")
+        super().__init__("generation-failure",
+                         f"segment generation failed at q={q} id_seg={id_seg}")
 
 
-class RetryExhausted(MrpgenError):
+class RetryExhausted(DomainFailure):
     """The client retry loop ran out of attempts (misconfigured profile)."""
-
-    code = "retry-exhausted"
 
     def __init__(self, attempts: int, last_failure: "GenerationFailure | None" = None):
         self.attempts = attempts
         self.last_failure = last_failure
         detail = f" (last: {last_failure})" if last_failure else ""
-        super().__init__(f"no valid seed found in {attempts} attempts{detail}")
+        super().__init__("retry-exhausted",
+                         f"no valid seed found in {attempts} attempts{detail}")

@@ -145,8 +145,12 @@ def load_params(path) -> GenParams:
     params file), backend.  Unknown keys are rejected by name.
     """
     path = Path(path)
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError:
+        raise ParamsError(f"{path}: not a text file") from None
     fields: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -194,7 +198,7 @@ def _parse_permutation(value: str, n_ring: int, path: Path) -> Permutation:
     perm_path = Path(value)
     if not perm_path.is_absolute():
         perm_path = Path(path).parent / perm_path
-    if not perm_path.exists():
+    if not perm_path.is_file():
         raise ParamsError(f"permutation index file not found: {perm_path}")
     try:
         indices = [int(tok) for tok in perm_path.read_text().split()]

@@ -10,8 +10,11 @@ threshold comparisons at published boundaries can never flip by rounding.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import ConfigError, ParamsError
 
 # Deterministic Miller-Rabin witness sets, each proven complete below its bound.
 _MR_RANGES = (
@@ -35,7 +38,7 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return n == p
     if n >= 1 << 64:
-        raise ValueError("is_prime is only proven deterministic below 2^64")
+        raise ParamsError("is_prime is only proven deterministic below 2^64")
     for bound, witnesses in _MR_RANGES:
         if n < bound:
             break
@@ -64,7 +67,7 @@ def naf(n: int) -> list[int]:
     sum(d_i * 2^i) == n.  naf(0) == [].
     """
     if n < 0:
-        raise ValueError("naf is defined for non-negative integers")
+        raise ParamsError("naf is defined for non-negative integers")
     digits = []
     while n:
         if n & 1:
@@ -85,14 +88,14 @@ def hw_naf(n: int) -> int:
 def is_ntt_friendly(q: int, n_ring: int) -> bool:
     """True iff q is prime and q ≡ 1 (mod 2N) for ring dimension N."""
     if n_ring <= 0 or n_ring & (n_ring - 1):
-        raise ValueError("ring dimension must be a power of two")
+        raise ParamsError("ring dimension must be a power of two")
     return q % (2 * n_ring) == 1 and is_prime(q)
 
 
 def sample_rejection_prob(q: int, w: int) -> Fraction:
     """Exact per-sample rejection probability (2^w mod q) / 2^w."""
     if not 1 < q < 1 << w:
-        raise ValueError(f"q must satisfy 1 < q < 2^{w}")
+        raise ParamsError(f"q must satisfy 1 < q < 2^{w}")
     return Fraction((1 << w) % q, 1 << w)
 
 
@@ -105,7 +108,7 @@ def size_bucket(q: int, convention: str = "round") -> int:
     exact integer arithmetic.
     """
     if q < 2:
-        raise ValueError("bucket is defined for q >= 2")
+        raise ParamsError("bucket is defined for q >= 2")
     if convention == "floor":
         return q.bit_length() - 1
     if convention == "ceil":
@@ -115,7 +118,7 @@ def size_bucket(q: int, convention: str = "round") -> int:
         if q * q > 1 << (2 * b + 1):
             b += 1
         return b
-    raise ValueError(f"unknown bucket convention '{convention}'")
+    raise ConfigError(f"unknown bucket convention '{convention}'")
 
 
 @dataclass(frozen=True)
@@ -140,19 +143,10 @@ class CatalogFilter:
 
     def __post_init__(self):
         if self.n_ring <= 0 or self.n_ring & (self.n_ring - 1):
-            raise ValueError("ring dimension must be a power of two")
-        if self.w <= 0:
-            raise ValueError("word size must be positive")
+            raise ParamsError("ring dimension must be a power of two")
+        if not 0 < self.w <= 64:
+            raise ParamsError("word size must be in 1..64 bits (is_prime's exact range)")
         object.__setattr__(self, "p_r_max", Fraction(self.p_r_max))
-
-    def admits(self, q: int) -> bool:
-        if not self.q_min_exclusive < q < 1 << self.w:
-            return False
-        if q % (2 * self.n_ring) != 1 or not is_prime(q):
-            return False
-        if hw_naf(q) > self.hw_naf_max:
-            return False
-        return sample_rejection_prob(q, self.w) <= self.p_r_max
 
 
 @dataclass(frozen=True)
@@ -173,14 +167,14 @@ class ModuliCatalog:
 
     def worst_p_r(self) -> Fraction:
         if not self.records:
-            raise ValueError("empty catalog has no worst rejection probability")
+            raise ConfigError("empty catalog has no worst rejection probability")
         return max(r.p_r for r in self.records)
 
     def restrict(self, p_r_max) -> "ModuliCatalog":
         """Sub-catalog under a tighter rejection-probability cap."""
         cap = Fraction(p_r_max)
         if cap > self.filter.p_r_max:
-            raise ValueError("restrict only tightens the p_r cap")
+            raise ParamsError("restrict only tightens the p_r cap")
         new_filter = CatalogFilter(self.filter.n_ring, self.filter.w,
                                    self.filter.hw_naf_max, cap,
                                    self.filter.q_min_exclusive)
@@ -188,7 +182,7 @@ class ModuliCatalog:
                              tuple(r for r in self.records if r.p_r <= cap))
 
 
-def enumerate_supported(filt: CatalogFilter, bucket_convention: str = "round") -> ModuliCatalog:
+def enumerate_supported(filt: CatalogFilter) -> ModuliCatalog:
     """Enumerate every prime admitted by the filter.
 
     Candidates are exactly the arithmetic progression k*2N + 1; each one is
@@ -207,15 +201,11 @@ def enumerate_supported(filt: CatalogFilter, bucket_convention: str = "round") -
             if weight <= filt.hw_naf_max:
                 p_r = sample_rejection_prob(q, filt.w)
                 if p_r <= filt.p_r_max:
-                    records.append(PrimeRecord(q, size_bucket(q, bucket_convention),
-                                               weight, p_r))
+                    records.append(PrimeRecord(q, size_bucket(q), weight, p_r))
         q += step
     return ModuliCatalog(filt, tuple(records))
 
 
 def histogram(catalog: ModuliCatalog) -> dict[int, int]:
     """Record count per size bucket; values sum to len(catalog)."""
-    counts: dict[int, int] = {}
-    for rec in catalog.records:
-        counts[rec.bucket] = counts.get(rec.bucket, 0) + 1
-    return dict(sorted(counts.items()))
+    return dict(sorted(Counter(rec.bucket for rec in catalog.records).items()))

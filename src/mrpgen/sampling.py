@@ -78,7 +78,7 @@ class Permutation:
 def permute(coeffs: np.ndarray, p: Permutation) -> np.ndarray:
     """Rearrange coefficients: out[i] = coeffs[p.mapping[i]]."""
     if len(coeffs) != len(p):
-        raise ValueError(f"permutation length {len(p)} != coefficient count {len(coeffs)}")
+        raise ParamsError(f"permutation length {len(p)} != coefficient count {len(coeffs)}")
     return np.asarray(coeffs)[p.mapping]
 
 
@@ -192,7 +192,7 @@ def compute_threshold(q: int, w: int) -> int:
     so accepting below it is bias-free.
     """
     if not 1 < q < 1 << w:
-        raise ValueError(f"q must satisfy 1 < q < 2^{w}")
+        raise ParamsError(f"q must satisfy 1 < q < 2^{w}")
     return ((1 << w) // q) * q
 
 
@@ -205,11 +205,7 @@ def gen_seg(input_bytes: bytes, q: int, seg_len: int, w: int,
     """
     block = xof_expand(input_bytes, r, backend)
     words = split_words(block, w)
-    thresh = compute_threshold(q, w)
-    if thresh == 1 << w:
-        accepted = words
-    else:
-        accepted = words[words < thresh]
+    accepted = words[words < compute_threshold(q, w)]
     return Segment(q=q, values=accepted[:seg_len].astype(np.uint32))
 
 
@@ -290,7 +286,7 @@ def client_generate_with_retry(seed_source: Callable[[], Seed], params: GenParam
     is exactly the validated fraction of the full 288-bit space.
     """
     if max_attempts < 1:
-        raise ValueError("max_attempts must be at least 1")
+        raise ParamsError("max_attempts must be at least 1")
     last = None
     for attempt in range(1, max_attempts + 1):
         seed = seed_source()
@@ -325,7 +321,7 @@ def verify_distributed_equivalence(seed: Seed, params: GenParams, engine_count: 
     is a bug report, never an expected outcome.
     """
     if engine_count < 1:
-        raise ValueError("engine_count must be at least 1")
+        raise ParamsError("engine_count must be at least 1")
     rng = rng or random.Random(0)
     batched = generate_mrp(seed, params)
     items = [(q, id_seg) for q in params.base for id_seg in range(params.n_seg)]

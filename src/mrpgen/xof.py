@@ -82,9 +82,9 @@ def encode_domain_input(seed: Seed, q: int, id_seg: int) -> bytes:
     Injective by construction: all three fields have fixed width.
     """
     if not 0 < q < 2 ** 32:
-        raise ValueError("q must be a positive 32-bit value")
+        raise ParamsError("q must be a positive 32-bit value")
     if not 0 <= id_seg < 2 ** 16:
-        raise ValueError("id_seg must fit in 16 bits")
+        raise ParamsError("id_seg must fit in 16 bits")
     return seed.data + q.to_bytes(4, "little") + id_seg.to_bytes(2, "little")
 
 

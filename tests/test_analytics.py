@@ -55,8 +55,36 @@ class TestPSeg:
             assert all(a >= b for a, b in zip(by_len, by_len[1:]))
 
     def test_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             p_seg(Fraction(3, 2), T, 8)
+
+
+class TestModelDomain:
+    # counts outside the model used to give impossible probabilities
+    # (a negative bound for L < 0, p_seg + seg_failure = 0 for t < 0)
+    @pytest.mark.parametrize("call", [
+        lambda: p_seg(Fraction(1, 10), -1, 4),
+        lambda: p_seg(Fraction(1, 10), T, -1),
+        lambda: seg_failure_prob(Fraction(1, 10), -1, 4),
+        lambda: seg_failure_prob(Fraction(1, 10), T, -1),
+        lambda: limb_failure_mp(Fraction(1, 10), 0),
+        lambda: mrp_failure_bound(Fraction(1, 10), -1, 4, 8, 2),
+        lambda: mrp_failure_bound(Fraction(1, 10), T, 4, 0, 2),
+        lambda: mrp_failure_bound(Fraction(1, 10), T, 4, 8, 0),
+        lambda: mrp_failure_bound(Fraction(1, 10), T, 4, 8, -3),
+        lambda: mrp_failure_bound(Fraction(3, 2), T, 4, 8, 2),
+    ], ids=["p_seg-t", "p_seg-len", "seg_failure-t", "seg_failure-len", "limb-n_seg",
+            "bound-t", "bound-n_seg", "bound-L0", "bound-L-3", "bound-p_r"])
+    def test_rejects_counts_outside_the_model(self, call):
+        with pytest.raises(ParamsError):
+            call()
+
+    def test_accepts_the_edges(self):
+        assert p_seg(Fraction(1, 10), 0, 0) == 1
+        assert seg_failure_prob(Fraction(1, 10), 0, 1) == 1
+        assert mrp_failure_bound(Fraction(1, 10), T, 0, 1, 1) == 0
+        # seg_len > t cannot be met: certain failure, not a complex number
+        assert mrp_failure_bound(Fraction(1, 10), T, T + 8, 8, 2) == 1
 
 
 class TestPLimb:
@@ -180,7 +208,7 @@ class TestSeedSpace:
         assert bits > 287.95
 
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             seed_space_bits(288, 0)
 
 
@@ -202,7 +230,7 @@ class TestRejectionProbExtraBits:
         assert rejection_prob_extra_bits(201, 8, 2) == Fraction((1 << 10) % 201, 1 << 10)
 
     def test_rejects_oversized_q(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             rejection_prob_extra_bits(256, 8, 2)
 
 
@@ -215,7 +243,7 @@ class TestEmpiricalFailureRate:
         assert report.empirical_failure == 0
 
     def test_rejects_zero_trials(self, desk_params):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             empirical_failure_rate(desk_params, 0,
                                    seed_source_from_rng(random.Random(2)))
 

@@ -2,10 +2,15 @@ import json
 
 import pytest
 
-from mrpgen import save_params
+from conftest import ntt_primes
+from mrpgen import GenParams, cli, profiles, save_params
 from mrpgen.cli import main
 
 ZERO_SEED = "0" * 72
+ANALYZE = ["analyze", "--len", "4", "--nseg", "8", "--L", "2", "--pr", "0.1"]
+ENUM_PRIMES = ["enum-primes", "--n", "3", "--w", "7"]
+COST = ["cost", "--R", "16", "--w", "32", "--f", "1", "--gamma", "1/8", "--d", "15",
+        "--E", "40"]
 
 
 @pytest.fixture
@@ -13,6 +18,15 @@ def params_file(tmp_path, desk_params):
     path = tmp_path / "desk.params"
     save_params(desk_params, path)
     return path
+
+
+@pytest.fixture
+def hard_params_file(tmp_path):
+    # q just above 2^31 rejects about half the words: 32 of 42 almost never pass
+    q = ntt_primes(64, 1, q_min=2 ** 31, q_max=2 ** 32)[0]
+    path = tmp_path / "hard.params"
+    save_params(GenParams(N=64, w=32, seg_len=32, n_seg=2, base=(q,)), path)
+    return path, q
 
 
 def run(capsys, *argv):
@@ -62,26 +76,16 @@ class TestGenerateCommands:
         assert result["complete"] is True
         assert len(result["values"]) == 32
 
-    def test_gen_seg_short_exits_one(self, capsys, tmp_path):
-        from conftest import ntt_primes
-        from mrpgen import GenParams
-        q = ntt_primes(64, 1, q_min=2 ** 31, q_max=2 ** 32)[0]
-        params = GenParams(N=64, w=32, seg_len=32, n_seg=2, base=(q,))
-        path = tmp_path / "hard.params"
-        save_params(params, path)
+    def test_gen_seg_short_exits_one(self, capsys, hard_params_file):
+        path, q = hard_params_file
         code, out, err = run(capsys, "gen-seg", "--seed", ZERO_SEED,
                              "--params", path, "--q", str(q), "--id", "0")
         assert code == 1
         assert "code=generation-failure" in err
         assert f"q={q}" in err
 
-    def test_gen_limb_failure_names_segment(self, capsys, tmp_path):
-        from conftest import ntt_primes
-        from mrpgen import GenParams
-        q = ntt_primes(64, 1, q_min=2 ** 31, q_max=2 ** 32)[0]
-        params = GenParams(N=64, w=32, seg_len=32, n_seg=2, base=(q,))
-        path = tmp_path / "hard.params"
-        save_params(params, path)
+    def test_gen_limb_failure_names_segment(self, capsys, hard_params_file):
+        path, q = hard_params_file
         code, _, err = run(capsys, "gen-limb", "--seed", ZERO_SEED,
                            "--params", path, "--q", str(q))
         assert code == 1
@@ -217,18 +221,80 @@ class TestErrorTaxonomy:
          "params-error"),
         (["stats", "--mrp", "{mrp}"], "params-error"),
         (["stats", "--mrp", "{mrp}", "--bins", "1"], "config-error"),
+        (ANALYZE + ["--pr", "2"], "params-error"),
+        (ANALYZE + ["--pr", "abc"], "params-error"),
+        (ANALYZE + ["--L", "-3"], "params-error"),
+        (ANALYZE + ["--nseg", "0"], "params-error"),
+        (ANALYZE + ["--t", "-1"], "params-error"),
+        (ANALYZE + ["--len", "-1"], "params-error"),
+        (ENUM_PRIMES + ["--pr-max", "abc"], "params-error"),
+        (ENUM_PRIMES + ["--n", "-1"], "params-error"),
+        (ENUM_PRIMES + ["--qmin-bits", "-2"], "params-error"),
+        (ENUM_PRIMES + ["--w", "0"], "params-error"),
+        (ENUM_PRIMES + ["--w", "200", "--qmin-bits", "190"], "params-error"),
+        (["retry-gen", "--params", "{params}", "--max-attempts", "0"], "params-error"),
+        (COST + ["--R", "0"], "params-error"),
+        (COST + ["--gamma", "abc"], "params-error"),
+        (COST + ["--gamma", "2"], "params-error"),
+        (COST + ["--local-hop", "-1"], "params-error"),
+        (COST + ["--f", "nan"], "params-error"),
+        (COST + ["--d", "inf"], "params-error"),
+        (["gen-mrp", "--seed", ZERO_SEED, "--params", "{tmp}/missing.params"], "io-error"),
+        (["stats", "--mrp", "{tmp}"], "io-error"),
+        (["gen-mrp", "--seed", ZERO_SEED, "--params", "{params}",
+          "--out", "{tmp}/missing/x.mrp"], "io-error"),
+        (["gen-mrp", "--seed", ZERO_SEED, "--params", "{tmp}/binary.params"],
+         "params-error"),
     ], ids=["seed-length", "seed-not-hex", "common-length", "common-not-hex",
             "poly-id-range", "limb-q-not-in-base", "seg-q-not-in-base", "seg-id-range",
-            "stats-too-few-samples", "stats-one-bin"])
+            "stats-too-few-samples", "stats-one-bin", "analyze-pr-2", "analyze-pr-abc",
+            "analyze-L-3", "analyze-nseg-0", "analyze-t-1", "analyze-len-1",
+            "enum-pr-max-abc", "enum-n-1", "enum-qmin-bits-2", "enum-w-0", "enum-w-200",
+            "retry-max-attempts-0", "cost-R-0", "cost-gamma-abc", "cost-gamma-2",
+            "cost-local-hop-1", "cost-f-nan", "cost-d-inf", "missing-params",
+            "mrp-is-a-directory", "out-dir-missing", "binary-params"])
     def test_bad_input_is_a_typed_error(self, capsys, tmp_path, params_file, argv,
                                         code_name):
         mrp = tmp_path / "p.mrp"
         run(capsys, "gen-mrp", "--seed", ZERO_SEED, "--params", params_file, "--out", mrp)
-        argv = [a.format(params=params_file, mrp=mrp) for a in argv]
-        code, _, err = run(capsys, *argv)
+        (tmp_path / "binary.params").write_bytes(bytes(range(256)))
+        argv = [a.format(params=params_file, mrp=mrp, tmp=tmp_path) for a in argv]
+        code, out, err = run(capsys, *argv)
         assert code == 2
-        assert f"code={code_name}" in err
+        assert err.startswith(f"error code={code_name} ") and err.count("\n") == 1
         assert "value-error" not in err and "Traceback" not in err
+        assert out == ""
+
+    def test_retry_exhausted_exits_one(self, capsys, hard_params_file):
+        path, q = hard_params_file
+        code, _, err = run(capsys, "retry-gen", "--params", path, "--max-attempts", "2")
+        assert code == 1
+        assert err.startswith("error code=retry-exhausted no valid seed found in 2 attempts")
+        assert f"q={q}" in err
+
+    def test_no_fit_exits_one_after_its_report(self, capsys):
+        code, out, err = run(capsys, "--canonical", "fit-table1", "--lmax", "10",
+                             "--no-len4-check")
+        assert code == 1
+        assert "ok = False" in out
+        assert err.startswith("error code=no-fit best L=10 residual=")
+
+    def test_reference_mismatch_exits_one_after_its_report(self, capsys, monkeypatch):
+        p_r, count, hist, seg_len, bound = profiles.REFERENCE_ROWS[0]
+        monkeypatch.setattr(profiles, "REFERENCE_ROWS",
+                            ((p_r, count + 1, hist, seg_len, bound),))
+        code, out, err = run(capsys, "--canonical", "table1")
+        assert code == 1
+        assert "all_match = False" in out
+        assert err == "error code=reference-mismatch supported-set statistics deviate\n"
+
+    def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "cmd_cost", broken)
+        code, _, err = run(capsys, *COST)
+        assert code == 3
+        assert err == "error code=internal-error RuntimeError: boom\n"
 
 
 class TestReportEnvelope:

@@ -1,6 +1,6 @@
 import pytest
 
-from mrpgen import (CostParams, build_cost_report, central_wiring_power,
+from mrpgen import (CostParams, ParamsError, build_cost_report, central_wiring_power,
                     distributed_wiring_power, per_axis_bandwidth_density,
                     required_throughput)
 
@@ -21,11 +21,17 @@ class TestThroughput:
         assert required_throughput(p) == pytest.approx(p.R * p.w * p.f_hz)
 
     def test_rejects_zero_lanes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             reference_params(R=0)
 
+    @pytest.mark.parametrize("field", ["R", "f_hz", "gamma", "d_mm", "e_j_per_bit_mm"])
+    def test_rejects_nan_and_infinity(self, field):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ParamsError):
+                reference_params(**{field: value})
+
     def test_rejects_gamma_above_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             reference_params(gamma=1.5)
 
 
@@ -73,7 +79,7 @@ class TestDistributed:
                         assert distributed_wiring_power(p, hop) <= central_wiring_power(p)
 
     def test_rejects_negative_hop(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             distributed_wiring_power(reference_params(), -1.0)
 
 

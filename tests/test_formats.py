@@ -1,11 +1,16 @@
+import functools
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mrp_header, ntt_primes
-from mrpgen import (FormatError, GenParams, ParamsError, Permutation,
-                    generate_mrp, load_params, read_mrp, save_params,
+from mrpgen import (FormatError, GenParams, MrpgenError, ParamsError, Permutation,
+                    Seed, generate_mrp, load_params, read_mrp, save_params,
                     verify_mrp_file, write_mrp)
 
 
@@ -222,3 +227,110 @@ base = 7681 , 10753
                         "permutation = nowhere.perm\n")
         with pytest.raises(ParamsError, match="nowhere.perm"):
             load_params(path)
+
+    def test_binary_file_is_a_params_error(self, tmp_path):
+        path = tmp_path / "p.params"
+        path.write_bytes(b"N = 256\n\xff\xfe\x00\x80\n")
+        with pytest.raises(ParamsError, match="not a text file"):
+            load_params(path)
+
+    def test_permutation_naming_a_directory(self, tmp_path):
+        path = tmp_path / "p.params"
+        path.write_text("N = 256\nw = 32\nlen = 32\nn_seg = 8\nbase = 7681\n"
+                        "permutation = .\n")
+        with pytest.raises(ParamsError, match="not found"):
+            load_params(path)
+
+
+# ---------------------------------------------------------------- fuzzing
+
+@functools.cache
+def _desk(layout: str) -> GenParams:
+    layouts = {"identity": None, "reverse": Permutation.reverse(256),
+               "explicit": Permutation(np.random.default_rng(4).permutation(256))}
+    return GenParams(N=256, w=32, seg_len=32, n_seg=8, base=(7681, 10753),
+                     layout=layouts[layout])
+
+
+@functools.cache
+def _desk_files(layout: str) -> tuple[str, bytes]:
+    """The desk profile's params file text and MRP container bytes."""
+    params = _desk(layout)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_params(params, Path(tmp) / "desk.params")
+        write_mrp(Path(tmp) / "desk.mrp", generate_mrp(Seed.zero(), params), params)
+        return (Path(tmp) / "desk.params").read_text(), (Path(tmp) / "desk.mrp").read_bytes()
+
+
+def _returns_or_raises_typed(call, path: Path) -> None:
+    """call(path) returns or raises MrpgenError, within 1 MiB of the file size."""
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        try:
+            call(path)
+        except MrpgenError:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size + (1 << 20)
+
+
+@st.composite
+def _container_mutations(draw):
+    """A desk container with header-biased byte flips, a truncation or an extension."""
+    layout = draw(st.sampled_from(["identity", "reverse", "explicit"]))
+    blob = bytearray(_desk_files(layout)[1])
+    kind = draw(st.sampled_from(["flip", "truncate", "extend"]))
+    if kind == "flip":
+        for _ in range(draw(st.integers(1, 4))):
+            at = draw(st.one_of(st.integers(0, 47), st.integers(0, len(blob) - 1)))
+            blob[at] ^= draw(st.integers(1, 255))
+    elif kind == "truncate":
+        del blob[draw(st.integers(0, len(blob) - 1)):]
+    else:
+        blob += draw(st.binary(min_size=1, max_size=64))
+    return bytes(blob)
+
+
+@st.composite
+def _params_mutations(draw):
+    """A desk params file with lines deleted or duplicated and tokens swapped."""
+    layout = draw(st.sampled_from(["identity", "reverse", "explicit"]))
+    lines = [line.split() for line in _desk_files(layout)[0].splitlines()]
+    for _ in range(draw(st.integers(1, 4))):
+        if not lines:
+            break
+        op = draw(st.sampled_from(["delete", "duplicate", "swap"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), list(lines[i]))
+        else:
+            j = draw(st.integers(0, len(lines) - 1))
+            a = draw(st.integers(0, len(lines[i]) - 1))
+            b = draw(st.integers(0, len(lines[j]) - 1))
+            lines[i][a], lines[j][b] = lines[j][b], lines[i][a]
+    return layout, "".join(" ".join(tokens) + "\n" for tokens in lines)
+
+
+class TestInputBoundaryFuzz:
+    @settings(deadline=None, max_examples=200)
+    @given(_container_mutations())
+    def test_read_mrp_returns_or_raises_typed(self, blob):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.mrp"
+            path.write_bytes(blob)
+            _returns_or_raises_typed(read_mrp, path)
+
+    @settings(deadline=None, max_examples=200)
+    @given(_params_mutations())
+    def test_load_params_returns_or_raises_typed(self, case):
+        layout, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "desk.params"
+            save_params(_desk(layout), path)  # leaves desk.perm for "explicit"
+            path.write_text(text)
+            _returns_or_raises_typed(load_params, path)

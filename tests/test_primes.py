@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mrpgen import (CatalogFilter, enumerate_supported, histogram, hw_naf,
-                    is_ntt_friendly, is_prime, naf, sample_rejection_prob,
-                    size_bucket)
+from mrpgen import (CatalogFilter, ConfigError, ParamsError, enumerate_supported,
+                    histogram, hw_naf, is_ntt_friendly, is_prime, naf,
+                    sample_rejection_prob, size_bucket)
 
 
 def naf_value(digits):
@@ -27,7 +27,7 @@ class TestNaf:
         assert nonzero == {0: 1, 18: -1, 20: 1}
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             naf(-1)
 
     @given(st.integers(min_value=0, max_value=1 << 48))
@@ -76,7 +76,7 @@ class TestIsPrime:
         assert not is_prime(786433 * 3)
 
     def test_rejects_beyond_proven_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             is_prime((1 << 64) + 1)
 
 
@@ -91,7 +91,7 @@ class TestNttFriendly:
         assert 33 % 16 == 1 and not is_ntt_friendly(33, 8)
 
     def test_requires_power_of_two_ring(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             is_ntt_friendly(17, 12)
 
 
@@ -109,9 +109,9 @@ class TestSampleRejectionProb:
             assert sample_rejection_prob(q, 32) < Fraction(1, 2)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             sample_rejection_prob(1, 32)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             sample_rejection_prob(1 << 32, 32)
 
 
@@ -133,7 +133,7 @@ class TestSizeBucket:
         assert size_bucket(q, "round") == 20
 
     def test_unknown_convention(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             size_bucket(17, "nearest")
 
 
@@ -176,6 +176,11 @@ class TestEnumerateSupported:
         filt = CatalogFilter(n_ring=8, w=7, hw_naf_max=7, p_r_max=Fraction(1, 2),
                              q_min_exclusive=17)
         assert list(enumerate_supported(filt).moduli()) == [97, 113]
+
+    @pytest.mark.parametrize("w", [0, 65, 200])
+    def test_rejects_word_size_outside_is_prime_range(self, w):
+        with pytest.raises(ParamsError):
+            CatalogFilter(n_ring=8, w=w, hw_naf_max=7, p_r_max=Fraction(1, 2))
 
     def test_restrict_matches_fresh_enumeration(self):
         loose = enumerate_supported(

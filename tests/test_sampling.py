@@ -34,9 +34,9 @@ class TestComputeThreshold:
             assert thresh == copies * q
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             compute_threshold(1, 32)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             compute_threshold(1 << 32, 32)
 
 
@@ -67,6 +67,14 @@ class TestGenSeg:
         expected = [int(wv) for wv in words if wv < 2 ** 32 - 1][:42]
         seg = gen_seg(data, 3, 42, 32)
         assert list(seg.values) == expected
+
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_power_of_two_modulus_accepts_every_word(self, zero_seed, q):
+        # q divides 2^w, so thresh = 2^w and every 8-bit word is kept
+        from mrpgen import split_words, xof_expand
+        data = encode_domain_input(zero_seed, q, 0)
+        seg = gen_seg(data, q, 168, 8)
+        assert list(seg.values) == list(split_words(xof_expand(data), 8))
 
     def test_short_segment_is_a_value(self, zero_seed):
         # q barely above 2^31 rejects roughly half of all words, so 42
@@ -128,7 +136,7 @@ class TestPermutation:
             Permutation([0, 0, 2])
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             permute(np.arange(5), Permutation.identity(4))
 
 
@@ -327,7 +335,7 @@ class TestClientRetry:
         assert err.value.last_failure is not None
 
     def test_rejects_non_positive_attempts(self, desk_params, zero_seed):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             client_generate_with_retry(lambda: zero_seed, desk_params, 0)
 
     def test_seed_source_is_replayable(self):
@@ -349,5 +357,5 @@ class TestDistributedEquivalence:
         assert report.ok and report.schedules == 5
 
     def test_rejects_zero_engines(self, desk_params, zero_seed):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             verify_distributed_equivalence(zero_seed, desk_params, 0)

@@ -57,11 +57,11 @@ class TestEncodeDomainInput:
         assert len(seen) == 3 * 16
 
     def test_rejects_out_of_range(self, zero_seed):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             encode_domain_input(zero_seed, 0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             encode_domain_input(zero_seed, 1 << 32, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParamsError):
             encode_domain_input(zero_seed, 3, 1 << 16)
 
 
