@@ -32,6 +32,6 @@ from .sampling import (EquivalenceReport, GenParams, Limb,
                        permute, reduce_coeffs, seed_source_from_rng,
                        verify_distributed_equivalence)
 from .xof import (Seed, derive_polynomial_seed, encode_domain_input, split_words,
-                  xof_expand)
+                  xof_expand, xof_expand_many)
 
 __version__ = "0.1.0"

@@ -171,6 +171,8 @@ def fit_limb_count(rows: Sequence[tuple[int, object]], t: int, n_ring: int, max_
     lo, hi = l_range
     if not 1 <= lo <= hi:
         raise ConfigError(f"limb-count range {lo}..{hi} is empty or below 1")
+    if not 0 <= tolerance < math.inf:
+        raise ParamsError(f"fit tolerance must be a finite number >= 0, got {tolerance}")
     budget = _fraction(max_fail)
     if budget < 1:
         with mp.workdps(PRECISION_DPS):

@@ -1,18 +1,33 @@
-"""Keccak-p[1600] sponge primitives for the KangarooTwelve backend.
+"""Keccak-p[1600] sponge primitives for the KangarooTwelve backend, batched.
 
 The standard SHA-3 XOF path of this library goes through ``hashlib``; this
 module exists only to provide the optional reduced-round backend.  The
 full-round mode, ``sponge(data, 0x1F, out_len, rounds=24)``, is SHAKE128; the
 tests use it to check the permutation and all 24 round constants against
 ``hashlib``.
+
+A state is 25 little-endian 64-bit lanes, lane (x, y) at index x + 5*y as in
+FIPS 202.  ``keccak_p`` takes a ``uint64`` array whose first axis is those 25
+lanes; any axes after it are a batch of B independent states, so lanes[i, b]
+is lane i of state b.  Every step of a round is a few whole-array numpy
+operations over all B states at once: the "times-N" layout of XKCP's
+KeccakP-1600-times4/8, with the batch axis in place of SIMD lanes.  A
+KangarooTwelve limb (RFC 9861) is n_seg independent single-block inputs, so it
+costs 12 rounds of array operations instead of n_seg per-state permutations.
+
+The sponge functions take one message as ``bytes`` or a batch as a sequence of
+equal-length messages, and return the outputs concatenated in input order; a
+single message is a batch of one.
 """
+
+from typing import Sequence
+
+import numpy as np
 
 from .errors import ConfigError
 
-_MASK = (1 << 64) - 1
-
 # Keccak-f[1600] iota constants; Keccak-p[1600, n] uses the last n of them.
-_ROUND_CONSTANTS = (
+_ROUND_CONSTANTS = np.array([
     0x0000000000000001, 0x0000000000008082, 0x800000000000808A,
     0x8000000080008000, 0x000000000000808B, 0x0000000080000001,
     0x8000000080008081, 0x8000000000008009, 0x000000000000008A,
@@ -21,7 +36,7 @@ _ROUND_CONSTANTS = (
     0x8000000000008003, 0x8000000000008002, 0x8000000000000080,
     0x000000000000800A, 0x800000008000000A, 0x8000000080008081,
     0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
-)
+], dtype=np.uint64)
 
 # rho rotation offset for lane (x, y) at index x + 5*y.
 _RHO = (
@@ -32,68 +47,99 @@ _RHO = (
     18, 2, 61, 56, 14,
 )
 
-_CHUNK = 8192  # KangarooTwelve tree-hash chunk size in bytes
+# pi moves lane (x, y) to (y, 2x + 3y mod 5); _PI_SOURCE[j] is the lane that
+# lands at index j, and rho rotates it by the offset of that source lane.
+_PI_SOURCE = np.empty(25, dtype=np.intp)
+for _x in range(5):
+    for _y in range(5):
+        _PI_SOURCE[_y + 5 * ((2 * _x + 3 * _y) % 5)] = _x + 5 * _y
+_PI_COLUMN = _PI_SOURCE % 5
+_ROT_LEFT = np.array([_RHO[i] for i in _PI_SOURCE], dtype=np.uint64)[:, None]
+_ROT_RIGHT = (np.uint64(64) - _ROT_LEFT) % np.uint64(64)
+# theta mixes column x with columns x - 1 and x + 1; chi combines lane (x, y)
+# with lanes (x + 1, y) and (x + 2, y).
+_PREV = np.array([4, 0, 1, 2, 3])
+_NEXT = np.array([1, 2, 3, 4, 0])
+_CHI_NEXT = np.array([5 * y + (x + 1) % 5 for y in range(5) for x in range(5)])
+_CHI_AFTER = np.array([5 * y + (x + 2) % 5 for y in range(5) for x in range(5)])
+_ONE, _SIXTY_THREE = np.uint64(1), np.uint64(63)
+_TILE = 1024     # states per pass through the rounds
+
+_RATE = 168      # bytes; TurboSHAKE128, KangarooTwelve and SHAKE128
+_CHUNK = 8192    # KangarooTwelve tree-hash chunk size in bytes
 
 
-def _rotl(v: int, n: int) -> int:
-    return ((v << n) | (v >> (64 - n))) & _MASK
+def keccak_p(lanes, rounds: int) -> np.ndarray:
+    """Apply Keccak-p[1600, rounds] to each state of a (25, ...) lane array.
+
+    ``lanes`` may be anything ``np.asarray`` turns into 25 leading lanes,
+    such as a list of 25 ints for one state; the input is not modified and
+    the result is a ``uint64`` array of the same shape.  States are permuted
+    _TILE at a time, so that a round's temporaries stay in cache.
+    """
+    state = np.asarray(lanes, dtype=np.uint64)
+    if state.shape[:1] != (25,):
+        raise ConfigError(f"a Keccak state has 25 lanes, got shape {state.shape}")
+    flat = state.reshape(25, -1)
+    out = np.empty_like(flat)
+    for lo in range(0, flat.shape[1], _TILE):
+        a = flat[:, lo:lo + _TILE]
+        width = a.shape[1]
+        for rc in _ROUND_CONSTANTS[24 - rounds:]:
+            # theta: column parities and d[x] = c[x - 1] ^ rotl(c[x + 1], 1)
+            c = np.bitwise_xor.reduce(a.reshape(5, 5, width), axis=0)
+            c1 = c.take(_NEXT, axis=0)
+            d = c.take(_PREV, axis=0) ^ ((c1 << _ONE) | (c1 >> _SIXTY_THREE))
+            # theta's xor of d into each column, then rho + pi, in pi order
+            b = a.take(_PI_SOURCE, axis=0) ^ d.take(_PI_COLUMN, axis=0)
+            b = (b << _ROT_LEFT) | (b >> _ROT_RIGHT)
+            # chi
+            a = b ^ (~b.take(_CHI_NEXT, axis=0) & b.take(_CHI_AFTER, axis=0))
+            # iota
+            a[0] ^= rc
+        out[:, lo:lo + width] = a
+    return out.reshape(state.shape)
 
 
-def keccak_p(lanes: list[int], rounds: int) -> list[int]:
-    """Apply Keccak-p[1600, rounds] to 25 little-endian 64-bit lanes."""
-    a = lanes
-    for rc in _ROUND_CONSTANTS[24 - rounds:]:
-        # theta
-        c = [a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20] for x in range(5)]
-        d = [c[(x - 1) % 5] ^ _rotl(c[(x + 1) % 5], 1) for x in range(5)]
-        a = [a[i] ^ d[i % 5] for i in range(25)]
-        # rho + pi
-        b = [0] * 25
-        for x in range(5):
-            for y in range(5):
-                b[y + 5 * ((2 * x + 3 * y) % 5)] = _rotl(a[x + 5 * y], _RHO[x + 5 * y])
-        # chi
-        a = [b[i] ^ (~b[(i + 1) % 5 + 5 * (i // 5)] & b[(i + 2) % 5 + 5 * (i // 5)])
-             for i in range(25)]
-        # iota
-        a[0] ^= rc
-    return a
+def _as_batch(data) -> list[bytes]:
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        return [bytes(data)]
+    return [bytes(m) for m in data]
 
 
-def _absorb_block(lanes: list[int], block: bytes, rounds: int) -> list[int]:
-    for i in range(len(block) // 8):
-        lanes[i] ^= int.from_bytes(block[8 * i:8 * i + 8], "little")
-    return keccak_p(lanes, rounds)
-
-
-def sponge(data: bytes, suffix: int, out_len: int, rounds: int, rate: int = 168) -> bytes:
-    """Keccak sponge with combined suffix-and-pad10*1 padding.
+def sponge(data: bytes | Sequence[bytes], suffix: int, out_len: int, rounds: int) -> bytes:
+    """Keccak sponge (rate 168 bytes) with combined suffix-and-pad10*1 padding.
 
     ``suffix`` is the domain byte whose lowest bit starts the padding
-    (0x1F for SHAKE128, 0x01..0x7F for TurboSHAKE).
+    (0x1F for SHAKE128, 0x01..0x7F for TurboSHAKE).  ``data`` is one message
+    or a batch of equal-length messages; all states of a batch absorb and
+    squeeze together, and the result is their outputs concatenated.
     """
-    lanes = [0] * 25
-    pos = 0
-    while len(data) - pos >= rate:
-        lanes = _absorb_block(lanes, data[pos:pos + rate], rounds)
-        pos += rate
-    last = bytearray(rate)
-    rem = data[pos:]
-    last[:len(rem)] = rem
-    last[len(rem)] ^= suffix
-    last[rate - 1] ^= 0x80
-    lanes = _absorb_block(lanes, bytes(last), rounds)
+    messages = _as_batch(data)
+    size = len(messages[0]) if messages else 0
+    if any(len(m) != size for m in messages):
+        raise ConfigError("a sponge batch takes equal-length messages")
+    count, absorbs = len(messages), size // _RATE + 1
+    padded = np.zeros((count, absorbs * _RATE), dtype=np.uint8)
+    padded[:, :size] = np.frombuffer(b"".join(messages), dtype=np.uint8).reshape(count, size)
+    padded[:, size] ^= suffix
+    padded[:, -1] ^= 0x80
+    blocks = padded.view("<u8").reshape(count, absorbs, _RATE // 8)
 
-    out = bytearray()
-    while len(out) < out_len:
-        for lane in lanes[:rate // 8]:
-            out += lane.to_bytes(8, "little")
-        if len(out) < out_len:
+    lanes = np.zeros((25, count), dtype=np.uint64)
+    for k in range(absorbs):
+        lanes[:_RATE // 8] ^= blocks[:, k].T
+        lanes = keccak_p(lanes, rounds)
+    squeezes = -(-out_len // _RATE)
+    out = np.empty((count, squeezes, _RATE // 8), dtype="<u8")
+    for k in range(squeezes):
+        if k:
             lanes = keccak_p(lanes, rounds)
-    return bytes(out[:out_len])
+        out[:, k] = lanes[:_RATE // 8].T
+    return out.view(np.uint8).reshape(count, squeezes * _RATE)[:, :out_len].tobytes()
 
 
-def turbo_shake128(data: bytes, domain: int, out_len: int) -> bytes:
+def turbo_shake128(data: bytes | Sequence[bytes], domain: int, out_len: int) -> bytes:
     if not 0x01 <= domain <= 0x7F:
         raise ConfigError(f"TurboSHAKE domain byte out of range: {domain:#x}")
     return sponge(data, domain, out_len, rounds=12)
@@ -104,14 +150,16 @@ def _length_encode(n: int) -> bytes:
     return body + bytes([len(body)])
 
 
-def kangaroo_twelve(data: bytes, customization: bytes, out_len: int) -> bytes:
-    """KangarooTwelve, single-chunk path.
+def kangaroo_twelve(data: bytes | Sequence[bytes], customization: bytes,
+                    out_len: int) -> bytes:
+    """KangarooTwelve, single-chunk path, over one message or a batch.
 
-    Inputs in this library are at most 64 bytes, so the tree-hashing branch
-    for messages beyond one 8 KiB chunk is never reached and is not
-    implemented.
+    Every message of a batch shares ``customization``.  Inputs in this
+    library are at most 64 bytes, so the tree-hashing branch for messages
+    beyond one 8 KiB chunk is never reached and is not implemented.
     """
-    s = data + customization + _length_encode(len(customization))
-    if len(s) > _CHUNK:
+    suffix = customization + _length_encode(len(customization))
+    batch = [m + suffix for m in _as_batch(data)]
+    if batch and len(batch[0]) > _CHUNK:
         raise ConfigError("multi-chunk KangarooTwelve inputs are not supported")
-    return turbo_shake128(s, 0x07, out_len)
+    return turbo_shake128(batch, 0x07, out_len)

@@ -29,6 +29,10 @@ _MR_RANGES = (
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Most candidates one enumeration may primality-test (a few seconds of scanning);
+# the reference catalog scans 32768.
+MAX_CANDIDATES = 1 << 20
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all n < 2^64."""
@@ -187,7 +191,8 @@ def enumerate_supported(filt: CatalogFilter) -> ModuliCatalog:
 
     Candidates are exactly the arithmetic progression k*2N + 1; each one is
     primality-tested deterministically, so the catalog is reproducible
-    bit-for-bit.
+    bit-for-bit.  A filter with more than MAX_CANDIDATES candidates below 2^w
+    is refused before any is tested.
     """
     step = 2 * filt.n_ring
     records = []
@@ -195,6 +200,11 @@ def enumerate_supported(filt: CatalogFilter) -> ModuliCatalog:
     if q <= filt.q_min_exclusive:
         q += ((filt.q_min_exclusive - q) // step + 1) * step
     limit = 1 << filt.w
+    candidates = max(0, -(-(limit - q) // step))
+    if candidates > MAX_CANDIDATES:
+        raise ParamsError(f"the filter has {candidates} candidates below 2^{filt.w}, more "
+                          f"than the {MAX_CANDIDATES} one enumeration scans; raise the "
+                          "lower bound on q (--qmin-bits)")
     while q < limit:
         if is_prime(q):
             weight = hw_naf(q)

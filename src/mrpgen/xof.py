@@ -6,6 +6,14 @@ the 32-bit modulus, and the 16-bit segment index, 336 bits in all.  The
 modulus and segment index make every segment's stream independent, which is
 what allows segments to be generated in any order, on any engine.
 
+``xof_expand_many`` expands a batch of such inputs, one block each, into one
+buffer: block i is bytes [i*r/8, (i+1)*r/8).  It checks the backend, the
+block size and the input lengths once for the batch, then hands the whole
+batch to the backend's batch expander in ``BACKENDS``.  SHAKE128 loops over
+``hashlib``, which beats any numpy Keccak per block; KangarooTwelve permutes
+all of the batch's states in one batched Keccak-p call.  ``xof_expand`` is
+the batch of one.
+
 All multi-byte values are little-endian; both the encoder and the word
 splitter share the convention so any fixed-width field change shows up in
 the golden vectors.
@@ -15,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -88,12 +97,15 @@ def encode_domain_input(seed: Seed, q: int, id_seg: int) -> bytes:
     return seed.data + q.to_bytes(4, "little") + id_seg.to_bytes(2, "little")
 
 
-def _expand_shake128(data: bytes, out_len: int) -> bytes:
-    return hashlib.shake_128(data).digest(out_len)
+def _expand_shake128(inputs: Sequence[bytes], out_len: int) -> bytearray:
+    out = bytearray()
+    for data in inputs:
+        out += hashlib.shake_128(data).digest(out_len)
+    return out
 
 
-def _expand_kangarootwelve(data: bytes, out_len: int) -> bytes:
-    return keccak.kangaroo_twelve(data, b"", out_len)
+def _expand_kangarootwelve(inputs: Sequence[bytes], out_len: int) -> bytes:
+    return keccak.kangaroo_twelve(inputs, b"", out_len)
 
 
 BACKENDS = {
@@ -102,11 +114,13 @@ BACKENDS = {
 }
 
 
-def xof_expand(data: bytes, r_bits: int = XOF_BLOCK_BITS, backend: str = "shake128") -> bytes:
-    """Produce one r-bit block of XOF output for ``data``.
+def xof_expand_many(inputs: Sequence[bytes], r_bits: int = XOF_BLOCK_BITS,
+                    backend: str = "shake128") -> bytes | bytearray:
+    """Produce one r-bit block of XOF output per input, concatenated in order.
 
-    One call consumes exactly one block; nothing in the library squeezes a
-    second one, mirroring hardware that latches a single sponge output.
+    One block per input, never a second, mirroring hardware that latches a
+    single sponge output per (q, id_seg) instance; the instances share no
+    state, so a backend may compute them in any order or all at once.
     """
     try:
         expand = BACKENDS[backend]
@@ -117,9 +131,15 @@ def xof_expand(data: bytes, r_bits: int = XOF_BLOCK_BITS, backend: str = "shake1
     if r_bits > XOF_BLOCK_BITS:
         raise ConfigError(f"block size {r_bits} exceeds the single-squeeze "
                           f"limit of {XOF_BLOCK_BITS} bits")
-    if len(data) > MAX_INPUT_BYTES:
-        raise ConfigError(f"XOF input longer than {MAX_INPUT_BYTES} bytes")
-    return expand(data, r_bits // 8)
+    for data in inputs:
+        if len(data) > MAX_INPUT_BYTES:
+            raise ConfigError(f"XOF input longer than {MAX_INPUT_BYTES} bytes")
+    return expand(inputs, r_bits // 8)
+
+
+def xof_expand(data: bytes, r_bits: int = XOF_BLOCK_BITS, backend: str = "shake128") -> bytes:
+    """Produce one r-bit block of XOF output for ``data``: a batch of one."""
+    return bytes(xof_expand_many([data], r_bits, backend))
 
 
 def split_words(block: bytes, w: int) -> np.ndarray:

@@ -58,13 +58,22 @@ def golden_xof_vectors():
     return pairs
 
 
-@pytest.fixture(scope="session")
-def golden_segment():
-    fields = {}
-    for line in (FIXTURES / "golden_segment.txt").read_text().splitlines():
+def _read_fields(name: str) -> tuple[dict, dict]:
+    """``key = value`` lines of a fixture; ``limb <q>`` lines go to the second dict."""
+    fields, limbs = {}, {}
+    for line in (FIXTURES / name).read_text().splitlines():
         key, value = (part.strip() for part in line.split("=", 1))
-        fields[key] = value
+        if key.startswith("limb "):
+            limbs[int(key.split()[1])] = [int(tok) for tok in value.split()]
+        else:
+            fields[key] = value
+    return fields, limbs
+
+
+def _load_segment(name: str) -> dict:
+    fields, _ = _read_fields(name)
     return {
+        "backend": fields.get("backend", "shake128"),
         "seed": Seed.from_hex(fields["seed"]),
         "q": int(fields["q"]),
         "id_seg": int(fields["id_seg"]),
@@ -74,21 +83,49 @@ def golden_segment():
     }
 
 
-@pytest.fixture(scope="session")
-def golden_mrp():
-    limbs = {}
-    fields = {}
-    for line in (FIXTURES / "golden_mrp.txt").read_text().splitlines():
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key.startswith("limb "):
-            limbs[int(key.split()[1])] = [int(tok) for tok in value.split()]
-        else:
-            fields[key] = value
+def _load_mrp(name: str) -> dict:
+    fields, limbs = _read_fields(name)
     return {
+        "backend": fields.get("backend", "shake128"),
         "seed": Seed.from_hex(fields["seed"]),
         "N": int(fields["N"]),
         "len": int(fields["len"]),
         "n_seg": int(fields["n_seg"]),
         "base": tuple(int(tok) for tok in fields["base"].split()),
         "limbs": limbs,
+    }
+
+
+@pytest.fixture(scope="session")
+def golden_segment():
+    return _load_segment("golden_segment.txt")
+
+
+@pytest.fixture(scope="session")
+def golden_mrp():
+    return _load_mrp("golden_mrp.txt")
+
+
+@pytest.fixture(scope="session")
+def golden_k12_segment():
+    return _load_segment("golden_k12_segment.txt")
+
+
+@pytest.fixture(scope="session")
+def golden_k12_mrp():
+    return _load_mrp("golden_k12_mrp.txt")
+
+
+@pytest.fixture(scope="session")
+def golden_k12_limb():
+    fields, _ = _read_fields("golden_k12_limb.txt")
+    return {
+        "backend": fields["backend"],
+        "seed": Seed.from_hex(fields["seed"]),
+        "N": int(fields["N"]),
+        "len": int(fields["len"]),
+        "n_seg": int(fields["n_seg"]),
+        "q": int(fields["q"]),
+        "head": [int(tok) for tok in fields["head"].split()],
+        "sha256": fields["sha256"],
     }

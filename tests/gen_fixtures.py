@@ -8,6 +8,7 @@
 # written from scratch on purpose; the package under test must reproduce
 # these bytes without sharing any code with them.
 
+import hashlib
 from pathlib import Path
 
 import reference_keccak as ref
@@ -25,6 +26,14 @@ def encode(seed, q, id_seg):
 def words_le32(block):
     return [int.from_bytes(block[4 * i:4 * i + 4], "little")
             for i in range(len(block) // 4)]
+
+
+def shake_block(data):
+    return ref.shake128(data, 168)
+
+
+def k12_block(data):
+    return ref.kangaroo_twelve(data, b"", 168)
 
 
 def filter_segment(block, q, want):
@@ -47,42 +56,67 @@ def write_xof_vectors():
     ]
     lines = []
     for data in inputs:
-        out = ref.shake128(data, 168)
+        out = shake_block(data)
         lines.append(f"{data.hex() or '-'} {out.hex()}")
     (OUT / "xof_vectors.txt").write_text("\n".join(lines) + "\n")
 
 
-def write_golden_segment():
+def limb_coeffs(expand, seed, q, seg_len, n_seg):
+    coeffs = []
+    for id_seg in range(n_seg):
+        seg = filter_segment(expand(encode(seed, q, id_seg)), q, seg_len)
+        if len(seg) != seg_len:
+            raise RuntimeError(f"short segment q={q} id_seg={id_seg}")
+        coeffs.extend(seg)
+    return coeffs
+
+
+def write_golden_segment(name, expand, header=""):
     q, id_seg, want = 786433, 0, 32
-    block = ref.shake128(encode(SEED_ZERO, q, id_seg), 168)
-    kept = filter_segment(block, q, want)
+    kept = filter_segment(expand(encode(SEED_ZERO, q, id_seg)), q, want)
     assert len(kept) == want
-    text = (f"seed = {SEED_ZERO.hex()}\n"
+    text = (header + f"seed = {SEED_ZERO.hex()}\n"
             f"q = {q}\nid_seg = {id_seg}\nlen = {want}\nw = 32\n"
             "values = " + " ".join(str(v) for v in kept) + "\n")
-    (OUT / "golden_segment.txt").write_text(text)
+    (OUT / name).write_text(text)
 
 
-def write_golden_mrp():
+def write_golden_mrp(name, expand, header=""):
+    # the desk profile: N = 256, len 32, two small transform-friendly moduli
     n_ring, seg_len, n_seg = 256, 32, 8
     base = (7681, 10753)
     lines = [f"seed = {SEED_ZERO.hex()}",
              f"N = {n_ring}", f"len = {seg_len}", f"n_seg = {n_seg}",
              "base = " + " ".join(str(q) for q in base)]
     for q in base:
-        coeffs = []
-        for id_seg in range(n_seg):
-            block = ref.shake128(encode(SEED_ZERO, q, id_seg), 168)
-            seg = filter_segment(block, q, seg_len)
-            assert len(seg) == seg_len, (q, id_seg)
-            coeffs.extend(seg)
+        coeffs = limb_coeffs(expand, SEED_ZERO, q, seg_len, n_seg)
         lines.append(f"limb {q} = " + " ".join(str(v) for v in coeffs))
-    (OUT / "golden_mrp.txt").write_text("\n".join(lines) + "\n")
+    (OUT / name).write_text(header + "\n".join(lines) + "\n")
+
+
+def write_golden_k12_limb():
+    # one default-size limb: N = 2^16, len 32, so 2048 blocks; q = 2^32 - 2^20 + 1
+    # is the largest prime q < 2^32 with q = 1 (mod 2^17), rejecting 2^-12 of words
+    n_ring, seg_len = 1 << 16, 32
+    n_seg = n_ring // seg_len
+    q = (1 << 32) - (1 << 20) + 1
+    coeffs = limb_coeffs(k12_block, SEED_ITER, q, seg_len, n_seg)
+    raw = b"".join(v.to_bytes(4, "little") for v in coeffs)
+    text = ("backend = kangarootwelve\n"
+            f"seed = {SEED_ITER.hex()}\n"
+            f"N = {n_ring}\nlen = {seg_len}\nn_seg = {n_seg}\nq = {q}\n"
+            "head = " + " ".join(str(v) for v in coeffs[:8]) + "\n"
+            f"sha256 = {hashlib.sha256(raw).hexdigest()}\n")
+    (OUT / "golden_k12_limb.txt").write_text(text)
 
 
 if __name__ == "__main__":
     OUT.mkdir(exist_ok=True)
     write_xof_vectors()
-    write_golden_segment()
-    write_golden_mrp()
+    write_golden_segment("golden_segment.txt", shake_block)
+    write_golden_mrp("golden_mrp.txt", shake_block)
+    k12 = "backend = kangarootwelve\n"
+    write_golden_segment("golden_k12_segment.txt", k12_block, k12)
+    write_golden_mrp("golden_k12_mrp.txt", k12_block, k12)
+    write_golden_k12_limb()
     print(f"fixtures written to {OUT}")

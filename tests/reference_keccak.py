@@ -1,6 +1,7 @@
-# Independent SHAKE128 used only to produce and check golden fixtures.
-# Written against the FIPS 202 description with a (x, y)-indexed state;
-# deliberately shares no code with the package under test.
+# Independent SHAKE128 and KangarooTwelve used only to produce and check
+# golden fixtures.  Written against the FIPS 202 and RFC 9861 descriptions
+# with a (x, y)-indexed state; deliberately shares no code with the package
+# under test.
 
 ROT = {
     (0, 0): 0, (1, 0): 1, (2, 0): 62, (3, 0): 28, (4, 0): 27,
@@ -30,8 +31,9 @@ def rotl64(value, amount):
     return ((value << amount) | (value >> (64 - amount))) & 0xFFFFFFFFFFFFFFFF
 
 
-def keccak_f1600(state):
-    for rnd in range(24):
+def keccak_f1600(state, rounds=24):
+    # Keccak-p[1600, rounds]: the last `rounds` rounds of Keccak-f[1600]
+    for rnd in range(24 - rounds, 24):
         # theta
         parity = {x: state[(x, 0)] ^ state[(x, 1)] ^ state[(x, 2)]
                   ^ state[(x, 3)] ^ state[(x, 4)] for x in range(5)}
@@ -65,7 +67,7 @@ def state_to_bytes(state, count):
     return bytes(out[:count])
 
 
-def absorb_block(state, block):
+def absorb_block(state, block, rounds=24):
     assert len(block) == RATE
     i = 0
     for y in range(5):
@@ -74,30 +76,56 @@ def absorb_block(state, block):
                 break
             state[(x, y)] ^= int.from_bytes(block[i:i + 8], "little")
             i += 8
-    return keccak_f1600(state)
+    return keccak_f1600(state, rounds)
 
 
-def shake128(message, out_len):
+def sponge(message, pad_byte, out_len, rounds):
     state = {(x, y): 0 for x in range(5) for y in range(5)}
     padded = bytearray(message)
-    padded.append(0x1F)
+    padded.append(pad_byte)
     while len(padded) % RATE:
         padded.append(0x00)
     padded[-1] ^= 0x80
     for offset in range(0, len(padded), RATE):
-        state = absorb_block(state, bytes(padded[offset:offset + RATE]))
+        state = absorb_block(state, bytes(padded[offset:offset + RATE]), rounds)
     output = bytearray()
     while len(output) < out_len:
         output += state_to_bytes(state, RATE)
         if len(output) < out_len:
-            state = keccak_f1600(state)
+            state = keccak_f1600(state, rounds)
     return bytes(output[:out_len])
 
 
+def shake128(message, out_len):
+    return sponge(message, 0x1F, out_len, 24)
+
+
+def length_encode(n):
+    # RFC 9861: big-endian bytes without leading zeros, then their count
+    digits = []
+    while n:
+        digits.insert(0, n & 0xFF)
+        n >>= 8
+    return bytes(digits + [len(digits)])
+
+
+def kangaroo_twelve(message, custom, out_len):
+    # RFC 9861 KangarooTwelve for inputs of one 8192-byte chunk: a single
+    # TurboSHAKE128 call (12 rounds) with domain byte 0x07
+    s = message + custom + length_encode(len(custom))
+    if len(s) > 8192:
+        raise ValueError("the reference covers single-chunk inputs only")
+    return sponge(s, 0x07, out_len, 12)
+
+
 # First bytes of the standard empty-message SHAKE128 output, from the
-# published FIPS 202 example vectors; anchors this module itself.
+# published FIPS 202 example vectors, and K12("", "", 32) from the RFC 9861
+# test vectors; they anchor this module itself.
 EMPTY_PREFIX_HEX = (
     "7f9c2ba4e88f827d616045507605853ed73b8093f6efbc88eb1a6eacfa66ef26"
+)
+K12_EMPTY_HEX = (
+    "1ac2d450fc3b4205d19da7bfca1b37513c0803577ac7167f06fe2ce1f0ef39e5"
 )
 
 
@@ -105,6 +133,9 @@ def self_check():
     got = shake128(b"", 32).hex()
     if got != EMPTY_PREFIX_HEX:
         raise AssertionError(f"reference SHAKE128 broken: {got}")
+    got = kangaroo_twelve(b"", b"", 32).hex()
+    if got != K12_EMPTY_HEX:
+        raise AssertionError(f"reference KangarooTwelve broken: {got}")
 
 
 self_check()

@@ -195,6 +195,19 @@ class TestFitLimbCount:
         assert not fit.ok
         assert fit.residual > 0.0005
 
+    @pytest.mark.parametrize("tolerance", [-1.0, -1e-12, math.nan, math.inf])
+    def test_rejects_tolerance_outside_the_finite_non_negative(self, tolerance):
+        rows = [(32, Fraction("0.03655"))]
+        with pytest.raises(ParamsError, match="tolerance"):
+            fit_limb_count(rows, t=T, n_ring=1 << 14, max_fail=Fraction("0.03"),
+                           tolerance=tolerance)
+
+    def test_zero_tolerance_is_allowed(self):
+        rows = [(32, Fraction("0.4")), (16, Fraction("0.05"))]
+        fit = fit_limb_count(rows, t=T, n_ring=1 << 14, max_fail=Fraction("0.03"),
+                             l_range=(1, 8), tolerance=0.0)
+        assert not fit.ok
+
 
 class TestSeedSpace:
     def test_identity_when_certain(self):

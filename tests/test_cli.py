@@ -245,6 +245,10 @@ class TestErrorTaxonomy:
           "--out", "{tmp}/missing/x.mrp"], "io-error"),
         (["gen-mrp", "--seed", ZERO_SEED, "--params", "{tmp}/binary.params"],
          "params-error"),
+        (["fit-table1", "--tol", "-1"], "params-error"),
+        (["fit-table1", "--tol", "nan"], "params-error"),
+        (["fit-table1", "--tol", "inf"], "params-error"),
+        (["enum-primes", "--n", "3", "--w", "48"], "params-error"),
     ], ids=["seed-length", "seed-not-hex", "common-length", "common-not-hex",
             "poly-id-range", "limb-q-not-in-base", "seg-q-not-in-base", "seg-id-range",
             "stats-too-few-samples", "stats-one-bin", "analyze-pr-2", "analyze-pr-abc",
@@ -252,7 +256,8 @@ class TestErrorTaxonomy:
             "enum-pr-max-abc", "enum-n-1", "enum-qmin-bits-2", "enum-w-0", "enum-w-200",
             "retry-max-attempts-0", "cost-R-0", "cost-gamma-abc", "cost-gamma-2",
             "cost-local-hop-1", "cost-f-nan", "cost-d-inf", "missing-params",
-            "mrp-is-a-directory", "out-dir-missing", "binary-params"])
+            "mrp-is-a-directory", "out-dir-missing", "binary-params", "fit-tol-1",
+            "fit-tol-nan", "fit-tol-inf", "enum-w-48-unbounded-scan"])
     def test_bad_input_is_a_typed_error(self, capsys, tmp_path, params_file, argv,
                                         code_name):
         mrp = tmp_path / "p.mrp"

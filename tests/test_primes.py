@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mrpgen import (CatalogFilter, ConfigError, ParamsError, enumerate_supported,
                     histogram, hw_naf, is_ntt_friendly, is_prime, naf,
                     sample_rejection_prob, size_bucket)
+from mrpgen import primes
 
 
 def naf_value(digits):
@@ -176,6 +177,24 @@ class TestEnumerateSupported:
         filt = CatalogFilter(n_ring=8, w=7, hw_naf_max=7, p_r_max=Fraction(1, 2),
                              q_min_exclusive=17)
         assert list(enumerate_supported(filt).moduli()) == [97, 113]
+
+    def test_scan_bound_counts_candidates_exactly(self, monkeypatch):
+        # candidates 17, 33, ..., 113: seven below 2^7
+        filt = CatalogFilter(n_ring=8, w=7, hw_naf_max=7, p_r_max=Fraction(1, 2))
+        monkeypatch.setattr(primes, "MAX_CANDIDATES", 7)
+        assert list(enumerate_supported(filt).moduli()) == [17, 97, 113]
+        monkeypatch.setattr(primes, "MAX_CANDIDATES", 6)
+        with pytest.raises(ParamsError, match="7 candidates"):
+            enumerate_supported(filt)
+
+    def test_refuses_an_unbounded_scan_before_testing(self, monkeypatch):
+        def fail(_):
+            raise AssertionError("a candidate was tested")
+
+        monkeypatch.setattr(primes, "is_prime", fail)
+        with pytest.raises(ParamsError, match="--qmin-bits"):
+            enumerate_supported(CatalogFilter(n_ring=8, w=48, hw_naf_max=7,
+                                              p_r_max=Fraction(1, 2)))
 
     @pytest.mark.parametrize("w", [0, 65, 200])
     def test_rejects_word_size_outside_is_prime_range(self, w):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -11,6 +12,7 @@ from mrpgen import (GenerationFailure, GenParams, ParamsError, Permutation,
                     generate_segment, is_ntt_friendly, permute, reduce_coeffs,
                     sample_rejection_prob, seed_source_from_rng,
                     verify_distributed_equivalence)
+from mrpgen import keccak
 from mrpgen.xof import encode_domain_input
 
 from conftest import ntt_primes
@@ -51,6 +53,13 @@ class TestGenSeg:
         seg = gen_seg(data, golden_segment["q"], golden_segment["len"],
                       golden_segment["w"])
         assert list(seg.values) == golden_segment["values"]
+
+    def test_matches_kangarootwelve_golden_fixture(self, golden_k12_segment):
+        golden = golden_k12_segment
+        data = encode_domain_input(golden["seed"], golden["q"], golden["id_seg"])
+        seg = gen_seg(data, golden["q"], golden["len"], golden["w"],
+                      backend=golden["backend"])
+        assert list(seg.values) == golden["values"]
 
     def test_all_values_below_threshold(self, zero_seed):
         q = 786433
@@ -192,6 +201,30 @@ class TestGenerateLimb:
         with pytest.raises(ParamsError, match="q=97"):
             generate_limb(zero_seed, 97, desk_params)
 
+    def test_kangarootwelve_limb_permutes_once(self, monkeypatch, zero_seed):
+        q = ntt_primes(512, 1, q_min=(1 << 32) - (1 << 24), q_max=1 << 32)[0]
+        params = GenParams(N=512, w=32, seg_len=4, n_seg=128, base=(q,),
+                           backend="kangarootwelve")
+        batches = []
+        permute_lanes = keccak.keccak_p
+
+        def counting(lanes, rounds):
+            batches.append(np.shape(lanes))
+            return permute_lanes(lanes, rounds)
+
+        monkeypatch.setattr(keccak, "keccak_p", counting)
+        generate_limb(zero_seed, q, params)
+        assert batches == [(25, params.n_seg)]
+
+    def test_kangarootwelve_default_size_limb_matches_golden(self, golden_k12_limb):
+        golden = golden_k12_limb
+        q = golden["q"]
+        params = GenParams(N=golden["N"], w=32, seg_len=golden["len"],
+                           n_seg=golden["n_seg"], base=(q,), backend=golden["backend"])
+        coeffs = generate_limb(golden["seed"], q, params).coeffs
+        assert coeffs[:len(golden["head"])].tolist() == golden["head"]
+        assert hashlib.sha256(coeffs.astype("<u4").tobytes()).hexdigest() == golden["sha256"]
+
     def test_failure_names_first_short_segment(self, zero_seed):
         q = ntt_primes(64, 1, q_min=2 ** 31, q_max=2 ** 32)[0]
         params = GenParams(N=64, w=32, seg_len=32, n_seg=2, base=(q,))
@@ -227,10 +260,13 @@ def _moduli_above_half_word(w: int, n_ring: int, count: int = 3) -> list[int]:
 @st.composite
 def _short_prone_profiles(draw):
     w = draw(st.sampled_from([8, 16, 32]))
+    backend = draw(st.sampled_from(["shake128", "kangarootwelve"]))
     # an 8-bit modulus q ≡ 1 (mod 2N) above 128 exists only for N <= 32.
+    # A KangarooTwelve reference segment costs about 30x a SHAKE128 one, so
+    # its rings stop at 2^7 to keep the property within a few seconds.
     # Long segments are where short ones and threshold-equal words show up,
     # so the largest ring and the longest segment are drawn more often.
-    largest = 5 if w == 8 else 10
+    largest = 5 if w == 8 else 7 if backend == "kangarootwelve" else 10
     log_n = draw(st.integers(0, largest) | st.just(largest))
     t = 1344 // w
     longest = min(log_n, t.bit_length() - 1)
@@ -247,7 +283,7 @@ def _short_prone_profiles(draw):
         layout = Permutation(rng.permutation(n_ring))
     seed = Seed(draw(st.binary(min_size=36, max_size=36)))
     return seed, GenParams(N=n_ring, w=w, seg_len=seg_len, n_seg=n_ring // seg_len,
-                           base=(q,), layout=layout)
+                           base=(q,), layout=layout, backend=backend)
 
 
 class TestBatchedLimbMatchesSegments:
@@ -259,6 +295,7 @@ class TestBatchedLimbMatchesSegments:
         segments = [generate_segment(seed, q, i, params) for i in range(params.n_seg)]
         short = [i for i, seg in enumerate(segments) if not seg.complete(params.seg_len)]
         event("short" if short else "complete")
+        event(params.backend)
         if short:
             with pytest.raises(GenerationFailure) as err:
                 generate_limb(seed, q, params)
@@ -277,6 +314,15 @@ class TestGenerateMrp:
                            n_seg=golden_mrp["n_seg"], base=golden_mrp["base"])
         mrp = generate_mrp(golden_mrp["seed"], params)
         for q, expected in golden_mrp["limbs"].items():
+            assert mrp.limbs[q].coeffs.tolist() == expected
+
+    def test_matches_kangarootwelve_golden_fixture(self, golden_k12_mrp):
+        golden = golden_k12_mrp
+        params = GenParams(N=golden["N"], w=32, seg_len=golden["len"],
+                           n_seg=golden["n_seg"], base=golden["base"],
+                           backend=golden["backend"])
+        mrp = generate_mrp(golden["seed"], params)
+        for q, expected in golden["limbs"].items():
             assert mrp.limbs[q].coeffs.tolist() == expected
 
     def test_single_modulus_single_segment(self, zero_seed):

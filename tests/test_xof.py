@@ -3,12 +3,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_keccak
 from mrpgen import (ConfigError, ParamsError, Seed, derive_polynomial_seed,
-                    encode_domain_input, split_words, xof_expand)
+                    encode_domain_input, split_words, xof_expand, xof_expand_many)
 from mrpgen import keccak
 from mrpgen.xof import INPUT_BYTES, MAX_INPUT_BYTES, XOF_BLOCK_BYTES
 
@@ -110,6 +110,39 @@ class TestXofExpand:
             assert xof_expand(data) == reference_keccak.shake128(data, 168)
 
 
+class TestXofExpandMany:
+    @pytest.mark.parametrize("backend", ["shake128", "kangarootwelve"])
+    @pytest.mark.parametrize("r_bits", [1344, 256, 8])
+    def test_is_the_concatenation_of_single_blocks(self, backend, r_bits):
+        inputs = [encode_domain_input(Seed(bytes(range(36))), 7681, i) for i in range(5)]
+        assert xof_expand_many(inputs, r_bits, backend) == b"".join(
+            xof_expand(data, r_bits, backend) for data in inputs)
+
+    @pytest.mark.parametrize("backend", ["shake128", "kangarootwelve"])
+    def test_empty_batch(self, backend):
+        assert xof_expand_many([], backend=backend) == b""
+
+    def test_rejects_one_long_input_in_a_batch(self):
+        with pytest.raises(ConfigError):
+            xof_expand_many([bytes(42), bytes(MAX_INPUT_BYTES + 1), bytes(42)])
+
+    def test_rejects_bad_block_size_and_backend(self):
+        with pytest.raises(ConfigError):
+            xof_expand_many([bytes(42)], r_bits=2688)
+        with pytest.raises(ConfigError):
+            xof_expand_many([bytes(42)], backend="blake2")
+
+    def test_kangarootwelve_batch_needs_equal_lengths(self):
+        with pytest.raises(ConfigError, match="equal-length"):
+            xof_expand_many([bytes(42), bytes(41)], backend="kangarootwelve")
+
+    def test_kangarootwelve_agrees_with_independent_reference(self):
+        inputs = [b"", b"\x01", bytes(range(42)), bytes(range(64))]
+        for data in inputs:
+            assert (xof_expand(data, backend="kangarootwelve")
+                    == reference_keccak.kangaroo_twelve(data, b"", 168))
+
+
 class TestSplitWords:
     def test_little_endian_words(self):
         block = bytes([1, 0, 0, 0, 2, 0, 0, 0])
@@ -168,3 +201,59 @@ class TestKangarooTwelveBackend:
     def test_rejects_bad_domain_byte(self):
         with pytest.raises(ConfigError):
             keccak.turbo_shake128(b"", 0x80, 32)
+
+    def test_batch_is_the_concatenation_of_single_messages(self):
+        messages = [bytes([i]) * 50 for i in range(6)]
+        assert keccak.kangaroo_twelve(messages, b"c", 200) == b"".join(
+            keccak.kangaroo_twelve(m, b"c", 200) for m in messages)
+        assert keccak.kangaroo_twelve([b"m"], b"", 32) == keccak.kangaroo_twelve(b"m", b"", 32)
+
+    def test_multi_block_batch_matches_hashlib(self):
+        # 400-byte messages absorb three blocks; 400 output bytes squeeze three
+        messages = [bytes([i]) * 400 for i in range(3)]
+        assert keccak.sponge(messages, 0x1F, 400, rounds=24) == b"".join(
+            hashlib.shake_128(m).digest(400) for m in messages)
+
+
+def _reference_permute(lanes, rounds):
+    state = {(x, y): int(lanes[x + 5 * y]) for x in range(5) for y in range(5)}
+    state = reference_keccak.keccak_f1600(state, rounds)
+    return [state[(i % 5, i // 5)] for i in range(25)]
+
+
+class TestKeccakP:
+    @settings(deadline=None, max_examples=20)
+    @given(st.sampled_from([12, 24]), st.sampled_from([1, 2, 7, 64]), st.data())
+    def test_batch_equals_reference_per_state(self, rounds, count, data):
+        states = data.draw(st.lists(st.lists(st.integers(0, 2 ** 64 - 1), min_size=25,
+                                             max_size=25),
+                                    min_size=count, max_size=count))
+        lanes = np.array(states, dtype=np.uint64).T
+        out = keccak.keccak_p(lanes, rounds)
+        assert out.shape == (25, count) and out.dtype == np.uint64
+        for b, state in enumerate(states):
+            assert out[:, b].tolist() == _reference_permute(state, rounds)
+        assert np.array_equal(lanes, np.array(states, dtype=np.uint64).T)  # input unchanged
+
+    def test_list_of_25_ints_is_one_state(self):
+        lanes = [(0x0123456789ABCDEF * (i + 1)) % 2 ** 64 for i in range(25)]
+        kept = list(lanes)
+        out = keccak.keccak_p(lanes, 12)
+        assert [int(v) for v in out] == _reference_permute(lanes, 12)
+        assert lanes == kept
+
+    def test_batch_axes_after_the_lanes_are_kept(self):
+        lanes = np.arange(25 * 6, dtype=np.uint64).reshape(25, 2, 3)
+        out = keccak.keccak_p(lanes, 12)
+        assert out.shape == (25, 2, 3)
+        assert np.array_equal(out.reshape(25, 6), keccak.keccak_p(lanes.reshape(25, 6), 12))
+
+    def test_tiles_match_one_pass(self, monkeypatch):
+        lanes = np.random.default_rng(5).integers(0, 2 ** 63, size=(25, 37), dtype=np.uint64)
+        whole = keccak.keccak_p(lanes, 12)
+        monkeypatch.setattr(keccak, "_TILE", 8)
+        assert np.array_equal(keccak.keccak_p(lanes, 12), whole)
+
+    def test_rejects_a_state_without_25_lanes(self):
+        with pytest.raises(ConfigError):
+            keccak.keccak_p([0] * 24, 12)
