@@ -12,7 +12,7 @@ model, and a first-order wiring/power cost model.
 
 from .analytics import (EmpiricalReport, FitResult, UniformityReport,
                         chi_square_uniformity, empirical_failure_rate,
-                        fit_limb_count, limb_failure_mp, mrp_failure_bound,
+                        fit_limb_count, limb_failure, mrp_failure_bound,
                         mrp_failure_exact_base, p_seg, rejection_prob_extra_bits,
                         seed_space_bits, seg_failure_prob, solve_p_r_max)
 from .costmodel import (CostParams, CostReport, build_cost_report,

@@ -2,16 +2,16 @@
 
 A segment draws t candidate words from one XOF block and needs seg_len
 acceptances, each independent with probability 1 - p_r; a limb needs n_seg
-segments, a polynomial needs L limbs.  Everything here follows from the
-binomial upper tail
+segments, a polynomial needs L limbs.  Everything follows from one failing
+tail, summed once in exact integers (``seg_failure_prob``): for p_r = n/d,
 
-    p_seg = sum_{i=seg_len}^{t} C(t, i) p_r^(t-i) (1-p_r)^i
+    seg_fail = sum_{i < min(seg_len, t+1)} C(t, i) (d-n)^i n^(t-i) / d^t.
 
-raised to n_seg and L.  Two arithmetic routes are provided: exact
-``fractions.Fraction`` (definitional, safe at published-threshold
-boundaries) and 50-digit mpmath (for the huge exponents where exact
-rationals blow up).  Failure probabilities are always accumulated from the
-rejection tail directly, never as 1 minus a near-one value.
+It becomes a float only inside -expm1(count * log1p(-seg_fail)), or as the
+rounded exact -count * seg_fail below 2^-60, so a failure probability is
+never 1 minus a near-one value and a subnormal tail keeps its precision.
+The MAX_* input bounds bound the tail's work.  The chi-square p-value is
+the closed form of Abramowitz & Stegun 26.4.4-26.4.5.
 """
 
 from __future__ import annotations
@@ -19,93 +19,82 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .errors import ConfigError, GenerationFailure, ParamsError
 from .primes import sample_rejection_prob
+from .profiles import DEFAULT_R_BITS
 from .sampling import GenParams, Limb, generate_mrp, reduce_coeffs
 from .xof import Seed
 
-PRECISION_DPS = 50
+MAX_T = DEFAULT_R_BITS // 8  # 168 words: r <= 1344 bits and w >= 8
+MAX_N_SEG = 1 << 16  # 16-bit segment ids, as GenParams enforces
+MAX_L = 1 << 32  # there are fewer distinct w-bit moduli than that
+MAX_DENOMINATOR = 1 << 64  # a modulus gives (2^w mod q) / 2^w with w <= 64
 
 
 def _fraction(x) -> Fraction:
     """Exact conversion; decimal strings parse exactly (\"0.03655\" = 731/20000)."""
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _to_mpf(x) -> mpf:
-    if isinstance(x, Fraction):
-        return mpf(x.numerator) / mpf(x.denominator)
-    return mpf(x)
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ParamsError(f"not a finite rational number: {x!r}") from None
 
 
 def _check_model(p_r, t: int, seg_len: int, n_seg: int = 1, L: int = 1) -> Fraction:
-    """p_r as a Fraction, once it and the counts are inside the model."""
-    for name, value, least in (("t", t, 0), ("seg_len", seg_len, 0),
-                               ("n_seg", n_seg, 1), ("L", L, 1)):
-        if value < least:
-            raise ParamsError(f"{name} must be at least {least}, got {value}")
+    """p_r as a Fraction, once it and the counts are inside the bounded model."""
+    for name, value, least, most in (("t", t, 0, MAX_T), ("seg_len", seg_len, 0, math.inf),
+                                     ("n_seg", n_seg, 1, MAX_N_SEG), ("L", L, 1, MAX_L)):
+        if not least <= value <= most:
+            raise ParamsError(f"{name} must be in {least}..{most}, got {value}")
     pr = _fraction(p_r)
-    if not 0 <= pr <= 1:
-        raise ParamsError("p_r must lie in [0, 1]")
+    if not 0 <= pr <= 1 or pr.denominator > MAX_DENOMINATOR:
+        raise ParamsError("p_r must lie in [0, 1] with a denominator of at most 2^64")
     return pr
+
+
+def _failure(seg_fails: Sequence[Fraction], count: int) -> float:
+    """1 - prod (1 - sf)^count over exact seg_fails, as +0.0 and never -0.0."""
+    if 1 in map(float, seg_fails):
+        return 1.0  # log1p(-1) raises, also for a tail just below 1 that rounds up
+    return 0.0 - math.expm1(math.fsum(count * math.log1p(-float(sf)) if sf > 2 ** -60
+                                      else float(-count * sf) for sf in seg_fails))
+
+
+def seg_failure_prob(p_r, t: int, seg_len: int) -> Fraction:
+    """Exact probability of fewer than seg_len acceptances among t: the one tail sum."""
+    pr = _check_model(p_r, t, seg_len)
+    n, d = pr.numerator, pr.denominator
+    return Fraction(sum(math.comb(t, i) * (d - n) ** i * n ** (t - i)
+                        for i in range(min(seg_len, t + 1))), d ** t)
 
 
 def p_seg(p_r, t: int, seg_len: int) -> Fraction:
     """Exact probability of collecting at least seg_len acceptances among t."""
-    pr = _check_model(p_r, t, seg_len)
-    acc = 1 - pr
-    return sum((comb(t, i) * acc ** i * pr ** (t - i) for i in range(seg_len, t + 1)),
-               Fraction(0))
+    return 1 - seg_failure_prob(p_r, t, seg_len)
 
 
-def seg_failure_prob(p_r, t: int, seg_len: int) -> Fraction:
-    """Exact complement of p_seg, summed over the failing tail directly."""
-    pr = _check_model(p_r, t, seg_len)
-    acc = 1 - pr
-    return sum((comb(t, i) * acc ** i * pr ** (t - i) for i in range(min(seg_len, t + 1))),
-               Fraction(0))
+def limb_failure(seg_fail, n_seg: int) -> float:
+    """1 - (1 - seg_fail)^n_seg for one segment failure probability."""
+    _check_model(0, 0, 0, n_seg)
+    sf = _fraction(seg_fail)
+    if not 0 <= sf <= 1:
+        raise ParamsError("seg_fail must lie in [0, 1]")
+    return _failure([sf], n_seg)
 
 
-def _seg_fail_mp(p_r: mpf, t: int, seg_len: int, binoms: Sequence[int] | None = None) -> mpf:
-    if binoms is None:
-        binoms = [comb(t, i) for i in range(min(seg_len, t + 1))]
-    acc = 1 - p_r
-    total = mpf(0)
-    for i, c in enumerate(binoms):
-        total += c * acc ** i * p_r ** (t - i)
-    return min(total, mpf(1))  # a full tail (seg_len > t) can round above 1
-
-
-def limb_failure_mp(seg_fail, n_seg: int) -> mpf:
-    """1 - (1 - seg_fail)^n_seg in log space, stable for tiny seg_fail."""
-    if n_seg < 1:
-        raise ParamsError(f"n_seg must be at least 1, got {n_seg}")
-    with mp.workdps(PRECISION_DPS):
-        return -mp.expm1(n_seg * mp.log1p(-_to_mpf(seg_fail)))
-
-
-def mrp_failure_bound(p_r, t: int, seg_len: int, n_seg: int, L: int) -> mpf:
+def mrp_failure_bound(p_r, t: int, seg_len: int, n_seg: int, L: int) -> float:
     """1 - p_limb_worst^L for a base whose worst modulus has rejection p_r."""
-    pr = _check_model(p_r, t, seg_len, n_seg, L)
-    with mp.workdps(PRECISION_DPS):
-        sf = _seg_fail_mp(_to_mpf(pr), t, seg_len)
-        return -mp.expm1(n_seg * L * mp.log1p(-sf))
+    _check_model(p_r, t, seg_len, n_seg, L)
+    return _failure([seg_failure_prob(p_r, t, seg_len)], n_seg * L)
 
 
-def mrp_failure_exact_base(p_r_list: Sequence, t: int, seg_len: int, n_seg: int) -> mpf:
+def mrp_failure_exact_base(p_r_list: Sequence, t: int, seg_len: int, n_seg: int) -> float:
     """1 - prod_q p_limb_q over an explicit base (not the worst-case bound)."""
-    with mp.workdps(PRECISION_DPS):
-        log_p = mpf(0)
-        for p_r in p_r_list:
-            sf = _seg_fail_mp(_to_mpf(_fraction(p_r)), t, seg_len)
-            log_p += n_seg * mp.log1p(-sf)
-        return -mp.expm1(log_p)
+    _check_model(0, t, seg_len, n_seg, len(p_r_list))
+    return _failure([seg_failure_prob(p, t, seg_len) for p in p_r_list], n_seg)
 
 
 def solve_p_r_max(t: int, seg_len: int, n_seg: int, L: int, max_fail,
@@ -115,24 +104,19 @@ def solve_p_r_max(t: int, seg_len: int, n_seg: int, L: int, max_fail,
     Bisects the monotone failure bound to ``digits`` decimal digits and
     returns the satisfying endpoint (a dyadic rational).
     """
+    _check_model(0, t, seg_len, n_seg, L)
     budget = _fraction(max_fail)
     if budget >= 1:
         return Fraction(1)
     if budget < 0 or seg_len > t:
         raise ConfigError("infeasible: even p_r = 0 exceeds the failure budget")
-    binoms = [comb(t, i) for i in range(seg_len)]
-
-    with mp.workdps(PRECISION_DPS):
-        budget_mp = _to_mpf(budget)
-        lo, hi = Fraction(0), Fraction(1)
-        iters = math.ceil(digits * math.log2(10)) + 2
-        for _ in range(iters):
-            mid = (lo + hi) / 2
-            sf = _seg_fail_mp(_to_mpf(mid), t, seg_len, binoms)
-            if -mp.expm1(n_seg * L * mp.log1p(-sf)) <= budget_mp:
-                lo = mid
-            else:
-                hi = mid
+    lo, hi = Fraction(0), Fraction(1)
+    for _ in range(math.ceil(digits * math.log2(10)) + 2):
+        mid = (lo + hi) / 2
+        if _failure([seg_failure_prob(mid, t, seg_len)], n_seg * L) <= float(budget):
+            lo = mid
+        else:
+            hi = mid
     return lo
 
 
@@ -167,21 +151,24 @@ def fit_limb_count(rows: Sequence[tuple[int, object]], t: int, n_ring: int, max_
     falls up to floor(L_row) and rises after ceil(L_row), so the maximum over
     the rows falls below the smallest floor and rises above the largest ceil.
     """
-    published = tuple(_fraction(p) for _, p in rows)
     lo, hi = l_range
     if not 1 <= lo <= hi:
         raise ConfigError(f"limb-count range {lo}..{hi} is empty or below 1")
     if not 0 <= tolerance < math.inf:
         raise ParamsError(f"fit tolerance must be a finite number >= 0, got {tolerance}")
+    if not rows or min(seg_len for seg_len, _ in rows) < 1:
+        raise ParamsError("the fit needs at least one row, each with seg_len >= 1")
+    published = tuple(_check_model(p, t, seg_len, n_ring // seg_len, hi) for seg_len, p in rows)
     budget = _fraction(max_fail)
     if budget < 1:
-        with mp.workdps(PRECISION_DPS):
-            log_keep = mp.log1p(-_to_mpf(budget))
-            roots = [log_keep / ((n_ring // seg_len)
-                                 * mp.log1p(-_seg_fail_mp(_to_mpf(p), t, seg_len)))
-                     for (seg_len, _), p in zip(rows, published)]
-            lo, hi = (int(mp.floor(min(max(min(roots), lo), hi))),
-                      int(mp.ceil(min(max(max(roots), lo), hi))))
+        log_keep = math.log1p(-float(budget))
+        roots = []
+        for (seg_len, _), p in zip(rows, published):
+            sf = float(seg_failure_prob(p, t, seg_len))
+            per_limb = (n_ring // seg_len) * math.log1p(-sf) if sf < 1 else -math.inf
+            roots.append(log_keep / per_limb if per_limb else math.inf)  # p_r = 0: +inf
+        lo, hi = (math.floor(min(max(min(roots), lo), hi)),
+                  math.ceil(min(max(max(roots), lo), hi)))
     best = None
     for L in range(lo, hi + 1):
         solved = tuple(solve_p_r_max(t, seg_len, n_ring // seg_len, L, max_fail,
@@ -241,8 +228,7 @@ def empirical_failure_rate(params: GenParams, trials: int,
     if trials < 1:
         raise ParamsError("trials must be at least 1")
     p_r_list = [sample_rejection_prob(q, params.w) for q in params.base]
-    analytic = float(mrp_failure_exact_base(p_r_list, params.t, params.seg_len,
-                                            params.n_seg))
+    analytic = mrp_failure_exact_base(p_r_list, params.t, params.seg_len, params.n_seg)
     failures = 0
     for _ in range(trials):
         try:
@@ -284,7 +270,20 @@ def chi_square_uniformity(limb: Limb, bins: int = 64) -> UniformityReport:
     expected = n * widths / q
     statistic = float(((counts - expected) ** 2 / expected).sum())
     dof = bins - 1
-    # chi-square survival function: the upper regularized incomplete gamma
-    p_value = float(mp.gammainc(dof / 2, statistic / 2, regularized=True))
     return UniformityReport(q=q, sample_count=n, statistic=statistic,
-                            dof=dof, p_value=p_value)
+                            dof=dof, p_value=_chi_square_sf(statistic, dof))
+
+
+def _chi_square_sf(x: float, dof: int) -> float:
+    """Chi-square upper tail Q(dof/2, x/2) by A&S 26.4.4-26.4.5: with h = x/2 and
+    s = (dof mod 2)/2, [erfc(sqrt(h)) if s] + sum_{j < dof//2} h^(j+s) e^-h /
+    Gamma(j+s+1), each term from its logarithm so that tails down to about
+    1e-300 stay normal floats where e^-h alone would underflow."""
+    h = x / 2
+    if h <= 0:
+        return 1.0
+    s = (dof % 2) / 2
+    log_h = math.log(h)
+    head = math.erfc(math.sqrt(h)) if s else 0.0
+    return head + math.fsum(math.exp((j + s) * log_h - h - math.lgamma(j + s + 1))
+                            for j in range(dof // 2))

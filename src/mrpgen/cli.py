@@ -283,17 +283,17 @@ def cmd_analyze(args) -> int:
     p_r = _parse_fraction(args.pr)
     seg_success = analytics.p_seg(p_r, args.t, args.len)
     seg_fail = analytics.seg_failure_prob(p_r, args.t, args.len)
-    limb_fail = analytics.limb_failure_mp(seg_fail, args.nseg)
+    limb_fail = analytics.limb_failure(seg_fail, args.nseg)
     mrp_fail = analytics.mrp_failure_bound(p_r, args.t, args.len, args.nseg, args.L)
     payload = {
         "t": args.t, "len": args.len, "n_seg": args.nseg, "L": args.L,
         "p_r": str(p_r),
         "p_seg": float(seg_success),
         "seg_failure": float(seg_fail),
-        "p_limb": float(1 - limb_fail),
-        "limb_failure": float(limb_fail),
-        "p_mrp_bound": float(1 - mrp_fail),
-        "mrp_failure_bound": float(mrp_fail),
+        "p_limb": 1 - limb_fail,
+        "limb_failure": limb_fail,
+        "p_mrp_bound": 1 - mrp_fail,
+        "mrp_failure_bound": mrp_fail,
     }
     _emit(args, "analyze", payload)
     return 0
@@ -318,8 +318,8 @@ def cmd_fit_table1(args) -> int:
         bound = analytics.mrp_failure_bound(worst, profiles.DEFAULT_T, seg_len,
                                             profiles.DEFAULT_N // seg_len, fit.L)
         payload["len4_check"] = {"len": seg_len, "worst_p_r": float(worst),
-                                 "failure_bound": float(bound),
-                                 "ok": float(bound) <= 0.0030}
+                                 "failure_bound": bound,
+                                 "ok": bound <= 0.0030}
     _emit(args, "fit-table1", payload)
     if not fit.ok:
         raise DomainFailure("no-fit", f"best L={fit.L} residual={fit.residual}")

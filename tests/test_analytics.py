@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from mpmath import mp
 
-from mrpgen import (ConfigError, GenParams, Limb, ParamsError,
+from mrpgen import (ConfigError, GenParams, Limb, ParamsError, analytics,
                     chi_square_uniformity, empirical_failure_rate,
-                    fit_limb_count, limb_failure_mp, mrp_failure_bound,
+                    fit_limb_count, limb_failure, mrp_failure_bound,
                     mrp_failure_exact_base, p_seg, rejection_prob_extra_bits,
                     sample_rejection_prob, seed_space_bits,
                     seed_source_from_rng, seg_failure_prob, solve_p_r_max)
@@ -16,6 +15,7 @@ from mrpgen import (ConfigError, GenParams, Limb, ParamsError,
 from conftest import ntt_primes
 
 T = 42
+FIT_ARGS = dict(t=T, n_ring=1 << 14, max_fail=Fraction("0.03"), l_range=(1, 8))
 
 
 class TestPSeg:
@@ -60,21 +60,44 @@ class TestPSeg:
 
 
 class TestModelDomain:
-    # counts outside the model used to give impossible probabilities
-    # (a negative bound for L < 0, p_seg + seg_failure = 0 for t < 0)
+    # inputs outside the model used to give impossible probabilities (a
+    # negative bound for L < 0, p_seg + seg_failure = 0 for t < 0, a complex
+    # limb failure for seg_fail = 2), exceptions of the wrong type, or work
+    # without bound (t = 10000 took 44 s)
     @pytest.mark.parametrize("call", [
         lambda: p_seg(Fraction(1, 10), -1, 4),
         lambda: p_seg(Fraction(1, 10), T, -1),
         lambda: seg_failure_prob(Fraction(1, 10), -1, 4),
         lambda: seg_failure_prob(Fraction(1, 10), T, -1),
-        lambda: limb_failure_mp(Fraction(1, 10), 0),
+        lambda: limb_failure(Fraction(1, 10), 0),
         lambda: mrp_failure_bound(Fraction(1, 10), -1, 4, 8, 2),
         lambda: mrp_failure_bound(Fraction(1, 10), T, 4, 0, 2),
         lambda: mrp_failure_bound(Fraction(1, 10), T, 4, 8, 0),
         lambda: mrp_failure_bound(Fraction(1, 10), T, 4, 8, -3),
         lambda: mrp_failure_bound(Fraction(3, 2), T, 4, 8, 2),
+        lambda: mrp_failure_bound(Fraction(1, 10), analytics.MAX_T + 1, 4, 8, 2),
+        lambda: mrp_failure_bound(Fraction(1, 10), T, 4, analytics.MAX_N_SEG + 1, 2),
+        lambda: mrp_failure_bound(Fraction(1, 10), T, 4, 8, analytics.MAX_L + 1),
+        lambda: mrp_failure_bound(Fraction(1, analytics.MAX_DENOMINATOR + 1), T, 4, 8, 2),
+        lambda: mrp_failure_bound(math.nan, T, 4, 8, 2),
+        lambda: seg_failure_prob("abc", T, 4),
+        lambda: limb_failure(Fraction(2), 8),
+        lambda: limb_failure(Fraction(1, 10), analytics.MAX_N_SEG + 1),
+        lambda: mrp_failure_exact_base([2], T, 32, 8),
+        lambda: mrp_failure_exact_base([], T, 32, 8),
+        lambda: solve_p_r_max(T, 4, 8, 0, Fraction("0.03")),
+        lambda: solve_p_r_max(analytics.MAX_T + 1, 4, 8, 2, Fraction("0.03")),
+        lambda: fit_limb_count([(0, Fraction("0.03655"))], **FIT_ARGS),
+        lambda: fit_limb_count([], **FIT_ARGS),
+        lambda: fit_limb_count([(32, Fraction(3, 2))], **FIT_ARGS),
+        lambda: fit_limb_count([(32, Fraction("0.03655"))], t=T, n_ring=1 << 14,
+                               max_fail=Fraction("0.03"), l_range=(1, analytics.MAX_L + 1)),
     ], ids=["p_seg-t", "p_seg-len", "seg_failure-t", "seg_failure-len", "limb-n_seg",
-            "bound-t", "bound-n_seg", "bound-L0", "bound-L-3", "bound-p_r"])
+            "bound-t", "bound-n_seg", "bound-L0", "bound-L-3", "bound-p_r",
+            "bound-t-169", "bound-n_seg-65537", "bound-L-2^32+1", "bound-den-2^64+1",
+            "bound-p_r-nan", "seg_failure-p_r-abc", "limb-seg_fail-2", "limb-n_seg-65537",
+            "exact-base-p_r-2", "exact-base-empty", "solve-L0", "solve-t-169",
+            "fit-len0", "fit-empty", "fit-p_r", "fit-lmax-2^32+1"])
     def test_rejects_counts_outside_the_model(self, call):
         with pytest.raises(ParamsError):
             call()
@@ -85,19 +108,31 @@ class TestModelDomain:
         assert mrp_failure_bound(Fraction(1, 10), T, 0, 1, 1) == 0
         # seg_len > t cannot be met: certain failure, not a complex number
         assert mrp_failure_bound(Fraction(1, 10), T, T + 8, 8, 2) == 1
+        top = mrp_failure_bound(Fraction(1, analytics.MAX_DENOMINATOR), analytics.MAX_T,
+                                analytics.MAX_T, analytics.MAX_N_SEG, analytics.MAX_L)
+        assert 0 < top < 1
+        assert limb_failure(1, analytics.MAX_N_SEG) == 1
+        # an exact tail just below 1 whose float rounds to 1
+        assert mrp_failure_bound(Fraction(2 ** 32 - 1, 2 ** 32), T, 4, 8, 2) == 1
+        assert str(mrp_failure_bound(0, T, 32, 8, 2)) == "0.0"  # reports never show -0.0
+
+    def test_fit_rows_at_p_r_zero_and_one(self):
+        # p_r = 0 never fails (crossing at +inf, clamped to the top of the
+        # range); p_r = 1 always fails (crossing 0, clamped to the bottom)
+        assert fit_limb_count([(32, 0)], **FIT_ARGS).L == 8
+        assert fit_limb_count([(32, 1)], **FIT_ARGS).L == 1
 
 
 class TestPLimb:
     def test_identity_cases(self):
-        assert limb_failure_mp(0, 2048) == 0
-        assert limb_failure_mp(Fraction(1, 10), 1) == pytest.approx(0.1, rel=1e-15)
+        assert limb_failure(0, 2048) == 0
+        assert limb_failure(Fraction(1, 10), 1) == pytest.approx(0.1, rel=1e-15)
 
     def test_exact_power(self):
-        assert float(limb_failure_mp(Fraction(1, 2), 10)) == 1 - 1 / 1024
+        assert float(limb_failure(Fraction(1, 2), 10)) == 1 - 1 / 1024
 
     def test_two_routes_agree_to_ten_digits(self):
-        # float conversion keeps ~15.9 digits, enough to verify 10; mixing
-        # mpf with the monster exact fractions directly is pathologically slow
+        # float conversion keeps ~15.9 digits, enough to verify 10
         cases = [
             (Fraction(1, 10 ** 7), 2048),
             (Fraction(1, 10 ** 9), 16384),
@@ -106,22 +141,22 @@ class TestPLimb:
         ]
         for seg_fail, n_seg in cases:
             exact_fail = float(1 - (1 - seg_fail) ** n_seg)
-            mp_fail = float(limb_failure_mp(seg_fail, n_seg))
-            rel = abs(mp_fail - exact_fail) / exact_fail
+            float_fail = float(limb_failure(seg_fail, n_seg))
+            rel = abs(float_fail - exact_fail) / exact_fail
             assert rel < 1e-10, (seg_fail, n_seg, rel)
 
     def test_mrp_bound_two_routes(self):
         seg_fail = Fraction(1, 10 ** 6)
         n_seg, L = 2048, 24
         exact_fail = float(1 - ((1 - seg_fail) ** n_seg) ** L)
-        mp_fail = float(limb_failure_mp(seg_fail, n_seg * L))
-        assert abs(mp_fail - exact_fail) / exact_fail < 1e-10
+        float_fail = float(limb_failure(seg_fail, n_seg * L))
+        assert abs(float_fail - exact_fail) / exact_fail < 1e-10
 
 
 class TestPMrpBound:
     def test_single_limb_identity(self):
         p_r = Fraction("0.03655")
-        limb = limb_failure_mp(seg_failure_prob(p_r, T, 32), 2048)
+        limb = limb_failure(seg_failure_prob(p_r, T, 32), 2048)
         assert float(mrp_failure_bound(p_r, T, 32, 2048, 1)) == pytest.approx(
             float(limb), rel=1e-14)
 
@@ -136,6 +171,14 @@ class TestPMrpBound:
             bound = mrp_failure_bound(max(p_rs), T, 32, 8, len(p_rs))
             assert bound >= mrp_failure_exact_base(p_rs, T, 32, 8)
 
+    def test_subnormal_tail_keeps_its_precision(self):
+        # seg_fail is about 4e-320 (a subnormal with 14 significant bits);
+        # the bound over 2^48 segments is about 1e-305, a normal float
+        p_r, count = Fraction(1, 1 << 32), 1 << 48
+        exact = float(count * seg_failure_prob(p_r, T, 9))
+        got = mrp_failure_bound(p_r, T, 9, 1 << 16, 1 << 32)
+        assert got == pytest.approx(exact, rel=1e-14, abs=0)
+
 
 class TestExactBaseFailure:
     def test_matches_exact_rational(self):
@@ -146,6 +189,59 @@ class TestExactBaseFailure:
             np.prod([(p_seg(pr, t, seg_len) ** n_seg).denominator for pr in p_rs], dtype=object))
         got = mrp_failure_exact_base(p_rs, t, seg_len, n_seg)
         assert abs(float(got - exact)) < 1e-15
+
+
+# Frozen from the earlier 50-digit mpmath implementation, before it was
+# replaced by the closed forms: mp.gammainc(dof/2, x/2, regularized=True)
+# under mp.workdps(50), and mrp_failure_bound(p_r_max, 42, len, 2^16 // len, 64)
+# for each profiles.REFERENCE_ROWS entry, each rounded to the nearest float.
+CHI2_ORACLE = (
+    (1, 0.001, 0.9747728793699604),
+    (1, 0.5, 0.4795001221869535),
+    (1, 3.84, 0.050043521248705106),
+    (1, 20.0, 7.744216431044084e-06),
+    (1, 150.0, 1.7336432457178264e-34),
+    (1, 700.0, 2.9902269751246203e-154),
+    (1, 1140.0, 6.687331044880022e-250),
+    (15, 0.5, 0.9999999982553599),
+    (15, 8.0, 0.9237827033154675),
+    (15, 15.0, 0.45141721122572526),
+    (15, 30.0, 0.011921495938159695),
+    (15, 100.0, 1.3047043436251444e-14),
+    (15, 600.0, 3.550515213407699e-118),
+    (15, 1215.0, 9.810345147556359e-250),
+    (63, 10.0, 0.9999999999999982),
+    (63, 50.0, 0.8826796923991101),
+    (63, 63.0, 0.47630238333813013),
+    (63, 90.0, 0.014414544792022973),
+    (63, 300.0, 1.4349502937271767e-32),
+    (63, 800.0, 3.2493483123215753e-128),
+    (63, 1395.0, 4.5655828143060886e-250),
+    (255, 180.0, 0.999886525243617),
+    (255, 230.0, 0.8677123729764725),
+    (255, 255.0, 0.48822252177040637),
+    (255, 300.0, 0.02772752205390483),
+    (255, 600.0, 7.531973752278672e-30),
+    (255, 1200.0, 3.430921792988743e-122),
+    (255, 1905.0, 6.253315546623996e-250),
+)
+BOUND_ORACLE = (
+    ("0.03655", 32, 0.030001787393605418),
+    ("0.25305", 16, 0.029997053830913997),
+    ("0.42359", 8, 0.03001223980902452),
+    ("0.5", 4, 0.002948221122936414),
+)
+
+
+class TestFrozenOracles:
+    @pytest.mark.parametrize("dof, x, p", CHI2_ORACLE)
+    def test_chi_square_tail(self, dof, x, p):
+        assert analytics._chi_square_sf(x, dof) == pytest.approx(p, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("p_r, seg_len, bound", BOUND_ORACLE)
+    def test_reference_row_bound(self, p_r, seg_len, bound):
+        got = mrp_failure_bound(Fraction(p_r), T, seg_len, (1 << 16) // seg_len, 64)
+        assert got == pytest.approx(bound, rel=1e-12, abs=0)
 
 
 class TestSolvePrMax:
@@ -282,10 +378,10 @@ class TestChiSquareUniformity:
         report = chi_square_uniformity(Limb(q=q, coeffs=coeffs), bins)
         assert report.p_value > 0.999
 
-    @pytest.mark.parametrize("bins", [3, 5])
+    @pytest.mark.parametrize("bins", [2, 3, 5])
     def test_p_value_matches_closed_form(self, bins):
-        # for even dof the chi-square survival function is elementary:
-        # exp(-x/2) at dof 2 and exp(-x/2) * (1 + x/2) at dof 4
+        # the chi-square survival function is elementary at small dof:
+        # erfc(sqrt(x/2)) at dof 1, exp(-x/2) at dof 2, exp(-x/2) * (1 + x/2) at 4
         q = 97
         values = list(range(q)) + list(range(40)) + [5] * 12
         counts = [0] * bins
@@ -294,7 +390,8 @@ class TestChiSquareUniformity:
         starts = [-(-b * q // bins) for b in range(bins + 1)]
         expected = [Fraction(len(values) * (hi - lo), q) for lo, hi in zip(starts, starts[1:])]
         x = float(sum((c - e) ** 2 / e for c, e in zip(counts, expected)))
-        closed = math.exp(-x / 2) * (1 if bins == 3 else 1 + x / 2)
+        closed = {2: math.erfc(math.sqrt(x / 2)), 3: math.exp(-x / 2),
+                  5: math.exp(-x / 2) * (1 + x / 2)}[bins]
         report = chi_square_uniformity(Limb(q=q, coeffs=np.array(values, dtype=np.uint32)),
                                        bins)
         assert report.statistic == pytest.approx(x, rel=1e-12)

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import ntt_primes
-from mrpgen import GenParams, cli, profiles, save_params
+from mrpgen import GenParams, analytics, cli, profiles, save_params
 from mrpgen.cli import main
 
 ZERO_SEED = "0" * 72
@@ -249,6 +254,12 @@ class TestErrorTaxonomy:
         (["fit-table1", "--tol", "nan"], "params-error"),
         (["fit-table1", "--tol", "inf"], "params-error"),
         (["enum-primes", "--n", "3", "--w", "48"], "params-error"),
+        (ANALYZE + ["--t", "169"], "params-error"),
+        (ANALYZE + ["--t", "10000"], "params-error"),
+        (ANALYZE + ["--nseg", "65537"], "params-error"),
+        (ANALYZE + ["--nseg", str(10 ** 400)], "params-error"),
+        (ANALYZE + ["--L", str((1 << 32) + 1)], "params-error"),
+        (ANALYZE + ["--pr", f"1/{(1 << 64) + 1}"], "params-error"),
     ], ids=["seed-length", "seed-not-hex", "common-length", "common-not-hex",
             "poly-id-range", "limb-q-not-in-base", "seg-q-not-in-base", "seg-id-range",
             "stats-too-few-samples", "stats-one-bin", "analyze-pr-2", "analyze-pr-abc",
@@ -257,7 +268,9 @@ class TestErrorTaxonomy:
             "retry-max-attempts-0", "cost-R-0", "cost-gamma-abc", "cost-gamma-2",
             "cost-local-hop-1", "cost-f-nan", "cost-d-inf", "missing-params",
             "mrp-is-a-directory", "out-dir-missing", "binary-params", "fit-tol-1",
-            "fit-tol-nan", "fit-tol-inf", "enum-w-48-unbounded-scan"])
+            "fit-tol-nan", "fit-tol-inf", "enum-w-48-unbounded-scan", "analyze-t-169",
+            "analyze-t-10000", "analyze-nseg-65537", "analyze-nseg-10^400",
+            "analyze-L-2^32+1", "analyze-pr-den-2^64+1"])
     def test_bad_input_is_a_typed_error(self, capsys, tmp_path, params_file, argv,
                                         code_name):
         mrp = tmp_path / "p.mrp"
@@ -300,6 +313,42 @@ class TestErrorTaxonomy:
         code, _, err = run(capsys, *COST)
         assert code == 3
         assert err == "error code=internal-error RuntimeError: boom\n"
+
+
+def _p_r_fractions():
+    return st.integers(1, analytics.MAX_DENOMINATOR).flatmap(
+        lambda den: st.integers(0, den).map(lambda num: f"{num}/{den}"))
+
+
+class TestBoundedModelWork:
+    # Every in-range model input finishes in bounded time with a report or a
+    # domain failure, never an internal error.  The worst analyze case (t =
+    # len = 168, a 64-bit denominator) takes about 40 ms.
+    @staticmethod
+    def _timed_exit(argv):
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        return code, time.perf_counter() - start
+
+    @settings(deadline=None, max_examples=60)
+    @given(t=st.integers(0, analytics.MAX_T), seg_len=st.integers(0, analytics.MAX_T + 2),
+           n_seg=st.integers(1, analytics.MAX_N_SEG), L=st.integers(1, analytics.MAX_L),
+           p_r=_p_r_fractions())
+    @example(t=168, seg_len=168, n_seg=65536, L=1 << 32,
+             p_r=f"{(1 << 63) + 12345}/{(1 << 64) - 59}")
+    def test_analyze(self, t, seg_len, n_seg, L, p_r):
+        code, seconds = self._timed_exit(["analyze", "--t", str(t), "--len", str(seg_len),
+                                          "--nseg", str(n_seg), "--L", str(L), "--pr", p_r])
+        assert code == 0 and seconds < 1.0
+
+    @settings(deadline=None, max_examples=30)
+    @given(lmax=st.integers(1, 10 ** 6), tol=st.floats(0, 1))
+    def test_fit_table1(self, lmax, tol):
+        code, seconds = self._timed_exit(["fit-table1", "--lmax", str(lmax),
+                                          "--no-len4-check", "--tol", repr(tol)])
+        assert code in (0, 1) and seconds < 1.0
 
 
 class TestReportEnvelope:
