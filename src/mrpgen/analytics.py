@@ -11,7 +11,8 @@ It becomes a float only inside -expm1(count * log1p(-seg_fail)), or as the
 rounded exact -count * seg_fail below 2^-60, so a failure probability is
 never 1 minus a near-one value and a subnormal tail keeps its precision.
 The MAX_* input bounds bound the tail's work.  The chi-square p-value is
-the closed form of Abramowitz & Stegun 26.4.4-26.4.5.
+the closed form of Abramowitz & Stegun 26.4.4-26.4.5, summed outward from
+its largest term.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ MAX_T = DEFAULT_R_BITS // 8  # 168 words: r <= 1344 bits and w >= 8
 MAX_N_SEG = 1 << 16  # 16-bit segment ids, as GenParams enforces
 MAX_L = 1 << 32  # there are fewer distinct w-bit moduli than that
 MAX_DENOMINATOR = 1 << 64  # a modulus gives (2^w mod q) / 2^w with w <= 64
+MAX_FIT_SPAN = 256  # limb counts one fit scores; the reference rows score 3
 
 
 def _fraction(x) -> Fraction:
@@ -150,6 +152,7 @@ def fit_limb_count(rows: Sequence[tuple[int, object]], t: int, n_ring: int, max_
     L_row = log1p(-budget) / (n_seg * log1p(-seg_fail)).  A row's deviation
     falls up to floor(L_row) and rises after ceil(L_row), so the maximum over
     the rows falls below the smallest floor and rises above the largest ceil.
+    A span of more than MAX_FIT_SPAN integers is refused before any is scored.
     """
     lo, hi = l_range
     if not 1 <= lo <= hi:
@@ -169,6 +172,9 @@ def fit_limb_count(rows: Sequence[tuple[int, object]], t: int, n_ring: int, max_
             roots.append(log_keep / per_limb if per_limb else math.inf)  # p_r = 0: +inf
         lo, hi = (math.floor(min(max(min(roots), lo), hi)),
                   math.ceil(min(max(max(roots), lo), hi)))
+    if hi - lo + 1 > MAX_FIT_SPAN:
+        raise ParamsError(f"the fit would score the {hi - lo + 1} limb counts {lo}..{hi}, "
+                          f"more than {MAX_FIT_SPAN}; narrow the rows or the range")
     best = None
     for L in range(lo, hi + 1):
         solved = tuple(solve_p_r_max(t, seg_len, n_ring // seg_len, L, max_fail,
@@ -274,16 +280,52 @@ def chi_square_uniformity(limb: Limb, bins: int = 64) -> UniformityReport:
                             dof=dof, p_value=_chi_square_sf(statistic, dof))
 
 
+def _poisson_term(a: float, h: float) -> float:
+    """h^a e^-h / Gamma(a + 1) for a in {0, 1/2, 1, 3/2, ...} and h > 0.
+
+    Past a = 16 it is exp(-dev - stirling(a)) / sqrt(2 pi a) (Loader's
+    saddle-point form): the deviance dev = a log(a/h) + h - a and the Stirling
+    remainder are small where the term is large, so their rounding costs
+    about one ulp per e-fold of the term's smallness, not one per unit of h.
+    """
+    if a < 16:
+        if h < 700:  # e^-h stays a normal float
+            return h ** a * math.exp(-h) / math.gamma(a + 1)
+        return math.exp(a * math.log(h) - h - math.lgamma(a + 1))
+    v = (a - h) / (a + h)
+    if v > -0.5:  # dev = (a - h) v + 2a (v^3/3 + v^5/5 + ...)
+        dev, odd, j, last = (a - h) * v, 2 * a * v, 1, None
+        while dev != last:
+            odd *= v * v
+            last, dev, j = dev, dev + odd / (2 * j + 1), j + 1
+    else:
+        dev = a * math.log(a / h) + h - a
+    i2 = 1 / (a * a)
+    stirling = (1 / 12 - i2 * (1 / 360 - i2 * (1 / 1260 - i2 * (
+        1 / 1680 - i2 * (1 / 1188 - i2 * 691 / 360360))))) / a
+    return math.exp(-dev - stirling) / math.sqrt(math.tau * a)
+
+
 def _chi_square_sf(x: float, dof: int) -> float:
     """Chi-square upper tail Q(dof/2, x/2) by A&S 26.4.4-26.4.5: with h = x/2 and
     s = (dof mod 2)/2, [erfc(sqrt(h)) if s] + sum_{j < dof//2} h^(j+s) e^-h /
-    Gamma(j+s+1), each term from its logarithm so that tails down to about
-    1e-300 stay normal floats where e^-h alone would underflow."""
+    Gamma(j+s+1).  Only the largest term is evaluated (``_poisson_term``); the
+    others follow from it by the ratio h/(j+s), so a p-value carries about
+    (1 + ln(1/p)) ulp of relative error, tails down to about 1e-300 included."""
     h = x / 2
     if h <= 0:
         return 1.0
     s = (dof % 2) / 2
-    log_h = math.log(h)
-    head = math.erfc(math.sqrt(h)) if s else 0.0
-    return head + math.fsum(math.exp((j + s) * log_h - h - math.lgamma(j + s + 1))
-                            for j in range(dof // 2))
+    n = dof // 2
+    terms = [math.erfc(math.sqrt(h))] if s else []
+    if n:
+        k = min(max(round(h - s), 0), n - 1)
+        up = down = _poisson_term(k + s, h)
+        terms.append(up)
+        for j in range(k + 1, n):
+            up *= h / (j + s)
+            terms.append(up)
+        for j in range(k, 0, -1):
+            down *= (j + s) / h
+            terms.append(down)
+    return math.fsum(terms)

@@ -12,7 +12,7 @@ block size and the input lengths once for the batch, then hands the whole
 batch to the backend's batch expander in ``BACKENDS``.  SHAKE128 loops over
 ``hashlib``, which beats any numpy Keccak per block; KangarooTwelve permutes
 all of the batch's states in one batched Keccak-p call.  ``xof_expand`` is
-the batch of one.
+the batch of one, and hands a valid SHAKE128 call to ``hashlib`` directly.
 
 All multi-byte values are little-endian; both the encoder and the word
 splitter share the convention so any fixed-width field change shows up in
@@ -138,7 +138,15 @@ def xof_expand_many(inputs: Sequence[bytes], r_bits: int = XOF_BLOCK_BITS,
 
 
 def xof_expand(data: bytes, r_bits: int = XOF_BLOCK_BITS, backend: str = "shake128") -> bytes:
-    """Produce one r-bit block of XOF output for ``data``: a batch of one."""
+    """Produce one r-bit block of XOF output for ``data``: a batch of one.
+
+    A valid SHAKE128 call goes straight to ``hashlib``: building a one-input
+    batch costs more than half a hash.  Anything else takes the batch path,
+    which also reports an invalid call.
+    """
+    if (backend == "shake128" and 0 < r_bits <= XOF_BLOCK_BITS and r_bits % 8 == 0
+            and len(data) <= MAX_INPUT_BYTES):
+        return hashlib.shake_128(data).digest(r_bits // 8)
     return bytes(xof_expand_many([data], r_bits, backend))
 
 

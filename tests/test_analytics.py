@@ -1,5 +1,7 @@
 import math
 import random
+import time
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -101,6 +103,20 @@ class TestModelDomain:
     def test_rejects_counts_outside_the_model(self, call):
         with pytest.raises(ParamsError):
             call()
+
+    def test_refuses_a_wide_fit_span_at_once(self):
+        # a p_r = 0 row (crossing +inf) and a p_r = 1 row (crossing 0) span
+        # the whole range; scoring it took time linear in l_range
+        start = time.perf_counter()
+        with pytest.raises(ParamsError, match="4294967296 limb counts"):
+            fit_limb_count([(32, 0), (32, 1)], t=T, n_ring=1 << 14,
+                           max_fail=Fraction("0.03"), l_range=(1, 2 ** 32))
+        assert time.perf_counter() - start < 1
+        with pytest.raises(ParamsError):
+            fit_limb_count([(32, 0), (32, 1)], t=T, n_ring=1 << 14, max_fail=Fraction("0.03"),
+                           l_range=(1, analytics.MAX_FIT_SPAN + 1))
+        assert fit_limb_count([(32, 0), (32, 1)], t=T, n_ring=1 << 14, max_fail=Fraction("0.03"),
+                              l_range=(1, analytics.MAX_FIT_SPAN)).L >= 1
 
     def test_accepts_the_edges(self):
         assert p_seg(Fraction(1, 10), 0, 0) == 1
@@ -233,10 +249,66 @@ BOUND_ORACLE = (
 )
 
 
+def _decimal_pi() -> Decimal:
+    """pi by Machin's formula, 16 atan(1/5) - 4 atan(1/239), at the context precision."""
+    def atan_inv(n):
+        total = term = Decimal(1) / n
+        k = 1
+        while True:
+            term /= -n * n
+            if total + term / (2 * k + 1) == total:
+                return total
+            total += term / (2 * k + 1)
+            k += 1
+
+    return 16 * atan_inv(5) - 4 * atan_inv(239)
+
+
+def _decimal_chi_square_sf(x: float, dof: int, digits: int = 50) -> float:
+    """Q(dof/2, x/2) to 50 significant digits, from the same A&S 26.4.4-26.4.5
+    sum with erfc(sqrt(h)) = 1 - erf(sqrt(h)) by its positive Taylor series,
+    carrying h / ln 10 extra digits for that subtraction."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 20 + (int(x / 4.6) if dof % 2 else 0)
+        h = Decimal(x) / 2
+        if dof % 2:
+            sqrt_pi = _decimal_pi().sqrt()
+            term = series = h.sqrt()  # erf(z) = 2/sqrt(pi) e^-z^2 sum 2^n z^(2n+1)/(2n+1)!!
+            n = 0
+            while n < h or term > series.scaleb(-ctx.prec):
+                n += 1
+                term *= 2 * h / (2 * n + 1)
+                series += term
+            total = 1 - 2 / sqrt_pi * (-h).exp() * series
+            term, s = 2 * h.sqrt() * (-h).exp() / sqrt_pi, Decimal(1) / 2
+        else:
+            total, term, s = Decimal(0), (-h).exp(), 0
+        for j in range(dof // 2):
+            if j:
+                term *= h / (j + s)
+            total += term
+        return float(total)
+
+
 class TestFrozenOracles:
     @pytest.mark.parametrize("dof, x, p", CHI2_ORACLE)
     def test_chi_square_tail(self, dof, x, p):
         assert analytics._chi_square_sf(x, dof) == pytest.approx(p, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("dof", [1, 63, 1023])
+    def test_chi_square_tail_against_decimal(self, dof):
+        # each term comes from the largest one by the ratio h/(j+s), so the
+        # error is about one ulp plus one per e-fold of the tail's smallness
+        # (the rounded exponent); p-values below 1e-300 would be subnormal
+        rng = random.Random(dof)
+        xs = [dof * f for f in (0.01, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0)]
+        xs += [rng.uniform(0, 3 * dof + 30) for _ in range(8)]
+        xs += [rng.uniform(3 * dof + 30, dof + 1300) for _ in range(4)]
+        for x in xs:
+            want = _decimal_chi_square_sf(x, dof)
+            assert want > 1e-300
+            got = analytics._chi_square_sf(x, dof)
+            assert abs(got - want) <= 4 * 2 ** -52 * (1 + math.log(1 / want)) * want, x
 
     @pytest.mark.parametrize("p_r, seg_len, bound", BOUND_ORACLE)
     def test_reference_row_bound(self, p_r, seg_len, bound):

@@ -2,17 +2,22 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrpgen import (CatalogFilter, ConfigError, ParamsError, enumerate_supported,
-                    histogram, hw_naf, is_ntt_friendly, is_prime, naf,
-                    sample_rejection_prob, size_bucket)
+from mrpgen import (CatalogFilter, ConfigError, ParamsError, PrimeRecord,
+                    enumerate_supported, histogram, hw_naf, is_ntt_friendly, is_prime,
+                    naf, sample_rejection_prob, size_bucket)
 from mrpgen import primes
 
 
 def naf_value(digits):
     return sum(d << i for i, d in enumerate(digits))
+
+
+def naf_weight(n):
+    """The digit-loop weight: the oracle for hw_naf's closed form."""
+    return sum(1 for d in naf(n) if d)
 
 
 class TestNaf:
@@ -42,6 +47,17 @@ class TestNaf:
 
 
 class TestHwNaf:
+    def test_closed_form_matches_digit_loop(self):
+        assert [hw_naf(n) for n in range(5000)] == [naf_weight(n) for n in range(5000)]
+
+    @given(st.integers(min_value=0, max_value=1 << 200))
+    def test_closed_form_matches_digit_loop_on_big_integers(self, n):
+        assert hw_naf(n) == naf_weight(n)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ParamsError):
+            hw_naf(-1)
+
     def test_powers_of_two(self):
         for k in range(1, 40):
             assert hw_naf(1 << k) == 1
@@ -200,6 +216,21 @@ class TestEnumerateSupported:
     def test_rejects_word_size_outside_is_prime_range(self, w):
         with pytest.raises(ParamsError):
             CatalogFilter(n_ring=8, w=w, hw_naf_max=7, p_r_max=Fraction(1, 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 8), st.integers(1, 20), st.integers(-1, 8),
+           st.fractions(min_value=0, max_value=1))
+    def test_weight_first_scan_matches_brute_force(self, data, log_n, w, hw_max, p_r_max):
+        q_min = data.draw(st.integers(0, 1 << w))
+        step = 2 << log_n
+        # the records of the old order: prime, then NAF weight, then p_r
+        brute = [PrimeRecord(q, size_bucket(q), weight, p_r)
+                 for q in range(step + 1, 1 << w, step) if q > q_min and is_prime(q)
+                 if (weight := naf_weight(q)) <= hw_max
+                 if (p_r := sample_rejection_prob(q, w)) <= p_r_max]
+        filt = CatalogFilter(n_ring=1 << log_n, w=w, hw_naf_max=hw_max, p_r_max=p_r_max,
+                             q_min_exclusive=q_min)
+        assert list(enumerate_supported(filt).records) == brute
 
     def test_restrict_matches_fresh_enumeration(self):
         loose = enumerate_supported(
