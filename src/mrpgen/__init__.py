@@ -31,7 +31,7 @@ from .sampling import (EquivalenceReport, GenParams, Limb,
                        gen_seg, generate_limb, generate_mrp, generate_segment,
                        permute, reduce_coeffs, seed_source_from_rng,
                        verify_distributed_equivalence)
-from .xof import (Seed, derive_polynomial_seed, encode_domain_input, split_words,
-                  xof_expand, xof_expand_many)
+from .xof import (Seed, derive_polynomial_seed, encode_domain_input,
+                  encode_domain_inputs, split_words, xof_expand, xof_expand_many)
 
 __version__ = "0.1.0"

@@ -15,12 +15,14 @@ KeccakP-1600-times4/8, with the batch axis in place of SIMD lanes.  A
 KangarooTwelve limb (RFC 9861) is n_seg independent single-block inputs, so it
 costs 12 rounds of array operations instead of n_seg per-state permutations.
 
-The sponge functions take one message as ``bytes`` or a batch as a sequence of
-equal-length messages, and return the outputs concatenated in input order; a
-single message is a batch of one.
+The sponge functions take one message as ``bytes`` or a batch as a 2-D
+``uint8`` matrix with one message per row, such as the (n_seg, 42) domain
+inputs of a limb, and return the outputs concatenated in row order; a single
+message is a one-row matrix.  The matrix is written straight into the padded
+absorb buffer, and KangarooTwelve's customization suffix is appended to every
+row there as extra columns, so a batch is never split into per-message
+objects.
 """
-
-from typing import Sequence
 
 import numpy as np
 
@@ -101,28 +103,25 @@ def keccak_p(lanes, rounds: int) -> np.ndarray:
     return out.reshape(state.shape)
 
 
-def _as_batch(data) -> list[bytes]:
+def _message_rows(data) -> np.ndarray:
+    """One message as a one-row matrix (a view), or a batch matrix as it is."""
     if isinstance(data, (bytes, bytearray, memoryview)):
-        return [bytes(data)]
-    return [bytes(m) for m in data]
+        return np.frombuffer(data, dtype=np.uint8).reshape(1, -1)
+    if not (isinstance(data, np.ndarray) and data.ndim == 2 and data.dtype == np.uint8):
+        raise ConfigError("a sponge batch is a 2-D uint8 matrix, one message per row")
+    return data
 
 
-def sponge(data: bytes | Sequence[bytes], suffix: int, out_len: int, rounds: int) -> bytes:
-    """Keccak sponge (rate 168 bytes) with combined suffix-and-pad10*1 padding.
-
-    ``suffix`` is the domain byte whose lowest bit starts the padding
-    (0x1F for SHAKE128, 0x01..0x7F for TurboSHAKE).  ``data`` is one message
-    or a batch of equal-length messages; all states of a batch absorb and
-    squeeze together, and the result is their outputs concatenated.
-    """
-    messages = _as_batch(data)
-    size = len(messages[0]) if messages else 0
-    if any(len(m) != size for m in messages):
-        raise ConfigError("a sponge batch takes equal-length messages")
-    count, absorbs = len(messages), size // _RATE + 1
+def _absorb_squeeze(rows: np.ndarray, tail: bytes, suffix: int, out_len: int,
+                    rounds: int) -> bytes:
+    """The sponge over every row of ``rows`` followed by the common ``tail``."""
+    count, size = rows.shape
+    end = size + len(tail)
+    absorbs = end // _RATE + 1
     padded = np.zeros((count, absorbs * _RATE), dtype=np.uint8)
-    padded[:, :size] = np.frombuffer(b"".join(messages), dtype=np.uint8).reshape(count, size)
-    padded[:, size] ^= suffix
+    padded[:, :size] = rows
+    padded[:, size:end] = np.frombuffer(tail, dtype=np.uint8)
+    padded[:, end] ^= suffix
     padded[:, -1] ^= 0x80
     blocks = padded.view("<u8").reshape(count, absorbs, _RATE // 8)
 
@@ -139,7 +138,18 @@ def sponge(data: bytes | Sequence[bytes], suffix: int, out_len: int, rounds: int
     return out.view(np.uint8).reshape(count, squeezes * _RATE)[:, :out_len].tobytes()
 
 
-def turbo_shake128(data: bytes | Sequence[bytes], domain: int, out_len: int) -> bytes:
+def sponge(data: bytes | np.ndarray, suffix: int, out_len: int, rounds: int) -> bytes:
+    """Keccak sponge (rate 168 bytes) with combined suffix-and-pad10*1 padding.
+
+    ``suffix`` is the domain byte whose lowest bit starts the padding
+    (0x1F for SHAKE128, 0x01..0x7F for TurboSHAKE).  ``data`` is one message
+    or a 2-D ``uint8`` matrix of messages, one per row; all states of a batch
+    absorb and squeeze together, and the result is their outputs concatenated.
+    """
+    return _absorb_squeeze(_message_rows(data), b"", suffix, out_len, rounds)
+
+
+def turbo_shake128(data: bytes | np.ndarray, domain: int, out_len: int) -> bytes:
     if not 0x01 <= domain <= 0x7F:
         raise ConfigError(f"TurboSHAKE domain byte out of range: {domain:#x}")
     return sponge(data, domain, out_len, rounds=12)
@@ -150,16 +160,17 @@ def _length_encode(n: int) -> bytes:
     return body + bytes([len(body)])
 
 
-def kangaroo_twelve(data: bytes | Sequence[bytes], customization: bytes,
+def kangaroo_twelve(data: bytes | np.ndarray, customization: bytes,
                     out_len: int) -> bytes:
-    """KangarooTwelve, single-chunk path, over one message or a batch.
+    """KangarooTwelve, single-chunk path, over one message or a batch matrix.
 
-    Every message of a batch shares ``customization``.  Inputs in this
-    library are at most 64 bytes, so the tree-hashing branch for messages
-    beyond one 8 KiB chunk is never reached and is not implemented.
+    Every row of a batch shares ``customization``, whose encoding goes into
+    the padded buffer after each row.  Inputs in this library are at most 64
+    bytes, so the tree-hashing branch for messages beyond one 8 KiB chunk is
+    never reached and is not implemented.
     """
-    suffix = customization + _length_encode(len(customization))
-    batch = [m + suffix for m in _as_batch(data)]
-    if batch and len(batch[0]) > _CHUNK:
+    rows = _message_rows(data)
+    tail = customization + _length_encode(len(customization))
+    if rows.shape[1] + len(tail) > _CHUNK:
         raise ConfigError("multi-chunk KangarooTwelve inputs are not supported")
-    return turbo_shake128(batch, 0x07, out_len)
+    return _absorb_squeeze(rows, tail, 0x07, out_len, rounds=12)

@@ -32,8 +32,8 @@ import numpy as np
 from .errors import GenerationFailure, ParamsError, RetryExhausted
 from .primes import is_ntt_friendly
 from .profiles import DEFAULT_R_BITS
-from .xof import (BACKENDS, Seed, encode_domain_input, split_words, xof_expand,
-                  xof_expand_many)
+from .xof import (BACKENDS, Seed, encode_domain_input, encode_domain_inputs, split_words,
+                  xof_expand, xof_expand_many)
 
 
 class Permutation:
@@ -227,16 +227,18 @@ def generate_segment(seed: Seed, q: int, id_seg: int, params: GenParams) -> Segm
 def generate_limb(seed: Seed, q: int, params: GenParams) -> Limb:
     """All n_seg segments for q as one word matrix, then the layout permutation.
 
-    The n_seg blocks come from one batched XOF call.  Row id_seg of the
-    (n_seg, t) matrix is the block generate_segment would expand; a running
+    The n_seg inputs are one (n_seg, 42) byte matrix, row id_seg the input
+    generate_segment would encode, and its blocks come from one batched XOF
+    call; the matrix is not kept once hashed.  Row id_seg of the (n_seg, t)
+    word matrix is the block generate_segment would expand; a running
     count of accepted words per row keeps each row's first seg_len
     acceptances, so the result equals concatenating the segments.
     Raises GenerationFailure naming the first short (q, id_seg).
     """
     if q not in params.base:
         raise ParamsError(f"q={q} is not in the profile base")
-    blocks = xof_expand_many([encode_domain_input(seed, q, id_seg)
-                              for id_seg in range(params.n_seg)], params.r, params.backend)
+    blocks = xof_expand_many(encode_domain_inputs(seed, q, params.n_seg), params.r,
+                             params.backend)
     words = split_words(blocks, params.w).reshape(params.n_seg, params.t)
     keep = words < compute_threshold(q, params.w)
     # t <= 168 (r <= 1344, w >= 8), so a uint8 running count cannot wrap

@@ -6,13 +6,22 @@ the 32-bit modulus, and the 16-bit segment index, 336 bits in all.  The
 modulus and segment index make every segment's stream independent, which is
 what allows segments to be generated in any order, on any engine.
 
-``xof_expand_many`` expands a batch of such inputs, one block each, into one
+A limb's inputs are one (n_seg, 42) ``uint8`` matrix, row id_seg the input of
+segment id_seg: ``encode_domain_inputs`` broadcasts the ``seed || q`` prefix
+and appends the little-endian segment indices, as the vectorized matrix
+expansion of ML-KEM (FIPS 203) builds all of its XOF inputs at once.
+``encode_domain_input`` is the scalar ``bytes`` form of one row, for the
+per-segment engine path.
+
+``xof_expand_many`` expands such a matrix, one block per row, into one
 buffer: block i is bytes [i*r/8, (i+1)*r/8).  It checks the backend, the
-block size and the input lengths once for the batch, then hands the whole
-batch to the backend's batch expander in ``BACKENDS``.  SHAKE128 loops over
-``hashlib``, which beats any numpy Keccak per block; KangarooTwelve permutes
-all of the batch's states in one batched Keccak-p call.  ``xof_expand`` is
-the batch of one, and hands a valid SHAKE128 call to ``hashlib`` directly.
+block size and the matrix's shape, dtype and width once for the batch, then
+hands the matrix to the backend's batch expander in ``BACKENDS``.  SHAKE128
+hashes ``bytes`` slices of one copy of the matrix with ``hashlib``, which
+beats any numpy Keccak per block; KangarooTwelve permutes all of the rows'
+states in one batched Keccak-p call.  ``xof_expand`` expands one ``bytes``
+input: a valid SHAKE128 call goes to ``hashlib`` directly, anything else is
+a one-row matrix.
 
 All multi-byte values are little-endian; both the encoder and the word
 splitter share the convention so any fixed-width field change shows up in
@@ -23,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -85,26 +93,48 @@ def derive_polynomial_seed(common: bytes, poly_id: int) -> Seed:
     return Seed(common + poly_id.to_bytes(4, "little"))
 
 
+def _domain_prefix(seed: Seed, q: int) -> bytes:
+    if not 0 < q < 2 ** 32:
+        raise ParamsError("q must be a positive 32-bit value")
+    return seed.data + q.to_bytes(4, "little")
+
+
 def encode_domain_input(seed: Seed, q: int, id_seg: int) -> bytes:
     """Encode ``seed || q || id_seg`` into the fixed 42-byte hash input.
 
     Injective by construction: all three fields have fixed width.
     """
-    if not 0 < q < 2 ** 32:
-        raise ParamsError("q must be a positive 32-bit value")
+    prefix = _domain_prefix(seed, q)
     if not 0 <= id_seg < 2 ** 16:
         raise ParamsError("id_seg must fit in 16 bits")
-    return seed.data + q.to_bytes(4, "little") + id_seg.to_bytes(2, "little")
+    return prefix + id_seg.to_bytes(2, "little")
 
 
-def _expand_shake128(inputs: Sequence[bytes], out_len: int) -> bytearray:
+def encode_domain_inputs(seed: Seed, q: int, count: int) -> np.ndarray:
+    """The inputs of segments 0..count-1 as one (count, 42) ``uint8`` matrix.
+
+    Row i equals ``encode_domain_input(seed, q, i)``.
+    """
+    prefix = _domain_prefix(seed, q)
+    if not 0 <= count <= 2 ** 16:
+        raise ParamsError("count must be in 0..65536 (16-bit segment ids)")
+    rows = np.empty((count, INPUT_BYTES), dtype=np.uint8)
+    rows[:, :len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+    rows[:, len(prefix):] = np.arange(count, dtype="<u2").view(np.uint8).reshape(count, 2)
+    return rows
+
+
+def _expand_shake128(inputs: np.ndarray, out_len: int) -> bytearray:
+    count, width = inputs.shape
+    data = inputs.tobytes()
+    starts = range(0, count * width, width) if width else [0] * count
     out = bytearray()
-    for data in inputs:
-        out += hashlib.shake_128(data).digest(out_len)
+    for lo in starts:
+        out += hashlib.shake_128(data[lo:lo + width]).digest(out_len)
     return out
 
 
-def _expand_kangarootwelve(inputs: Sequence[bytes], out_len: int) -> bytes:
+def _expand_kangarootwelve(inputs: np.ndarray, out_len: int) -> bytes:
     return keccak.kangaroo_twelve(inputs, b"", out_len)
 
 
@@ -114,13 +144,15 @@ BACKENDS = {
 }
 
 
-def xof_expand_many(inputs: Sequence[bytes], r_bits: int = XOF_BLOCK_BITS,
+def xof_expand_many(inputs: np.ndarray, r_bits: int = XOF_BLOCK_BITS,
                     backend: str = "shake128") -> bytes | bytearray:
-    """Produce one r-bit block of XOF output per input, concatenated in order.
+    """Produce one r-bit block of XOF output per matrix row, concatenated in order.
 
-    One block per input, never a second, mirroring hardware that latches a
-    single sponge output per (q, id_seg) instance; the instances share no
-    state, so a backend may compute them in any order or all at once.
+    ``inputs`` is a 2-D ``uint8`` matrix with one input of at most 64 bytes
+    per row, such as ``encode_domain_inputs`` returns.  One block per input,
+    never a second, mirroring hardware that latches a single sponge output per
+    (q, id_seg) instance; the instances share no state, so a backend may
+    compute them in any order or all at once.
     """
     try:
         expand = BACKENDS[backend]
@@ -131,23 +163,25 @@ def xof_expand_many(inputs: Sequence[bytes], r_bits: int = XOF_BLOCK_BITS,
     if r_bits > XOF_BLOCK_BITS:
         raise ConfigError(f"block size {r_bits} exceeds the single-squeeze "
                           f"limit of {XOF_BLOCK_BITS} bits")
-    for data in inputs:
-        if len(data) > MAX_INPUT_BYTES:
-            raise ConfigError(f"XOF input longer than {MAX_INPUT_BYTES} bytes")
+    if not (isinstance(inputs, np.ndarray) and inputs.ndim == 2 and inputs.dtype == np.uint8):
+        raise ConfigError("XOF batch inputs must be a 2-D uint8 matrix, one input per row")
+    if inputs.shape[1] > MAX_INPUT_BYTES:
+        raise ConfigError(f"XOF input longer than {MAX_INPUT_BYTES} bytes")
     return expand(inputs, r_bits // 8)
 
 
 def xof_expand(data: bytes, r_bits: int = XOF_BLOCK_BITS, backend: str = "shake128") -> bytes:
     """Produce one r-bit block of XOF output for ``data``: a batch of one.
 
-    A valid SHAKE128 call goes straight to ``hashlib``: building a one-input
-    batch costs more than half a hash.  Anything else takes the batch path,
-    which also reports an invalid call.
+    A valid SHAKE128 call goes straight to ``hashlib``: building a one-row
+    matrix costs more than a hash.  Anything else takes the batch path as a
+    one-row matrix, which also reports an invalid call.
     """
     if (backend == "shake128" and 0 < r_bits <= XOF_BLOCK_BITS and r_bits % 8 == 0
             and len(data) <= MAX_INPUT_BYTES):
         return hashlib.shake_128(data).digest(r_bits // 8)
-    return bytes(xof_expand_many([data], r_bits, backend))
+    row = np.frombuffer(data, dtype=np.uint8).reshape(1, -1)
+    return bytes(xof_expand_many(row, r_bits, backend))
 
 
 def split_words(block: bytes, w: int) -> np.ndarray:

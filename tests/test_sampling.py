@@ -12,7 +12,7 @@ from mrpgen import (GenerationFailure, GenParams, ParamsError, Permutation,
                     generate_segment, is_ntt_friendly, permute, reduce_coeffs,
                     sample_rejection_prob, seed_source_from_rng,
                     verify_distributed_equivalence)
-from mrpgen import keccak
+from mrpgen import keccak, sampling, xof
 from mrpgen.xof import encode_domain_input
 
 from conftest import ntt_primes
@@ -224,6 +224,22 @@ class TestGenerateLimb:
         coeffs = generate_limb(golden["seed"], q, params).coeffs
         assert coeffs[:len(golden["head"])].tolist() == golden["head"]
         assert hashlib.sha256(coeffs.astype("<u4").tobytes()).hexdigest() == golden["sha256"]
+
+    def test_encodes_no_per_segment_inputs(self, monkeypatch, golden_mrp, golden_k12_limb):
+        def refuse(*args):
+            raise AssertionError("generate_limb encoded one segment input")
+
+        monkeypatch.setattr(xof, "encode_domain_input", refuse)
+        monkeypatch.setattr(sampling, "encode_domain_input", refuse)
+        k12 = golden_k12_limb
+        params = GenParams(N=k12["N"], w=32, seg_len=k12["len"], n_seg=k12["n_seg"],
+                           base=(k12["q"],), backend=k12["backend"])
+        coeffs = generate_limb(k12["seed"], k12["q"], params).coeffs
+        assert hashlib.sha256(coeffs.astype("<u4").tobytes()).hexdigest() == k12["sha256"]
+        params = GenParams(N=golden_mrp["N"], w=32, seg_len=golden_mrp["len"],
+                           n_seg=golden_mrp["n_seg"], base=golden_mrp["base"])
+        for q, expected in golden_mrp["limbs"].items():
+            assert generate_limb(golden_mrp["seed"], q, params).coeffs.tolist() == expected
 
     def test_failure_names_first_short_segment(self, zero_seed):
         q = ntt_primes(64, 1, q_min=2 ** 31, q_max=2 ** 32)[0]

@@ -3,12 +3,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_keccak
 from mrpgen import (ConfigError, ParamsError, Seed, derive_polynomial_seed,
-                    encode_domain_input, split_words, xof_expand, xof_expand_many)
+                    encode_domain_input, encode_domain_inputs, split_words, xof_expand,
+                    xof_expand_many)
 from mrpgen import keccak
 from mrpgen.xof import INPUT_BYTES, MAX_INPUT_BYTES, XOF_BLOCK_BYTES
 
@@ -65,6 +66,24 @@ class TestEncodeDomainInput:
             encode_domain_input(zero_seed, 3, 1 << 16)
 
 
+class TestEncodeDomainInputs:
+    @settings(deadline=None, max_examples=25)
+    @given(st.binary(min_size=36, max_size=36), st.integers(1, 2 ** 32 - 1),
+           st.integers(0, 2 ** 16))
+    @example(bytes(36), 2 ** 32 - 1, 2 ** 16)
+    def test_row_i_is_the_encoding_of_segment_i(self, seed_bytes, q, count):
+        seed = Seed(seed_bytes)
+        rows = encode_domain_inputs(seed, q, count)
+        assert rows.shape == (count, INPUT_BYTES) and rows.dtype == np.uint8
+        assert rows.tobytes() == b"".join(encode_domain_input(seed, q, i)
+                                          for i in range(count))
+
+    @pytest.mark.parametrize("q, count", [(0, 1), (1 << 32, 1), (3, (1 << 16) + 1), (3, -1)])
+    def test_rejects_out_of_range(self, zero_seed, q, count):
+        with pytest.raises(ParamsError):
+            encode_domain_inputs(zero_seed, q, count)
+
+
 class TestXofExpand:
     def test_matches_golden_vectors(self, golden_xof_vectors):
         for data, expected in golden_xof_vectors:
@@ -114,26 +133,43 @@ class TestXofExpandMany:
     @pytest.mark.parametrize("backend", ["shake128", "kangarootwelve"])
     @pytest.mark.parametrize("r_bits", [1344, 256, 8])
     def test_is_the_concatenation_of_single_blocks(self, backend, r_bits):
-        inputs = [encode_domain_input(Seed(bytes(range(36))), 7681, i) for i in range(5)]
+        inputs = encode_domain_inputs(Seed(bytes(range(36))), 7681, 5)
         assert xof_expand_many(inputs, r_bits, backend) == b"".join(
-            xof_expand(data, r_bits, backend) for data in inputs)
+            xof_expand(bytes(row), r_bits, backend) for row in inputs)
 
     @pytest.mark.parametrize("backend", ["shake128", "kangarootwelve"])
     def test_empty_batch(self, backend):
-        assert xof_expand_many([], backend=backend) == b""
+        assert xof_expand_many(np.empty((0, INPUT_BYTES), np.uint8), backend=backend) == b""
+
+    @pytest.mark.parametrize("backend", ["shake128", "kangarootwelve"])
+    def test_empty_inputs(self, backend):
+        assert xof_expand_many(np.empty((3, 0), np.uint8), backend=backend) == (
+            xof_expand(b"", backend=backend) * 3)
 
     def test_rejects_one_long_input_in_a_batch(self):
-        with pytest.raises(ConfigError):
-            xof_expand_many([bytes(42), bytes(MAX_INPUT_BYTES + 1), bytes(42)])
+        with pytest.raises(ConfigError, match="longer than"):
+            xof_expand_many(np.zeros((3, MAX_INPUT_BYTES + 1), np.uint8))
+
+    @pytest.mark.parametrize("inputs", [
+        np.zeros(INPUT_BYTES, np.uint8),
+        np.zeros((3, INPUT_BYTES // 2), np.uint16),
+        np.zeros((1, 2, INPUT_BYTES), np.uint8),
+        [bytes(INPUT_BYTES)] * 3,
+    ], ids=["1-D", "uint16", "3-D", "list"])
+    @pytest.mark.parametrize("backend", ["shake128", "kangarootwelve"])
+    def test_rejects_anything_but_a_uint8_matrix(self, inputs, backend):
+        with pytest.raises(ConfigError, match="2-D uint8 matrix"):
+            xof_expand_many(inputs, backend=backend)
 
     def test_rejects_bad_block_size_and_backend(self):
         with pytest.raises(ConfigError):
-            xof_expand_many([bytes(42)], r_bits=2688)
+            xof_expand_many(np.zeros((1, 42), np.uint8), r_bits=2688)
         with pytest.raises(ConfigError):
-            xof_expand_many([bytes(42)], backend="blake2")
+            xof_expand_many(np.zeros((1, 42), np.uint8), backend="blake2")
 
     def test_kangarootwelve_batch_needs_equal_lengths(self):
-        with pytest.raises(ConfigError, match="equal-length"):
+        # only a matrix is a batch, so a ragged batch cannot be written
+        with pytest.raises(ConfigError, match="2-D uint8 matrix"):
             xof_expand_many([bytes(42), bytes(41)], backend="kangarootwelve")
 
     def test_kangarootwelve_agrees_with_independent_reference(self):
@@ -203,16 +239,31 @@ class TestKangarooTwelveBackend:
             keccak.turbo_shake128(b"", 0x80, 32)
 
     def test_batch_is_the_concatenation_of_single_messages(self):
-        messages = [bytes([i]) * 50 for i in range(6)]
+        messages = np.repeat(np.arange(6, dtype=np.uint8)[:, None], 50, axis=1)
         assert keccak.kangaroo_twelve(messages, b"c", 200) == b"".join(
-            keccak.kangaroo_twelve(m, b"c", 200) for m in messages)
-        assert keccak.kangaroo_twelve([b"m"], b"", 32) == keccak.kangaroo_twelve(b"m", b"", 32)
+            keccak.kangaroo_twelve(bytes(m), b"c", 200) for m in messages)
+        one_row = np.frombuffer(b"m", np.uint8).reshape(1, 1)
+        assert keccak.kangaroo_twelve(one_row, b"", 32) == keccak.kangaroo_twelve(b"m", b"", 32)
 
     def test_multi_block_batch_matches_hashlib(self):
         # 400-byte messages absorb three blocks; 400 output bytes squeeze three
-        messages = [bytes([i]) * 400 for i in range(3)]
+        messages = np.repeat(np.arange(3, dtype=np.uint8)[:, None], 400, axis=1)
         assert keccak.sponge(messages, 0x1F, 400, rounds=24) == b"".join(
-            hashlib.shake_128(m).digest(400) for m in messages)
+            hashlib.shake_128(bytes(m)).digest(400) for m in messages)
+
+    def test_customization_columns_cross_a_block_boundary(self):
+        # 160 message bytes + 12 customization bytes + 1 length byte: two absorbs
+        messages = np.repeat(np.arange(2, dtype=np.uint8)[:, None], 160, axis=1)
+        custom = b"customization"[:12]
+        assert keccak.kangaroo_twelve(messages, custom, 64) == b"".join(
+            reference_keccak.kangaroo_twelve(bytes(m), custom, 64) for m in messages)
+
+    @pytest.mark.parametrize("batch", [[b"m"], np.zeros(4, np.uint8),
+                                       np.zeros((2, 2), np.int8)],
+                             ids=["list", "1-D", "int8"])
+    def test_rejects_a_batch_that_is_not_a_uint8_matrix(self, batch):
+        with pytest.raises(ConfigError, match="2-D uint8 matrix"):
+            keccak.kangaroo_twelve(batch, b"", 32)
 
 
 def _reference_permute(lanes, rounds):
