@@ -8,30 +8,58 @@ limb-by-limb at random access.  Around the generator sit the supporting
 tools for choosing parameters: an NTT-friendly prime catalog graded by
 signed-digit weight and rejection probability, an exact failure-probability
 model, and a first-order wiring/power cost model.
+
+The package loads lazily (PEP 562).  ``import mrpgen`` imports no
+submodule; the first access to an exported name imports the submodule that
+defines it, and ``mrpgen.<submodule>`` imports that submodule.  So the
+parameter-design side (``primes``, ``analytics``, ``costmodel``) never
+loads numpy, which only the generator (``xof``, ``keccak``, ``sampling``,
+``formats``) needs.
 """
 
-from .analytics import (EmpiricalReport, FitResult, UniformityReport,
-                        chi_square_uniformity, empirical_failure_rate,
-                        fit_limb_count, limb_failure, mrp_failure_bound,
-                        mrp_failure_exact_base, p_seg, rejection_prob_extra_bits,
-                        seed_space_bits, seg_failure_prob, solve_p_r_max)
-from .costmodel import (CostParams, CostReport, build_cost_report,
-                        central_wiring_power, distributed_wiring_power,
-                        per_axis_bandwidth_density, required_throughput)
-from .errors import (ConfigError, DomainFailure, FormatError, GenerationFailure,
-                     MrpgenError, ParamsError, RetryExhausted)
-from .formats import (load_params, read_mrp, save_params, verify_mrp_file,
-                      write_mrp)
-from .primes import (CatalogFilter, ModuliCatalog, PrimeRecord,
-                     enumerate_supported, histogram, hw_naf, is_ntt_friendly,
-                     is_prime, naf, sample_rejection_prob, size_bucket)
-from .sampling import (EquivalenceReport, GenParams, Limb,
-                       MultiResiduePolynomial, Permutation, RetryResult,
-                       Segment, client_generate_with_retry, compute_threshold,
-                       gen_seg, generate_limb, generate_mrp, generate_segment,
-                       permute, reduce_coeffs, seed_source_from_rng,
-                       verify_distributed_equivalence)
-from .xof import (Seed, derive_polynomial_seed, encode_domain_input,
-                  encode_domain_inputs, split_words, xof_expand, xof_expand_many)
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "analytics": ("EmpiricalReport", "FitResult", "UniformityReport",
+                  "chi_square_uniformity", "empirical_failure_rate", "fit_limb_count",
+                  "limb_failure", "mrp_failure_bound", "mrp_failure_exact_base", "p_seg",
+                  "rejection_prob_extra_bits", "seed_space_bits", "seg_failure_prob",
+                  "solve_p_r_max"),
+    "costmodel": ("CostParams", "CostReport", "build_cost_report", "central_wiring_power",
+                  "distributed_wiring_power", "per_axis_bandwidth_density",
+                  "required_throughput"),
+    "errors": ("ConfigError", "DomainFailure", "FormatError", "GenerationFailure",
+               "MrpgenError", "ParamsError", "RetryExhausted", "UnknownName"),
+    "formats": ("load_params", "read_mrp", "save_params", "verify_mrp_file", "write_mrp"),
+    "primes": ("CatalogFilter", "ModuliCatalog", "PrimeRecord", "enumerate_supported",
+               "histogram", "hw_naf", "is_ntt_friendly", "is_prime", "naf",
+               "sample_rejection_prob", "size_bucket"),
+    "sampling": ("EquivalenceReport", "GenParams", "Limb", "MultiResiduePolynomial",
+                 "Permutation", "RetryResult", "Segment", "client_generate_with_retry",
+                 "compute_threshold", "gen_seg", "generate_limb", "generate_mrp",
+                 "generate_segment", "permute", "reduce_coeffs", "seed_source_from_rng",
+                 "verify_distributed_equivalence"),
+    "xof": ("Seed", "derive_polynomial_seed", "encode_domain_input", "encode_domain_inputs",
+            "split_words", "xof_expand", "xof_expand_many"),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "keccak", "profiles"}
+
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name: str):
+    if name in _ORIGIN:
+        value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    from .errors import UnknownName
+    raise UnknownName(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _ORIGIN.keys() | _SUBMODULES)

@@ -12,7 +12,9 @@ rounded exact -count * seg_fail below 2^-60, so a failure probability is
 never 1 minus a near-one value and a subnormal tail keeps its precision.
 The MAX_* input bounds bound the tail's work.  The chi-square p-value is
 the closed form of Abramowitz & Stegun 26.4.4-26.4.5, summed outward from
-its largest term.
+its largest term.  Only ``empirical_failure_rate`` and ``chi_square_uniformity``
+touch the generator and numpy, and they import them when called, so the
+model itself loads without numpy.
 """
 
 from __future__ import annotations
@@ -20,15 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import ConfigError, GenerationFailure, ParamsError
 from .primes import sample_rejection_prob
 from .profiles import DEFAULT_R_BITS
-from .sampling import GenParams, Limb, generate_mrp, reduce_coeffs
-from .xof import Seed
+
+if TYPE_CHECKING:
+    from .sampling import GenParams, Limb
+    from .xof import Seed
 
 MAX_T = DEFAULT_R_BITS // 8  # 168 words: r <= 1344 bits and w >= 8
 MAX_N_SEG = 1 << 16  # 16-bit segment ids, as GenParams enforces
@@ -231,6 +233,8 @@ class EmpiricalReport:
 def empirical_failure_rate(params: GenParams, trials: int,
                            seed_source: Callable[[], Seed]) -> EmpiricalReport:
     """Run whole-polynomial generation on fresh seeds and count failures."""
+    from .sampling import generate_mrp
+
     if trials < 1:
         raise ParamsError("trials must be at least 1")
     p_r_list = [sample_rejection_prob(q, params.w) for q in params.base]
@@ -262,6 +266,10 @@ def chi_square_uniformity(limb: Limb, bins: int = 64) -> UniformityReport:
     proportional to each bin's exact integer width, so moduli that do not
     divide evenly into bins are handled without bias.
     """
+    import numpy as np
+
+    from .sampling import reduce_coeffs
+
     if bins < 2:
         raise ConfigError("need at least 2 bins")
     n = len(limb.coeffs)

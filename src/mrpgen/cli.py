@@ -11,6 +11,10 @@ Exit codes: 0 success; 1 an expected domain failure, raised as a
 any other ``MrpgenError`` or an ``OSError`` from a path (``code=io-error``);
 3 any other exception (``code=internal-error``), a bug.  ``main`` prints each
 error it catches as one ``error code=<code> <message>`` line on stderr.
+
+Only the generator handlers (gen-mrp, gen-limb, gen-seg, retry-gen, verify,
+stats) import ``formats``, ``sampling``, ``xof`` and numpy, when they run;
+table1, fit-table1, enum-primes, analyze and cost never load numpy.
 """
 
 from __future__ import annotations
@@ -23,25 +27,28 @@ import sys
 from collections import Counter
 from datetime import datetime, timezone
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, analytics, costmodel, formats, primes, profiles, sampling
+from . import __version__, analytics, costmodel, primes, profiles
 from .errors import DomainFailure, GenerationFailure, MrpgenError, ParamsError
-from .xof import Seed, derive_polynomial_seed
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .xof import Seed
 
 
 # ---------------------------------------------------------------- rendering
 
+def _plain(value):
+    """Numpy scalars and arrays as Python values: both have ``.tolist()``."""
+    return value.tolist() if hasattr(value, "tolist") else value
+
+
 def _jsonable(value):
+    value = _plain(value)
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -58,7 +65,7 @@ def _text_lines(value, key=""):
             lines.extend(_text_lines(v, f"{key}.{k}" if key else str(k)))
         return lines
     if isinstance(value, (list, tuple)):
-        if all(isinstance(v, (int, float, str, bool, np.integer)) for v in value):
+        if all(isinstance(_plain(v), (int, float, str, bool)) for v in value):
             return [f"{key} = {' '.join(str(_jsonable(v)) for v in value)}"]
         lines = []
         for i, v in enumerate(value):
@@ -97,6 +104,8 @@ def _emit(args, command: str, payload: dict, body_lines=None) -> None:
 # ---------------------------------------------------------------- helpers
 
 def _seed_from_args(args) -> Seed:
+    from .xof import Seed, derive_polynomial_seed
+
     if getattr(args, "seed", None):
         return Seed.from_hex(args.seed)
     if getattr(args, "common", None) is not None:
@@ -111,6 +120,8 @@ def _seed_from_args(args) -> Seed:
 
 
 def _sha256_words(coeffs: np.ndarray) -> str:
+    import numpy as np
+
     return hashlib.sha256(np.ascontiguousarray(coeffs, dtype="<u4")).hexdigest()
 
 
@@ -128,6 +139,8 @@ def _parse_fraction(text: str) -> Fraction:
 # ---------------------------------------------------------------- handlers
 
 def cmd_gen_mrp(args) -> int:
+    from . import formats, sampling
+
     params = formats.load_params(args.params)
     seed = _seed_from_args(args)
     mrp = sampling.generate_mrp(seed, params)
@@ -145,6 +158,10 @@ def cmd_gen_mrp(args) -> int:
 
 
 def cmd_gen_limb(args) -> int:
+    import numpy as np
+
+    from . import formats, sampling
+
     params = formats.load_params(args.params)
     seed = _seed_from_args(args)
     limb = sampling.generate_limb(seed, args.q, params)
@@ -162,6 +179,8 @@ def cmd_gen_limb(args) -> int:
 
 
 def cmd_gen_seg(args) -> int:
+    from . import formats, sampling
+
     params = formats.load_params(args.params)
     seed = _seed_from_args(args)
     seg = sampling.generate_segment(seed, args.q, args.id, params)
@@ -178,6 +197,8 @@ def cmd_gen_seg(args) -> int:
 
 
 def cmd_retry_gen(args) -> int:
+    from . import formats, sampling
+
     params = formats.load_params(args.params)
     source = sampling.seed_source_from_rng(random.Random(args.rng_seed))
     result = sampling.client_generate_with_retry(source, params, args.max_attempts)
@@ -195,6 +216,8 @@ def cmd_retry_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import formats
+
     seed = _seed_from_args(args)
     report = formats.verify_mrp_file(args.mrp, seed)
     payload = {"mrp": str(args.mrp), "seed": seed.hex(),
@@ -327,6 +350,8 @@ def cmd_fit_table1(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from . import formats
+
     mrp, params = formats.read_mrp(args.mrp)
     reports = [analytics.chi_square_uniformity(limb, args.bins)
                for limb in mrp.limbs.values()]

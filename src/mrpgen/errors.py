@@ -22,6 +22,14 @@ class ConfigError(MrpgenError):
     code = "config-error"
 
 
+class UnknownName(ConfigError, AttributeError):
+    """``mrpgen`` has no export or submodule of that name.
+
+    Also an ``AttributeError``, so ``hasattr`` and ``from mrpgen import x``
+    keep Python's protocol (the latter raises ``ImportError``).
+    """
+
+
 class ParamsError(MrpgenError):
     """An argument or generation-profile value is out of its domain."""
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import FormatError, ParamsError
 from .profiles import DEFAULT_R_BITS
-from .sampling import GenParams, MultiResiduePolynomial, Permutation, generate_mrp
+from .sampling import GenParams, MultiResiduePolynomial, Permutation, generate_limb
 from .xof import Seed
 
 MAGIC = b"MRPB"
@@ -123,14 +123,19 @@ class VerifyReport:
 
 
 def verify_mrp_file(path, seed: Seed) -> VerifyReport:
-    """Recompute a stored polynomial from its seed and compare bit-exactly."""
+    """Recompute a stored polynomial from its seed and compare bit-exactly.
+
+    One limb at a time, so no second (L, N) array is built.  Every limb is
+    generated even after a mismatch, so a short segment still raises
+    GenerationFailure in base order, as generate_mrp would.
+    """
     stored, params = read_mrp(path)
-    differs = stored.coeffs != generate_mrp(seed, params).coeffs
-    if not differs.any():
-        return VerifyReport(ok=True)
-    row, first = np.unravel_index(np.argmax(differs), differs.shape)
-    return VerifyReport(ok=False,
-                        detail=f"limb q={params.base[row]} differs first at index {first}")
+    detail = ""
+    for q, row in zip(params.base, stored.coeffs):
+        differs = row != generate_limb(seed, q, params).coeffs
+        if not detail and differs.any():
+            detail = f"limb q={q} differs first at index {np.argmax(differs)}"
+    return VerifyReport(ok=not detail, detail=detail)
 
 
 _PARAM_KEYS = ("N", "w", "r", "len", "n_seg", "base", "permutation", "backend")

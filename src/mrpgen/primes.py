@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import ConfigError, ParamsError
 
@@ -34,10 +35,16 @@ _MR_RANGES = (
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Most candidates one enumeration may scan.  On a 2-vCPU machine a candidate over
-# the weight cap costs about 0.3 µs and a Miller-Rabin test 4-12 µs (32- to 48-bit
-# q), so a full scan takes 0.3-13 s; the reference catalog scans 32768 in 27 ms.
+# Most candidates one enumeration may scan: a weight screen costs about 0.3 µs, so
+# a full scan takes about 0.3 s on a 2-vCPU machine.  The reference catalog scans
+# 32768.
 MAX_CANDIDATES = 1 << 20
+
+# Most Miller-Rabin work one enumeration may do, in tested candidates times w^2.
+# A test costs about 2.5 ns * w^2 on a 2-vCPU machine (0.9 µs at w = 20, 10 µs at
+# w = 64), so the tests of a refused-at-the-margin filter take about 0.7 s at any
+# word size.  The reference catalog tests 6348 candidates at w = 32 (2.5% of it).
+MAX_TEST_WORK = 1 << 28
 
 
 def is_prime(n: int) -> bool:
@@ -206,7 +213,8 @@ def enumerate_supported(filt: CatalogFilter) -> ModuliCatalog:
     NAF weight cap, then deterministic Miller-Rabin, then the exact rejection
     probability cap, so the primality test and the Fraction are paid only by
     the candidates under the weight cap.  The catalog is reproducible
-    bit-for-bit.  A filter with more than MAX_CANDIDATES candidates is
+    bit-for-bit.  A filter with more than MAX_CANDIDATES candidates, or with
+    more under the weight cap than MAX_TEST_WORK allows at its word size, is
     refused before any is tested.
     """
     step = 2 * filt.n_ring
@@ -219,13 +227,19 @@ def enumerate_supported(filt: CatalogFilter) -> ModuliCatalog:
         raise ParamsError(f"the filter has {candidates} candidates below 2^{filt.w}, more "
                           f"than the {MAX_CANDIDATES} one enumeration scans; raise the "
                           "lower bound on q (--qmin-bits)")
+    most_tested = MAX_TEST_WORK // filt.w ** 2
+    light = list(islice((q for q in range(q, limit, step) if hw_naf(q) <= filt.hw_naf_max),
+                        most_tested + 1))
+    if len(light) > most_tested:
+        raise ParamsError(f"the filter has more than {most_tested} candidates under the "
+                          f"weight cap below 2^{filt.w}, the most one enumeration tests at "
+                          "that word size; lower --hwnaf-max or raise --qmin-bits")
     records = []
-    for q in range(q, limit, step):
-        weight = hw_naf(q)
-        if weight <= filt.hw_naf_max and is_prime(q):
+    for q in light:
+        if is_prime(q):
             p_r = sample_rejection_prob(q, filt.w)
             if p_r <= filt.p_r_max:
-                records.append(PrimeRecord(q, size_bucket(q), weight, p_r))
+                records.append(PrimeRecord(q, size_bucket(q), hw_naf(q), p_r))
     return ModuliCatalog(filt, tuple(records))
 
 

@@ -49,6 +49,8 @@ class Permutation:
         n = arr.shape[0]
         if not np.array_equal(np.sort(arr), np.arange(n)):
             raise ParamsError("permutation mapping is not a bijection on 0..N-1")
+        if kind == "identity" and not np.array_equal(arr, np.arange(n)):
+            raise ParamsError("an identity layout must map every i to i")
         arr.setflags(write=False)
         self.mapping = arr
         self.kind = kind
@@ -77,9 +79,14 @@ class Permutation:
 
 
 def permute(coeffs: np.ndarray, p: Permutation) -> np.ndarray:
-    """Rearrange coefficients: out[i] = coeffs[p.mapping[i]]."""
+    """Rearrange coefficients: out[i] = coeffs[p.mapping[i]].
+
+    The identity layout returns the coefficients as they are, without a copy.
+    """
     if len(coeffs) != len(p):
         raise ParamsError(f"permutation length {len(p)} != coefficient count {len(coeffs)}")
+    if p.kind == "identity":
+        return np.asarray(coeffs)
     return np.asarray(coeffs)[p.mapping]
 
 

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mrp_header, ntt_primes
-from mrpgen import (FormatError, GenParams, MrpgenError, ParamsError, Permutation,
-                    Seed, generate_mrp, load_params, read_mrp, save_params,
-                    verify_mrp_file, write_mrp)
+from mrpgen import (FormatError, GenerationFailure, GenParams, MrpgenError,
+                    MultiResiduePolynomial, ParamsError, Permutation, Seed, generate_mrp,
+                    load_params, read_mrp, save_params, verify_mrp_file, write_mrp)
 
 
 @pytest.fixture
@@ -61,6 +61,47 @@ class TestMrpContainer:
         path, _, _ = stored_mrp
         other = Seed(bytes([1]) + bytes(35))
         assert not verify_mrp_file(path, other).ok
+
+    def test_verify_names_the_first_mismatch_in_base_order(self, tmp_path, zero_seed):
+        params = GenParams(N=256, w=32, seg_len=32, n_seg=8, base=tuple(ntt_primes(256, 3)))
+        coeffs = generate_mrp(zero_seed, params).coeffs.copy()
+        coeffs[2, 5] ^= 1
+        coeffs[1, 200] ^= 1
+        coeffs[1, 9] ^= 1
+        path = tmp_path / "bad.mrp"
+        write_mrp(path, MultiResiduePolynomial(params.base, coeffs), params)
+        report = verify_mrp_file(path, zero_seed)
+        assert not report.ok
+        assert report.detail == f"limb q={params.base[1]} differs first at index 9"
+
+    def test_verify_generates_every_limb_after_a_mismatch(self, tmp_path, zero_seed):
+        # limb 0 differs (all zeros, p_r below 1/16); limb 1 has p_r near 1/2, so
+        # 64 acceptances among 84 words never happen and its segment is short
+        good = ntt_primes(64, 1, q_min=61440, q_max=1 << 16)[0]
+        short = ntt_primes(64, 1, q_min=1 << 15, q_max=1 << 16)[0]
+        params = GenParams(N=64, w=16, seg_len=64, n_seg=1, base=(good, short))
+        path = tmp_path / "short.mrp"
+        write_mrp(path, MultiResiduePolynomial(params.base, np.zeros((2, 64), np.uint32)),
+                  params)
+        with pytest.raises(GenerationFailure) as err:
+            verify_mrp_file(path, zero_seed)
+        assert (err.value.q, err.value.id_seg) == (short, 0)
+
+    def test_verify_holds_one_limb_at_a_time(self, tmp_path, zero_seed):
+        # a ~1 MiB container: verify keeps the file's bytes and one limb, not
+        # a second (L, N) array and its mismatch mask
+        params = GenParams(N=1 << 12, w=32, seg_len=32, n_seg=1 << 7,
+                           base=tuple(ntt_primes(1 << 12, 64)))
+        path = tmp_path / "big.mrp"
+        write_mrp(path, generate_mrp(zero_seed, params), params)
+        tracemalloc.start()
+        try:
+            report = verify_mrp_file(path, zero_seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 1.25 * path.stat().st_size
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.mrp"

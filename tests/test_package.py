@@ -1,0 +1,104 @@
+"""The lazy package: the same exports as eager imports, and no numpy for design commands."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import mrpgen
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Every name the package exported when it imported its submodules eagerly.
+EXPORTS = {
+    "analytics": ("EmpiricalReport", "FitResult", "UniformityReport",
+                  "chi_square_uniformity", "empirical_failure_rate", "fit_limb_count",
+                  "limb_failure", "mrp_failure_bound", "mrp_failure_exact_base", "p_seg",
+                  "rejection_prob_extra_bits", "seed_space_bits", "seg_failure_prob",
+                  "solve_p_r_max"),
+    "costmodel": ("CostParams", "CostReport", "build_cost_report", "central_wiring_power",
+                  "distributed_wiring_power", "per_axis_bandwidth_density",
+                  "required_throughput"),
+    "errors": ("ConfigError", "DomainFailure", "FormatError", "GenerationFailure",
+               "MrpgenError", "ParamsError", "RetryExhausted"),
+    "formats": ("load_params", "read_mrp", "save_params", "verify_mrp_file", "write_mrp"),
+    "primes": ("CatalogFilter", "ModuliCatalog", "PrimeRecord", "enumerate_supported",
+               "histogram", "hw_naf", "is_ntt_friendly", "is_prime", "naf",
+               "sample_rejection_prob", "size_bucket"),
+    "sampling": ("EquivalenceReport", "GenParams", "Limb", "MultiResiduePolynomial",
+                 "Permutation", "RetryResult", "Segment", "client_generate_with_retry",
+                 "compute_threshold", "gen_seg", "generate_limb", "generate_mrp",
+                 "generate_segment", "permute", "reduce_coeffs", "seed_source_from_rng",
+                 "verify_distributed_equivalence"),
+    "xof": ("Seed", "derive_polynomial_seed", "encode_domain_input", "encode_domain_inputs",
+            "split_words", "xof_expand", "xof_expand_many"),
+}
+SUBMODULES = ("analytics", "cli", "costmodel", "errors", "formats", "keccak", "primes",
+              "profiles", "sampling", "xof")
+DESIGN_COMMANDS = (
+    ["table1"],
+    ["fit-table1", "--lmax", "64", "--no-len4-check"],
+    ["enum-primes", "--n", "8", "--w", "20"],
+    ["analyze", "--len", "32", "--nseg", "2048", "--L", "64", "--pr", "0.01"],
+    ["cost", "--R", "64", "--w", "32", "--f", "1", "--gamma", "1/8", "--d", "15",
+     "--E", "40"],
+)
+
+
+def _python(code: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
+@pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTS.items()
+                                         for n in names])
+def test_export_is_the_submodule_object(module, name):
+    assert getattr(mrpgen, name) is getattr(importlib.import_module(f"mrpgen.{module}"), name)
+    assert name in mrpgen.__all__
+    assert name in dir(mrpgen)
+
+
+def test_all_lists_only_resolvable_names():
+    assert mrpgen.__all__ == sorted(set(mrpgen.__all__))
+    for name in mrpgen.__all__:
+        assert hasattr(mrpgen, name), name
+
+
+def test_bare_import_reaches_every_submodule():
+    got = _python("import mrpgen\n"
+                  f"for name in {SUBMODULES!r}:\n"
+                  "    assert getattr(mrpgen, name).__name__ == 'mrpgen.' + name, name\n"
+                  "print('ok')")
+    assert got.strip() == "ok"
+
+
+def test_bare_import_loads_no_submodule():
+    got = _python("import sys, mrpgen; print(sorted(m for m in sys.modules "
+                  "if m.startswith('mrpgen') or m == 'numpy'))")
+    assert got.strip() == "['mrpgen']"
+
+
+def test_unknown_name_keeps_the_attribute_protocol():
+    assert not hasattr(mrpgen, "nope")
+    with pytest.raises(mrpgen.UnknownName) as err:
+        mrpgen.nope
+    assert isinstance(err.value, AttributeError)
+    assert isinstance(err.value, mrpgen.ConfigError)
+    with pytest.raises(ImportError):
+        from mrpgen import nope  # noqa: F401
+
+
+def test_design_commands_never_load_numpy():
+    got = _python("import contextlib, io, sys\n"
+                  "from mrpgen import cli\n"
+                  f"for argv in {DESIGN_COMMANDS!r}:\n"
+                  "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "        assert cli.main(['--canonical', *argv]) == 0, argv\n"
+                  "print('numpy' in sys.modules)")
+    assert got.strip() == "False"

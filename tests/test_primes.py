@@ -9,6 +9,8 @@ from mrpgen import (CatalogFilter, ConfigError, ParamsError, PrimeRecord,
                     enumerate_supported, histogram, hw_naf, is_ntt_friendly, is_prime,
                     naf, sample_rejection_prob, size_bucket)
 from mrpgen import primes
+from mrpgen.profiles import (DEFAULT_HW_NAF_MAX, DEFAULT_N, DEFAULT_Q_MIN_EXCLUSIVE,
+                             DEFAULT_W, REFERENCE_ROWS)
 
 
 def naf_value(digits):
@@ -211,6 +213,43 @@ class TestEnumerateSupported:
         with pytest.raises(ParamsError, match="--qmin-bits"):
             enumerate_supported(CatalogFilter(n_ring=8, w=48, hw_naf_max=7,
                                               p_r_max=Fraction(1, 2)))
+
+    def test_test_bound_counts_weight_capped_candidates_exactly(self, monkeypatch):
+        # of the candidates 17, 33, ..., 113 only those under the weight cap count
+        filt = CatalogFilter(n_ring=8, w=7, hw_naf_max=2, p_r_max=Fraction(1, 2))
+        light = [q for q in range(17, 1 << 7, 16) if hw_naf(q) <= 2]
+        assert len(light) < 7
+        monkeypatch.setattr(primes, "MAX_TEST_WORK", len(light) * 7 ** 2)
+        assert list(enumerate_supported(filt).moduli()) == [q for q in light if is_prime(q)]
+        monkeypatch.setattr(primes, "MAX_TEST_WORK", len(light) * 7 ** 2 - 1)
+        with pytest.raises(ParamsError, match=f"more than {len(light) - 1} candidates"):
+            enumerate_supported(filt)
+
+    def test_refuses_a_loose_weight_cap_before_testing(self, monkeypatch):
+        # 2^19 candidates, all under the cap: a few seconds of Miller-Rabin
+        def fail(_):
+            raise AssertionError("a candidate was tested")
+
+        monkeypatch.setattr(primes, "is_prime", fail)
+        with pytest.raises(ParamsError, match="--hwnaf-max"):
+            enumerate_supported(CatalogFilter(n_ring=1 << 27, w=48, hw_naf_max=64,
+                                              p_r_max=Fraction(1, 2),
+                                              q_min_exclusive=1 << 47))
+
+    def test_reference_catalog_tests_the_same_candidates(self, monkeypatch):
+        tested = []
+
+        def counting(q):
+            tested.append(q)
+            return is_prime(q)
+
+        monkeypatch.setattr(primes, "is_prime", counting)
+        catalog = enumerate_supported(CatalogFilter(
+            n_ring=DEFAULT_N, w=DEFAULT_W, hw_naf_max=DEFAULT_HW_NAF_MAX,
+            p_r_max=Fraction(1, 2), q_min_exclusive=DEFAULT_Q_MIN_EXCLUSIVE))
+        assert len(tested) == 6348
+        assert len(catalog) == REFERENCE_ROWS[-1][1]
+        assert len(tested) * DEFAULT_W ** 2 <= primes.MAX_TEST_WORK
 
     @pytest.mark.parametrize("w", [0, 65, 200])
     def test_rejects_word_size_outside_is_prime_range(self, w):

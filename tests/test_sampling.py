@@ -144,6 +144,21 @@ class TestPermutation:
         with pytest.raises(ParamsError):
             Permutation([0, 0, 2])
 
+    def test_identity_returns_the_coefficients_uncopied(self):
+        coeffs = np.arange(10, 20, dtype=np.uint32)
+        assert permute(coeffs, Permutation.identity(10)) is coeffs
+
+    def test_identity_kind_requires_the_identity_mapping(self):
+        with pytest.raises(ParamsError):
+            Permutation([1, 0, 2], kind="identity")
+
+    def test_identity_limb_is_the_concatenated_segments(self, zero_seed):
+        params = GenParams(N=256, w=32, seg_len=32, n_seg=8, base=(7681,))
+        segments = [generate_segment(zero_seed, 7681, i, params).values for i in range(8)]
+        limb = generate_limb(zero_seed, 7681, params)
+        assert limb.coeffs.flags.writeable
+        assert np.array_equal(limb.coeffs, np.concatenate(segments))
+
     def test_length_mismatch(self):
         with pytest.raises(ParamsError):
             permute(np.arange(5), Permutation.identity(4))
