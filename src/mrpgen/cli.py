@@ -4,7 +4,10 @@ Every subcommand prints a report envelope (command, version, input digest,
 result) on stdout and diagnostics on stderr.  With --canonical the report
 carries no timestamp and is byte-reproducible for identical inputs.  Every
 subcommand runs in the calling thread: the catalog scan is pure-Python
-primality testing, which worker threads cannot overlap.
+primality testing, which worker threads cannot overlap.  gen-mrp, retry-gen
+and verify split a large polynomial's limbs across forked worker processes,
+one per available CPU, that write into shared memory (see
+``sampling.generate_mrp``); their output does not depend on the split.
 
 Exit codes: 0 success; 1 an expected domain failure, raised as a
 ``DomainFailure`` after the report is printed; 2 a usage error (argparse),

@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import FormatError, ParamsError
 from .profiles import DEFAULT_R_BITS
-from .sampling import GenParams, MultiResiduePolynomial, Permutation, generate_limb
+from .sampling import (GenParams, MultiResiduePolynomial, Permutation, _each_limb,
+                       _shared_array)
 from .xof import Seed
 
 MAGIC = b"MRPB"
@@ -125,17 +126,31 @@ class VerifyReport:
 def verify_mrp_file(path, seed: Seed) -> VerifyReport:
     """Recompute a stored polynomial from its seed and compare bit-exactly.
 
-    One limb at a time, so no second (L, N) array is built.  Every limb is
-    generated even after a mismatch, so a short segment still raises
-    GenerationFailure in base order, as generate_mrp would.
+    Each regenerated limb is compared with its stored row as it comes, so no
+    second (L, N) array is built.  Large polynomials are regenerated by
+    forked workers under generate_mrp's rules (sampling._each_limb): each
+    compares its rows with the stored bytes it inherited, copy-on-write, and
+    writes the first mismatch index of every row into a small shared array,
+    from which this process names the first mismatch in base order.  Below
+    MIN_FORK_BLOCKS, without os.fork, or while another thread is alive, the
+    rows are compared here in base order.  Every limb is generated even
+    after a mismatch, so a short segment still raises GenerationFailure in
+    base order, as generate_mrp would.
     """
     stored, params = read_mrp(path)
-    detail = ""
-    for q, row in zip(params.base, stored.coeffs):
-        differs = row != generate_limb(seed, q, params).coeffs
-        if not detail and differs.any():
-            detail = f"limb q={q} differs first at index {np.argmax(differs)}"
-    return VerifyReport(ok=not detail, detail=detail)
+    first_diff = _shared_array((len(params.base),), np.int64)
+
+    def compare(row: int, limb: np.ndarray) -> None:
+        differs = stored.coeffs[row] != limb
+        first_diff[row] = np.argmax(differs) if differs.any() else -1
+
+    _each_limb(seed, params, compare)
+    mismatched = np.flatnonzero(first_diff >= 0)
+    if not len(mismatched):
+        return VerifyReport(ok=True)
+    row = mismatched[0]
+    return VerifyReport(ok=False, detail=f"limb q={params.base[row]} differs first at "
+                                         f"index {first_diff[row]}")
 
 
 _PARAM_KEYS = ("N", "w", "r", "len", "n_seg", "base", "permutation", "backend")

@@ -17,12 +17,21 @@ Because a segment is a pure function of (seed, q, id_seg) plus the profile,
 any schedule over any number of engines reproduces the serial client output
 bit for bit; the client validates a seed once (retrying on the rare
 shortfall) and the server can then regenerate any limb at random access
-without ever stalling.
+without ever stalling.  The library's own schedule is one such schedule:
+``generate_mrp`` and ``formats.verify_mrp_file`` deal the limbs of a large
+polynomial out to one worker per available CPU, this process and forked
+children that write their rows into shared memory, and the result is the
+serial loop's bit for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
+import mmap
+import os
 import random
+import signal
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
@@ -67,6 +76,8 @@ class Permutation:
         return len(self.mapping)
 
     def inverse(self) -> "Permutation":
+        if self.kind in ("identity", "reverse"):
+            return self
         inv = np.empty_like(self.mapping)
         inv[self.mapping] = np.arange(len(self.mapping))
         return Permutation(inv)
@@ -258,11 +269,123 @@ def generate_limb(seed: Seed, q: int, params: GenParams) -> Limb:
     return Limb(q=q, coeffs=permute(coeffs.astype(np.uint32, copy=False), params.layout))
 
 
+# A fork costs about 1 ms; 2^14 blocks are about 30 ms of hashing.
+MIN_FORK_BLOCKS = 1 << 14
+
+
+def _shared_array(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A zeroed array in an anonymous mapping, which is MAP_SHARED, so it
+    stays one array across os.fork."""
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, count * np.dtype(dtype).itemsize)
+    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
+
+
+def _worker_count(params: GenParams) -> int:
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading.active_count() > 1 or len(params.base) * params.n_seg < MIN_FORK_BLOCKS:
+        return 1
+    return min(len(os.sched_getaffinity(0)), len(params.base))
+
+
+def _run_share(seed: Seed, params: GenParams, visit, worker: int, workers: int,
+               failed: np.ndarray) -> None:
+    """Rows worker, worker + workers, ... up to the first short one, which
+    goes to failed[worker] as (row, id_seg)."""
+    for row in range(worker, len(params.base), workers):
+        try:
+            limb = generate_limb(seed, params.base[row], params)
+        except GenerationFailure as failure:
+            failed[worker] = row, failure.id_seg
+            return
+        visit(row, limb.coeffs)
+
+
+def _wait(pid: int) -> int | None:
+    """The child's exit code, negative for a signal; None if it is not ours to reap."""
+    try:
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    except ChildProcessError:
+        return None
+
+
+def _each_limb(seed: Seed, params: GenParams,
+               visit: Callable[[int, np.ndarray], None]) -> None:
+    """Call visit(row, coeffs) with generate_limb's output for every base row.
+
+    Worker w of k takes rows w, w + k, ... in base order.  The caller is
+    worker 0 and k - 1 children come from os.fork, so visit must leave its
+    results in a _shared_array.  k is min(available CPUs, L); it is 1, the
+    same loop with no fork, without os.fork or os.sched_getaffinity, while
+    another thread is alive, or below MIN_FORK_BLOCKS blocks.  A child never
+    returns into the caller: it leaves through os._exit, with 0 only if its
+    share ran.  The share of a child that could not be forked or did not
+    exit 0 is generated again here, so any error it met is raised in this
+    process.  Children are reaped before this returns, and killed first when
+    it unwinds.  Raises GenerationFailure for the lowest short row, as the
+    serial loop would.
+    """
+    rows = len(params.base)
+    workers = _worker_count(params)
+    failed = _shared_array((workers, 2), np.int64)
+    failed[:, 0] = rows
+    children: dict[int, int] = {}
+    untrusted = []
+    try:
+        for worker in range(1, workers):
+            try:
+                pid = os.fork()
+            except OSError:
+                untrusted.append(worker)
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    _run_share(seed, params, visit, worker, workers, failed)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[pid] = worker
+        _run_share(seed, params, visit, 0, workers, failed)
+        for pid, worker in list(children.items()):
+            if _wait(pid) != 0:
+                untrusted.append(worker)
+            del children[pid]
+        failed[untrusted, 0] = rows
+        for worker in untrusted:
+            _run_share(seed, params, visit, worker, workers, failed)
+    except BaseException:
+        for pid in children:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid in children:
+            _wait(pid)
+    row, id_seg = failed[np.argmin(failed[:, 0])]
+    if row < rows:
+        raise GenerationFailure(params.base[row], int(id_seg))
+
+
 def generate_mrp(seed: Seed, params: GenParams) -> MultiResiduePolynomial:
-    """Generate one limb per base modulus; fails if any segment is short."""
-    coeffs = np.empty((len(params.base), params.N), dtype=np.uint32)
-    for row, q in enumerate(params.base):
-        coeffs[row] = generate_limb(seed, q, params).coeffs
+    """Generate one limb per base modulus; fails if any segment is short.
+
+    The (L, N) array lives in an anonymous shared mapping.  A polynomial of
+    MIN_FORK_BLOCKS blocks or more is split across one worker per available
+    CPU, at most L: this process and forked children (see _each_limb), each
+    writing its rows straight into the array, so nothing is pickled or
+    copied back.  Without os.fork, while another thread is alive, or below
+    that size, the rows are generated here in base order.  The bits, and the
+    GenerationFailure for the first short row in base order, are the same
+    either way.
+    """
+    coeffs = _shared_array((len(params.base), params.N), np.uint32)
+
+    def store(row: int, limb: np.ndarray) -> None:
+        coeffs[row] = limb
+
+    _each_limb(seed, params, store)
     return MultiResiduePolynomial(base=params.base, coeffs=coeffs)
 
 

@@ -1,9 +1,10 @@
+import os
 import struct
 from pathlib import Path
 
 import pytest
 
-from mrpgen import GenParams, Seed, is_ntt_friendly
+from mrpgen import GenParams, Seed, is_ntt_friendly, sampling
 from mrpgen.formats import MAGIC, VERSION
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -12,6 +13,31 @@ FIXTURES = Path(__file__).parent / "fixtures"
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture
+def forked(monkeypatch) -> list[int]:
+    """Limbs go to forked workers at any size, as on a three-CPU host.
+
+    Returns the pids os.fork handed out; at teardown none may be left unreaped.
+    """
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    monkeypatch.setattr(sampling, "MIN_FORK_BLOCKS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    pids = []
+    real_fork = os.fork
+
+    def counted_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

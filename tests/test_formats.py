@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import mrp_header, ntt_primes
 from mrpgen import (FormatError, GenerationFailure, GenParams, MrpgenError,
                     MultiResiduePolynomial, ParamsError, Permutation, Seed, generate_mrp,
-                    load_params, read_mrp, save_params, verify_mrp_file, write_mrp)
+                    load_params, read_mrp, sampling, save_params, verify_mrp_file, write_mrp)
 
 
 @pytest.fixture
@@ -166,6 +166,57 @@ class TestMrpContainer:
         assert write_peak < 0.25 * size
         assert read_peak < 1.25 * size
         assert np.array_equal(loaded.coeffs, mrp.coeffs)
+
+
+class TestForkedVerify:
+    """Five limbs over three workers: rows 0 and 3 are compared here, 1 and 4
+    in the first child, 2 in the second."""
+
+    @staticmethod
+    def _stored(tmp_path, seed, coeffs=None):
+        params = GenParams(N=256, w=32, seg_len=32, n_seg=8, base=tuple(ntt_primes(256, 5)))
+        if coeffs is None:
+            coeffs = generate_mrp(seed, params).coeffs
+        path = tmp_path / "forked.mrp"
+        write_mrp(path, MultiResiduePolynomial(params.base, coeffs), params)
+        return path, params
+
+    def test_accepts_own_output(self, tmp_path, forked, zero_seed):
+        path, _ = self._stored(tmp_path, zero_seed)
+        del forked[:]
+        assert verify_mrp_file(path, zero_seed).ok
+        assert len(forked) == 2
+
+    def test_names_the_first_mismatch_in_base_order(self, tmp_path, monkeypatch, forked,
+                                                    zero_seed):
+        path, params = self._stored(tmp_path, zero_seed)
+        coeffs = read_mrp(path)[0].coeffs.copy()
+        coeffs[4, 3] ^= 1
+        coeffs[3, 0] ^= 1
+        coeffs[2, 200] ^= 1
+        coeffs[2, 100] ^= 1
+        path, _ = self._stored(tmp_path, zero_seed, coeffs)
+        del forked[:]
+        report = verify_mrp_file(path, zero_seed)
+        assert len(forked) == 2
+        assert not report.ok
+        assert report.detail == f"limb q={params.base[2]} differs first at index 100"
+        monkeypatch.setattr(sampling, "MIN_FORK_BLOCKS", 1 << 30)
+        assert verify_mrp_file(path, zero_seed) == report
+        assert len(forked) == 2
+
+    def test_a_short_row_outranks_a_mismatch(self, tmp_path, forked, zero_seed):
+        # every row mismatches (all zeros); rows 2 and 4 regenerate short
+        good = iter(ntt_primes(64, 3, q_min=61440, q_max=1 << 16))
+        short = iter(ntt_primes(64, 2, q_min=1 << 15, q_max=1 << 16))
+        base = tuple(next(short) if row in (2, 4) else next(good) for row in range(5))
+        params = GenParams(N=64, w=16, seg_len=64, n_seg=1, base=base)
+        path = tmp_path / "short.mrp"
+        write_mrp(path, MultiResiduePolynomial(base, np.zeros((5, 64), np.uint32)), params)
+        with pytest.raises(GenerationFailure) as err:
+            verify_mrp_file(path, zero_seed)
+        assert (err.value.q, err.value.id_seg) == (base[2], 0)
+        assert len(forked) == 2
 
 
 class TestParamsFile:

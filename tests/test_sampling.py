@@ -1,5 +1,10 @@
+import errno
 import hashlib
+import os
 import random
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +17,7 @@ from mrpgen import (GenerationFailure, GenParams, ParamsError, Permutation,
                     generate_segment, is_ntt_friendly, permute, reduce_coeffs,
                     sample_rejection_prob, seed_source_from_rng,
                     verify_distributed_equivalence)
-from mrpgen import keccak, sampling, xof
+from mrpgen import keccak, read_mrp, sampling, write_mrp, xof
 from mrpgen.xof import encode_domain_input
 
 from conftest import ntt_primes
@@ -151,6 +156,17 @@ class TestPermutation:
     def test_identity_kind_requires_the_identity_mapping(self):
         with pytest.raises(ParamsError):
             Permutation([1, 0, 2], kind="identity")
+
+    @pytest.mark.parametrize("make", [Permutation.identity, Permutation.reverse])
+    def test_inverse_keeps_an_involution_kind(self, tmp_path, zero_seed, make):
+        p = make(256)
+        assert p.inverse() is p
+        params = GenParams(N=256, w=32, seg_len=32, n_seg=8, base=(7681,), layout=p.inverse())
+        path = tmp_path / "layout.mrp"
+        write_mrp(path, generate_mrp(zero_seed, params), params)
+        # magic and seven fields, one modulus, the kind, one limb: no mapping words
+        assert path.stat().st_size == 4 * (8 + 1 + 1 + 256)
+        assert read_mrp(path)[1].layout.kind == p.kind
 
     def test_identity_limb_is_the_concatenated_segments(self, zero_seed):
         params = GenParams(N=256, w=32, seg_len=32, n_seg=8, base=(7681,))
@@ -436,3 +452,144 @@ class TestDistributedEquivalence:
     def test_rejects_zero_engines(self, desk_params, zero_seed):
         with pytest.raises(ParamsError):
             verify_distributed_equivalence(zero_seed, desk_params, 0)
+
+
+def _serial_rows(seed, params):
+    return np.stack([generate_limb(seed, q, params).coeffs for q in params.base])
+
+
+class TestForkedGeneration:
+    """Five limbs over three workers: rows 0 and 3 stay here, 1 and 4 go to
+    the first child, 2 to the second."""
+
+    @staticmethod
+    def _profile(layout=None):
+        return GenParams(N=256, w=32, seg_len=32, n_seg=8, base=tuple(ntt_primes(256, 5)),
+                         layout=layout)
+
+    def test_golden_fixtures(self, forked, golden_mrp, golden_k12_mrp):
+        for golden in (golden_mrp, golden_k12_mrp):
+            params = GenParams(N=golden["N"], w=32, seg_len=golden["len"],
+                               n_seg=golden["n_seg"], base=golden["base"],
+                               backend=golden["backend"])
+            mrp = generate_mrp(golden["seed"], params)
+            for q, expected in golden["limbs"].items():
+                assert mrp.limbs[q].coeffs.tolist() == expected
+        assert len(forked) == 2
+
+    @pytest.mark.parametrize("kind", ["identity", "explicit"])
+    def test_uneven_interleave_matches_serial(self, forked, zero_seed, kind):
+        layout = None if kind == "identity" else Permutation(
+            np.random.default_rng(4).permutation(256))
+        params = self._profile(layout)
+        mrp = generate_mrp(zero_seed, params)
+        assert len(forked) == 2
+        assert mrp.coeffs.dtype == np.uint32 and mrp.coeffs.flags.writeable
+        assert np.array_equal(mrp.coeffs, _serial_rows(zero_seed, params))
+
+    def test_forks_from_min_fork_blocks_on(self, monkeypatch, forked, zero_seed):
+        params = self._profile()
+        blocks = len(params.base) * params.n_seg
+        monkeypatch.setattr(sampling, "MIN_FORK_BLOCKS", blocks + 1)
+        generate_mrp(zero_seed, params)
+        assert forked == []
+        monkeypatch.setattr(sampling, "MIN_FORK_BLOCKS", blocks)
+        generate_mrp(zero_seed, params)
+        assert len(forked) == 2
+
+    @pytest.mark.parametrize("short_rows", [(2, 4), (3, 4), (1, 3), (0, 2)])
+    def test_lowest_short_row_is_raised(self, forked, zero_seed, short_rows):
+        # p_r below 1/16 (good) or near 1/2 (short): 64 acceptances among
+        # 84 words, as in the verify tests of test_formats.py
+        good = iter(ntt_primes(64, 3, q_min=61440, q_max=1 << 16))
+        short = iter(ntt_primes(64, 2, q_min=1 << 15, q_max=1 << 16))
+        base = tuple(next(short) if row in short_rows else next(good) for row in range(5))
+        params = GenParams(N=64, w=16, seg_len=64, n_seg=1, base=base)
+        with pytest.raises(GenerationFailure) as err:
+            generate_mrp(zero_seed, params)
+        assert (err.value.q, err.value.id_seg) == (base[short_rows[0]], 0)
+        assert forked
+
+    @pytest.mark.parametrize("fault", ["raise", "exit", "signal"])
+    def test_a_failed_child_share_is_generated_again(self, monkeypatch, forked, zero_seed,
+                                                      fault):
+        params = self._profile()
+        expected = _serial_rows(zero_seed, params)
+        parent, real = os.getpid(), sampling.generate_limb
+
+        def faulty(seed, q, p):
+            if os.getpid() != parent:
+                if fault == "raise":
+                    raise RuntimeError("worker fault")
+                if fault == "exit":
+                    os._exit(3)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(seed, q, p)
+
+        monkeypatch.setattr(sampling, "generate_limb", faulty)
+        assert np.array_equal(generate_mrp(zero_seed, params).coeffs, expected)
+        assert len(forked) == 2
+
+    def test_an_error_met_in_a_child_is_raised_here(self, monkeypatch, forked, zero_seed):
+        params = self._profile()
+        real = sampling.generate_limb
+
+        def broken(seed, q, p):
+            if q == params.base[4]:
+                raise ParamsError(f"no limb for q={q}")
+            return real(seed, q, p)
+
+        monkeypatch.setattr(sampling, "generate_limb", broken)
+        with pytest.raises(ParamsError, match=f"no limb for q={params.base[4]}"):
+            generate_mrp(zero_seed, params)
+        assert len(forked) == 2
+
+    def test_an_interrupt_kills_and_reaps_the_children(self, monkeypatch, forked, zero_seed):
+        parent = os.getpid()
+
+        def stalled(seed, q, p):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(sampling, "generate_limb", stalled)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            generate_mrp(zero_seed, self._profile())
+        assert time.monotonic() - start < 30
+        assert len(forked) == 2
+
+    def test_serial_while_another_thread_is_alive(self, forked, zero_seed):
+        params = self._profile()
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            coeffs = generate_mrp(zero_seed, params).coeffs
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forked == []
+        assert np.array_equal(coeffs, _serial_rows(zero_seed, params))
+
+    def test_serial_when_fork_fails(self, monkeypatch, forked, zero_seed):
+        attempts = []
+
+        def no_fork():
+            attempts.append(None)
+            raise OSError(errno.EAGAIN, "fork refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        params = self._profile()
+        assert np.array_equal(generate_mrp(zero_seed, params).coeffs,
+                              _serial_rows(zero_seed, params))
+        assert len(attempts) == 2
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_serial_without_the_os_calls(self, monkeypatch, forked, zero_seed, missing):
+        monkeypatch.delattr(os, missing)
+        params = self._profile()
+        assert np.array_equal(generate_mrp(zero_seed, params).coeffs,
+                              _serial_rows(zero_seed, params))
+        assert forked == []
