@@ -6,7 +6,7 @@ carries no timestamp and is byte-reproducible for identical inputs.  Every
 subcommand runs in the calling thread: the catalog scan is pure-Python
 primality testing, which worker threads cannot overlap.  gen-mrp, retry-gen
 and verify split a large polynomial's limbs across forked worker processes,
-one per available CPU, that write into shared memory (see
+one per available CPU and at most two, that write into shared memory (see
 ``sampling.generate_mrp``); their output does not depend on the split.
 
 Exit codes: 0 success; 1 an expected domain failure, raised as a

@@ -19,9 +19,9 @@ bit for bit; the client validates a seed once (retrying on the rare
 shortfall) and the server can then regenerate any limb at random access
 without ever stalling.  The library's own schedule is one such schedule:
 ``generate_mrp`` and ``formats.verify_mrp_file`` deal the limbs of a large
-polynomial out to one worker per available CPU, this process and forked
-children that write their rows into shared memory, and the result is the
-serial loop's bit for bit.
+polynomial out to one worker per available CPU, at most two: this process
+and forked children that write their rows into shared memory.  The result
+is the serial loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -269,8 +269,15 @@ def generate_limb(seed: Seed, q: int, params: GenParams) -> Limb:
     return Limb(q=q, coeffs=permute(coeffs.astype(np.uint32, copy=False), params.layout))
 
 
-# A fork costs about 1 ms; 2^14 blocks are about 30 ms of hashing.
-MIN_FORK_BLOCKS = 1 << 14
+# Two forked workers made CLI gen-mrp and verify faster in most interleaved
+# pairs from 3 * 2^14 blocks (L * n_seg) up, on two cores with N = 2^16; at
+# 2^14 and 2^15 blocks they won about half the pairs: the fork, the
+# copy-on-write faults at exit and the shared pages cost about what the
+# hashing they save is worth.
+MIN_FORK_BLOCKS = 3 << 14
+# Only two workers have been measured; more would pay more forks for cores
+# that a CPU quota, which sched_getaffinity does not see, may not grant.
+MAX_WORKERS = 2
 
 
 def _shared_array(shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -282,11 +289,12 @@ def _shared_array(shape: tuple[int, ...], dtype) -> np.ndarray:
 
 
 def _worker_count(params: GenParams) -> int:
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    if not all(hasattr(mod, name) for mod, name in
+               ((os, "fork"), (os, "sched_getaffinity"), (signal, "pthread_sigmask"))):
         return 1
     if threading.active_count() > 1 or len(params.base) * params.n_seg < MIN_FORK_BLOCKS:
         return 1
-    return min(len(os.sched_getaffinity(0)), len(params.base))
+    return min(len(os.sched_getaffinity(0)), len(params.base), MAX_WORKERS)
 
 
 def _run_share(seed: Seed, params: GenParams, visit, worker: int, workers: int,
@@ -316,9 +324,10 @@ def _each_limb(seed: Seed, params: GenParams,
 
     Worker w of k takes rows w, w + k, ... in base order.  The caller is
     worker 0 and k - 1 children come from os.fork, so visit must leave its
-    results in a _shared_array.  k is min(available CPUs, L); it is 1, the
-    same loop with no fork, without os.fork or os.sched_getaffinity, while
-    another thread is alive, or below MIN_FORK_BLOCKS blocks.  A child never
+    results in a _shared_array.  k is min(available CPUs, L, MAX_WORKERS);
+    it is 1, the same loop with no fork, without os.fork, os.sched_getaffinity
+    or signal.pthread_sigmask, while another thread is alive, or below
+    MIN_FORK_BLOCKS blocks.  A child never
     returns into the caller: it leaves through os._exit, with 0 only if its
     share ran.  The share of a child that could not be forked or did not
     exit 0 is generated again here, so any error it met is raised in this
@@ -334,19 +343,26 @@ def _each_limb(seed: Seed, params: GenParams,
     untrusted = []
     try:
         for worker in range(1, workers):
+            # SIGINT is held from before the fork until the child is inside
+            # its os._exit guard and the parent has recorded the child, so a
+            # Ctrl-C can neither unwind a child into the caller nor orphan it.
+            held = signal.pthread_sigmask(signal.SIG_BLOCK, ())
             try:
+                signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
                 pid = os.fork()
+                if pid == 0:
+                    code = 1
+                    try:
+                        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+                        _run_share(seed, params, visit, worker, workers, failed)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                children[pid] = worker
             except OSError:
                 untrusted.append(worker)
-                continue
-            if pid == 0:
-                code = 1
-                try:
-                    _run_share(seed, params, visit, worker, workers, failed)
-                    code = 0
-                finally:
-                    os._exit(code)
-            children[pid] = worker
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)
         _run_share(seed, params, visit, 0, workers, failed)
         for pid, worker in list(children.items()):
             if _wait(pid) != 0:
@@ -373,9 +389,9 @@ def generate_mrp(seed: Seed, params: GenParams) -> MultiResiduePolynomial:
 
     The (L, N) array lives in an anonymous shared mapping.  A polynomial of
     MIN_FORK_BLOCKS blocks or more is split across one worker per available
-    CPU, at most L: this process and forked children (see _each_limb), each
-    writing its rows straight into the array, so nothing is pickled or
-    copied back.  Without os.fork, while another thread is alive, or below
+    CPU, at most L and MAX_WORKERS: this process and forked children (see
+    _each_limb), each writing its rows straight into the array, so nothing
+    is pickled or copied back.  Without os.fork, while another thread is alive, or below
     that size, the rows are generated here in base order.  The bits, and the
     GenerationFailure for the first short row in base order, are the same
     either way.

@@ -17,13 +17,15 @@ def fixtures_dir() -> Path:
 
 @pytest.fixture
 def forked(monkeypatch) -> list[int]:
-    """Limbs go to forked workers at any size, as on a three-CPU host.
+    """Limbs go to forked workers at any size, three of them, as on a
+    three-CPU host with MAX_WORKERS raised to 3.
 
     Returns the pids os.fork handed out; at teardown none may be left unreaped.
     """
     if not hasattr(os, "fork"):
         pytest.skip("no os.fork on this platform")
     monkeypatch.setattr(sampling, "MIN_FORK_BLOCKS", 0)
+    monkeypatch.setattr(sampling, "MAX_WORKERS", 3)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     pids = []
     real_fork = os.fork

@@ -497,6 +497,14 @@ class TestForkedGeneration:
         generate_mrp(zero_seed, params)
         assert len(forked) == 2
 
+    def test_at_most_max_workers(self, monkeypatch, forked, zero_seed):
+        monkeypatch.setattr(sampling, "MAX_WORKERS", 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        params = self._profile()
+        assert np.array_equal(generate_mrp(zero_seed, params).coeffs,
+                              _serial_rows(zero_seed, params))
+        assert len(forked) == 1
+
     @pytest.mark.parametrize("short_rows", [(2, 4), (3, 4), (1, 3), (0, 2)])
     def test_lowest_short_row_is_raised(self, forked, zero_seed, short_rows):
         # p_r below 1/16 (good) or near 1/2 (short): 64 acceptances among
@@ -559,6 +567,50 @@ class TestForkedGeneration:
         assert time.monotonic() - start < 30
         assert len(forked) == 2
 
+    def test_an_interrupt_in_a_fresh_child_stays_in_the_child(self, monkeypatch, forked,
+                                                               zero_seed):
+        # A SIGINT that reaches a child as soon as it is forked must end that
+        # child through its os._exit guard (exit 1, share redone here), never
+        # unwind it into this test; a child that did would exit 99 below.
+        params = self._profile()
+        parent, fork, wait = os.getpid(), os.fork, sampling._wait
+        codes = []
+
+        def interrupted_fork():
+            pid = fork()
+            if pid == 0:
+                os.kill(os.getpid(), signal.SIGINT)
+            return pid
+
+        def recorded_wait(pid):
+            codes.append(wait(pid))
+            return codes[-1]
+
+        monkeypatch.setattr(os, "fork", interrupted_fork)
+        monkeypatch.setattr(sampling, "_wait", recorded_wait)
+        try:
+            coeffs = generate_mrp(zero_seed, params).coeffs
+        finally:
+            if os.getpid() != parent:
+                os._exit(99)
+        assert codes == [1, 1]
+        assert np.array_equal(coeffs, _serial_rows(zero_seed, params))
+        assert len(forked) == 2
+
+    @pytest.mark.parametrize("sigint_held", [False, True])
+    def test_the_callers_signal_mask_is_kept(self, forked, zero_seed, sigint_held):
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+        try:
+            if sigint_held:
+                signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            before = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+            generate_mrp(zero_seed, self._profile())
+            assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == before
+            assert (signal.SIGINT in before) == sigint_held
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        assert len(forked) == 2
+
     def test_serial_while_another_thread_is_alive(self, forked, zero_seed):
         params = self._profile()
         stop = threading.Event()
@@ -586,9 +638,12 @@ class TestForkedGeneration:
                               _serial_rows(zero_seed, params))
         assert len(attempts) == 2
 
-    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
-    def test_serial_without_the_os_calls(self, monkeypatch, forked, zero_seed, missing):
-        monkeypatch.delattr(os, missing)
+    @pytest.mark.parametrize("module, missing", [(os, "fork"), (os, "sched_getaffinity"),
+                                                 (signal, "pthread_sigmask")],
+                             ids=["fork", "sched_getaffinity", "pthread_sigmask"])
+    def test_serial_without_the_os_calls(self, monkeypatch, forked, zero_seed, module,
+                                         missing):
+        monkeypatch.delattr(module, missing)
         params = self._profile()
         assert np.array_equal(generate_mrp(zero_seed, params).coeffs,
                               _serial_rows(zero_seed, params))
