@@ -327,13 +327,12 @@ def _each_limb(seed: Seed, params: GenParams,
     results in a _shared_array.  k is min(available CPUs, L, MAX_WORKERS);
     it is 1, the same loop with no fork, without os.fork, os.sched_getaffinity
     or signal.pthread_sigmask, while another thread is alive, or below
-    MIN_FORK_BLOCKS blocks.  A child never
-    returns into the caller: it leaves through os._exit, with 0 only if its
-    share ran.  The share of a child that could not be forked or did not
-    exit 0 is generated again here, so any error it met is raised in this
-    process.  Children are reaped before this returns, and killed first when
-    it unwinds.  Raises GenerationFailure for the lowest short row, as the
-    serial loop would.
+    MIN_FORK_BLOCKS blocks.  A child never returns into the caller: it
+    leaves through os._exit, with 0 only if its share ran.  The share of a
+    child that could not be forked or did not exit 0 is generated again
+    here, so any error it met is raised in this process.  Children are
+    reaped before this returns, and killed first when it unwinds.  Raises
+    GenerationFailure for the lowest short row, as the serial loop would.
     """
     rows = len(params.base)
     workers = _worker_count(params)
