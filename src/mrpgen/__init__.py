@@ -3,11 +3,12 @@
 The library turns a 288-bit seed into full multi-residue polynomials the
 way a bank of distributed PRNG engines would: one domain-separated XOF
 block per (modulus, segment) pair, rejection-sampled into exactly uniform
-residues, identical bit-for-bit whether generated serially, in parallel, or
-limb-by-limb at random access.  Around the generator sit the supporting
-tools for choosing parameters: an NTT-friendly prime catalog graded by
-signed-digit weight and rejection probability, an exact failure-probability
-model, and a first-order wiring/power cost model.
+residues, identical bit-for-bit whether generated one engine unit at a time
+(``generate_segment``), limb-by-limb at random access (``generate_limb``),
+or whole (``generate_mrp``, serially or on forked workers).  Around the
+generator sit the supporting tools for choosing parameters: an NTT-friendly
+prime catalog graded by signed-digit weight and rejection probability, an
+exact failure-probability model, and a first-order wiring/power cost model.
 
 The package loads lazily (PEP 562).  ``import mrpgen`` imports no
 submodule; the first access to an exported name imports the submodule that
@@ -36,11 +37,10 @@ _EXPORTS = {
     "primes": ("CatalogFilter", "ModuliCatalog", "PrimeRecord", "enumerate_supported",
                "histogram", "hw_naf", "is_ntt_friendly", "is_prime", "naf",
                "sample_rejection_prob", "size_bucket"),
-    "sampling": ("EquivalenceReport", "GenParams", "Limb", "MultiResiduePolynomial",
-                 "Permutation", "RetryResult", "Segment", "client_generate_with_retry",
-                 "compute_threshold", "gen_seg", "generate_limb", "generate_mrp",
-                 "generate_segment", "permute", "reduce_coeffs", "seed_source_from_rng",
-                 "verify_distributed_equivalence"),
+    "sampling": ("GenParams", "Limb", "MultiResiduePolynomial", "Permutation",
+                 "RetryResult", "Segment", "client_generate_with_retry", "compute_threshold",
+                 "generate_limb", "generate_mrp", "generate_segment", "permute",
+                 "seed_source_from_rng"),
     "xof": ("Seed", "derive_polynomial_seed", "encode_domain_input", "encode_domain_inputs",
             "split_words", "xof_expand", "xof_expand_many"),
 }

@@ -268,15 +268,13 @@ def chi_square_uniformity(limb: Limb, bins: int = 64) -> UniformityReport:
     """
     import numpy as np
 
-    from .sampling import reduce_coeffs
-
     if bins < 2:
         raise ConfigError("need at least 2 bins")
     n = len(limb.coeffs)
     if n < 5 * bins:
         raise ParamsError(f"need at least {5 * bins} samples for {bins} bins")
     q = limb.q
-    residues = reduce_coeffs(limb).astype(np.uint64)
+    residues = (limb.coeffs % np.uint32(q)).astype(np.uint64)
     idx = (residues * np.uint64(bins)) // np.uint64(q)
     counts = np.bincount(idx.astype(np.int64), minlength=bins)
     starts = np.array([-(-b * q // bins) for b in range(bins + 1)], dtype=np.int64)

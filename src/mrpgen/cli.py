@@ -169,8 +169,7 @@ def cmd_gen_limb(args) -> int:
     seed = _seed_from_args(args)
     limb = sampling.generate_limb(seed, args.q, params)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(np.ascontiguousarray(limb.coeffs, dtype="<u4"))
+        formats._write_file(args.out, (np.ascontiguousarray(limb.coeffs, dtype="<u4"),))
     payload = {
         "seed": seed.hex(), "q": args.q, "coeff_count": len(limb.coeffs),
         "sha256": _sha256_words(limb.coeffs),

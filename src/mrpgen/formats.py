@@ -24,6 +24,9 @@ its seed alone.
 
 from __future__ import annotations
 
+import contextlib
+import os
+import stat
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -48,6 +51,39 @@ def _u32s(values) -> bytes:
     return np.asarray(values, dtype="<u4").tobytes()
 
 
+def _write_file(path, chunks) -> None:
+    """Write the byte chunks to path through a temporary sibling and os.replace.
+
+    An error or an interrupt mid-write removes the temporary file and leaves
+    a previous file at path as it was.  The replacement keeps an existing
+    file's permission bits and a symlink is followed, as writing in place
+    would.  A target that exists but is not a regular file (/dev/null, a
+    FIFO) is written in place, never replaced.
+    """
+    path = os.path.realpath(path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+        return
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            if mode is not None:
+                os.chmod(tmp, stat.S_IMODE(mode))
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def write_mrp(path, mrp: MultiResiduePolynomial, params: GenParams) -> None:
     perm_kind = _PERM_IDS.get(params.layout.kind, 2)
     header = MAGIC + struct.pack(
@@ -56,9 +92,7 @@ def write_mrp(path, mrp: MultiResiduePolynomial, params: GenParams) -> None:
     header += _u32s(params.base) + struct.pack("<I", perm_kind)
     if perm_kind == 2:
         header += _u32s(params.layout.mapping)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(mrp.coeffs, dtype="<u4"))
+    _write_file(path, (header, np.ascontiguousarray(mrp.coeffs, dtype="<u4")))
 
 
 class _Reader:

@@ -8,10 +8,11 @@ copies of every residue class, so accepted words are uniform mod q without
 any bias correction; they are stored unreduced, as a downstream modular
 multiplier would receive them.
 
-``generate_segment`` is the engine unit and the reference: one block, one
-scan.  ``generate_limb`` computes the same n_seg units at once, as one
-(n_seg, t) word matrix filtered row by row, and a polynomial is one (L, N)
-``uint32`` array in base order, the same as the limb section of an MRP file.
+``generate_segment`` is the engine unit and the reference: it validates
+(q, id_seg), encodes the domain input, expands one block and scans it once.
+``generate_limb`` computes the same n_seg units at once, as one (n_seg, t)
+word matrix filtered row by row, and a polynomial is one (L, N) ``uint32``
+array in base order, the same as the limb section of an MRP file.
 
 Because a segment is a pure function of (seed, q, id_seg) plus the profile,
 any schedule over any number of engines reproduces the serial client output
@@ -21,7 +22,8 @@ without ever stalling.  The library's own schedule is one such schedule:
 ``generate_mrp`` and ``formats.verify_mrp_file`` deal the limbs of a large
 polynomial out to one worker per available CPU, at most two: this process
 and forked children that write their rows into shared memory.  The result
-is the serial loop's bit for bit.
+is the serial loop's bit for bit.  The test suite checks that claim against
+per-segment assembly in shuffled orders (``tests/schedules.py``).
 """
 
 from __future__ import annotations
@@ -29,12 +31,10 @@ from __future__ import annotations
 import contextlib
 import mmap
 import os
-import random
 import signal
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
@@ -43,6 +43,9 @@ from .primes import is_ntt_friendly
 from .profiles import DEFAULT_R_BITS
 from .xof import (BACKENDS, Seed, encode_domain_input, encode_domain_inputs, split_words,
                   xof_expand, xof_expand_many)
+
+if TYPE_CHECKING:
+    import random
 
 
 class Permutation:
@@ -74,13 +77,6 @@ class Permutation:
 
     def __len__(self):
         return len(self.mapping)
-
-    def inverse(self) -> "Permutation":
-        if self.kind in ("identity", "reverse"):
-            return self
-        inv = np.empty_like(self.mapping)
-        inv[self.mapping] = np.arange(len(self.mapping))
-        return Permutation(inv)
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and np.array_equal(self.mapping, other.mapping)
@@ -215,31 +211,23 @@ def compute_threshold(q: int, w: int) -> int:
     return ((1 << w) // q) * q
 
 
-def gen_seg(input_bytes: bytes, q: int, seg_len: int, w: int,
-            r: int = DEFAULT_R_BITS, backend: str = "shake128") -> Segment:
-    """Expand one XOF block and rejection-filter it into a segment.
-
-    Scans the t = floor(r/w) words in index order, keeping words below
-    thresh(q, w) until seg_len are collected; never expands a second block.
-    """
-    block = xof_expand(input_bytes, r, backend)
-    words = split_words(block, w)
-    accepted = words[words < compute_threshold(q, w)]
-    return Segment(q=q, values=accepted[:seg_len].astype(np.uint32))
-
-
 def generate_segment(seed: Seed, q: int, id_seg: int, params: GenParams) -> Segment:
     """The exact unit one distributed engine computes.
 
-    Depends only on (seed, q, id_seg) and the profile scalars; the rest of
-    the base, other segments, and scheduling cannot influence its bits.
+    Expands the one XOF block keyed by (seed, q, id_seg) and scans its
+    t = floor(r/w) words in index order, keeping words below thresh(q, w)
+    until seg_len are collected; never expands a second block.  Depends only
+    on (seed, q, id_seg) and the profile scalars; the rest of the base, other
+    segments, and scheduling cannot influence its bits.
     """
     if q not in params.base:
         raise ParamsError(f"q={q} is not in the profile base")
     if not 0 <= id_seg < params.n_seg:
         raise ParamsError(f"id_seg {id_seg} out of range for n_seg={params.n_seg}")
-    data = encode_domain_input(seed, q, id_seg)
-    return gen_seg(data, q, params.seg_len, params.w, params.r, params.backend)
+    block = xof_expand(encode_domain_input(seed, q, id_seg), params.r, params.backend)
+    words = split_words(block, params.w)
+    accepted = words[words < compute_threshold(q, params.w)]
+    return Segment(q=q, values=accepted[:params.seg_len].astype(np.uint32))
 
 
 def generate_limb(seed: Seed, q: int, params: GenParams) -> Limb:
@@ -404,14 +392,6 @@ def generate_mrp(seed: Seed, params: GenParams) -> MultiResiduePolynomial:
     return MultiResiduePolynomial(base=params.base, coeffs=coeffs)
 
 
-def reduce_coeffs(limb: Limb) -> np.ndarray:
-    """Residues in [0, q) of a limb's unreduced coefficients.
-
-    For statistics and export only; the generation path never reduces.
-    """
-    return (limb.coeffs % np.uint32(limb.q)).astype(np.uint32)
-
-
 def seed_source_from_rng(rng: random.Random) -> Callable[[], Seed]:
     """Fresh independent 288-bit seeds from an explicitly seeded generator."""
     return lambda: Seed(rng.randbytes(36))
@@ -441,51 +421,3 @@ def client_generate_with_retry(seed_source: Callable[[], Seed], params: GenParam
         except GenerationFailure as failure:
             last = failure
     raise RetryExhausted(max_attempts, last)
-
-
-@dataclass
-class EquivalenceReport:
-    """Outcome of replaying generation across simulated parallel engines."""
-
-    ok: bool
-    engine_count: int
-    schedules: int
-    work_items: int
-    mismatches: list = field(default_factory=list)
-
-
-def verify_distributed_equivalence(seed: Seed, params: GenParams, engine_count: int,
-                                   schedules: int = 1,
-                                   rng: random.Random | None = None) -> EquivalenceReport:
-    """Check that any engine partition reproduces the batched output bit-exactly.
-
-    Each work item (q, id_seg) is handed to a thread pool in a shuffled
-    order and computed with generate_segment; workers receive nothing but
-    the item and the profile.  The assembled limbs must equal generate_mrp's
-    batched word-matrix path, so a pass certifies both that no cross-engine
-    information flow is needed and that batched = per-segment.  A mismatch
-    is a bug report, never an expected outcome.
-    """
-    if engine_count < 1:
-        raise ParamsError("engine_count must be at least 1")
-    rng = rng or random.Random(0)
-    batched = generate_mrp(seed, params)
-    items = [(q, id_seg) for q in params.base for id_seg in range(params.n_seg)]
-    report = EquivalenceReport(ok=True, engine_count=engine_count,
-                               schedules=schedules, work_items=len(items))
-
-    def engine_task(item):
-        q, id_seg = item
-        return item, generate_segment(seed, q, id_seg, params).values
-
-    for schedule in range(schedules):
-        order = items[:]
-        rng.shuffle(order)
-        with ThreadPoolExecutor(max_workers=engine_count) as pool:
-            results = dict(pool.map(engine_task, order))
-        for q, limb in zip(params.base, batched.coeffs):
-            coeffs = np.concatenate([results[(q, i)] for i in range(params.n_seg)])
-            if not np.array_equal(permute(coeffs, params.layout), limb):
-                report.ok = False
-                report.mismatches.append({"schedule": schedule, "q": q})
-    return report

@@ -1,11 +1,12 @@
-import os
 import struct
 from pathlib import Path
 
 import pytest
 
-from mrpgen import GenParams, Seed, is_ntt_friendly, sampling
+from mrpgen import GenParams, Seed, is_ntt_friendly
 from mrpgen.formats import MAGIC, VERSION
+
+from schedules import forking
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -17,29 +18,10 @@ def fixtures_dir() -> Path:
 
 @pytest.fixture
 def forked(monkeypatch) -> list[int]:
-    """Limbs go to forked workers at any size, three of them, as on a
-    three-CPU host with MAX_WORKERS raised to 3.
-
-    Returns the pids os.fork handed out; at teardown none may be left unreaped.
-    """
-    if not hasattr(os, "fork"):
-        pytest.skip("no os.fork on this platform")
-    monkeypatch.setattr(sampling, "MIN_FORK_BLOCKS", 0)
-    monkeypatch.setattr(sampling, "MAX_WORKERS", 3)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    pids = []
-    real_fork = os.fork
-
-    def counted_fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    yield pids
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    """Limbs go to forked workers at any size, three of them (see
+    schedules.forking); the pids os.fork handed out."""
+    with forking(monkeypatch) as pids:
+        yield pids
 
 
 @pytest.fixture

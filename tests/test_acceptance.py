@@ -19,13 +19,13 @@ from mrpgen import (CatalogFilter, CostParams, GenParams, GenerationFailure,
                     generate_mrp, generate_segment, histogram, is_prime,
                     mrp_failure_bound, mrp_failure_exact_base,
                     sample_rejection_prob, seed_source_from_rng,
-                    seed_space_bits, seg_failure_prob, solve_p_r_max,
-                    verify_distributed_equivalence, xof_expand)
+                    seed_space_bits, seg_failure_prob, solve_p_r_max, xof_expand)
 from mrpgen.profiles import (DEFAULT_HW_NAF_MAX, DEFAULT_MAX_FAIL, DEFAULT_N,
                              DEFAULT_Q_MIN_EXCLUSIVE, DEFAULT_T, DEFAULT_W,
                              HIST_BUCKETS, REFERENCE_ROWS)
 
 from conftest import ntt_primes
+from schedules import verify_distributed_equivalence
 
 
 def report(number: int, name: str, ok: bool, detail: str = ""):
@@ -263,11 +263,11 @@ def test_criterion_11_golden_vectors(golden_xof_vectors, golden_segment,
     for data, expected in golden_xof_vectors:
         if xof_expand(data) != expected:
             problems.append(f"xof mismatch for input {data.hex() or '<empty>'}")
-    from mrpgen import gen_seg
-    from mrpgen.xof import encode_domain_input
-    seg = gen_seg(encode_domain_input(golden_segment["seed"], golden_segment["q"],
-                                      golden_segment["id_seg"]),
-                  golden_segment["q"], golden_segment["len"], golden_segment["w"])
+    seg = generate_segment(golden_segment["seed"], golden_segment["q"],
+                           golden_segment["id_seg"],
+                           GenParams(N=256, w=golden_segment["w"],
+                                     seg_len=golden_segment["len"], n_seg=8,
+                                     base=(golden_segment["q"],)))
     if list(seg.values) != golden_segment["values"]:
         problems.append("golden segment drifted")
     params = GenParams(N=golden_mrp["N"], w=32, seg_len=golden_mrp["len"],

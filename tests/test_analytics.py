@@ -464,11 +464,14 @@ class TestChiSquareUniformity:
         x = float(sum((c - e) ** 2 / e for c, e in zip(counts, expected)))
         closed = {2: math.erfc(math.sqrt(x / 2)), 3: math.exp(-x / 2),
                   5: math.exp(-x / 2) * (1 + x / 2)}[bins]
-        report = chi_square_uniformity(Limb(q=q, coeffs=np.array(values, dtype=np.uint32)),
-                                       bins)
+        coeffs = np.array(values, dtype=np.uint32)
+        report = chi_square_uniformity(Limb(q=q, coeffs=coeffs), bins)
         assert report.statistic == pytest.approx(x, rel=1e-12)
         assert report.p_value == pytest.approx(closed, rel=1e-12)
         assert 1e-6 < report.p_value < 0.5
+        # generated words are unreduced: coeffs + k*q, k up to floor(2^32/q) - 1
+        k = np.arange(len(values), dtype=np.uint32) * np.uint32((2 ** 32 // q - 1) // len(values))
+        assert chi_square_uniformity(Limb(q=q, coeffs=coeffs + k * np.uint32(q)), bins) == report
 
     def test_requires_enough_samples(self):
         with pytest.raises(ParamsError):

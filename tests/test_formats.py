@@ -1,5 +1,9 @@
+import errno
 import functools
+import os
+import stat
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -10,8 +14,9 @@ from hypothesis import strategies as st
 
 from conftest import mrp_header, ntt_primes
 from mrpgen import (FormatError, GenerationFailure, GenParams, MrpgenError,
-                    MultiResiduePolynomial, ParamsError, Permutation, Seed, generate_mrp,
-                    load_params, read_mrp, sampling, save_params, verify_mrp_file, write_mrp)
+                    MultiResiduePolynomial, ParamsError, Permutation, Seed, cli, formats,
+                    generate_mrp, load_params, read_mrp, sampling, save_params,
+                    verify_mrp_file, write_mrp)
 
 
 @pytest.fixture
@@ -166,6 +171,90 @@ class TestMrpContainer:
         assert write_peak < 0.25 * size
         assert read_peak < 1.25 * size
         assert np.array_equal(loaded.coeffs, mrp.coeffs)
+
+
+class TestCrashSafeOutput:
+    @staticmethod
+    def _writers(tmp_path, mrp, params):
+        params_file = tmp_path / "desk.params"
+        save_params(params, params_file)
+        flipped = MultiResiduePolynomial(mrp.base, mrp.coeffs ^ 1)
+        return {
+            "write_mrp": lambda path: write_mrp(path, flipped, params),
+            "gen-limb": lambda path: cli.main(["gen-limb", "--seed", "11" * 36, "--params",
+                                               str(params_file), "--q", "7681",
+                                               "--out", str(path)]),
+        }
+
+    @pytest.mark.parametrize("writer", ["write_mrp", "gen-limb"])
+    def test_a_failed_body_write_keeps_the_old_file(self, stored_mrp, monkeypatch, capsys,
+                                                     writer):
+        path, mrp, params = stored_mrp
+        write = self._writers(path.parent, mrp, params)[writer]
+        old, real_open = path.read_bytes(), open
+
+        class DiskFull:
+            """A file that takes half of what it is given, then fails as a full
+            disk does."""
+
+            def __init__(self, *args):
+                self.fh = real_open(*args)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def writelines(self, chunks):
+                data = b"".join(bytes(chunk) for chunk in chunks)
+                self.fh.write(data[:len(data) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(formats, "open", DiskFull, raising=False)
+        if writer == "write_mrp":
+            with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
+                write(path)
+        else:
+            assert write(path) == 2
+            assert "code=io-error" in capsys.readouterr().err
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in path.parent.iterdir()) == ["desk.params", path.name]
+
+    @pytest.mark.parametrize("writer", ["write_mrp", "gen-limb"])
+    def test_a_rewrite_keeps_the_mode_and_follows_a_symlink(self, stored_mrp, capsys,
+                                                             writer):
+        path, mrp, params = stored_mrp
+        write = self._writers(path.parent, mrp, params)[writer]
+        path.chmod(0o600)
+        link = path.parent / "link.mrp"
+        link.symlink_to(path.name)
+        old = path.read_bytes()
+        assert write(link) in (None, 0)
+        assert link.is_symlink() and path.read_bytes() != old
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert sorted(p.name for p in path.parent.iterdir()) == ["desk.params", "link.mrp",
+                                                                  path.name]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_fifo_is_written_in_place(self, tmp_path, desk_params, zero_seed):
+        mrp = generate_mrp(zero_seed, desk_params)
+        expected = tmp_path / "file.mrp"
+        write_mrp(expected, mrp, desk_params)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            write_mrp(fifo, mrp, desk_params)
+        finally:
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [expected.read_bytes()]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file.mrp", "pipe"]
 
 
 class TestForkedVerify:

@@ -28,11 +28,10 @@ EXPORTS = {
     "primes": ("CatalogFilter", "ModuliCatalog", "PrimeRecord", "enumerate_supported",
                "histogram", "hw_naf", "is_ntt_friendly", "is_prime", "naf",
                "sample_rejection_prob", "size_bucket"),
-    "sampling": ("EquivalenceReport", "GenParams", "Limb", "MultiResiduePolynomial",
-                 "Permutation", "RetryResult", "Segment", "client_generate_with_retry",
-                 "compute_threshold", "gen_seg", "generate_limb", "generate_mrp",
-                 "generate_segment", "permute", "reduce_coeffs", "seed_source_from_rng",
-                 "verify_distributed_equivalence"),
+    "sampling": ("GenParams", "Limb", "MultiResiduePolynomial", "Permutation",
+                 "RetryResult", "Segment", "client_generate_with_retry", "compute_threshold",
+                 "generate_limb", "generate_mrp", "generate_segment", "permute",
+                 "seed_source_from_rng"),
     "xof": ("Seed", "derive_polynomial_seed", "encode_domain_input", "encode_domain_inputs",
             "split_words", "xof_expand", "xof_expand_many"),
 }
@@ -102,3 +101,11 @@ def test_design_commands_never_load_numpy():
                   "        assert cli.main(['--canonical', *argv]) == 0, argv\n"
                   "print('numpy' in sys.modules)")
     assert got.strip() == "False"
+
+
+def test_generator_modules_load_no_thread_pool_or_logging():
+    got = _python("import sys\n"
+                  "import mrpgen.sampling, mrpgen.formats\n"
+                  "print(sorted(m for m in ('concurrent.futures', 'logging') "
+                  "if m in sys.modules))")
+    assert got.strip() == "[]"

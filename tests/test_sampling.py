@@ -1,8 +1,11 @@
 import errno
+import functools
 import hashlib
+import itertools
 import os
 import random
 import signal
+import tempfile
 import threading
 import time
 
@@ -13,14 +16,15 @@ from hypothesis import strategies as st
 
 from mrpgen import (GenerationFailure, GenParams, ParamsError, Permutation,
                     RetryExhausted, Seed, client_generate_with_retry,
-                    compute_threshold, gen_seg, generate_limb, generate_mrp,
-                    generate_segment, is_ntt_friendly, permute, reduce_coeffs,
-                    sample_rejection_prob, seed_source_from_rng,
-                    verify_distributed_equivalence)
+                    compute_threshold, generate_limb, generate_mrp,
+                    generate_segment, is_ntt_friendly, permute,
+                    sample_rejection_prob, seed_source_from_rng, split_words,
+                    verify_mrp_file, xof_expand)
 from mrpgen import keccak, read_mrp, sampling, write_mrp, xof
 from mrpgen.xof import encode_domain_input
 
 from conftest import ntt_primes
+from schedules import assemble_segments, forking
 
 
 class TestComputeThreshold:
@@ -46,57 +50,56 @@ class TestComputeThreshold:
         with pytest.raises(ParamsError):
             compute_threshold(1 << 32, 32)
 
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_power_of_two_modulus_accepts_every_word(self, q):
+        # q divides 2^w, so every 8-bit word lies below the threshold
+        assert compute_threshold(q, 8) == 256
+
+
+def _golden_profile(golden) -> GenParams:
+    """The 256-coefficient ring the golden segments were cut from."""
+    return GenParams(N=256, w=golden["w"], seg_len=golden["len"], n_seg=8,
+                     base=(golden["q"],), backend=golden["backend"])
+
 
 class TestGenSeg:
-    def test_empty_request(self, zero_seed):
-        seg = gen_seg(encode_domain_input(zero_seed, 97, 0), 97, 0, 32)
-        assert len(seg.values) == 0 and seg.complete(0)
-
     def test_matches_golden_fixture(self, golden_segment):
-        data = encode_domain_input(golden_segment["seed"], golden_segment["q"],
-                                   golden_segment["id_seg"])
-        seg = gen_seg(data, golden_segment["q"], golden_segment["len"],
-                      golden_segment["w"])
+        seg = generate_segment(golden_segment["seed"], golden_segment["q"],
+                               golden_segment["id_seg"], _golden_profile(golden_segment))
         assert list(seg.values) == golden_segment["values"]
 
     def test_matches_kangarootwelve_golden_fixture(self, golden_k12_segment):
         golden = golden_k12_segment
-        data = encode_domain_input(golden["seed"], golden["q"], golden["id_seg"])
-        seg = gen_seg(data, golden["q"], golden["len"], golden["w"],
-                      backend=golden["backend"])
+        seg = generate_segment(golden["seed"], golden["q"], golden["id_seg"],
+                               _golden_profile(golden))
         assert list(seg.values) == golden["values"]
 
-    def test_all_values_below_threshold(self, zero_seed):
-        q = 786433
-        seg = gen_seg(encode_domain_input(zero_seed, q, 0), q, 42, 32)
+    def test_all_values_below_threshold(self, desk_params, zero_seed):
+        q = desk_params.base[1]
+        seg = generate_segment(zero_seed, q, 0, desk_params)
         thresh = compute_threshold(q, 32)
+        assert seg.complete(desk_params.seg_len)
         assert all(int(v) < thresh for v in seg.values)
 
     def test_scan_order_is_block_order(self, zero_seed):
-        # with q = 3 nearly every word is accepted, so the segment must be
-        # the block's word sequence minus any world-record 2^32-1 words
-        from mrpgen import split_words, xof_expand
-        data = encode_domain_input(zero_seed, 3, 0)
-        words = split_words(xof_expand(data), 32)
-        expected = [int(wv) for wv in words if wv < 2 ** 32 - 1][:42]
-        seg = gen_seg(data, 3, 42, 32)
-        assert list(seg.values) == expected
-
-    @pytest.mark.parametrize("q", [2, 4])
-    def test_power_of_two_modulus_accepts_every_word(self, zero_seed, q):
-        # q divides 2^w, so thresh = 2^w and every 8-bit word is kept
-        from mrpgen import split_words, xof_expand
-        data = encode_domain_input(zero_seed, q, 0)
-        seg = gen_seg(data, q, 168, 8)
-        assert list(seg.values) == list(split_words(xof_expand(data), 8))
+        # q just above 2^31 rejects about half the words, so the segment must
+        # be the block's accepted words in block order, cut at seg_len
+        q = ntt_primes(256, 1, q_min=2 ** 31, q_max=2 ** 32)[0]
+        params = GenParams(N=256, w=32, seg_len=16, n_seg=16, base=(q,))
+        words = split_words(xof_expand(encode_domain_input(zero_seed, q, 5)), 32)
+        accepted = [int(wv) for wv in words if wv < compute_threshold(q, 32)]
+        assert len(accepted) < len(words)
+        seg = generate_segment(zero_seed, q, 5, params)
+        assert list(seg.values) == accepted[:16]
 
     def test_short_segment_is_a_value(self, zero_seed):
-        # q barely above 2^31 rejects roughly half of all words, so 42
-        # acceptances out of 42 candidates is effectively impossible
+        # q barely above 2^31 rejects roughly half of all words, so 32
+        # acceptances out of 42 candidates is a > 3-sigma event
         q = ntt_primes(64, 1, q_min=2 ** 31, q_max=2 ** 32)[0]
-        seg = gen_seg(encode_domain_input(zero_seed, q, 0), q, 42, 32)
-        assert not seg.complete(42)
-        assert len(seg.values) < 42
+        params = GenParams(N=64, w=32, seg_len=32, n_seg=2, base=(q,))
+        seg = generate_segment(zero_seed, q, 0, params)
+        assert not seg.complete(32)
+        assert len(seg.values) < 32
 
 
 class TestGenerateSegment:
@@ -143,7 +146,8 @@ class TestPermutation:
         mapping = rng.permutation(64)
         p = Permutation(mapping)
         coeffs = rng.integers(0, 2 ** 32, 64, dtype=np.uint64).astype(np.uint32)
-        assert np.array_equal(permute(permute(coeffs, p), p.inverse()), coeffs)
+        assert np.array_equal(permute(permute(coeffs, p), Permutation(np.argsort(mapping))),
+                              coeffs)
 
     def test_rejects_non_bijection(self):
         with pytest.raises(ParamsError):
@@ -160,8 +164,8 @@ class TestPermutation:
     @pytest.mark.parametrize("make", [Permutation.identity, Permutation.reverse])
     def test_inverse_keeps_an_involution_kind(self, tmp_path, zero_seed, make):
         p = make(256)
-        assert p.inverse() is p
-        params = GenParams(N=256, w=32, seg_len=32, n_seg=8, base=(7681,), layout=p.inverse())
+        assert np.array_equal(p.mapping[p.mapping], np.arange(256))
+        params = GenParams(N=256, w=32, seg_len=32, n_seg=8, base=(7681,), layout=p)
         path = tmp_path / "layout.mrp"
         write_mrp(path, generate_mrp(zero_seed, params), params)
         # magic and seven fields, one modulus, the kind, one limb: no mapping words
@@ -293,15 +297,16 @@ class TestGenerateLimb:
         assert failures[0] is not None and failures.count(failures[0]) == 3
 
 
-def _moduli_above_half_word(w: int, n_ring: int, count: int = 3) -> list[int]:
-    """The first NTT-friendly q > 2^(w-1): about half of all words are rejected."""
-    found = []
-    for q in range((1 << (w - 1)) + 1, 1 << w, 2 * n_ring):
-        if is_ntt_friendly(q, n_ring):
-            found.append(q)
-            if len(found) == count:
-                break
-    return found
+@functools.lru_cache(maxsize=None)
+def _moduli_pool(w: int, n_ring: int) -> tuple[int, ...]:
+    """Up to three NTT-friendly q just above 2^(w-1), where about half of all
+    words are rejected, and up to three just below 2^w, where few are."""
+    step = 2 * n_ring
+    above = range((1 << (w - 1)) + 1, 1 << w, step)
+    below = range((1 << w) - step + 1, 1 << (w - 1), -step)
+    return tuple(sorted({q for scan in (above, below)
+                         for q in itertools.islice(
+                             (q for q in scan if is_ntt_friendly(q, n_ring)), 3)}))
 
 
 @st.composite
@@ -319,7 +324,8 @@ def _short_prone_profiles(draw):
     longest = min(log_n, t.bit_length() - 1)
     log_len = draw(st.integers(0, longest) | st.just(longest))
     n_ring, seg_len = 1 << log_n, 1 << log_len
-    q = draw(st.sampled_from(_moduli_above_half_word(w, n_ring)))
+    pool = _moduli_pool(w, n_ring)
+    base = draw(st.permutations(pool))[:draw(st.integers(1, min(5, len(pool))))]
     kind = draw(st.sampled_from(["identity", "reverse", "explicit"]))
     if kind == "identity":
         layout = None
@@ -330,29 +336,58 @@ def _short_prone_profiles(draw):
         layout = Permutation(rng.permutation(n_ring))
     seed = Seed(draw(st.binary(min_size=36, max_size=36)))
     return seed, GenParams(N=n_ring, w=w, seg_len=seg_len, n_seg=n_ring // seg_len,
-                           base=(q,), layout=layout, backend=backend)
+                           base=tuple(base), layout=layout, backend=backend)
+
+
+def _outcome(run):
+    """The (L, N) array a schedule produced, or the (q, id_seg) it failed on."""
+    try:
+        return run()
+    except GenerationFailure as failure:
+        return failure.q, failure.id_seg
 
 
 class TestBatchedLimbMatchesSegments:
     @settings(deadline=None, max_examples=150)
-    @given(_short_prone_profiles())
-    def test_batched_equals_per_segment(self, case):
+    @given(_short_prone_profiles(), st.integers(1, 4), st.integers(0, 2 ** 32),
+           st.integers(2, 3))
+    def test_batched_equals_per_segment(self, case, engines, shuffle_seed, workers):
+        # per-segment engines in a shuffled order are the reference; random
+        # access per row, the serial loop and forked workers must all agree
+        # with it, down to the first short (q, id_seg) in base order
         seed, params = case
-        q = params.base[0]
-        segments = [generate_segment(seed, q, i, params) for i in range(params.n_seg)]
-        short = [i for i, seg in enumerate(segments) if not seg.complete(params.seg_len)]
+        expected = _outcome(lambda: assemble_segments(seed, params, engines,
+                                                      random.Random(shuffle_seed)))
+        outcomes = {
+            "limbs": _outcome(lambda: np.stack([generate_limb(seed, q, params).coeffs
+                                                for q in params.base])),
+            "serial": _outcome(lambda: generate_mrp(seed, params).coeffs),
+        }
+        short = isinstance(expected, tuple)
         event("short" if short else "complete")
         event(params.backend)
-        if short:
-            with pytest.raises(GenerationFailure) as err:
-                generate_limb(seed, q, params)
-            assert (err.value.q, err.value.id_seg) == (q, short[0])
-        else:
-            expected = permute(np.concatenate([seg.values for seg in segments]),
-                               params.layout)
-            limb = generate_limb(seed, q, params)
-            assert limb.coeffs.dtype == np.uint32
-            assert np.array_equal(limb.coeffs, expected)
+        with (pytest.MonkeyPatch.context() as monkeypatch,
+              forking(monkeypatch, workers) as pids):
+            mrp = _outcome(lambda: generate_mrp(seed, params))
+            outcomes["forked"] = mrp if short else mrp.coeffs
+            if not short:
+                with tempfile.TemporaryDirectory() as tmp:
+                    path = os.path.join(tmp, "x.mrp")
+                    write_mrp(path, mrp, params)
+                    stored, stored_params = read_mrp(path)
+                    assert stored.base == params.base
+                    assert np.array_equal(stored.coeffs, expected)
+                    assert stored_params.layout.kind == params.layout.kind
+                    assert stored_params.layout == params.layout
+                    assert verify_mrp_file(path, seed).ok
+        # generate_mrp forks, and so does verify_mrp_file after a complete draw
+        assert len(pids) == (1 + (not short)) * (min(workers, len(params.base)) - 1)
+        for name, got in outcomes.items():
+            if short:
+                assert got == expected, name
+            else:
+                assert got.dtype == np.uint32, name
+                assert np.array_equal(got, expected), name
 
 
 class TestGenerateMrp:
@@ -391,23 +426,6 @@ class TestGenerateMrp:
             generate_mrp(zero_seed, desk_params))
 
 
-class TestReduceCoeffs:
-    def test_below_q_unchanged(self):
-        from mrpgen import Limb
-        limb = Limb(q=97, coeffs=np.array([0, 5, 96], dtype=np.uint32))
-        assert list(reduce_coeffs(limb)) == [0, 5, 96]
-
-    def test_wraps_exact_multiples(self):
-        from mrpgen import Limb
-        limb = Limb(q=97, coeffs=np.array([97, 194, 97 * 3 + 5], dtype=np.uint32))
-        assert list(reduce_coeffs(limb)) == [0, 0, 5]
-
-    def test_generated_limb_reduces_into_range(self, desk_params, zero_seed):
-        limb = generate_limb(zero_seed, 7681, desk_params)
-        residues = reduce_coeffs(limb)
-        assert residues.max() < 7681
-
-
 class TestClientRetry:
     def test_replay_known_good_seed(self, desk_params, zero_seed):
         result = client_generate_with_retry(lambda: zero_seed, desk_params, 5)
@@ -435,23 +453,6 @@ class TestClientRetry:
         a = seed_source_from_rng(random.Random(5))
         b = seed_source_from_rng(random.Random(5))
         assert [a().hex() for _ in range(4)] == [b().hex() for _ in range(4)]
-
-
-class TestDistributedEquivalence:
-    def test_single_engine(self, desk_params, zero_seed):
-        report = verify_distributed_equivalence(zero_seed, desk_params, 1)
-        assert report.ok and report.work_items == 16
-
-    def test_maximal_parallelism(self, desk_params, zero_seed):
-        engines = desk_params.n_seg * len(desk_params.base)
-        report = verify_distributed_equivalence(zero_seed, desk_params, engines,
-                                                schedules=5,
-                                                rng=random.Random(1))
-        assert report.ok and report.schedules == 5
-
-    def test_rejects_zero_engines(self, desk_params, zero_seed):
-        with pytest.raises(ParamsError):
-            verify_distributed_equivalence(zero_seed, desk_params, 0)
 
 
 def _serial_rows(seed, params):
