@@ -5,9 +5,9 @@ result) on stdout and diagnostics on stderr.  With --canonical the report
 carries no timestamp and is byte-reproducible for identical inputs.  Every
 subcommand runs in the calling thread: the catalog scan is pure-Python
 primality testing, which worker threads cannot overlap.  gen-mrp, retry-gen
-and verify split a large polynomial's limbs across forked worker processes,
-one per available CPU and at most two, that write into shared memory (see
-``sampling.generate_mrp``); their output does not depend on the split.
+and verify split a large polynomial's limbs across forked worker processes
+under the rules of ``sampling._each_limb``; their output does not depend on
+the split.
 
 Exit codes: 0 success; 1 an expected domain failure, raised as a
 ``DomainFailure`` after the report is printed; 2 a usage error (argparse),
@@ -109,9 +109,9 @@ def _emit(args, command: str, payload: dict, body_lines=None) -> None:
 def _seed_from_args(args) -> Seed:
     from .xof import Seed, derive_polynomial_seed
 
-    if getattr(args, "seed", None):
+    if args.seed:
         return Seed.from_hex(args.seed)
-    if getattr(args, "common", None) is not None:
+    if args.common is not None:
         if args.poly_id is None:
             raise ParamsError("--common requires --poly-id")
         try:
@@ -255,15 +255,15 @@ def cmd_enum_primes(args) -> int:
     return 0
 
 
-def _reference_filter(p_r_max) -> primes.CatalogFilter:
+def _reference_filter() -> primes.CatalogFilter:
     return primes.CatalogFilter(
         n_ring=profiles.DEFAULT_N, w=profiles.DEFAULT_W,
-        hw_naf_max=profiles.DEFAULT_HW_NAF_MAX, p_r_max=Fraction(p_r_max),
+        hw_naf_max=profiles.DEFAULT_HW_NAF_MAX, p_r_max=Fraction(1, 2),
         q_min_exclusive=profiles.DEFAULT_Q_MIN_EXCLUSIVE)
 
 
 def cmd_table1(args) -> int:
-    full = primes.enumerate_supported(_reference_filter(Fraction(1, 2)))
+    full = primes.enumerate_supported(_reference_filter())
     rows = []
     all_match = True
     for p_r_max, count, hist, seg_len, bound in profiles.REFERENCE_ROWS:
@@ -338,7 +338,7 @@ def cmd_fit_table1(args) -> int:
                  for (seg_len, _), pub, sol in zip(rows, fit.published, fit.solved)],
     }
     if args.len4_check:
-        worst = primes.enumerate_supported(_reference_filter(Fraction(1, 2))).worst_p_r()
+        worst = primes.enumerate_supported(_reference_filter()).worst_p_r()
         seg_len = profiles.DEFAULT_SEG_LENS[-1]
         bound = analytics.mrp_failure_bound(worst, profiles.DEFAULT_T, seg_len,
                                             profiles.DEFAULT_N // seg_len, fit.L)

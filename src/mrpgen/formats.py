@@ -58,29 +58,35 @@ def _write_file(path, chunks) -> None:
     a previous file at path as it was.  The replacement keeps an existing
     file's permission bits and a symlink is followed, as writing in place
     would.  A target that exists but is not a regular file (/dev/null, a
-    FIFO) is written in place, never replaced.
+    FIFO) is written in place, never replaced.  An OSError names path as
+    the caller gave it, not the temporary file.
     """
-    path = os.path.realpath(path)
+    target = os.path.realpath(path)
     try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "wb") as fh:
-            fh.writelines(chunks)
-        return
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with open(fd, "wb") as fh:
-            if mode is not None:
-                os.chmod(tmp, stat.S_IMODE(mode))
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(target, "wb") as fh:
+                fh.writelines(chunks)
+            return
+        head, tail = os.path.split(target)
+        tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "wb") as fh:
+                if mode is not None:
+                    os.chmod(tmp, stat.S_IMODE(mode))
+                fh.writelines(chunks)
+            os.replace(tmp, target)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        exc.filename = os.fspath(path)
+        del exc.filename2  # os.replace names the temporary file too
         raise
 
 
@@ -95,47 +101,35 @@ def write_mrp(path, mrp: MultiResiduePolynomial, params: GenParams) -> None:
     _write_file(path, (header, np.ascontiguousarray(mrp.coeffs, dtype="<u4")))
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise FormatError("truncated MRP file")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u32_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(4 * count), dtype="<u4")
+def _span(data: bytes, offset: int, size: int) -> bytes:
+    """data[offset:offset + size]; FormatError if the file ends before it."""
+    if offset + size > len(data):
+        raise FormatError("truncated MRP file")
+    return data[offset:offset + size]
 
 
 def read_mrp(path) -> tuple[MultiResiduePolynomial, GenParams]:
     """Parse a container; the returned coeffs are a read-only view of its bytes."""
-    rd = _Reader(Path(path).read_bytes())
-    if rd.take(4) != MAGIC:
+    data = Path(path).read_bytes()
+    if _span(data, 0, 4) != MAGIC:
         raise FormatError("not an MRP file (bad magic)")
-    version = rd.u32()
+    (version,) = struct.unpack("<I", _span(data, 4, 4))
     if version != VERSION:
         raise FormatError(f"unsupported MRP version {version}")
-    n_ring, w, r, n_seg, backend_id, base_len = (rd.u32() for _ in range(6))
+    n_ring, w, r, n_seg, backend_id, base_len = struct.unpack("<6I", _span(data, 8, 24))
     if backend_id not in _BACKEND_NAMES:
         raise FormatError(f"unknown backend id {backend_id}")
-    base = tuple(int(q) for q in rd.u32_array(base_len))
-    perm_kind = rd.u32()
+    base = tuple(int(q) for q in np.frombuffer(_span(data, 32, 4 * base_len), dtype="<u4"))
+    (perm_kind,) = struct.unpack("<I", _span(data, 32 + 4 * base_len, 4))
     if perm_kind not in _PERM_IDS.values():
         raise FormatError(f"unknown permutation kind {perm_kind}")
     # the raw scalars fix the body length; check it before anything sized
     # by N is built, so a header alone cannot make the reader allocate
+    pos = 36 + 4 * base_len
     body = 4 * (base_len * n_ring + (n_ring if perm_kind == 2 else 0))
-    remaining = len(rd.data) - rd.pos
-    if remaining < body:
+    if len(data) - pos < body:
         raise FormatError("truncated MRP file")
-    if remaining > body:
+    if len(data) - pos > body:
         raise FormatError("trailing bytes after the last limb")
     try:
         params = GenParams(N=n_ring, w=w, seg_len=n_ring // n_seg if n_seg else 0,
@@ -144,10 +138,12 @@ def read_mrp(path) -> tuple[MultiResiduePolynomial, GenParams]:
         if perm_kind == 1:
             params = replace(params, layout=Permutation.reverse(n_ring))
         elif perm_kind == 2:
-            params = replace(params, layout=Permutation(rd.u32_array(n_ring)))
+            mapping = np.frombuffer(data, dtype="<u4", count=n_ring, offset=pos)
+            params = replace(params, layout=Permutation(mapping))
+            pos += 4 * n_ring
     except ParamsError as exc:
         raise FormatError(f"MRP header holds an invalid profile: {exc}") from exc
-    coeffs = np.frombuffer(rd.data, dtype="<u4", offset=rd.pos).reshape(base_len, n_ring)
+    coeffs = np.frombuffer(data, dtype="<u4", offset=pos).reshape(base_len, n_ring)
     return MultiResiduePolynomial(base=base, coeffs=coeffs), params
 
 
@@ -161,13 +157,11 @@ def verify_mrp_file(path, seed: Seed) -> VerifyReport:
     """Recompute a stored polynomial from its seed and compare bit-exactly.
 
     Each regenerated limb is compared with its stored row as it comes, so no
-    second (L, N) array is built.  Large polynomials are regenerated by
-    forked workers under generate_mrp's rules (sampling._each_limb): each
-    compares its rows with the stored bytes it inherited, copy-on-write, and
-    writes the first mismatch index of every row into a small shared array,
-    from which this process names the first mismatch in base order.  Below
-    MIN_FORK_BLOCKS, without os.fork, or while another thread is alive, the
-    rows are compared here in base order.  Every limb is generated even
+    second (L, N) array is built.  The rows are regenerated under the worker
+    rules of sampling._each_limb: each worker compares its rows with the
+    stored bytes it inherited, copy-on-write, and writes the first mismatch
+    index of every row into a small shared array, from which this process
+    names the first mismatch in base order.  Every limb is generated even
     after a mismatch, so a short segment still raises GenerationFailure in
     base order, as generate_mrp would.
     """

@@ -29,8 +29,3 @@ REFERENCE_ROWS = (
     ("0.42359", 562, (2, 1, 1, 8, 15, 18, 26, 52, 57, 87, 115, 98, 82), 8, "0.0300"),
     ("0.5", 625, (2, 1, 1, 8, 15, 18, 26, 52, 57, 87, 115, 161, 82), 4, "0.0029"),
 )
-
-# Reference accelerator scale for the wiring-cost model: 16384 32-bit lanes
-# at 1 GHz, 1/8 occupancy, 15 mm die, 40 fJ/bit/mm wires.
-COST_REFERENCE = dict(R=16384, w=32, f_hz=1e9, gamma=0.125, d_mm=15.0,
-                      e_j_per_bit_mm=40e-15)

@@ -20,10 +20,9 @@ bit for bit; the client validates a seed once (retrying on the rare
 shortfall) and the server can then regenerate any limb at random access
 without ever stalling.  The library's own schedule is one such schedule:
 ``generate_mrp`` and ``formats.verify_mrp_file`` deal the limbs of a large
-polynomial out to one worker per available CPU, at most two: this process
-and forked children that write their rows into shared memory.  The result
-is the serial loop's bit for bit.  The test suite checks that claim against
-per-segment assembly in shuffled orders (``tests/schedules.py``).
+polynomial out to forked workers under the rules of ``_each_limb``.  The
+test suite checks the result against per-segment assembly in shuffled
+orders (``tests/schedules.py``).
 """
 
 from __future__ import annotations
@@ -277,6 +276,10 @@ def _shared_array(shape: tuple[int, ...], dtype) -> np.ndarray:
 
 
 def _worker_count(params: GenParams) -> int:
+    # threading.active_count() sees Python threads only.  After import numpy
+    # the OpenBLAS pool is a second OS thread, and a child that called into
+    # BLAS could deadlock on its locks; forking past it is safe because the
+    # forked path calls no BLAS routine (tests/test_sampling.py pins that).
     if not all(hasattr(mod, name) for mod, name in
                ((os, "fork"), (os, "sched_getaffinity"), (signal, "pthread_sigmask"))):
         return 1
@@ -285,17 +288,18 @@ def _worker_count(params: GenParams) -> int:
     return min(len(os.sched_getaffinity(0)), len(params.base), MAX_WORKERS)
 
 
-def _run_share(seed: Seed, params: GenParams, visit, worker: int, workers: int,
-               failed: np.ndarray) -> None:
-    """Rows worker, worker + workers, ... up to the first short one, which
-    goes to failed[worker] as (row, id_seg)."""
-    for row in range(worker, len(params.base), workers):
+def _make_rows(seed: Seed, params: GenParams, visit, made: np.ndarray, rows: range) -> None:
+    """Make rows in order, marking each in made: -1 once visit has returned,
+    1 + id_seg if its segment id_seg is short, which ends the rows.  An error
+    propagates and leaves its row at 0, not made."""
+    for row in rows:
         try:
             limb = generate_limb(seed, params.base[row], params)
         except GenerationFailure as failure:
-            failed[worker] = row, failure.id_seg
+            made[row] = 1 + failure.id_seg
             return
         visit(row, limb.coeffs)
+        made[row] = -1
 
 
 def _wait(pid: int) -> int | None:
@@ -310,54 +314,51 @@ def _each_limb(seed: Seed, params: GenParams,
                visit: Callable[[int, np.ndarray], None]) -> None:
     """Call visit(row, coeffs) with generate_limb's output for every base row.
 
-    Worker w of k takes rows w, w + k, ... in base order.  The caller is
-    worker 0 and k - 1 children come from os.fork, so visit must leave its
-    results in a _shared_array.  k is min(available CPUs, L, MAX_WORKERS);
-    it is 1, the same loop with no fork, without os.fork, os.sched_getaffinity
-    or signal.pthread_sigmask, while another thread is alive, or below
-    MIN_FORK_BLOCKS blocks.  A child never returns into the caller: it
-    leaves through os._exit, with 0 only if its share ran.  The share of a
-    child that could not be forked or did not exit 0 is generated again
-    here, so any error it met is raised in this process.  Children are
-    reaped before this returns, and killed first when it unwinds.  Raises
-    GenerationFailure for the lowest short row, as the serial loop would.
+    The worker rules of generate_mrp and formats.verify_mrp_file.  Worker w
+    of k makes rows w, w + k, ... in base order, marks each in one shared
+    per-row record and stops at its first short row or error; an error
+    leaves its row unmarked.  The caller is worker 0 and k - 1 children come
+    from os.fork, so visit must leave its results in a _shared_array.  k is
+    min(available CPUs, L, MAX_WORKERS); it is 1, the same code with no fork,
+    without os.fork, os.sched_getaffinity or signal.pthread_sigmask, while
+    another thread is alive, or below MIN_FORK_BLOCKS blocks.  A child leaves
+    through os._exit, never into the caller.  Once the children are reaped,
+    this process walks the rows in base order: it makes each unmarked row,
+    which raises any error there, and raises GenerationFailure at the first
+    short row, so the bits and the first error are the serial loop's.
+    Children are killed and reaped when this unwinds.
     """
     rows = len(params.base)
     workers = _worker_count(params)
-    failed = _shared_array((workers, 2), np.int64)
-    failed[:, 0] = rows
-    children: dict[int, int] = {}
-    untrusted = []
+    made = _shared_array((rows,), np.int64)
+    children: list[int] = []
     try:
         for worker in range(1, workers):
             # SIGINT is held from before the fork until the child is inside
             # its os._exit guard and the parent has recorded the child, so a
             # Ctrl-C can neither unwind a child into the caller nor orphan it.
-            held = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+            held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
-                signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
                 pid = os.fork()
                 if pid == 0:
                     code = 1
                     try:
                         signal.pthread_sigmask(signal.SIG_SETMASK, held)
-                        _run_share(seed, params, visit, worker, workers, failed)
+                        _make_rows(seed, params, visit, made, range(worker, rows, workers))
                         code = 0
                     finally:
                         os._exit(code)
-                children[pid] = worker
+                children.append(pid)
             except OSError:
-                untrusted.append(worker)
+                pass  # its rows stay unmarked and are made below
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        _run_share(seed, params, visit, 0, workers, failed)
-        for pid, worker in list(children.items()):
-            if _wait(pid) != 0:
-                untrusted.append(worker)
-            del children[pid]
-        failed[untrusted, 0] = rows
-        for worker in untrusted:
-            _run_share(seed, params, visit, worker, workers, failed)
+        # an error leaves its row unmarked here too; the walk below raises it
+        with contextlib.suppress(Exception):
+            _make_rows(seed, params, visit, made, range(0, rows, workers))
+        while children:
+            _wait(children[-1])
+            children.pop()
     except BaseException:
         for pid in children:
             with contextlib.suppress(ProcessLookupError):
@@ -366,22 +367,20 @@ def _each_limb(seed: Seed, params: GenParams,
     finally:
         for pid in children:
             _wait(pid)
-    row, id_seg = failed[np.argmin(failed[:, 0])]
-    if row < rows:
-        raise GenerationFailure(params.base[row], int(id_seg))
+    for row in range(rows):
+        if made[row] == 0:
+            _make_rows(seed, params, visit, made, range(row, row + 1))
+        if made[row] > 0:
+            raise GenerationFailure(params.base[row], int(made[row]) - 1)
 
 
 def generate_mrp(seed: Seed, params: GenParams) -> MultiResiduePolynomial:
     """Generate one limb per base modulus; fails if any segment is short.
 
-    The (L, N) array lives in an anonymous shared mapping.  A polynomial of
-    MIN_FORK_BLOCKS blocks or more is split across one worker per available
-    CPU, at most L and MAX_WORKERS: this process and forked children (see
-    _each_limb), each writing its rows straight into the array, so nothing
-    is pickled or copied back.  Without os.fork, while another thread is alive, or below
-    that size, the rows are generated here in base order.  The bits, and the
-    GenerationFailure for the first short row in base order, are the same
-    either way.
+    The (L, N) array lives in an anonymous shared mapping, and each worker
+    of _each_limb writes its rows straight into it, so nothing is pickled or
+    copied back.  The bits, and the GenerationFailure for the first short row
+    in base order, do not depend on how many workers made them.
     """
     coeffs = _shared_array((len(params.base), params.N), np.uint32)
 

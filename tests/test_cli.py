@@ -283,6 +283,20 @@ class TestErrorTaxonomy:
         assert "value-error" not in err and "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv, target", [
+        (["gen-mrp", "--seed", ZERO_SEED], "{tmp}/missing/x.mrp"),
+        (["gen-limb", "--seed", ZERO_SEED, "--q", "7681"], "missing/x.bin"),
+    ], ids=["out-dir-missing", "limb-out-dir-missing-relative"])
+    def test_an_out_error_names_the_target_as_given(self, capsys, monkeypatch, tmp_path,
+                                                    params_file, argv, target):
+        # --out goes through a temporary sibling; the error names the target
+        monkeypatch.chdir(tmp_path)
+        target = target.format(tmp=tmp_path)
+        code, out, err = run(capsys, *argv, "--params", params_file, "--out", target)
+        assert (code, out) == (2, "")
+        assert err == f"error code=io-error [Errno 2] No such file or directory: {target!r}\n"
+        assert ".tmp" not in err
+
     def test_retry_exhausted_exits_one(self, capsys, hard_params_file):
         path, q = hard_params_file
         code, _, err = run(capsys, "retry-gen", "--params", path, "--max-attempts", "2")

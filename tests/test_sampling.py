@@ -1,6 +1,8 @@
+import ast
 import errno
 import functools
 import hashlib
+import inspect
 import itertools
 import os
 import random
@@ -20,7 +22,7 @@ from mrpgen import (GenerationFailure, GenParams, ParamsError, Permutation,
                     generate_segment, is_ntt_friendly, permute,
                     sample_rejection_prob, seed_source_from_rng, split_words,
                     verify_mrp_file, xof_expand)
-from mrpgen import keccak, read_mrp, sampling, write_mrp, xof
+from mrpgen import formats, keccak, read_mrp, sampling, write_mrp, xof
 from mrpgen.xof import encode_domain_input
 
 from conftest import ntt_primes
@@ -347,14 +349,29 @@ def _outcome(run):
         return failure.q, failure.id_seg
 
 
+def _dying_children(params: GenParams, die_after: int):
+    """sampling.generate_limb, except that a forked child SIGKILLs itself
+    instead of making any base row after die_after."""
+    parent, real = os.getpid(), sampling.generate_limb
+
+    def generate_limb(seed, q, p):
+        if os.getpid() != parent and params.base.index(q) > die_after:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(seed, q, p)
+
+    return generate_limb
+
+
 class TestBatchedLimbMatchesSegments:
     @settings(deadline=None, max_examples=150)
     @given(_short_prone_profiles(), st.integers(1, 4), st.integers(0, 2 ** 32),
-           st.integers(2, 3))
-    def test_batched_equals_per_segment(self, case, engines, shuffle_seed, workers):
+           st.integers(2, 3), st.sampled_from([None, 0, 1, 2]))
+    def test_batched_equals_per_segment(self, case, engines, shuffle_seed, workers,
+                                        die_after):
         # per-segment engines in a shuffled order are the reference; random
-        # access per row, the serial loop and forked workers must all agree
-        # with it, down to the first short (q, id_seg) in base order
+        # access per row, the serial loop and forked workers, whose children
+        # may die after base row die_after, must all agree with it, down to
+        # the first short (q, id_seg) in base order
         seed, params = case
         expected = _outcome(lambda: assemble_segments(seed, params, engines,
                                                       random.Random(shuffle_seed)))
@@ -368,6 +385,10 @@ class TestBatchedLimbMatchesSegments:
         event(params.backend)
         with (pytest.MonkeyPatch.context() as monkeypatch,
               forking(monkeypatch, workers) as pids):
+            if die_after is not None:
+                monkeypatch.setattr(sampling, "generate_limb",
+                                    _dying_children(params, die_after))
+                event("children die")
             mrp = _outcome(lambda: generate_mrp(seed, params))
             outcomes["forked"] = mrp if short else mrp.coeffs
             if not short:
@@ -519,6 +540,50 @@ class TestForkedGeneration:
         assert (err.value.q, err.value.id_seg) == (base[short_rows[0]], 0)
         assert forked
 
+    @pytest.mark.parametrize("workers", [1, 3], ids=["serial", "forked"])
+    @pytest.mark.parametrize("short_row, broken_row", [(0, 4), (1, 3), (0, 2), (2, 3)])
+    def test_a_short_row_before_an_error_is_raised(self, monkeypatch, zero_seed, workers,
+                                                   short_row, broken_row):
+        # the first failure in base order wins whoever meets it, as in the
+        # serial loop: the short row, not a later row whose limb raises
+        good = iter(ntt_primes(64, 4, q_min=61440, q_max=1 << 16))
+        short = ntt_primes(64, 1, q_min=1 << 15, q_max=1 << 16)[0]
+        base = tuple(short if row == short_row else next(good) for row in range(5))
+        params = GenParams(N=64, w=16, seg_len=64, n_seg=1, base=base)
+        real = sampling.generate_limb
+
+        def broken(seed, q, p):
+            if q == base[broken_row]:
+                raise ParamsError(f"no limb for q={q}")
+            return real(seed, q, p)
+
+        monkeypatch.setattr(sampling, "generate_limb", broken)
+        with forking(monkeypatch, workers) as pids:
+            with pytest.raises(GenerationFailure) as err:
+                generate_mrp(zero_seed, params)
+        assert (err.value.q, err.value.id_seg) == (short, 0)
+        assert len(pids) == workers - 1
+
+    def test_a_killed_child_costs_only_its_unmade_rows(self, monkeypatch, forked, zero_seed):
+        # the first child makes row 1 and dies before row 4: this process
+        # makes its own rows 0 and 3, then row 4 alone
+        params = self._profile()
+        expected = _serial_rows(zero_seed, params)
+        parent, real = os.getpid(), sampling.generate_limb
+        made_here = []
+
+        def dying(seed, q, p):
+            if os.getpid() == parent:
+                made_here.append(q)
+            elif q == params.base[4]:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(seed, q, p)
+
+        monkeypatch.setattr(sampling, "generate_limb", dying)
+        assert np.array_equal(generate_mrp(zero_seed, params).coeffs, expected)
+        assert made_here == [params.base[row] for row in (0, 3, 4)]
+        assert len(forked) == 2
+
     @pytest.mark.parametrize("fault", ["raise", "exit", "signal"])
     def test_a_failed_child_share_is_generated_again(self, monkeypatch, forked, zero_seed,
                                                       fault):
@@ -649,3 +714,29 @@ class TestForkedGeneration:
         assert np.array_equal(generate_mrp(zero_seed, params).coeffs,
                               _serial_rows(zero_seed, params))
         assert forked == []
+
+
+_BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum", "linalg"}
+
+
+def _blas_uses(source: str) -> list[str]:
+    """Lines of source that use the @ operator or name a BLAS-backed numpy routine."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{node.lineno}: @")
+        names = (node.attr if isinstance(node, ast.Attribute) else
+                 node.id if isinstance(node, ast.Name) else
+                 node.name if isinstance(node, ast.alias) else "")
+        found += [f"{node.lineno}: {part}" for part in names.split(".")
+                  if part in _BLAS_NAMES]
+    return found
+
+
+def test_the_forked_path_calls_no_blas_routine():
+    # _worker_count forks while numpy's OpenBLAS pool thread is alive; a
+    # child is safe only while the code it runs never enters BLAS
+    assert sorted(_blas_uses("from numpy import linalg\nx = a @ b\ny = np.dot(a, b)\n"
+                             "c @= d\n")) == ["1: linalg", "2: @", "3: dot", "4: @"]
+    for module in (sampling, xof, keccak, formats):
+        assert _blas_uses(inspect.getsource(module)) == [], module.__name__
