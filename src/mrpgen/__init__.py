@@ -26,8 +26,7 @@ _EXPORTS = {
     "analytics": ("EmpiricalReport", "FitResult", "UniformityReport",
                   "chi_square_uniformity", "empirical_failure_rate", "fit_limb_count",
                   "limb_failure", "mrp_failure_bound", "mrp_failure_exact_base", "p_seg",
-                  "rejection_prob_extra_bits", "seed_space_bits", "seg_failure_prob",
-                  "solve_p_r_max"),
+                  "seed_space_bits", "seg_failure_prob", "solve_p_r_max"),
     "costmodel": ("CostParams", "CostReport", "build_cost_report", "central_wiring_power",
                   "distributed_wiring_power", "per_axis_bandwidth_density",
                   "required_throughput"),

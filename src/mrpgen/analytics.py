@@ -197,21 +197,6 @@ def seed_space_bits(seed_len: int, p_mrp) -> float:
     return seed_len + math.log2(p)
 
 
-def rejection_prob_extra_bits(q: int, m: int, x: int) -> Fraction:
-    """Rejection probability when sampling n = m + x bits for an m-bit modulus.
-
-    Documents the extra-bits trade-off analytically: the result is exactly
-    (2^n mod q) / 2^n and provably below 2^-x.  Never used on the sampling
-    path, where the word size is fixed by the hardware profile.
-    """
-    if not (2 <= q < 1 << m and x >= 0):
-        raise ParamsError(f"need 2 <= q < 2^{m} and x >= 0, got q={q} x={x}")
-    n = m + x
-    p_r = Fraction((1 << n) % q, 1 << n)
-    assert p_r < Fraction(q, 1 << n) < Fraction(1, 1 << x)
-    return p_r
-
-
 @dataclass
 class EmpiricalReport:
     """Monte-Carlo generation failures next to the exact analytic rate."""

@@ -50,15 +50,11 @@ def _plain(value):
 
 def _jsonable(value):
     value = _plain(value)
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
+    return value
 
 
 def _text_lines(value, key=""):

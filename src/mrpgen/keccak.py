@@ -18,10 +18,13 @@ costs 12 rounds of array operations instead of n_seg per-state permutations.
 The sponge functions take one message as ``bytes`` or a batch as a 2-D
 ``uint8`` matrix with one message per row, such as the (n_seg, 42) domain
 inputs of a limb, and return the outputs concatenated in row order; a single
-message is a one-row matrix.  The matrix is written straight into the padded
-absorb buffer, and KangarooTwelve's customization suffix is appended to every
-row there as extra columns, so a batch is never split into per-message
-objects.
+message is a one-row matrix.  Each row, with KangarooTwelve's customization
+suffix as extra columns, is written straight into one padded block, so a
+batch is never split into per-message objects.
+
+Every sponge here is one block, as each (q, id_seg) engine uses it: at most
+167 input bytes padded into the 168-byte rate, one permutation, and one
+squeeze of at most 168 bytes.  Anything longer raises ConfigError.
 """
 
 import numpy as np
@@ -68,7 +71,6 @@ _ONE, _SIXTY_THREE = np.uint64(1), np.uint64(63)
 _TILE = 1024     # states per pass through the rounds
 
 _RATE = 168      # bytes; TurboSHAKE128, KangarooTwelve and SHAKE128
-_CHUNK = 8192    # KangarooTwelve tree-hash chunk size in bytes
 
 
 def keccak_p(lanes, rounds: int) -> np.ndarray:
@@ -114,28 +116,19 @@ def _message_rows(data) -> np.ndarray:
 
 def _absorb_squeeze(rows: np.ndarray, tail: bytes, suffix: int, out_len: int,
                     rounds: int) -> bytes:
-    """The sponge over every row of ``rows`` followed by the common ``tail``."""
+    """The one-block sponge over every row of ``rows`` and the common ``tail``."""
     count, size = rows.shape
     end = size + len(tail)
-    absorbs = end // _RATE + 1
-    padded = np.zeros((count, absorbs * _RATE), dtype=np.uint8)
-    padded[:, :size] = rows
-    padded[:, size:end] = np.frombuffer(tail, dtype=np.uint8)
-    padded[:, end] ^= suffix
-    padded[:, -1] ^= 0x80
-    blocks = padded.view("<u8").reshape(count, absorbs, _RATE // 8)
-
-    lanes = np.zeros((25, count), dtype=np.uint64)
-    for k in range(absorbs):
-        lanes[:_RATE // 8] ^= blocks[:, k].T
-        lanes = keccak_p(lanes, rounds)
-    squeezes = -(-out_len // _RATE)
-    out = np.empty((count, squeezes, _RATE // 8), dtype="<u8")
-    for k in range(squeezes):
-        if k:
-            lanes = keccak_p(lanes, rounds)
-        out[:, k] = lanes[:_RATE // 8].T
-    return out.view(np.uint8).reshape(count, squeezes * _RATE)[:, :out_len].tobytes()
+    if end >= _RATE or out_len > _RATE:
+        raise ConfigError(f"one sponge block takes at most {_RATE - 1} input bytes and "
+                          f"gives at most {_RATE}; got {end} in and {out_len} out")
+    state = np.zeros((count, 200), dtype=np.uint8)   # 1600 bits, rate then capacity
+    state[:, :size] = rows
+    state[:, size:end] = np.frombuffer(tail, dtype=np.uint8)
+    state[:, end] ^= suffix
+    state[:, _RATE - 1] ^= 0x80
+    lanes = keccak_p(state.view("<u8").T, rounds)
+    return np.ascontiguousarray(lanes.T, dtype="<u8").view(np.uint8)[:, :out_len].tobytes()
 
 
 def sponge(data: bytes | np.ndarray, suffix: int, out_len: int, rounds: int) -> bytes:
@@ -162,15 +155,14 @@ def _length_encode(n: int) -> bytes:
 
 def kangaroo_twelve(data: bytes | np.ndarray, customization: bytes,
                     out_len: int) -> bytes:
-    """KangarooTwelve, single-chunk path, over one message or a batch matrix.
+    """KangarooTwelve over one message or a batch matrix, in one sponge block.
 
     Every row of a batch shares ``customization``, whose encoding goes into
-    the padded buffer after each row.  Inputs in this library are at most 64
-    bytes, so the tree-hashing branch for messages beyond one 8 KiB chunk is
-    never reached and is not implemented.
+    the padded block after each row.  A row, the customization and its length
+    encoding take at most 167 bytes together and ``out_len`` is at most 168;
+    anything longer raises ConfigError.  Such inputs are far below one 8 KiB
+    chunk, where RFC 9861 needs no tree hashing.
     """
     rows = _message_rows(data)
-    tail = customization + _length_encode(len(customization))
-    if rows.shape[1] + len(tail) > _CHUNK:
-        raise ConfigError("multi-chunk KangarooTwelve inputs are not supported")
-    return _absorb_squeeze(rows, tail, 0x07, out_len, rounds=12)
+    return _absorb_squeeze(rows, customization + _length_encode(len(customization)),
+                           0x07, out_len, rounds=12)

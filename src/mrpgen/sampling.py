@@ -28,6 +28,7 @@ orders (``tests/schedules.py``).
 from __future__ import annotations
 
 import contextlib
+import itertools
 import mmap
 import os
 import signal
@@ -195,9 +196,6 @@ class MultiResiduePolynomial:
         """The rows as Limb views keyed by modulus (a fresh dict per call)."""
         return {q: Limb(q=q, coeffs=row) for q, row in zip(self.base, self.coeffs)}
 
-    def equals(self, other: "MultiResiduePolynomial") -> bool:
-        return self.base == other.base and np.array_equal(self.coeffs, other.coeffs)
-
 
 def compute_threshold(q: int, w: int) -> int:
     """Acceptance bound floor(2^w / q) * q.
@@ -288,7 +286,7 @@ def _worker_count(params: GenParams) -> int:
     return min(len(os.sched_getaffinity(0)), len(params.base), MAX_WORKERS)
 
 
-def _make_rows(seed: Seed, params: GenParams, visit, made: np.ndarray, rows: range) -> None:
+def _make_rows(seed: Seed, params: GenParams, visit, made: np.ndarray, rows) -> None:
     """Make rows in order, marking each in made: -1 once visit has returned,
     1 + id_seg if its segment id_seg is short, which ends the rows.  An error
     propagates and leaves its row at 0, not made."""
@@ -322,7 +320,10 @@ def _each_limb(seed: Seed, params: GenParams,
     min(available CPUs, L, MAX_WORKERS); it is 1, the same code with no fork,
     without os.fork, os.sched_getaffinity or signal.pthread_sigmask, while
     another thread is alive, or below MIN_FORK_BLOCKS blocks.  A child leaves
-    through os._exit, never into the caller.  Once the children are reaped,
+    through os._exit, never into the caller, and starts a row only while the
+    caller is still its parent: a SIGKILL or SIGTERM ends the caller without
+    unwinding, and its children then stop after at most the row in hand
+    instead of filling a record nobody reads.  Once the children are reaped,
     this process walks the rows in base order: it makes each unmarked row,
     which raises any error there, and raises GenerationFailure at the first
     short row, so the bits and the first error are the serial loop's.
@@ -331,6 +332,7 @@ def _each_limb(seed: Seed, params: GenParams,
     rows = len(params.base)
     workers = _worker_count(params)
     made = _shared_array((rows,), np.int64)
+    caller = os.getpid()
     children: list[int] = []
     try:
         for worker in range(1, workers):
@@ -344,7 +346,8 @@ def _each_limb(seed: Seed, params: GenParams,
                     code = 1
                     try:
                         signal.pthread_sigmask(signal.SIG_SETMASK, held)
-                        _make_rows(seed, params, visit, made, range(worker, rows, workers))
+                        _make_rows(seed, params, visit, made, itertools.takewhile(
+                            lambda _: os.getppid() == caller, range(worker, rows, workers)))
                         code = 0
                     finally:
                         os._exit(code)

@@ -69,10 +69,6 @@ class Seed:
             raise ParamsError("seed hex must contain only hexadecimal digits") from None
         return cls(data)
 
-    @classmethod
-    def zero(cls) -> "Seed":
-        return cls(bytes(SEED_BYTES))
-
     def hex(self) -> str:
         return self.data.hex()
 

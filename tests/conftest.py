@@ -26,7 +26,7 @@ def forked(monkeypatch) -> list[int]:
 
 @pytest.fixture
 def zero_seed() -> Seed:
-    return Seed.zero()
+    return Seed(bytes(36))
 
 
 @pytest.fixture

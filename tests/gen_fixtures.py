@@ -110,13 +110,19 @@ def write_golden_k12_limb():
     (OUT / "golden_k12_limb.txt").write_text(text)
 
 
-if __name__ == "__main__":
-    OUT.mkdir(exist_ok=True)
+def write_small_fixtures():
+    """Every fixture but golden_k12_limb.txt, whose 2048 pure-Python blocks
+    take seconds; tests/test_gen_fixtures.py runs this one."""
     write_xof_vectors()
     write_golden_segment("golden_segment.txt", shake_block)
     write_golden_mrp("golden_mrp.txt", shake_block)
     k12 = "backend = kangarootwelve\n"
     write_golden_segment("golden_k12_segment.txt", k12_block, k12)
     write_golden_mrp("golden_k12_mrp.txt", k12_block, k12)
+
+
+if __name__ == "__main__":
+    OUT.mkdir(exist_ok=True)
+    write_small_fixtures()
     write_golden_k12_limb()
     print(f"fixtures written to {OUT}")

@@ -10,8 +10,8 @@ import pytest
 from mrpgen import (ConfigError, GenParams, Limb, ParamsError, analytics,
                     chi_square_uniformity, empirical_failure_rate,
                     fit_limb_count, limb_failure, mrp_failure_bound,
-                    mrp_failure_exact_base, p_seg, rejection_prob_extra_bits,
-                    sample_rejection_prob, seed_space_bits,
+                    mrp_failure_exact_base, p_seg, sample_rejection_prob,
+                    seed_space_bits,
                     seed_source_from_rng, seg_failure_prob, solve_p_r_max)
 
 from conftest import ntt_primes
@@ -391,28 +391,6 @@ class TestSeedSpace:
     def test_rejects_zero(self):
         with pytest.raises(ParamsError):
             seed_space_bits(288, 0)
-
-
-class TestRejectionProbExtraBits:
-    def test_two_extra_bits(self):
-        for q in (129, 201, 255):
-            assert rejection_prob_extra_bits(q, 8, 2) < Fraction(1, 4)
-
-    def test_five_extra_bits(self):
-        for q in (129, 201, 255):
-            assert rejection_prob_extra_bits(q, 8, 5) < Fraction(1, 32)
-
-    def test_no_extra_bits_near_half(self):
-        q = (1 << 7) + 3
-        p_r = rejection_prob_extra_bits(q, 8, 0)
-        assert abs(float(p_r) - 0.5) < 0.02
-
-    def test_exact_value(self):
-        assert rejection_prob_extra_bits(201, 8, 2) == Fraction((1 << 10) % 201, 1 << 10)
-
-    def test_rejects_oversized_q(self):
-        with pytest.raises(ParamsError):
-            rejection_prob_extra_bits(256, 8, 2)
 
 
 class TestEmpiricalFailureRate:

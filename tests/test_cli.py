@@ -260,6 +260,14 @@ class TestErrorTaxonomy:
         (ANALYZE + ["--nseg", str(10 ** 400)], "params-error"),
         (ANALYZE + ["--L", str((1 << 32) + 1)], "params-error"),
         (ANALYZE + ["--pr", f"1/{(1 << 64) + 1}"], "params-error"),
+        (["fit-table1", "--lmax", "0"], "config-error"),
+        (["gen-mrp", "--params", "{params}", "--common", "00" * 32], "params-error"),
+        (["gen-mrp", "--seed", ZERO_SEED, "--params", "{tmp}/base-float.params"],
+         "params-error"),
+        (["gen-mrp", "--seed", ZERO_SEED, "--params", "{tmp}/base-empty.params"],
+         "params-error"),
+        (["gen-mrp", "--seed", ZERO_SEED, "--params", "{tmp}/base-too-wide.params"],
+         "params-error"),
     ], ids=["seed-length", "seed-not-hex", "common-length", "common-not-hex",
             "poly-id-range", "limb-q-not-in-base", "seg-q-not-in-base", "seg-id-range",
             "stats-too-few-samples", "stats-one-bin", "analyze-pr-2", "analyze-pr-abc",
@@ -270,12 +278,18 @@ class TestErrorTaxonomy:
             "mrp-is-a-directory", "out-dir-missing", "binary-params", "fit-tol-1",
             "fit-tol-nan", "fit-tol-inf", "enum-w-48-unbounded-scan", "analyze-t-169",
             "analyze-t-10000", "analyze-nseg-65537", "analyze-nseg-10^400",
-            "analyze-L-2^32+1", "analyze-pr-den-2^64+1"])
+            "analyze-L-2^32+1", "analyze-pr-den-2^64+1", "fit-lmax-0",
+            "common-without-poly-id", "base-float", "base-empty", "base-too-wide"])
     def test_bad_input_is_a_typed_error(self, capsys, tmp_path, params_file, argv,
                                         code_name):
         mrp = tmp_path / "p.mrp"
         run(capsys, "gen-mrp", "--seed", ZERO_SEED, "--params", params_file, "--out", mrp)
         (tmp_path / "binary.params").write_bytes(bytes(range(256)))
+        for name, fields in (("base-float", "w = 32\nbase = 1.5"),
+                             ("base-empty", "w = 32\nbase ="),
+                             ("base-too-wide", "w = 8\nbase = 7681")):
+            text = f"N = 256\nlen = 32\nn_seg = 8\n{fields}\n"
+            (tmp_path / f"{name}.params").write_text(text)
         argv = [a.format(params=params_file, mrp=mrp, tmp=tmp_path) for a in argv]
         code, out, err = run(capsys, *argv)
         assert code == 2

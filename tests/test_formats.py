@@ -439,7 +439,7 @@ def _desk_files(layout: str) -> tuple[str, bytes]:
     params = _desk(layout)
     with tempfile.TemporaryDirectory() as tmp:
         save_params(params, Path(tmp) / "desk.params")
-        write_mrp(Path(tmp) / "desk.mrp", generate_mrp(Seed.zero(), params), params)
+        write_mrp(Path(tmp) / "desk.mrp", generate_mrp(Seed(bytes(36)), params), params)
         return (Path(tmp) / "desk.params").read_text(), (Path(tmp) / "desk.mrp").read_bytes()
 
 

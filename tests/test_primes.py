@@ -155,6 +155,10 @@ class TestSizeBucket:
         with pytest.raises(ConfigError):
             size_bucket(17, "nearest")
 
+    def test_rejects_q_below_two(self):
+        with pytest.raises(ParamsError):
+            size_bucket(1)
+
 
 class TestEnumerateSupported:
     def test_small_ring_brute_force(self):
@@ -256,6 +260,10 @@ class TestEnumerateSupported:
         with pytest.raises(ParamsError):
             CatalogFilter(n_ring=8, w=w, hw_naf_max=7, p_r_max=Fraction(1, 2))
 
+    def test_rejects_a_ring_dimension_that_is_not_a_power_of_two(self):
+        with pytest.raises(ParamsError):
+            CatalogFilter(n_ring=3, w=7, hw_naf_max=7, p_r_max=Fraction(1, 2))
+
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.integers(1, 8), st.integers(1, 20), st.integers(-1, 8),
            st.fractions(min_value=0, max_value=1))
@@ -278,12 +286,20 @@ class TestEnumerateSupported:
             CatalogFilter(n_ring=256, w=20, hw_naf_max=5, p_r_max=Fraction("0.1")))
         assert loose.restrict(Fraction("0.1")).moduli() == tight.moduli()
 
+    def test_restrict_refuses_a_looser_cap(self):
+        catalog = enumerate_supported(
+            CatalogFilter(n_ring=8, w=7, hw_naf_max=7, p_r_max=Fraction(1, 4)))
+        with pytest.raises(ParamsError):
+            catalog.restrict(Fraction(1, 2))
+
 
 class TestHistogram:
     def test_empty(self):
         filt = CatalogFilter(n_ring=1 << 15, w=16, hw_naf_max=1, p_r_max=Fraction(1, 100))
         catalog = enumerate_supported(filt)
         assert len(catalog) == 0 and histogram(catalog) == {}
+        with pytest.raises(ConfigError):
+            catalog.worst_p_r()
 
     def test_partition(self):
         filt = CatalogFilter(n_ring=256, w=22, hw_naf_max=6, p_r_max=Fraction(1, 2))

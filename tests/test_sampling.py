@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import errno
 import functools
 import hashlib
@@ -6,7 +7,10 @@ import inspect
 import itertools
 import os
 import random
+import select
 import signal
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -443,8 +447,8 @@ class TestGenerateMrp:
             assert np.array_equal(standalone.coeffs, mrp.limbs[q].coeffs)
 
     def test_equals_helper(self, desk_params, zero_seed):
-        assert generate_mrp(zero_seed, desk_params).equals(
-            generate_mrp(zero_seed, desk_params))
+        assert np.array_equal(generate_mrp(zero_seed, desk_params).coeffs,
+                              generate_mrp(zero_seed, desk_params).coeffs)
 
 
 class TestClientRetry:
@@ -452,7 +456,7 @@ class TestClientRetry:
         result = client_generate_with_retry(lambda: zero_seed, desk_params, 5)
         assert result.attempts == 1
         assert result.seed == zero_seed
-        assert result.mrp.equals(generate_mrp(zero_seed, desk_params))
+        assert np.array_equal(result.mrp.coeffs, generate_mrp(zero_seed, desk_params).coeffs)
 
     def test_exhausts_on_hopeless_profile(self):
         # p_r ≈ 0.5 makes 32 acceptances out of 42 a > 3-sigma event per
@@ -583,6 +587,76 @@ class TestForkedGeneration:
         assert np.array_equal(generate_mrp(zero_seed, params).coeffs, expected)
         assert made_here == [params.base[row] for row in (0, 3, 4)]
         assert len(forked) == 2
+
+    def test_a_child_killed_inside_visit_leaves_its_row_unmade(self, monkeypatch, forked,
+                                                               zero_seed):
+        # each child dies while store copies its first limb: the row counts
+        # as made only once visit has returned, so this process makes it
+        params = self._profile()
+        expected = _serial_rows(zero_seed, params)
+        parent, real = os.getpid(), sampling.generate_limb
+
+        class KilledOnCopy:
+            def __array__(self, dtype=None, copy=None):
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        def dying(seed, q, p):
+            if os.getpid() != parent:
+                return sampling.Limb(q=q, coeffs=KilledOnCopy())
+            return real(seed, q, p)
+
+        monkeypatch.setattr(sampling, "generate_limb", dying)
+        assert np.array_equal(generate_mrp(zero_seed, params).coeffs, expected)
+        assert len(forked) == 2
+
+    @pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["kill", "term"])
+    def test_a_child_stops_once_its_caller_is_gone(self, sig):
+        # The caller, a fresh interpreter, stalls in its own first row; its one
+        # child prints its pid as it starts each of its 8 rows of 0.25 s.  The
+        # caller is killed without unwinding as the child starts its first row.
+        # The child must then stop after that row (2 s more if it ran its
+        # share), which shows as the end of the stdout pipe it holds.
+        script = "\n".join([
+            "import os, time",
+            "from mrpgen import GenParams, Seed, generate_mrp, sampling",
+            "sampling.MIN_FORK_BLOCKS = 0",
+            "os.sched_getaffinity = lambda pid: {0, 1}",
+            "caller, real = os.getpid(), sampling.generate_limb",
+            "def slow(seed, q, p):",
+            "    if os.getpid() == caller:",
+            "        time.sleep(60)",
+            "    print(os.getpid(), flush=True)",
+            "    time.sleep(0.25)",
+            "    return real(seed, q, p)",
+            "sampling.generate_limb = slow",
+            "generate_mrp(Seed(bytes(36)), GenParams(N=256, w=32, seg_len=32, n_seg=8,",
+            f"                                        base={tuple(ntt_primes(256, 16))}))",
+        ])
+        src = os.path.dirname(os.path.dirname(sampling.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        caller = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                                  bufsize=0, env=env)
+        child, ended = None, False
+        try:
+            assert select.select([caller.stdout], [], [], 30)[0], "no child started a row"
+            child = int(caller.stdout.readline())
+            os.kill(caller.pid, sig)
+            assert caller.wait(timeout=30) == -sig
+            deadline = time.monotonic() + 1.0
+            while not ended and select.select(
+                    [caller.stdout], [], [], max(0.0, deadline - time.monotonic()))[0]:
+                ended = caller.stdout.read(4096) == b""
+            assert ended, "the child was still making rows 1 s after its caller died"
+        finally:
+            if caller.poll() is None:
+                caller.kill()
+                caller.wait()
+            if child is not None and not ended:
+                # still holding the pipe, so still alive and not a reused pid
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(child, signal.SIGKILL)
+            caller.stdout.close()
 
     @pytest.mark.parametrize("fault", ["raise", "exit", "signal"])
     def test_a_failed_child_share_is_generated_again(self, monkeypatch, forked, zero_seed,

@@ -28,7 +28,7 @@ class TestSeed:
 
     def test_derive_polynomial_seed(self):
         common = bytes(32)
-        assert derive_polynomial_seed(common, 0) == Seed.zero()
+        assert derive_polynomial_seed(common, 0) == Seed(bytes(36))
         assert derive_polynomial_seed(common, 1) != derive_polynomial_seed(common, 2)
         # one key's worth of polynomials: all distinct
         seeds = {derive_polynomial_seed(common, i).data for i in range(5)}
@@ -226,7 +226,8 @@ class TestKangarooTwelveBackend:
         assert keccak.kangaroo_twelve(b"m", b"", 32) != keccak.kangaroo_twelve(b"m", b"c", 32)
 
     def test_sponge_matches_hashlib_in_full_round_mode(self):
-        for data in (b"", b"a", bytes(range(200)), b"x" * 336):
+        # at 167 bytes the suffix and the final 0x80 share the block's last byte
+        for data in (b"", b"a", bytes(range(166)), b"x" * 167):
             assert (keccak.sponge(data, 0x1F, 168, rounds=24)
                     == hashlib.shake_128(data).digest(168))
 
@@ -240,23 +241,24 @@ class TestKangarooTwelveBackend:
 
     def test_batch_is_the_concatenation_of_single_messages(self):
         messages = np.repeat(np.arange(6, dtype=np.uint8)[:, None], 50, axis=1)
-        assert keccak.kangaroo_twelve(messages, b"c", 200) == b"".join(
-            keccak.kangaroo_twelve(bytes(m), b"c", 200) for m in messages)
+        assert keccak.kangaroo_twelve(messages, b"c", 168) == b"".join(
+            keccak.kangaroo_twelve(bytes(m), b"c", 168) for m in messages)
         one_row = np.frombuffer(b"m", np.uint8).reshape(1, 1)
         assert keccak.kangaroo_twelve(one_row, b"", 32) == keccak.kangaroo_twelve(b"m", b"", 32)
 
-    def test_multi_block_batch_matches_hashlib(self):
-        # 400-byte messages absorb three blocks; 400 output bytes squeeze three
-        messages = np.repeat(np.arange(3, dtype=np.uint8)[:, None], 400, axis=1)
-        assert keccak.sponge(messages, 0x1F, 400, rounds=24) == b"".join(
-            hashlib.shake_128(bytes(m)).digest(400) for m in messages)
-
-    def test_customization_columns_cross_a_block_boundary(self):
-        # 160 message bytes + 12 customization bytes + 1 length byte: two absorbs
-        messages = np.repeat(np.arange(2, dtype=np.uint8)[:, None], 160, axis=1)
-        custom = b"customization"[:12]
-        assert keccak.kangaroo_twelve(messages, custom, 64) == b"".join(
-            reference_keccak.kangaroo_twelve(bytes(m), custom, 64) for m in messages)
+    def test_one_block_is_the_bound(self):
+        # 167 padded bytes fill the rate block and 168 are squeezed; one more
+        # byte in or out raises.  KangarooTwelve pads 159 message bytes with
+        # "custom" and its 2-byte length encoding.
+        cases = [(lambda size, out: keccak.sponge(bytes(size), 0x1F, out, rounds=24),
+                  hashlib.shake_128(bytes(167)).digest(168)),
+                 (lambda size, out: keccak.kangaroo_twelve(bytes(size - 8), b"custom", out),
+                  reference_keccak.kangaroo_twelve(bytes(159), b"custom", 168))]
+        for call, full in cases:
+            assert call(167, 168) == full
+            for size, out in ((168, 168), (167, 169)):
+                with pytest.raises(ConfigError, match="one sponge block"):
+                    call(size, out)
 
     @pytest.mark.parametrize("batch", [[b"m"], np.zeros(4, np.uint8),
                                        np.zeros((2, 2), np.int8)],
