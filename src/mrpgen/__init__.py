@@ -5,7 +5,7 @@ way a bank of distributed PRNG engines would: one domain-separated XOF
 block per (modulus, segment) pair, rejection-sampled into exactly uniform
 residues, identical bit-for-bit whether generated one engine unit at a time
 (``generate_segment``), limb-by-limb at random access (``generate_limb``),
-or whole (``generate_mrp``, serially or on forked workers).  Around the
+or whole (``generate_mrp``, serially or with one forked helper).  Around the
 generator sit the supporting tools for choosing parameters: an NTT-friendly
 prime catalog graded by signed-digit weight and rejection probability, an
 exact failure-probability model, and a first-order wiring/power cost model.

@@ -5,9 +5,9 @@ result) on stdout and diagnostics on stderr.  With --canonical the report
 carries no timestamp and is byte-reproducible for identical inputs.  Every
 subcommand runs in the calling thread: the catalog scan is pure-Python
 primality testing, which worker threads cannot overlap.  gen-mrp, retry-gen
-and verify split a large polynomial's limbs across forked worker processes
-under the rules of ``sampling._each_limb``; their output does not depend on
-the split.
+and verify run the serial limb loop, which for a large polynomial one forked
+helper process may save work (``sampling._each_limb``); their output is the
+serial loop's.
 
 Exit codes: 0 success; 1 an expected domain failure, raised as a
 ``DomainFailure`` after the report is printed; 2 a usage error (argparse),

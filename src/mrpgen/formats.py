@@ -35,8 +35,7 @@ import numpy as np
 
 from .errors import FormatError, ParamsError
 from .profiles import DEFAULT_R_BITS
-from .sampling import (GenParams, MultiResiduePolynomial, Permutation, _each_limb,
-                       _shared_array)
+from .sampling import GenParams, MultiResiduePolynomial, Permutation, _each_limb
 from .xof import Seed
 
 MAGIC = b"MRPB"
@@ -91,7 +90,11 @@ def _write_file(path, chunks) -> None:
 
 
 def write_mrp(path, mrp: MultiResiduePolynomial, params: GenParams) -> None:
-    perm_kind = _PERM_IDS.get(params.layout.kind, 2)
+    """Write mrp under params' header; ParamsError if they do not match."""
+    if tuple(mrp.base) != params.base or mrp.coeffs.shape != (len(params.base), params.N):
+        raise ParamsError(f"the polynomial (base {tuple(mrp.base)}, shape "
+                          f"{mrp.coeffs.shape}) does not match the profile's base and N")
+    perm_kind = _PERM_IDS[params.layout.kind]
     header = MAGIC + struct.pack(
         "<7I", VERSION, params.N, params.w, params.r, params.n_seg,
         _BACKEND_IDS[params.backend], len(params.base))
@@ -156,29 +159,25 @@ class VerifyReport:
 def verify_mrp_file(path, seed: Seed) -> VerifyReport:
     """Recompute a stored polynomial from its seed and compare bit-exactly.
 
-    Each regenerated limb is compared with its stored row as it comes, so no
-    second (L, N) array is built.  The rows are regenerated under the worker
-    rules of sampling._each_limb: each worker compares its rows with the
-    stored bytes it inherited, copy-on-write, and writes the first mismatch
-    index of every row into a small shared array, from which this process
-    names the first mismatch in base order.  Every limb is generated even
-    after a mismatch, so a short segment still raises GenerationFailure in
-    base order, as generate_mrp would.
+    Each regenerated limb is reduced to its first mismatch index (-1 for
+    none) under the worker rule of sampling._each_limb, so no second (L, N)
+    array is built, and the first mismatch in base order is named.  Every
+    limb is generated even after a mismatch, so a short segment still
+    raises GenerationFailure in base order, as generate_mrp would.
     """
     stored, params = read_mrp(path)
-    first_diff = _shared_array((len(params.base),), np.int64)
 
-    def compare(row: int, limb: np.ndarray) -> None:
+    def first_diff(row: int, limb: np.ndarray) -> int:
         differs = stored.coeffs[row] != limb
-        first_diff[row] = np.argmax(differs) if differs.any() else -1
+        return int(np.argmax(differs)) if differs.any() else -1
 
-    _each_limb(seed, params, compare)
-    mismatched = np.flatnonzero(first_diff >= 0)
+    diffs = _each_limb(seed, params, first_diff, (), np.int64)
+    mismatched = np.flatnonzero(diffs >= 0)
     if not len(mismatched):
         return VerifyReport(ok=True)
     row = mismatched[0]
     return VerifyReport(ok=False, detail=f"limb q={params.base[row]} differs first at "
-                                         f"index {first_diff[row]}")
+                                         f"index {diffs[row]}")
 
 
 _PARAM_KEYS = ("N", "w", "r", "len", "n_seg", "base", "permutation", "backend")

@@ -19,16 +19,15 @@ any schedule over any number of engines reproduces the serial client output
 bit for bit; the client validates a seed once (retrying on the rare
 shortfall) and the server can then regenerate any limb at random access
 without ever stalling.  The library's own schedule is one such schedule:
-``generate_mrp`` and ``formats.verify_mrp_file`` deal the limbs of a large
-polynomial out to forked workers under the rules of ``_each_limb``.  The
-test suite checks the result against per-segment assembly in shuffled
-orders (``tests/schedules.py``).
+``generate_mrp`` and ``formats.verify_mrp_file`` run the serial limb loop,
+and for a large polynomial one forked helper runs it from the other end
+and only saves it work (``_each_limb``).  The test suite checks the result
+against per-segment assembly in shuffled orders (``tests/schedules.py``).
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import mmap
 import os
 import signal
@@ -61,8 +60,12 @@ class Permutation:
         n = arr.shape[0]
         if not np.array_equal(np.sort(arr), np.arange(n)):
             raise ParamsError("permutation mapping is not a bijection on 0..N-1")
+        if kind not in ("identity", "reverse", "explicit"):
+            raise ParamsError(f"unknown layout kind '{kind}'")
         if kind == "identity" and not np.array_equal(arr, np.arange(n)):
             raise ParamsError("an identity layout must map every i to i")
+        if kind == "reverse" and not np.array_equal(arr, np.arange(n)[::-1]):
+            raise ParamsError("a reverse layout must map every i to N-1-i")
         arr.setflags(write=False)
         self.mapping = arr
         self.kind = kind
@@ -254,15 +257,12 @@ def generate_limb(seed: Seed, q: int, params: GenParams) -> Limb:
     return Limb(q=q, coeffs=permute(coeffs.astype(np.uint32, copy=False), params.layout))
 
 
-# Two forked workers made CLI gen-mrp and verify faster in most interleaved
+# A forked helper made CLI gen-mrp and verify faster in most interleaved
 # pairs from 3 * 2^14 blocks (L * n_seg) up, on two cores with N = 2^16; at
-# 2^14 and 2^15 blocks they won about half the pairs: the fork, the
-# copy-on-write faults at exit and the shared pages cost about what the
-# hashing they save is worth.
+# 2^14 and 2^15 blocks it won about half the pairs: the fork, the
+# copy-on-write faults and the shared pages cost about what the hashing it
+# saves is worth.
 MIN_FORK_BLOCKS = 3 << 14
-# Only two workers have been measured; more would pay more forks for cores
-# that a CPU quota, which sched_getaffinity does not see, may not grant.
-MAX_WORKERS = 2
 
 
 def _shared_array(shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -273,31 +273,17 @@ def _shared_array(shape: tuple[int, ...], dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
 
 
-def _worker_count(params: GenParams) -> int:
+def _may_fork(params: GenParams) -> bool:
     # threading.active_count() sees Python threads only.  After import numpy
     # the OpenBLAS pool is a second OS thread, and a child that called into
     # BLAS could deadlock on its locks; forking past it is safe because the
     # forked path calls no BLAS routine (tests/test_sampling.py pins that).
     if not all(hasattr(mod, name) for mod, name in
                ((os, "fork"), (os, "sched_getaffinity"), (signal, "pthread_sigmask"))):
-        return 1
+        return False
     if threading.active_count() > 1 or len(params.base) * params.n_seg < MIN_FORK_BLOCKS:
-        return 1
-    return min(len(os.sched_getaffinity(0)), len(params.base), MAX_WORKERS)
-
-
-def _make_rows(seed: Seed, params: GenParams, visit, made: np.ndarray, rows) -> None:
-    """Make rows in order, marking each in made: -1 once visit has returned,
-    1 + id_seg if its segment id_seg is short, which ends the rows.  An error
-    propagates and leaves its row at 0, not made."""
-    for row in rows:
-        try:
-            limb = generate_limb(seed, params.base[row], params)
-        except GenerationFailure as failure:
-            made[row] = 1 + failure.id_seg
-            return
-        visit(row, limb.coeffs)
-        made[row] = -1
+        return False
+    return len(os.sched_getaffinity(0)) > 1 and len(params.base) > 1
 
 
 def _wait(pid: int) -> int | None:
@@ -308,89 +294,94 @@ def _wait(pid: int) -> int | None:
         return None
 
 
-def _each_limb(seed: Seed, params: GenParams,
-               visit: Callable[[int, np.ndarray], None]) -> None:
-    """Call visit(row, coeffs) with generate_limb's output for every base row.
+def _help(seed: Seed, params: GenParams, row_fn, out: np.ndarray, made: np.ndarray,
+          caller: int) -> None:
+    """The helper's loop of _each_limb: rows from the last down."""
+    for row in range(len(params.base) - 1, -1, -1):
+        if made[row] or os.getppid() != caller:
+            return
+        try:
+            limb = generate_limb(seed, params.base[row], params)
+        except GenerationFailure as failure:
+            made[row] = 1 + failure.id_seg
+            return
+        out[row] = row_fn(row, limb.coeffs)
+        made[row] = -1
 
-    The worker rules of generate_mrp and formats.verify_mrp_file.  Worker w
-    of k makes rows w, w + k, ... in base order, marks each in one shared
-    per-row record and stops at its first short row or error; an error
-    leaves its row unmarked.  The caller is worker 0 and k - 1 children come
-    from os.fork, so visit must leave its results in a _shared_array.  k is
-    min(available CPUs, L, MAX_WORKERS); it is 1, the same code with no fork,
-    without os.fork, os.sched_getaffinity or signal.pthread_sigmask, while
-    another thread is alive, or below MIN_FORK_BLOCKS blocks.  A child leaves
-    through os._exit, never into the caller, and starts a row only while the
-    caller is still its parent: a SIGKILL or SIGTERM ends the caller without
-    unwinding, and its children then stop after at most the row in hand
-    instead of filling a record nobody reads.  Once the children are reaped,
-    this process walks the rows in base order: it makes each unmarked row,
-    which raises any error there, and raises GenerationFailure at the first
-    short row, so the bits and the first error are the serial loop's.
-    Children are killed and reaped when this unwinds.
+
+def _each_limb(seed: Seed, params: GenParams, row_fn: Callable[[int, np.ndarray], object],
+               shape: tuple[int, ...], dtype) -> np.ndarray:
+    """The (L, *shape) array whose row i is row_fn(i, coeffs of limb base[i]).
+
+    The worker rule of generate_mrp and formats.verify_mrp_file.  This
+    process runs the serial loop over the base in order and raises the
+    serial loop's first error.  Every row is a pure function of (seed, q),
+    so one optional helper, forked from this process, runs the same loop
+    from the last row down and may only save it work.  The helper stores
+    a row into the shared output, then marks it in a shared per-row
+    record: -1 made, or 1 + id_seg if segment id_seg is short, after which
+    it stops.  It also stops at a row this process has marked, at an error
+    (the row stays unmarked), and before any row once this process is no
+    longer its parent, so a caller killed without unwinding (SIGKILL,
+    SIGTERM) leaves it at most the row in hand.  It leaves through
+    os._exit, never into the caller.  This process skips a row marked -1,
+    raises GenerationFailure at a row marked short, and makes and marks any
+    other row itself.  A row both sides make comes out the same bits, so
+    nothing needs recovering.  When its loop ends or unwinds, this process
+    SIGKILLs and reaps the helper without waiting on it, and only then
+    returns the output.  There is no helper without os.fork,
+    os.sched_getaffinity or signal.pthread_sigmask, while another thread is
+    alive, on one CPU or one row, or below MIN_FORK_BLOCKS blocks.
     """
     rows = len(params.base)
-    workers = _worker_count(params)
+    out = _shared_array((rows, *shape), dtype)
     made = _shared_array((rows,), np.int64)
     caller = os.getpid()
-    children: list[int] = []
+    helper = 0
     try:
-        for worker in range(1, workers):
-            # SIGINT is held from before the fork until the child is inside
-            # its os._exit guard and the parent has recorded the child, so a
-            # Ctrl-C can neither unwind a child into the caller nor orphan it.
+        if _may_fork(params):
+            # SIGINT is held from before the fork until the helper is inside
+            # its os._exit guard and this process has its pid, so a Ctrl-C
+            # can neither unwind the helper into the caller nor orphan it.
             held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
-                pid = os.fork()
-                if pid == 0:
+                helper = os.fork()
+                if helper == 0:
                     code = 1
                     try:
                         signal.pthread_sigmask(signal.SIG_SETMASK, held)
-                        _make_rows(seed, params, visit, made, itertools.takewhile(
-                            lambda _: os.getppid() == caller, range(worker, rows, workers)))
+                        _help(seed, params, row_fn, out, made, caller)
                         code = 0
                     finally:
                         os._exit(code)
-                children.append(pid)
             except OSError:
-                pass  # its rows stay unmarked and are made below
+                pass  # no helper: this process makes every row
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        # an error leaves its row unmarked here too; the walk below raises it
-        with contextlib.suppress(Exception):
-            _make_rows(seed, params, visit, made, range(0, rows, workers))
-        while children:
-            _wait(children[-1])
-            children.pop()
-    except BaseException:
-        for pid in children:
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-        raise
+        for row in range(rows):
+            mark = int(made[row])  # read once: the helper may mark the row meanwhile
+            if mark > 0:
+                raise GenerationFailure(params.base[row], mark - 1)
+            if mark == 0:
+                out[row] = row_fn(row, generate_limb(seed, params.base[row], params).coeffs)
+                made[row] = -1
     finally:
-        for pid in children:
-            _wait(pid)
-    for row in range(rows):
-        if made[row] == 0:
-            _make_rows(seed, params, visit, made, range(row, row + 1))
-        if made[row] > 0:
-            raise GenerationFailure(params.base[row], int(made[row]) - 1)
+        if helper:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(helper, signal.SIGKILL)
+            _wait(helper)
+    return out
 
 
 def generate_mrp(seed: Seed, params: GenParams) -> MultiResiduePolynomial:
     """Generate one limb per base modulus; fails if any segment is short.
 
-    The (L, N) array lives in an anonymous shared mapping, and each worker
-    of _each_limb writes its rows straight into it, so nothing is pickled or
-    copied back.  The bits, and the GenerationFailure for the first short row
-    in base order, do not depend on how many workers made them.
+    The (L, N) array is _each_limb's shared output, so the rows a helper
+    makes are not pickled or copied back.  The bits, and the
+    GenerationFailure for the first short row in base order, are the serial
+    loop's.
     """
-    coeffs = _shared_array((len(params.base), params.N), np.uint32)
-
-    def store(row: int, limb: np.ndarray) -> None:
-        coeffs[row] = limb
-
-    _each_limb(seed, params, store)
+    coeffs = _each_limb(seed, params, lambda row, limb: limb, (params.N,), np.uint32)
     return MultiResiduePolynomial(base=params.base, coeffs=coeffs)
 
 

@@ -18,8 +18,8 @@ def fixtures_dir() -> Path:
 
 @pytest.fixture
 def forked(monkeypatch) -> list[int]:
-    """Limbs go to forked workers at any size, three of them (see
-    schedules.forking); the pids os.fork handed out."""
+    """The limb helper is forked at any size (see schedules.forking); the
+    pids os.fork handed out."""
     with forking(monkeypatch) as pids:
         yield pids
 

@@ -3,7 +3,7 @@
 ``verify_distributed_equivalence`` replays generation as a bank of engines
 would: every (q, id_seg) unit goes to a thread pool in a shuffled order and
 is computed with ``generate_segment`` alone.  ``forking`` makes
-``generate_mrp`` and ``verify_mrp_file`` fork their limb workers at any size.
+``generate_mrp`` and ``verify_mrp_file`` fork their limb helper at any size.
 """
 
 from __future__ import annotations
@@ -84,9 +84,9 @@ def verify_distributed_equivalence(seed: Seed, params: GenParams, engine_count: 
 
 
 @contextlib.contextmanager
-def forking(monkeypatch: pytest.MonkeyPatch, workers: int = 3):
-    """Limbs go to `workers` forked workers at any size, as on a host with
-    that many CPUs and MAX_WORKERS raised to match.
+def forking(monkeypatch: pytest.MonkeyPatch):
+    """generate_mrp and verify_mrp_file fork their one helper at any size,
+    as on a host with two CPUs.
 
     Yields the pids os.fork handed out; at exit none may be left unreaped.
     The patches go through `monkeypatch`, so they are undone with it.
@@ -94,9 +94,7 @@ def forking(monkeypatch: pytest.MonkeyPatch, workers: int = 3):
     if not hasattr(os, "fork"):
         pytest.skip("no os.fork on this platform")
     monkeypatch.setattr(sampling, "MIN_FORK_BLOCKS", 0)
-    monkeypatch.setattr(sampling, "MAX_WORKERS", workers)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
-                        raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     pids = []
     real_fork = os.fork
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import struct
 import time
 
 import pytest
@@ -203,6 +204,26 @@ class TestErrorTaxonomy:
         code, _, err = run(capsys, "stats", "--mrp", path)
         assert code == 2
         assert "code=format-error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("r, message", [(100, "multiple of the word size"),
+                                            (2688, "single-squeeze")])
+    def test_a_params_file_r_outside_one_block_exits_two(self, capsys, tmp_path, r,
+                                                         message):
+        path = tmp_path / "r.params"
+        path.write_text(f"N = 256\nw = 32\nr = {r}\nlen = 32\nn_seg = 8\nbase = 7681\n")
+        code, out, err = run(capsys, "gen-mrp", "--seed", ZERO_SEED, "--params", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error code=params-error ") and message in err
+
+    def test_an_mrp_header_r_beyond_one_block_exits_two(self, capsys, tmp_path):
+        from conftest import mrp_header
+        blob = bytearray(mrp_header(256, 8) + bytes(4 * 256))
+        struct.pack_into("<I", blob, 16, 2688)  # magic, version, N, w, then r
+        path = tmp_path / "r.mrp"
+        path.write_bytes(bytes(blob))
+        code, out, err = run(capsys, "verify", "--mrp", path, "--seed", ZERO_SEED)
+        assert (code, out) == (2, "")
+        assert err.startswith("error code=format-error ") and "single-squeeze" in err
 
     def test_missing_seed_exits_two(self, capsys, params_file):
         code, _, err = run(capsys, "gen-mrp", "--params", params_file)

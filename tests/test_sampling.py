@@ -20,8 +20,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from mrpgen import (GenerationFailure, GenParams, ParamsError, Permutation,
-                    RetryExhausted, Seed, client_generate_with_retry,
+from mrpgen import (GenerationFailure, GenParams, MultiResiduePolynomial, ParamsError,
+                    Permutation, RetryExhausted, Seed, client_generate_with_retry,
                     compute_threshold, generate_limb, generate_mrp,
                     generate_segment, is_ntt_friendly, permute,
                     sample_rejection_prob, seed_source_from_rng, split_words,
@@ -166,6 +166,16 @@ class TestPermutation:
     def test_identity_kind_requires_the_identity_mapping(self):
         with pytest.raises(ParamsError):
             Permutation([1, 0, 2], kind="identity")
+
+    def test_reverse_kind_requires_the_reversed_mapping(self):
+        with pytest.raises(ParamsError, match="reverse"):
+            Permutation([1, 0, 2], kind="reverse")
+        assert Permutation([2, 1, 0], kind="reverse") == Permutation.reverse(3)
+
+    @pytest.mark.parametrize("kind", ["", "Reverse", "shuffle"])
+    def test_refuses_an_unknown_kind(self, kind):
+        with pytest.raises(ParamsError, match="unknown layout kind"):
+            Permutation([0, 1, 2], kind=kind)
 
     @pytest.mark.parametrize("make", [Permutation.identity, Permutation.reverse])
     def test_inverse_keeps_an_involution_kind(self, tmp_path, zero_seed, make):
@@ -353,14 +363,51 @@ def _outcome(run):
         return failure.q, failure.id_seg
 
 
-def _dying_children(params: GenParams, die_after: int):
-    """sampling.generate_limb, except that a forked child SIGKILLs itself
-    instead of making any base row after die_after."""
+def _dying_helper(rows: int):
+    """sampling.generate_limb, except that a forked helper SIGKILLs itself
+    instead of starting a row after its first `rows`."""
     parent, real = os.getpid(), sampling.generate_limb
+    started = []  # appended to only in a helper, so empty at each fork
 
     def generate_limb(seed, q, p):
-        if os.getpid() != parent and params.base.index(q) > die_after:
-            os.kill(os.getpid(), signal.SIGKILL)
+        if os.getpid() != parent:
+            if len(started) == rows:
+                os.kill(os.getpid(), signal.SIGKILL)
+            started.append(q)
+        return real(seed, q, p)
+
+    return generate_limb
+
+
+@contextlib.contextmanager
+def _within(seconds: float):
+    """Raise TimeoutError in this process once the block has run `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _caller_waits_for_helper(pids: list[int], made_here: list[int]):
+    """sampling.generate_limb, except that this process records the moduli
+    it makes in made_here and, before its first row of each call, waits
+    (within 30 s, without reaping) until the helper in pids has exited."""
+    parent, real = os.getpid(), sampling.generate_limb
+    waited = set()
+
+    def generate_limb(seed, q, p):
+        if os.getpid() == parent:
+            for pid in set(pids) - waited:
+                with _within(30):
+                    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+                waited.add(pid)
+            made_here.append(q)
         return real(seed, q, p)
 
     return generate_limb
@@ -369,32 +416,31 @@ def _dying_children(params: GenParams, die_after: int):
 class TestBatchedLimbMatchesSegments:
     @settings(deadline=None, max_examples=150)
     @given(_short_prone_profiles(), st.integers(1, 4), st.integers(0, 2 ** 32),
-           st.integers(2, 3), st.sampled_from([None, 0, 1, 2]))
-    def test_batched_equals_per_segment(self, case, engines, shuffle_seed, workers,
-                                        die_after):
+           st.sampled_from(["serial", "forked"]) | st.integers(0, 2))
+    def test_batched_equals_per_segment(self, case, engines, shuffle_seed, schedule):
         # per-segment engines in a shuffled order are the reference; random
-        # access per row, the serial loop and forked workers, whose children
-        # may die after base row die_after, must all agree with it, down to
-        # the first short (q, id_seg) in base order
+        # access per row and generate_mrp must agree with it, down to the
+        # first short (q, id_seg) in base order, whether generate_mrp runs
+        # serially, with a helper, or with a helper that dies after
+        # `schedule` rows
         seed, params = case
         expected = _outcome(lambda: assemble_segments(seed, params, engines,
                                                       random.Random(shuffle_seed)))
         outcomes = {
             "limbs": _outcome(lambda: np.stack([generate_limb(seed, q, params).coeffs
                                                 for q in params.base])),
-            "serial": _outcome(lambda: generate_mrp(seed, params).coeffs),
         }
         short = isinstance(expected, tuple)
         event("short" if short else "complete")
         event(params.backend)
-        with (pytest.MonkeyPatch.context() as monkeypatch,
-              forking(monkeypatch, workers) as pids):
-            if die_after is not None:
-                monkeypatch.setattr(sampling, "generate_limb",
-                                    _dying_children(params, die_after))
-                event("children die")
+        event(schedule if isinstance(schedule, str) else "helper dies")
+        with pytest.MonkeyPatch.context() as monkeypatch, forking(monkeypatch) as pids:
+            if schedule == "serial":
+                monkeypatch.setattr(sampling, "MIN_FORK_BLOCKS", 1 << 30)
+            elif schedule != "forked":
+                monkeypatch.setattr(sampling, "generate_limb", _dying_helper(schedule))
             mrp = _outcome(lambda: generate_mrp(seed, params))
-            outcomes["forked"] = mrp if short else mrp.coeffs
+            outcomes[schedule] = mrp if short else mrp.coeffs
             if not short:
                 with tempfile.TemporaryDirectory() as tmp:
                     path = os.path.join(tmp, "x.mrp")
@@ -406,7 +452,8 @@ class TestBatchedLimbMatchesSegments:
                     assert stored_params.layout == params.layout
                     assert verify_mrp_file(path, seed).ok
         # generate_mrp forks, and so does verify_mrp_file after a complete draw
-        assert len(pids) == (1 + (not short)) * (min(workers, len(params.base)) - 1)
+        forks = schedule != "serial" and len(params.base) > 1
+        assert len(pids) == (1 + (not short)) * forks
         for name, got in outcomes.items():
             if short:
                 assert got == expected, name
@@ -485,8 +532,7 @@ def _serial_rows(seed, params):
 
 
 class TestForkedGeneration:
-    """Five limbs over three workers: rows 0 and 3 stay here, 1 and 4 go to
-    the first child, 2 to the second."""
+    """Five limbs: this process makes rows from 0 up, the helper from 4 down."""
 
     @staticmethod
     def _profile(layout=None):
@@ -509,7 +555,7 @@ class TestForkedGeneration:
             np.random.default_rng(4).permutation(256))
         params = self._profile(layout)
         mrp = generate_mrp(zero_seed, params)
-        assert len(forked) == 2
+        assert len(forked) == 1
         assert mrp.coeffs.dtype == np.uint32 and mrp.coeffs.flags.writeable
         assert np.array_equal(mrp.coeffs, _serial_rows(zero_seed, params))
 
@@ -521,10 +567,9 @@ class TestForkedGeneration:
         assert forked == []
         monkeypatch.setattr(sampling, "MIN_FORK_BLOCKS", blocks)
         generate_mrp(zero_seed, params)
-        assert len(forked) == 2
+        assert len(forked) == 1
 
-    def test_at_most_max_workers(self, monkeypatch, forked, zero_seed):
-        monkeypatch.setattr(sampling, "MAX_WORKERS", 2)
+    def test_one_helper_on_a_64_cpu_host(self, monkeypatch, forked, zero_seed):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
         params = self._profile()
         assert np.array_equal(generate_mrp(zero_seed, params).coeffs,
@@ -544,9 +589,26 @@ class TestForkedGeneration:
         assert (err.value.q, err.value.id_seg) == (base[short_rows[0]], 0)
         assert forked
 
-    @pytest.mark.parametrize("workers", [1, 3], ids=["serial", "forked"])
+    def test_a_row_the_helper_marked_short_is_raised_here(self, monkeypatch, forked,
+                                                          zero_seed):
+        # the helper makes row 4, marks row 3 short and stops; this process
+        # waits for that, makes rows 0 to 2 and raises at row 3 unmade
+        good = iter(ntt_primes(64, 4, q_min=61440, q_max=1 << 16))
+        short = ntt_primes(64, 1, q_min=1 << 15, q_max=1 << 16)[0]
+        base = tuple(short if row == 3 else next(good) for row in range(5))
+        params = GenParams(N=64, w=16, seg_len=64, n_seg=1, base=base)
+        made_here = []
+        monkeypatch.setattr(sampling, "generate_limb",
+                            _caller_waits_for_helper(forked, made_here))
+        with pytest.raises(GenerationFailure) as err:
+            generate_mrp(zero_seed, params)
+        assert (err.value.q, err.value.id_seg) == (short, 0)
+        assert made_here == list(base[:3])
+        assert len(forked) == 1
+
+    @pytest.mark.parametrize("helper", [False, True], ids=["serial", "forked"])
     @pytest.mark.parametrize("short_row, broken_row", [(0, 4), (1, 3), (0, 2), (2, 3)])
-    def test_a_short_row_before_an_error_is_raised(self, monkeypatch, zero_seed, workers,
+    def test_a_short_row_before_an_error_is_raised(self, monkeypatch, zero_seed, helper,
                                                    short_row, broken_row):
         # the first failure in base order wins whoever meets it, as in the
         # serial loop: the short row, not a later row whose limb raises
@@ -562,39 +624,35 @@ class TestForkedGeneration:
             return real(seed, q, p)
 
         monkeypatch.setattr(sampling, "generate_limb", broken)
-        with forking(monkeypatch, workers) as pids:
+        with forking(monkeypatch) as pids:
+            if not helper:
+                monkeypatch.setattr(sampling, "MIN_FORK_BLOCKS", 1 << 30)
             with pytest.raises(GenerationFailure) as err:
                 generate_mrp(zero_seed, params)
         assert (err.value.q, err.value.id_seg) == (short, 0)
-        assert len(pids) == workers - 1
+        assert len(pids) == helper
 
     def test_a_killed_child_costs_only_its_unmade_rows(self, monkeypatch, forked, zero_seed):
-        # the first child makes row 1 and dies before row 4: this process
-        # makes its own rows 0 and 3, then row 4 alone
+        # the helper makes row 4 and dies as it starts row 3; this process
+        # waits for that, then makes rows 0 to 3 and takes row 4 as marked
+        params = self._profile()
+        expected = _serial_rows(zero_seed, params)
+        made_here = []
+        monkeypatch.setattr(sampling, "generate_limb", _dying_helper(1))
+        monkeypatch.setattr(sampling, "generate_limb",
+                            _caller_waits_for_helper(forked, made_here))
+        assert np.array_equal(generate_mrp(zero_seed, params).coeffs, expected)
+        assert made_here == list(params.base[:4])
+        assert len(forked) == 1
+
+    def test_a_child_killed_inside_visit_leaves_its_row_unmade(self, monkeypatch, forked,
+                                                               zero_seed):
+        # the helper dies while its first limb is stored: a row counts as
+        # made only once it is stored, so this process makes every row
         params = self._profile()
         expected = _serial_rows(zero_seed, params)
         parent, real = os.getpid(), sampling.generate_limb
         made_here = []
-
-        def dying(seed, q, p):
-            if os.getpid() == parent:
-                made_here.append(q)
-            elif q == params.base[4]:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return real(seed, q, p)
-
-        monkeypatch.setattr(sampling, "generate_limb", dying)
-        assert np.array_equal(generate_mrp(zero_seed, params).coeffs, expected)
-        assert made_here == [params.base[row] for row in (0, 3, 4)]
-        assert len(forked) == 2
-
-    def test_a_child_killed_inside_visit_leaves_its_row_unmade(self, monkeypatch, forked,
-                                                               zero_seed):
-        # each child dies while store copies its first limb: the row counts
-        # as made only once visit has returned, so this process makes it
-        params = self._profile()
-        expected = _serial_rows(zero_seed, params)
-        parent, real = os.getpid(), sampling.generate_limb
 
         class KilledOnCopy:
             def __array__(self, dtype=None, copy=None):
@@ -603,19 +661,22 @@ class TestForkedGeneration:
         def dying(seed, q, p):
             if os.getpid() != parent:
                 return sampling.Limb(q=q, coeffs=KilledOnCopy())
+            made_here.append(q)
             return real(seed, q, p)
 
         monkeypatch.setattr(sampling, "generate_limb", dying)
         assert np.array_equal(generate_mrp(zero_seed, params).coeffs, expected)
-        assert len(forked) == 2
+        assert made_here == list(params.base)
+        assert len(forked) == 1
 
     @pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["kill", "term"])
     def test_a_child_stops_once_its_caller_is_gone(self, sig):
-        # The caller, a fresh interpreter, stalls in its own first row; its one
-        # child prints its pid as it starts each of its 8 rows of 0.25 s.  The
-        # caller is killed without unwinding as the child starts its first row.
-        # The child must then stop after that row (2 s more if it ran its
-        # share), which shows as the end of the stdout pipe it holds.
+        # The caller, a fresh interpreter, stalls in its own first row; its
+        # helper prints its pid as it starts each of the 16 rows of 0.25 s it
+        # would make.  The caller is killed without unwinding as the helper
+        # starts its first row.  The helper must then stop after that row
+        # (4 s more if it ran on), which shows as the end of the stdout pipe
+        # it holds.
         script = "\n".join([
             "import os, time",
             "from mrpgen import GenParams, Seed, generate_mrp, sampling",
@@ -664,18 +725,62 @@ class TestForkedGeneration:
         params = self._profile()
         expected = _serial_rows(zero_seed, params)
         parent, real = os.getpid(), sampling.generate_limb
+        made_here = []
 
         def faulty(seed, q, p):
             if os.getpid() != parent:
                 if fault == "raise":
-                    raise RuntimeError("worker fault")
+                    raise RuntimeError("helper fault")
                 if fault == "exit":
                     os._exit(3)
                 os.kill(os.getpid(), signal.SIGKILL)
+            made_here.append(q)
             return real(seed, q, p)
 
         monkeypatch.setattr(sampling, "generate_limb", faulty)
         assert np.array_equal(generate_mrp(zero_seed, params).coeffs, expected)
+        assert made_here == list(params.base)
+        assert len(forked) == 1
+
+    def test_a_stalled_helper_is_not_waited_on(self, monkeypatch, forked, zero_seed,
+                                               tmp_path):
+        # The helper blocks in its first row; this process waits, through a
+        # pipe, until it has, then makes every row itself and must return
+        # the serial result without waiting on the helper.
+        params = self._profile()
+        expected = _serial_rows(zero_seed, params)
+        stored = expected.copy()
+        stored[2, 100] ^= 1
+        path = tmp_path / "stalled.mrp"
+        write_mrp(path, MultiResiduePolynomial(params.base, stored), params)
+        parent, real = os.getpid(), sampling.generate_limb
+        started, never = os.pipe(), os.pipe()
+        made_here = []
+
+        def stalling(seed, q, p):
+            if os.getpid() != parent:
+                os.write(started[1], b"x")
+                select.select([never[0]], [], [], 60)
+            elif not made_here:
+                assert select.select([started[0]], [], [], 30)[0], "no helper started"
+                os.read(started[0], 1)
+            made_here.append(q)
+            return real(seed, q, p)
+
+        monkeypatch.setattr(sampling, "generate_limb", stalling)
+        try:
+            with _within(20):
+                coeffs = generate_mrp(zero_seed, params).coeffs
+            assert made_here == list(params.base)
+            del made_here[:]
+            with _within(20):
+                report = verify_mrp_file(path, zero_seed)
+            assert made_here == list(params.base)
+        finally:
+            for fd in started + never:
+                os.close(fd)
+        assert np.array_equal(coeffs, expected)
+        assert report.detail == f"limb q={params.base[2]} differs first at index 100"
         assert len(forked) == 2
 
     def test_an_error_met_in_a_child_is_raised_here(self, monkeypatch, forked, zero_seed):
@@ -690,7 +795,7 @@ class TestForkedGeneration:
         monkeypatch.setattr(sampling, "generate_limb", broken)
         with pytest.raises(ParamsError, match=f"no limb for q={params.base[4]}"):
             generate_mrp(zero_seed, params)
-        assert len(forked) == 2
+        assert len(forked) == 1
 
     def test_an_interrupt_kills_and_reaps_the_children(self, monkeypatch, forked, zero_seed):
         parent = os.getpid()
@@ -705,16 +810,17 @@ class TestForkedGeneration:
         with pytest.raises(KeyboardInterrupt):
             generate_mrp(zero_seed, self._profile())
         assert time.monotonic() - start < 30
-        assert len(forked) == 2
+        assert len(forked) == 1
 
     def test_an_interrupt_in_a_fresh_child_stays_in_the_child(self, monkeypatch, forked,
                                                                zero_seed):
-        # A SIGINT that reaches a child as soon as it is forked must end that
-        # child through its os._exit guard (exit 1, share redone here), never
-        # unwind it into this test; a child that did would exit 99 below.
+        # A SIGINT that reaches the helper as soon as it is forked must end
+        # it through its os._exit guard (exit 1, which this process waits
+        # for before its first row), never unwind it into this test; a
+        # helper that did would exit 99 below.
         params = self._profile()
         parent, fork, wait = os.getpid(), os.fork, sampling._wait
-        codes = []
+        codes, made_here = [], []
 
         def interrupted_fork():
             pid = fork()
@@ -728,14 +834,17 @@ class TestForkedGeneration:
 
         monkeypatch.setattr(os, "fork", interrupted_fork)
         monkeypatch.setattr(sampling, "_wait", recorded_wait)
+        monkeypatch.setattr(sampling, "generate_limb",
+                            _caller_waits_for_helper(forked, made_here))
         try:
             coeffs = generate_mrp(zero_seed, params).coeffs
         finally:
             if os.getpid() != parent:
                 os._exit(99)
-        assert codes == [1, 1]
+        assert codes == [1]
+        assert made_here == list(params.base)
         assert np.array_equal(coeffs, _serial_rows(zero_seed, params))
-        assert len(forked) == 2
+        assert len(forked) == 1
 
     @pytest.mark.parametrize("sigint_held", [False, True])
     def test_the_callers_signal_mask_is_kept(self, forked, zero_seed, sigint_held):
@@ -749,7 +858,7 @@ class TestForkedGeneration:
             assert (signal.SIGINT in before) == sigint_held
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        assert len(forked) == 2
+        assert len(forked) == 1
 
     def test_serial_while_another_thread_is_alive(self, forked, zero_seed):
         params = self._profile()
@@ -776,7 +885,7 @@ class TestForkedGeneration:
         params = self._profile()
         assert np.array_equal(generate_mrp(zero_seed, params).coeffs,
                               _serial_rows(zero_seed, params))
-        assert len(attempts) == 2
+        assert len(attempts) == 1
 
     @pytest.mark.parametrize("module, missing", [(os, "fork"), (os, "sched_getaffinity"),
                                                  (signal, "pthread_sigmask")],
@@ -808,7 +917,7 @@ def _blas_uses(source: str) -> list[str]:
 
 
 def test_the_forked_path_calls_no_blas_routine():
-    # _worker_count forks while numpy's OpenBLAS pool thread is alive; a
+    # _may_fork allows a fork while numpy's OpenBLAS pool thread is alive; a
     # child is safe only while the code it runs never enters BLAS
     assert sorted(_blas_uses("from numpy import linalg\nx = a @ b\ny = np.dot(a, b)\n"
                              "c @= d\n")) == ["1: linalg", "2: @", "3: dot", "4: @"]
