@@ -2,12 +2,13 @@
 
 Every subcommand prints a report envelope (command, version, input digest,
 result) on stdout and diagnostics on stderr.  With --canonical the report
-carries no timestamp and is byte-reproducible for identical inputs.  Every
-subcommand runs in the calling thread: the catalog scan is pure-Python
-primality testing, which worker threads cannot overlap.  gen-mrp, retry-gen
-and verify run the serial limb loop, which for a large polynomial one forked
-helper process may save work (``sampling._each_limb``); their output is the
-serial loop's.
+carries no timestamp and is byte-reproducible for identical inputs.  The
+catalog scan runs in the calling thread: it is pure-Python primality
+testing, which worker threads cannot overlap.  gen-mrp, retry-gen and verify
+run the serial limb loop, which for a large polynomial one forked helper
+process may save work (``sampling._each_limb``); their output is the serial
+loop's.  With --out, gen-mrp and retry-gen hash the limb summaries on one
+second thread while the file is written, and join it before reporting.
 
 Exit codes: 0 success; 1 an expected domain failure, raised as a
 ``DomainFailure`` after the report is printed; 2 a usage error (argparse),
@@ -15,29 +16,38 @@ any other ``MrpgenError`` or an ``OSError`` from a path (``code=io-error``);
 3 any other exception (``code=internal-error``), a bug.  ``main`` prints each
 error it catches as one ``error code=<code> <message>`` line on stderr.
 
-Only the generator handlers (gen-mrp, gen-limb, gen-seg, retry-gen, verify,
-stats) import ``formats``, ``sampling``, ``xof`` and numpy, when they run;
-table1, fit-table1, enum-primes, analyze and cost never load numpy.
+Each handler imports what it uses when it runs.  Only the generator handlers
+(gen-mrp, gen-limb, gen-seg, retry-gen, verify, stats) import ``formats``,
+``sampling``, ``xof`` and numpy; table1, fit-table1, enum-primes, analyze and
+cost never load numpy, and only analyze, fit-table1 and stats load
+``analytics``.  When ``main`` runs as the program (no argv given), it calls
+``gc.freeze()`` once the handler is done, so the interpreter's final
+collection does not walk the heap; every file the CLI writes is closed
+explicitly, because a file caught in a reference cycle would no longer be
+finalized by that collection.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import hashlib
 import json
-import random
 import sys
-from collections import Counter
-from datetime import datetime, timezone
-from fractions import Fraction
+import threading
 from typing import TYPE_CHECKING
 
-from . import __version__, analytics, costmodel, primes, profiles
+from . import __version__, profiles
 from .errors import DomainFailure, GenerationFailure, MrpgenError, ParamsError
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     import numpy as np
 
+    from . import primes
+    from .sampling import GenParams, MultiResiduePolynomial
     from .xof import Seed
 
 
@@ -87,6 +97,8 @@ def _emit(args, command: str, payload: dict, body_lines=None) -> None:
         "input_digest": _digest(command, args),
     }
     if not args.canonical:
+        from datetime import datetime, timezone
+
         envelope["generated_at"] = datetime.now(timezone.utc).isoformat()
     if args.format == "json":
         envelope["result"] = _jsonable(payload)
@@ -128,7 +140,37 @@ def _limb_summaries(mrp) -> dict:
     return {str(q): _sha256_words(row) for q, row in zip(mrp.base, mrp.coeffs)}
 
 
+def _summaries_and_write(mrp: MultiResiduePolynomial, params: GenParams, out) -> dict:
+    """_limb_summaries(mrp); with out, write_mrp(out, mrp, params) meanwhile.
+
+    The summaries are hashed on a second thread while the file is written:
+    hashlib and the file write both release the GIL on buffers this large,
+    so the two overlap.  The thread is joined before this returns or raises.
+    A thread that failed leaves the hashing to this thread, so its error is
+    raised here, in the caller, and threading.excepthook never prints it.
+    """
+    if not out:
+        return _limb_summaries(mrp)
+    from . import formats
+
+    hashed = []
+
+    def summarize():
+        with contextlib.suppress(Exception):
+            hashed.append(_limb_summaries(mrp))
+
+    thread = threading.Thread(target=summarize)
+    thread.start()
+    try:
+        formats.write_mrp(out, mrp, params)
+    finally:
+        thread.join()
+    return hashed[0] if hashed else _limb_summaries(mrp)
+
+
 def _parse_fraction(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -143,13 +185,11 @@ def cmd_gen_mrp(args) -> int:
     params = formats.load_params(args.params)
     seed = _seed_from_args(args)
     mrp = sampling.generate_mrp(seed, params)
-    if args.out:
-        formats.write_mrp(args.out, mrp, params)
     payload = {
         "seed": seed.hex(),
         "N": params.N, "w": params.w, "n_seg": params.n_seg,
         "base": list(params.base),
-        "limb_sha256": _limb_summaries(mrp),
+        "limb_sha256": _summaries_and_write(mrp, params, args.out),
         "out": str(args.out) if args.out else None,
     }
     _emit(args, "gen-mrp", payload)
@@ -195,18 +235,18 @@ def cmd_gen_seg(args) -> int:
 
 
 def cmd_retry_gen(args) -> int:
+    import random
+
     from . import formats, sampling
 
     params = formats.load_params(args.params)
     source = sampling.seed_source_from_rng(random.Random(args.rng_seed))
     result = sampling.client_generate_with_retry(source, params, args.max_attempts)
-    if args.out:
-        formats.write_mrp(args.out, result.mrp, params)
     payload = {
         "attempts": result.attempts,
         "seed": result.seed.hex(),
         "rng_seed": args.rng_seed,
-        "limb_sha256": _limb_summaries(result.mrp),
+        "limb_sha256": _summaries_and_write(result.mrp, params, args.out),
         "out": str(args.out) if args.out else None,
     }
     _emit(args, "retry-gen", payload)
@@ -227,6 +267,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enum_primes(args) -> int:
+    from . import primes
+
     if args.n < 0 or args.qmin_bits < 0:
         raise ParamsError("--n and --qmin-bits must be non-negative")
     filt = primes.CatalogFilter(
@@ -252,6 +294,10 @@ def cmd_enum_primes(args) -> int:
 
 
 def _reference_filter() -> primes.CatalogFilter:
+    from fractions import Fraction
+
+    from . import primes
+
     return primes.CatalogFilter(
         n_ring=profiles.DEFAULT_N, w=profiles.DEFAULT_W,
         hw_naf_max=profiles.DEFAULT_HW_NAF_MAX, p_r_max=Fraction(1, 2),
@@ -259,6 +305,10 @@ def _reference_filter() -> primes.CatalogFilter:
 
 
 def cmd_table1(args) -> int:
+    from fractions import Fraction
+
+    from . import primes
+
     full = primes.enumerate_supported(_reference_filter())
     rows = []
     all_match = True
@@ -296,11 +346,17 @@ def cmd_table1(args) -> int:
 
 
 def _alt_convention_rows(catalog: primes.ModuliCatalog) -> dict:
+    from collections import Counter
+
+    from . import primes
+
     counts = {c: Counter(primes.size_bucket(r.q, c) for r in catalog) for c in ("ceil", "floor")}
     return {c: {str(b): n for b, n in sorted(hist.items())} for c, hist in counts.items()}
 
 
 def cmd_analyze(args) -> int:
+    from . import analytics
+
     p_r = _parse_fraction(args.pr)
     seg_success = analytics.p_seg(p_r, args.t, args.len)
     seg_fail = analytics.seg_failure_prob(p_r, args.t, args.len)
@@ -321,6 +377,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_fit_table1(args) -> int:
+    from fractions import Fraction
+
+    from . import analytics, primes
+
     rows = [(seg_len, p_r_max)
             for p_r_max, _, _, seg_len, _ in profiles.REFERENCE_ROWS
             if Fraction(p_r_max) < Fraction(1, 2)]
@@ -348,7 +408,7 @@ def cmd_fit_table1(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    from . import formats
+    from . import analytics, formats
 
     mrp, params = formats.read_mrp(args.mrp)
     reports = [analytics.chi_square_uniformity(limb, args.bins)
@@ -362,6 +422,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_cost(args) -> int:
+    from . import costmodel
+
     params = costmodel.CostParams(
         R=args.R, w=args.w, f_hz=args.f * 1e9,
         gamma=float(_parse_fraction(args.gamma)),
@@ -487,6 +549,12 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"error code=internal-error {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if argv is None:
+            # The process is about to exit: move every object to the permanent
+            # generation, so the interpreter's final collection does not walk
+            # the heap numpy built.  A caller of main([...]) keeps its gc state.
+            gc.freeze()
 
 
 if __name__ == "__main__":

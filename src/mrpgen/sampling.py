@@ -55,8 +55,11 @@ class Permutation:
     """
 
     def __init__(self, mapping: Iterable[int], kind: str = "explicit"):
-        arr = np.asarray(list(mapping) if not isinstance(mapping, np.ndarray) else mapping,
-                         dtype=np.int64)
+        try:
+            arr = np.asarray(list(mapping) if not isinstance(mapping, np.ndarray) else mapping,
+                             dtype=np.int64)
+        except OverflowError:  # an index of 2^63 or more does not fit an int64
+            raise ParamsError("permutation mapping is not a bijection on 0..N-1") from None
         n = arr.shape[0]
         if not np.array_equal(np.sort(arr), np.arange(n)):
             raise ParamsError("permutation mapping is not a bijection on 0..N-1")

@@ -1,16 +1,25 @@
 import contextlib
+import gc
+import hashlib
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ntt_primes
-from mrpgen import GenParams, analytics, cli, profiles, save_params
+from mrpgen import GenParams, analytics, cli, profiles, read_mrp, save_params
 from mrpgen.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 ZERO_SEED = "0" * 72
 ANALYZE = ["analyze", "--len", "4", "--nseg", "8", "--L", "2", "--pr", "0.1"]
@@ -112,6 +121,103 @@ class TestGenerateCommands:
                            "--params", params_file)
         assert code == 0
         assert json.loads(out)["result"]["seed"] == ZERO_SEED
+
+
+class TestWriteAndHash:
+    """gen-mrp and retry-gen hash the limb summaries on a second thread while
+    --out is written."""
+
+    @pytest.mark.parametrize("argv", [["gen-mrp", "--seed", ZERO_SEED], ["retry-gen"]],
+                             ids=["gen-mrp", "retry-gen"])
+    def test_summaries_are_the_rows_of_the_written_file(self, capsys, tmp_path, forked,
+                                                        argv):
+        params = GenParams(N=256, w=32, seg_len=32, n_seg=8, base=tuple(ntt_primes(256, 5)))
+        save_params(params, tmp_path / "five.params")
+        out_file = tmp_path / "out.mrp"
+        code, out, err = run(capsys, "--format", "json", *argv,
+                             "--params", tmp_path / "five.params", "--out", out_file)
+        assert (code, err) == (0, "")
+        assert len(forked) == 1
+        assert threading.active_count() == 1
+        stored, _ = read_mrp(out_file)
+        assert json.loads(out)["result"]["limb_sha256"] == {
+            str(q): hashlib.sha256(row.tobytes()).hexdigest()
+            for q, row in zip(stored.base, stored.coeffs)}
+
+    @pytest.mark.parametrize("target", ["x.mrp", "missing/x.mrp"], ids=["ok", "io-error"])
+    def test_the_thread_is_joined_before_main_returns(self, capsys, monkeypatch, tmp_path,
+                                                      params_file, target):
+        real = cli._limb_summaries
+
+        def slow(mrp):
+            time.sleep(0.2)
+            return real(mrp)
+        monkeypatch.setattr(cli, "_limb_summaries", slow)
+        code, _, _ = run(capsys, "retry-gen", "--params", params_file,
+                         "--out", tmp_path / target)
+        assert code == (0 if target == "x.mrp" else 2)
+        assert threading.active_count() == 1
+
+    def test_an_error_in_the_thread_is_raised_in_the_caller(self, capsys, monkeypatch,
+                                                           tmp_path, params_file):
+        def broken(mrp):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "_limb_summaries", broken)
+        code, out, err = run(capsys, "retry-gen", "--params", params_file,
+                             "--out", tmp_path / "x.mrp")
+        assert (code, out) == (3, "")
+        assert err == "error code=internal-error RuntimeError: boom\n"
+        assert threading.active_count() == 1
+
+
+class TestExitWithoutCollection:
+    """main() run as the program freezes the heap, so the interpreter's final
+    collection skips it; main([...]) leaves gc as it found it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-mrp", "--seed", ZERO_SEED, "--params", "{params}", "--out", "{tmp}/x.mrp"],
+        ["verify", "--seed", ZERO_SEED, "--mrp", "{tmp}/x.mrp"],
+        ["gen-mrp", "--params", "{params}"],
+        ["table1"],
+    ], ids=["gen-mrp", "verify", "params-error", "table1"])
+    def test_an_in_process_call_keeps_the_gc_state(self, capsys, tmp_path, params_file,
+                                                   argv):
+        run(capsys, "gen-mrp", "--seed", ZERO_SEED, "--params", params_file,
+            "--out", tmp_path / "x.mrp")
+        before = gc.get_freeze_count(), gc.isenabled()
+        run(capsys, "--canonical", *(a.format(params=params_file, tmp=tmp_path) for a in argv))
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_the_program_freezes_the_heap_on_exit(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["mrpgen", "--canonical", "table1"])
+        try:
+            assert main() == 0
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        assert "all_match = True" in capsys.readouterr().out
+
+    def test_every_written_file_is_closed(self, capsys, tmp_path, params_file):
+        """With the heap frozen at exit, a file caught in a reference cycle is
+        never finalized; -X dev reports an unclosed file as a ResourceWarning,
+        made an error here."""
+        commands = {
+            "gen-mrp.mrp": ["gen-mrp", "--seed", ZERO_SEED, "--params", params_file],
+            "retry-gen.mrp": ["retry-gen", "--params", params_file],
+            "gen-limb.bin": ["gen-limb", "--seed", ZERO_SEED, "--params", params_file,
+                             "--q", "7681"],
+        }
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        for name, argv in commands.items():
+            expected, got = tmp_path / f"in-process-{name}", tmp_path / name
+            assert run(capsys, "--canonical", *argv, "--out", expected)[0] == 0
+            proc = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m",
+                 "mrpgen.cli", "--canonical", *map(str, argv), "--out", str(got)],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, ""), name
+            assert got.read_bytes() == expected.read_bytes(), name
 
 
 class TestCatalogCommands:
@@ -289,6 +395,8 @@ class TestErrorTaxonomy:
          "params-error"),
         (["gen-mrp", "--seed", ZERO_SEED, "--params", "{tmp}/base-too-wide.params"],
          "params-error"),
+        (["gen-mrp", "--seed", ZERO_SEED, "--params", "{tmp}/perm-2^63.params"],
+         "params-error"),
     ], ids=["seed-length", "seed-not-hex", "common-length", "common-not-hex",
             "poly-id-range", "limb-q-not-in-base", "seg-q-not-in-base", "seg-id-range",
             "stats-too-few-samples", "stats-one-bin", "analyze-pr-2", "analyze-pr-abc",
@@ -300,15 +408,18 @@ class TestErrorTaxonomy:
             "fit-tol-nan", "fit-tol-inf", "enum-w-48-unbounded-scan", "analyze-t-169",
             "analyze-t-10000", "analyze-nseg-65537", "analyze-nseg-10^400",
             "analyze-L-2^32+1", "analyze-pr-den-2^64+1", "fit-lmax-0",
-            "common-without-poly-id", "base-float", "base-empty", "base-too-wide"])
+            "common-without-poly-id", "base-float", "base-empty", "base-too-wide",
+            "perm-index-2^63"])
     def test_bad_input_is_a_typed_error(self, capsys, tmp_path, params_file, argv,
                                         code_name):
         mrp = tmp_path / "p.mrp"
         run(capsys, "gen-mrp", "--seed", ZERO_SEED, "--params", params_file, "--out", mrp)
         (tmp_path / "binary.params").write_bytes(bytes(range(256)))
+        (tmp_path / "p.perm").write_text(" ".join(map(str, [2 ** 63, *range(1, 16)])))
         for name, fields in (("base-float", "w = 32\nbase = 1.5"),
                              ("base-empty", "w = 32\nbase ="),
-                             ("base-too-wide", "w = 8\nbase = 7681")):
+                             ("base-too-wide", "w = 8\nbase = 7681"),
+                             ("perm-2^63", "w = 32\nbase = 7681\npermutation = p.perm")):
             text = f"N = 256\nlen = 32\nn_seg = 8\n{fields}\n"
             (tmp_path / f"{name}.params").write_text(text)
         argv = [a.format(params=params_file, mrp=mrp, tmp=tmp_path) for a in argv]
@@ -321,7 +432,8 @@ class TestErrorTaxonomy:
     @pytest.mark.parametrize("argv, target", [
         (["gen-mrp", "--seed", ZERO_SEED], "{tmp}/missing/x.mrp"),
         (["gen-limb", "--seed", ZERO_SEED, "--q", "7681"], "missing/x.bin"),
-    ], ids=["out-dir-missing", "limb-out-dir-missing-relative"])
+        (["retry-gen"], "{tmp}/missing/x.mrp"),
+    ], ids=["out-dir-missing", "limb-out-dir-missing-relative", "retry-out-dir-missing"])
     def test_an_out_error_names_the_target_as_given(self, capsys, monkeypatch, tmp_path,
                                                     params_file, argv, target):
         # --out goes through a temporary sibling; the error names the target
@@ -331,6 +443,7 @@ class TestErrorTaxonomy:
         assert (code, out) == (2, "")
         assert err == f"error code=io-error [Errno 2] No such file or directory: {target!r}\n"
         assert ".tmp" not in err
+        assert threading.active_count() == 1  # the hashing thread was joined
 
     def test_retry_exhausted_exits_one(self, capsys, hard_params_file):
         path, q = hard_params_file

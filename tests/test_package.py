@@ -98,8 +98,30 @@ def test_design_commands_never_load_numpy():
                   f"for argv in {DESIGN_COMMANDS!r}:\n"
                   "    with contextlib.redirect_stdout(io.StringIO()):\n"
                   "        assert cli.main(['--canonical', *argv]) == 0, argv\n"
-                  "print('numpy' in sys.modules)")
-    assert got.strip() == "False"
+                  "print('numpy' in sys.modules, 'datetime' in sys.modules)")
+    assert got.strip() == "False False"
+
+
+def test_generator_commands_load_no_design_module(tmp_path):
+    # numpy's own extension module imports datetime, so only the design
+    # commands above can show that a canonical report does not
+    mrpgen.save_params(mrpgen.GenParams(N=256, w=32, seg_len=32, n_seg=8,
+                                        base=(7681, 10753)), tmp_path / "desk.params")
+    out_file = tmp_path / "x.mrp"
+    got = _python("import contextlib, io, json, sys\n"
+                  "from mrpgen import cli\n"
+                  "report = io.StringIO()\n"
+                  "with contextlib.redirect_stdout(report):\n"
+                  "    assert cli.main(['--canonical', '--format', 'json', 'retry-gen', "
+                  f"'--params', {str(tmp_path / 'desk.params')!r}, "
+                  f"'--out', {str(out_file)!r}]) == 0\n"
+                  "seed = json.loads(report.getvalue())['result']['seed']\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  f"    assert cli.main(['--canonical', 'verify', '--mrp', {str(out_file)!r}, "
+                  "'--seed', seed]) == 0\n"
+                  "print(sorted(m for m in ('mrpgen.analytics', 'mrpgen.costmodel') "
+                  "if m in sys.modules))")
+    assert got.strip() == "[]"
 
 
 def test_generator_modules_load_no_thread_pool_or_logging():

@@ -159,6 +159,11 @@ class TestPermutation:
         with pytest.raises(ParamsError):
             Permutation([0, 0, 2])
 
+    @pytest.mark.parametrize("mapping", [[2 ** 64], [1, 2 ** 63], [-2 ** 63 - 1, 0]])
+    def test_an_index_beyond_int64_is_a_params_error(self, mapping):
+        with pytest.raises(ParamsError, match="not a bijection"):
+            Permutation(mapping)
+
     def test_identity_returns_the_coefficients_uncopied(self):
         coeffs = np.arange(10, 20, dtype=np.uint32)
         assert permute(coeffs, Permutation.identity(10)) is coeffs
