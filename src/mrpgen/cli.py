@@ -16,15 +16,18 @@ any other ``MrpgenError`` or an ``OSError`` from a path (``code=io-error``);
 3 any other exception (``code=internal-error``), a bug.  ``main`` prints each
 error it catches as one ``error code=<code> <message>`` line on stderr.
 
-Each handler imports what it uses when it runs.  Only the generator handlers
-(gen-mrp, gen-limb, gen-seg, retry-gen, verify, stats) import ``formats``,
-``sampling``, ``xof`` and numpy; table1, fit-table1, enum-primes, analyze and
-cost never load numpy, and only analyze, fit-table1 and stats load
-``analytics``.  When ``main`` runs as the program (no argv given), it calls
-``gc.freeze()`` once the handler is done, so the interpreter's final
-collection does not walk the heap; every file the CLI writes is closed
-explicitly, because a file caught in a reference cycle would no longer be
-finalized by that collection.
+Imports sit at the top unless deferring one spares a start that does not
+use it: ``fractions`` and ``collections`` load on every start (through
+``profiles`` and ``argparse``), and ``primes`` on all but cost.  Handlers
+import the rest: only the generator handlers (gen-mrp, gen-limb, gen-seg,
+retry-gen, verify, stats) load ``formats``, ``sampling``, ``xof`` and numpy,
+and only analyze, fit-table1 and stats load ``analytics``.  ``random`` stays
+in retry-gen: without the interpreter's ``site`` hooks (``python -S``)
+``import mrpgen.cli`` does not load it.  When ``main`` runs as the program
+(no argv given), it calls ``gc.freeze()`` once the handler is done, so the
+interpreter's final collection does not walk the heap; every file the CLI
+writes is closed explicitly, because a file caught in a reference cycle
+would no longer be finalized by that collection.
 """
 
 from __future__ import annotations
@@ -36,17 +39,16 @@ import hashlib
 import json
 import sys
 import threading
+from collections import Counter
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import __version__, profiles
+from . import __version__, primes, profiles
 from .errors import DomainFailure, GenerationFailure, MrpgenError, ParamsError
 
 if TYPE_CHECKING:
-    from fractions import Fraction
-
     import numpy as np
 
-    from . import primes
     from .sampling import GenParams, MultiResiduePolynomial
     from .xof import Seed
 
@@ -102,7 +104,7 @@ def _emit(args, command: str, payload: dict, body_lines=None) -> None:
         envelope["generated_at"] = datetime.now(timezone.utc).isoformat()
     if args.format == "json":
         envelope["result"] = _jsonable(payload)
-        print(json.dumps(envelope, sort_keys=True, indent=2))
+        print(json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False))
         return
     for key in ("command", "version", "input_digest", "generated_at"):
         if key in envelope:
@@ -169,8 +171,6 @@ def _summaries_and_write(mrp: MultiResiduePolynomial, params: GenParams, out) ->
 
 
 def _parse_fraction(text: str) -> Fraction:
-    from fractions import Fraction
-
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -267,8 +267,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enum_primes(args) -> int:
-    from . import primes
-
     if args.n < 0 or args.qmin_bits < 0:
         raise ParamsError("--n and --qmin-bits must be non-negative")
     filt = primes.CatalogFilter(
@@ -294,10 +292,6 @@ def cmd_enum_primes(args) -> int:
 
 
 def _reference_filter() -> primes.CatalogFilter:
-    from fractions import Fraction
-
-    from . import primes
-
     return primes.CatalogFilter(
         n_ring=profiles.DEFAULT_N, w=profiles.DEFAULT_W,
         hw_naf_max=profiles.DEFAULT_HW_NAF_MAX, p_r_max=Fraction(1, 2),
@@ -305,10 +299,6 @@ def _reference_filter() -> primes.CatalogFilter:
 
 
 def cmd_table1(args) -> int:
-    from fractions import Fraction
-
-    from . import primes
-
     full = primes.enumerate_supported(_reference_filter())
     rows = []
     all_match = True
@@ -346,10 +336,6 @@ def cmd_table1(args) -> int:
 
 
 def _alt_convention_rows(catalog: primes.ModuliCatalog) -> dict:
-    from collections import Counter
-
-    from . import primes
-
     counts = {c: Counter(primes.size_bucket(r.q, c) for r in catalog) for c in ("ceil", "floor")}
     return {c: {str(b): n for b, n in sorted(hist.items())} for c, hist in counts.items()}
 
@@ -377,9 +363,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_fit_table1(args) -> int:
-    from fractions import Fraction
-
-    from . import analytics, primes
+    from . import analytics
 
     rows = [(seg_len, p_r_max)
             for p_r_max, _, _, seg_len, _ in profiles.REFERENCE_ROWS

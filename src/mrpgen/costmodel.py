@@ -55,8 +55,9 @@ def per_axis_bandwidth_density(p: CostParams) -> float:
 
     The stream splits across the two axes over the full d-wide section,
     hence TP / (2 d); density near the central unit itself is far higher.
+    Dividing by d first keeps a finite d from overflowing 2 d to infinity.
     """
-    return required_throughput(p) / (2.0 * p.d_mm)
+    return required_throughput(p) / p.d_mm / 2.0
 
 
 def distributed_wiring_power(p: CostParams, local_hop_mm: float = 0.0) -> float:
@@ -93,9 +94,14 @@ class CostReport:
 
 
 def build_cost_report(p: CostParams, local_hop_mm: float = 0.0) -> CostReport:
-    return CostReport(
+    """The report; ParamsError naming the first result that overflows a float."""
+    report = CostReport(
         throughput_bps=required_throughput(p),
         central_power_w=central_wiring_power(p),
         distributed_power_w=distributed_wiring_power(p, local_hop_mm),
         per_axis_density_bps_per_mm=per_axis_bandwidth_density(p),
     )
+    for name, value in vars(report).items():
+        if not math.isfinite(value):
+            raise ParamsError(f"{name} is not finite ({value}): the inputs are too large")
+    return report

@@ -30,6 +30,7 @@ squeeze of at most 168 bytes.  Anything longer raises ConfigError.
 import numpy as np
 
 from .errors import ConfigError
+from .profiles import DEFAULT_R_BITS
 
 # Keccak-f[1600] iota constants; Keccak-p[1600, n] uses the last n of them.
 _ROUND_CONSTANTS = np.array([
@@ -70,7 +71,7 @@ _CHI_AFTER = np.array([5 * y + (x + 2) % 5 for y in range(5) for x in range(5)])
 _ONE, _SIXTY_THREE = np.uint64(1), np.uint64(63)
 _TILE = 1024     # states per pass through the rounds
 
-_RATE = 168      # bytes; TurboSHAKE128, KangarooTwelve and SHAKE128
+_RATE = DEFAULT_R_BITS // 8  # 168 bytes; TurboSHAKE128, KangarooTwelve and SHAKE128
 
 
 def keccak_p(lanes, rounds: int) -> np.ndarray:

@@ -51,35 +51,34 @@ class Permutation:
     """A bijective coefficient layout for one ring dimension.
 
     Hardware lane ordering rarely matches the logical coefficient order;
-    output position i takes the generated coefficient mapping[i].
+    output position i takes the generated coefficient mapping[i].  ``kind``
+    names the mapping: "identity", "reverse" (i to N-1-i) or "explicit".
     """
 
-    def __init__(self, mapping: Iterable[int], kind: str = "explicit"):
+    def __init__(self, mapping: Iterable[int]):
+        values = mapping if isinstance(mapping, np.ndarray) else list(mapping)
         try:
-            arr = np.asarray(list(mapping) if not isinstance(mapping, np.ndarray) else mapping,
-                             dtype=np.int64)
+            arr = np.asarray(values, dtype=np.int64)
         except OverflowError:  # an index of 2^63 or more does not fit an int64
             raise ParamsError("permutation mapping is not a bijection on 0..N-1") from None
-        n = arr.shape[0]
-        if not np.array_equal(np.sort(arr), np.arange(n)):
+        # after the cast, so an index past int64 stays a bijection error
+        if arr.size and np.asarray(values).dtype.kind not in "iu":
+            raise ParamsError("permutation indices must be integers")
+        ramp = np.arange(len(arr))
+        if not np.array_equal(np.sort(arr), ramp):
             raise ParamsError("permutation mapping is not a bijection on 0..N-1")
-        if kind not in ("identity", "reverse", "explicit"):
-            raise ParamsError(f"unknown layout kind '{kind}'")
-        if kind == "identity" and not np.array_equal(arr, np.arange(n)):
-            raise ParamsError("an identity layout must map every i to i")
-        if kind == "reverse" and not np.array_equal(arr, np.arange(n)[::-1]):
-            raise ParamsError("a reverse layout must map every i to N-1-i")
         arr.setflags(write=False)
         self.mapping = arr
-        self.kind = kind
+        self.kind = ("identity" if np.array_equal(arr, ramp) else
+                     "reverse" if np.array_equal(arr, ramp[::-1]) else "explicit")
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(np.arange(n), kind="identity")
+        return cls(np.arange(n))
 
     @classmethod
     def reverse(cls, n: int) -> "Permutation":
-        return cls(np.arange(n)[::-1].copy(), kind="reverse")
+        return cls(np.arange(n)[::-1].copy())
 
     def __len__(self):
         return len(self.mapping)
@@ -297,48 +296,37 @@ def _wait(pid: int) -> int | None:
         return None
 
 
-def _help(seed: Seed, params: GenParams, row_fn, out: np.ndarray, made: np.ndarray,
-          caller: int) -> None:
-    """The helper's loop of _each_limb: rows from the last down."""
-    for row in range(len(params.base) - 1, -1, -1):
-        if made[row] or os.getppid() != caller:
-            return
-        try:
-            limb = generate_limb(seed, params.base[row], params)
-        except GenerationFailure as failure:
-            made[row] = 1 + failure.id_seg
-            return
-        out[row] = row_fn(row, limb.coeffs)
-        made[row] = -1
-
-
 def _each_limb(seed: Seed, params: GenParams, row_fn: Callable[[int, np.ndarray], object],
                shape: tuple[int, ...], dtype) -> np.ndarray:
     """The (L, *shape) array whose row i is row_fn(i, coeffs of limb base[i]).
 
-    The worker rule of generate_mrp and formats.verify_mrp_file.  This
-    process runs the serial loop over the base in order and raises the
-    serial loop's first error.  Every row is a pure function of (seed, q),
-    so one optional helper, forked from this process, runs the same loop
-    from the last row down and may only save it work.  The helper stores
-    a row into the shared output, then marks it in a shared per-row
-    record: -1 made, or 1 + id_seg if segment id_seg is short, after which
-    it stops.  It also stops at a row this process has marked, at an error
-    (the row stays unmarked), and before any row once this process is no
-    longer its parent, so a caller killed without unwinding (SIGKILL,
-    SIGTERM) leaves it at most the row in hand.  It leaves through
-    os._exit, never into the caller.  This process skips a row marked -1,
-    raises GenerationFailure at a row marked short, and makes and marks any
-    other row itself.  A row both sides make comes out the same bits, so
-    nothing needs recovering.  When its loop ends or unwinds, this process
-    SIGKILLs and reaps the helper without waiting on it, and only then
-    returns the output.  There is no helper without os.fork,
-    os.sched_getaffinity or signal.pthread_sigmask, while another thread is
-    alive, on one CPU or one row, or below MIN_FORK_BLOCKS blocks.
+    The worker rule of generate_mrp and formats.verify_mrp_file: this
+    process runs the serial loop in base order and raises its first error.
+    Rows are pure functions of (seed, q), so one helper, forked from this
+    process when _may_fork allows, runs the same loop from the last row down
+    and may only save it work; a row both sides make has the same bits.
+    Both sides make a row with make(row): it stores the row, then marks it
+    -1 in a shared per-row record, or, if segment id_seg is short, marks it
+    1 + id_seg and raises.  So this process marks a short row too, and the
+    helper stops there, at any row already marked, at any other error (the
+    row stays unmarked), and before any row once this process is no longer
+    its parent: a caller killed without unwinding (SIGKILL, SIGTERM) leaves
+    it at most the row in hand.  The helper leaves through os._exit, never into
+    the caller; this process SIGKILLs and reaps it, without waiting on it,
+    before it returns or raises.
     """
     rows = len(params.base)
     out = _shared_array((rows, *shape), dtype)
     made = _shared_array((rows,), np.int64)
+
+    def make(row: int) -> None:
+        try:
+            out[row] = row_fn(row, generate_limb(seed, params.base[row], params).coeffs)
+        except GenerationFailure as failure:
+            made[row] = 1 + failure.id_seg
+            raise
+        made[row] = -1
+
     caller = os.getpid()
     helper = 0
     try:
@@ -353,7 +341,10 @@ def _each_limb(seed: Seed, params: GenParams, row_fn: Callable[[int, np.ndarray]
                     code = 1
                     try:
                         signal.pthread_sigmask(signal.SIG_SETMASK, held)
-                        _help(seed, params, row_fn, out, made, caller)
+                        for row in range(rows - 1, -1, -1):
+                            if made[row] or os.getppid() != caller:
+                                break
+                            make(row)
                         code = 0
                     finally:
                         os._exit(code)
@@ -366,8 +357,7 @@ def _each_limb(seed: Seed, params: GenParams, row_fn: Callable[[int, np.ndarray]
             if mark > 0:
                 raise GenerationFailure(params.base[row], mark - 1)
             if mark == 0:
-                out[row] = row_fn(row, generate_limb(seed, params.base[row], params).coeffs)
-                made[row] = -1
+                make(row)
     finally:
         if helper:
             with contextlib.suppress(ProcessLookupError):

@@ -37,13 +37,12 @@ import numpy as np
 
 from . import keccak
 from .errors import ConfigError, ParamsError
+from .profiles import DEFAULT_R_BITS
 
 SEED_BYTES = 36          # 288-bit seed
 COMMON_PART_BYTES = 32   # shared seed part of a multi-polynomial key
 INPUT_BYTES = 42         # seed || q(4) || id_seg(2)
 MAX_INPUT_BYTES = 64     # hard cap; keeps the hash to one absorb block
-XOF_BLOCK_BITS = 1344    # SHAKE128 sponge rate: one block per squeeze
-XOF_BLOCK_BYTES = XOF_BLOCK_BITS // 8
 
 _WORD_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4"}
 
@@ -140,7 +139,7 @@ BACKENDS = {
 }
 
 
-def xof_expand_many(inputs: np.ndarray, r_bits: int = XOF_BLOCK_BITS,
+def xof_expand_many(inputs: np.ndarray, r_bits: int = DEFAULT_R_BITS,
                     backend: str = "shake128") -> bytes | bytearray:
     """Produce one r-bit block of XOF output per matrix row, concatenated in order.
 
@@ -156,9 +155,9 @@ def xof_expand_many(inputs: np.ndarray, r_bits: int = XOF_BLOCK_BITS,
         raise ConfigError(f"unknown XOF backend '{backend}'") from None
     if r_bits <= 0 or r_bits % 8 != 0:
         raise ConfigError("block size must be a positive multiple of 8 bits")
-    if r_bits > XOF_BLOCK_BITS:
+    if r_bits > DEFAULT_R_BITS:
         raise ConfigError(f"block size {r_bits} exceeds the single-squeeze "
-                          f"limit of {XOF_BLOCK_BITS} bits")
+                          f"limit of {DEFAULT_R_BITS} bits")
     if not (isinstance(inputs, np.ndarray) and inputs.ndim == 2 and inputs.dtype == np.uint8):
         raise ConfigError("XOF batch inputs must be a 2-D uint8 matrix, one input per row")
     if inputs.shape[1] > MAX_INPUT_BYTES:
@@ -166,14 +165,14 @@ def xof_expand_many(inputs: np.ndarray, r_bits: int = XOF_BLOCK_BITS,
     return expand(inputs, r_bits // 8)
 
 
-def xof_expand(data: bytes, r_bits: int = XOF_BLOCK_BITS, backend: str = "shake128") -> bytes:
+def xof_expand(data: bytes, r_bits: int = DEFAULT_R_BITS, backend: str = "shake128") -> bytes:
     """Produce one r-bit block of XOF output for ``data``: a batch of one.
 
     A valid SHAKE128 call goes straight to ``hashlib``: building a one-row
     matrix costs more than a hash.  Anything else takes the batch path as a
     one-row matrix, which also reports an invalid call.
     """
-    if (backend == "shake128" and 0 < r_bits <= XOF_BLOCK_BITS and r_bits % 8 == 0
+    if (backend == "shake128" and 0 < r_bits <= DEFAULT_R_BITS and r_bits % 8 == 0
             and len(data) <= MAX_INPUT_BYTES):
         return hashlib.shake_128(data).digest(r_bits // 8)
     row = np.frombuffer(data, dtype=np.uint8).reshape(1, -1)

@@ -429,6 +429,15 @@ class TestErrorTaxonomy:
         assert "value-error" not in err and "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_cost_that_overflows_a_float_exits_two(self, capsys, fmt):
+        # the inputs are finite, but the central power is not
+        code, out, err = run(capsys, "--format", fmt, "cost", "--R", "64", "--w", "32",
+                             "--f", "1", "--gamma", "1/2", "--d", "1e308", "--E", "1e308")
+        assert (code, out) == (2, "")
+        assert err.startswith("error code=params-error central_power_w is not finite")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("argv, target", [
         (["gen-mrp", "--seed", ZERO_SEED], "{tmp}/missing/x.mrp"),
         (["gen-limb", "--seed", ZERO_SEED, "--q", "7681"], "missing/x.bin"),
@@ -521,6 +530,13 @@ class TestReportEnvelope:
         env = json.loads(out)
         assert env["command"] == "cost"
         assert set(env) == {"command", "version", "input_digest", "result"}
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_json_never_prints_nan_or_infinity(self, capsys, value):
+        args = cli.build_parser().parse_args(["--canonical", "--format", "json", "table1"])
+        with pytest.raises(ValueError, match="JSON compliant"):
+            cli._emit(args, "table1", {"x": value})
+        assert capsys.readouterr().out == ""
 
     def test_digest_tracks_inputs(self, capsys):
         _, a, _ = run(capsys, "--canonical", "analyze", "--len", "8",

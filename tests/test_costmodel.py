@@ -56,6 +56,11 @@ class TestBandwidthDensity:
     def test_vanishes_on_huge_die(self):
         assert per_axis_bandwidth_density(reference_params(d_mm=1e12)) < 1e2
 
+    def test_a_finite_die_does_not_overflow_to_zero(self):
+        # 2 d overflows at d = 1e308; the density is TP / d / 2
+        p = reference_params(d_mm=1e308)
+        assert per_axis_bandwidth_density(p) == required_throughput(p) / 1e308 / 2 > 0
+
     def test_zero_throughput_limit(self):
         tiny = reference_params(gamma=1e-12)
         assert per_axis_bandwidth_density(tiny) == pytest.approx(0, abs=1e6)
@@ -101,6 +106,10 @@ class TestScaling:
 
 
 class TestReport:
+    def test_refuses_a_result_that_overflows(self):
+        with pytest.raises(ParamsError, match="central_power_w is not finite"):
+            build_cost_report(reference_params(d_mm=1e308))
+
     def test_report_fields(self):
         report = build_cost_report(reference_params())
         assert report.throughput_tbps == pytest.approx(65.536)

@@ -36,6 +36,20 @@ class TestMrpContainer:
         for q in params.base:
             assert np.array_equal(loaded.limbs[q].coeffs, mrp.limbs[q].coeffs)
 
+    def test_an_old_explicit_identity_header_reads_and_verifies(self, tmp_path, zero_seed):
+        # kind 2 with the identity's N mapping words, as files were written
+        # before an explicit identity was stored as kind 0
+        params = GenParams(N=256, w=32, seg_len=32, n_seg=8, base=(7681,))
+        limbs = generate_mrp(zero_seed, params).coeffs
+        path = tmp_path / "old.mrp"
+        path.write_bytes(mrp_header(256, 8, perm_kind=2)
+                         + np.arange(256, dtype="<u4").tobytes() + limbs.astype("<u4").tobytes())
+        stored, stored_params = read_mrp(path)
+        assert stored_params.layout.kind == "identity"
+        assert stored_params == params
+        assert np.array_equal(stored.coeffs, limbs)
+        assert verify_mrp_file(path, zero_seed).ok
+
     def test_round_trip_explicit_permutation(self, tmp_path, zero_seed):
         rng = np.random.default_rng(9)
         layout = Permutation(rng.permutation(256))
@@ -52,10 +66,7 @@ class TestMrpContainer:
         Permutation.identity(256), Permutation.reverse(256),
         Permutation(np.random.default_rng(5).permutation(256)),
         Permutation(np.arange(256)), Permutation(np.arange(256)[::-1]),
-        Permutation(np.arange(256), kind="identity"),
-        Permutation(np.arange(256)[::-1], kind="reverse"),
-    ], ids=["identity", "reverse", "explicit", "explicit-identity", "explicit-reverse",
-            "identity-kind", "reverse-kind"])
+    ], ids=["identity", "reverse", "explicit", "explicit-identity", "explicit-reverse"])
     def test_every_accepted_layout_round_trips(self, tmp_path, zero_seed, layout):
         params = GenParams(N=256, w=32, seg_len=32, n_seg=8, base=(7681, 10753),
                            layout=layout)
@@ -356,6 +367,17 @@ class TestParamsFile:
         path = tmp_path / "rev.params"
         save_params(params, path)
         assert load_params(path).layout == Permutation.reverse(256)
+
+    @pytest.mark.parametrize("mapping, name", [(np.arange(256), "identity"),
+                                               (np.arange(256)[::-1], "reverse")],
+                             ids=["identity", "reverse"])
+    def test_an_explicit_involution_is_saved_by_name(self, tmp_path, mapping, name):
+        params = GenParams(N=256, w=32, seg_len=32, n_seg=8, base=(7681,),
+                           layout=Permutation(mapping))
+        path = tmp_path / "named.params"
+        save_params(params, path)
+        assert f"permutation = {name}\n" in path.read_text()
+        assert not path.with_suffix(".perm").exists()
 
     def test_round_trip_explicit_layout(self, tmp_path):
         rng = np.random.default_rng(4)

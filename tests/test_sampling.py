@@ -168,21 +168,25 @@ class TestPermutation:
         coeffs = np.arange(10, 20, dtype=np.uint32)
         assert permute(coeffs, Permutation.identity(10)) is coeffs
 
-    def test_identity_kind_requires_the_identity_mapping(self):
-        with pytest.raises(ParamsError):
-            Permutation([1, 0, 2], kind="identity")
+    @pytest.mark.parametrize("mapping", [[0.9, 1.7, 2.2], ["0", "1"], [True, False]],
+                             ids=["floats", "strings", "booleans"])
+    def test_refuses_indices_that_are_not_integers(self, mapping):
+        # each of these casts to a bijection on 0..N-1
+        with pytest.raises(ParamsError, match="must be integers"):
+            Permutation(mapping)
 
-    def test_reverse_kind_requires_the_reversed_mapping(self):
-        with pytest.raises(ParamsError, match="reverse"):
-            Permutation([1, 0, 2], kind="reverse")
-        assert Permutation([2, 1, 0], kind="reverse") == Permutation.reverse(3)
+    def test_the_kind_is_the_mappings_own(self):
+        ramp = np.arange(8)
+        assert Permutation(ramp).kind == "identity"
+        assert Permutation(list(ramp[::-1])).kind == "reverse"
+        assert Permutation([1, 0, *range(2, 8)]).kind == "explicit"
+        coeffs = np.arange(10, 18, dtype=np.uint32)
+        assert permute(coeffs, Permutation(ramp)) is coeffs
 
-    @pytest.mark.parametrize("kind", ["", "Reverse", "shuffle"])
-    def test_refuses_an_unknown_kind(self, kind):
-        with pytest.raises(ParamsError, match="unknown layout kind"):
-            Permutation([0, 1, 2], kind=kind)
-
-    @pytest.mark.parametrize("make", [Permutation.identity, Permutation.reverse])
+    @pytest.mark.parametrize("make", [
+        Permutation.identity, Permutation.reverse,
+        lambda n: Permutation(np.arange(n)), lambda n: Permutation(np.arange(n)[::-1]),
+    ], ids=["identity", "reverse", "explicit-identity", "explicit-reverse"])
     def test_inverse_keeps_an_involution_kind(self, tmp_path, zero_seed, make):
         p = make(256)
         assert np.array_equal(p.mapping[p.mapping], np.arange(256))

@@ -11,7 +11,8 @@ from mrpgen import (ConfigError, ParamsError, Seed, derive_polynomial_seed,
                     encode_domain_input, encode_domain_inputs, split_words, xof_expand,
                     xof_expand_many)
 from mrpgen import keccak
-from mrpgen.xof import INPUT_BYTES, MAX_INPUT_BYTES, XOF_BLOCK_BYTES
+from mrpgen.profiles import DEFAULT_R_BITS
+from mrpgen.xof import INPUT_BYTES, MAX_INPUT_BYTES
 
 
 class TestSeed:
@@ -106,7 +107,7 @@ class TestXofExpand:
         assert all(b == blocks[0] for b in blocks)
 
     def test_block_length(self):
-        assert len(xof_expand(b"")) == XOF_BLOCK_BYTES
+        assert len(xof_expand(b"")) == DEFAULT_R_BITS // 8
 
     def test_rejects_oversized_r(self):
         with pytest.raises(ConfigError):
@@ -212,7 +213,7 @@ class TestKangarooTwelveBackend:
     def test_selectable_and_deterministic(self):
         a = xof_expand(b"abc", backend="kangarootwelve")
         assert a == xof_expand(b"abc", backend="kangarootwelve")
-        assert len(a) == XOF_BLOCK_BYTES
+        assert len(a) == DEFAULT_R_BITS // 8
 
     def test_differs_from_shake(self):
         data = bytes(42)
