@@ -55,20 +55,6 @@ if TYPE_CHECKING:
 
 # ---------------------------------------------------------------- rendering
 
-def _plain(value):
-    """Numpy scalars and arrays as Python values: both have ``.tolist()``."""
-    return value.tolist() if hasattr(value, "tolist") else value
-
-
-def _jsonable(value):
-    value = _plain(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _text_lines(value, key=""):
     if isinstance(value, dict):
         lines = []
@@ -76,13 +62,13 @@ def _text_lines(value, key=""):
             lines.extend(_text_lines(v, f"{key}.{k}" if key else str(k)))
         return lines
     if isinstance(value, (list, tuple)):
-        if all(isinstance(_plain(v), (int, float, str, bool)) for v in value):
-            return [f"{key} = {' '.join(str(_jsonable(v)) for v in value)}"]
+        if all(isinstance(v, (int, float, str, bool)) for v in value):
+            return [f"{key} = {' '.join(str(v) for v in value)}"]
         lines = []
         for i, v in enumerate(value):
             lines.extend(_text_lines(v, f"{key}[{i}]"))
         return lines
-    return [f"{key} = {_jsonable(value)}"]
+    return [f"{key} = {value}"]
 
 
 def _digest(command: str, args: argparse.Namespace) -> str:
@@ -103,7 +89,7 @@ def _emit(args, command: str, payload: dict, body_lines=None) -> None:
 
         envelope["generated_at"] = datetime.now(timezone.utc).isoformat()
     if args.format == "json":
-        envelope["result"] = _jsonable(payload)
+        envelope["result"] = payload
         print(json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False))
         return
     for key in ("command", "version", "input_digest", "generated_at"):
@@ -209,7 +195,7 @@ def cmd_gen_limb(args) -> int:
     payload = {
         "seed": seed.hex(), "q": args.q, "coeff_count": len(limb.coeffs),
         "sha256": _sha256_words(limb.coeffs),
-        "head": list(limb.coeffs[:4]), "tail": list(limb.coeffs[-4:]),
+        "head": limb.coeffs[:4].tolist(), "tail": limb.coeffs[-4:].tolist(),
         "out": str(args.out) if args.out else None,
     }
     _emit(args, "gen-limb", payload)
@@ -226,7 +212,7 @@ def cmd_gen_seg(args) -> int:
         "seed": seed.hex(), "q": args.q, "id_seg": args.id,
         "requested": params.seg_len, "accepted": len(seg.values),
         "complete": seg.complete(params.seg_len),
-        "values": list(seg.values),
+        "values": seg.values.tolist(),
     }
     _emit(args, "gen-seg", payload)
     if not seg.complete(params.seg_len):
@@ -267,8 +253,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enum_primes(args) -> int:
-    if args.n < 0 or args.qmin_bits < 0:
-        raise ParamsError("--n and --qmin-bits must be non-negative")
+    # 64 bits is the widest word CatalogFilter admits
+    if not (0 <= args.n <= 64 and 0 <= args.qmin_bits <= 64):
+        raise ParamsError("--n and --qmin-bits must be in 0..64")
     filt = primes.CatalogFilter(
         n_ring=1 << args.n, w=args.w, hw_naf_max=args.hwnaf_max,
         p_r_max=_parse_fraction(args.pr_max),

@@ -10,6 +10,7 @@ which is the whole argument for distributing the generation.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ParamsError
@@ -31,10 +32,12 @@ class CostParams:
     e_j_per_bit_mm: float
 
     def __post_init__(self):
+        # finite means at most the largest float: a larger int (R, w) would
+        # raise OverflowError where the model converts it
         for name in ("R", "w", "f_hz", "gamma", "d_mm"):
-            if not 0 < getattr(self, name) < math.inf:
+            if not 0 < getattr(self, name) <= sys.float_info.max:
                 raise ParamsError(f"{name} must be positive and finite")
-        if not 0 <= self.e_j_per_bit_mm < math.inf:
+        if not 0 <= self.e_j_per_bit_mm <= sys.float_info.max:
             raise ParamsError("wire energy must be non-negative and finite")
         if self.gamma > 1:
             raise ParamsError("gamma is a fraction of cycles, at most 1")

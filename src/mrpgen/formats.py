@@ -163,7 +163,9 @@ def verify_mrp_file(path, seed: Seed) -> VerifyReport:
     none) under the worker rule of sampling._each_limb, so no second (L, N)
     array is built, and the first mismatch in base order is named.  Every
     limb is generated even after a mismatch, so a short segment still
-    raises GenerationFailure in base order, as generate_mrp would.
+    raises GenerationFailure in base order, as generate_mrp would: a row is
+    marked made, one bit, only once its index is stored, so this process
+    meets a short row itself whoever met it first.
     """
     stored, params = read_mrp(path)
 

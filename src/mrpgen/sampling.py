@@ -305,27 +305,25 @@ def _each_limb(seed: Seed, params: GenParams, row_fn: Callable[[int, np.ndarray]
     Rows are pure functions of (seed, q), so one helper, forked from this
     process when _may_fork allows, runs the same loop from the last row down
     and may only save it work; a row both sides make has the same bits.
-    Both sides make a row with make(row): it stores the row, then marks it
-    -1 in a shared per-row record, or, if segment id_seg is short, marks it
-    1 + id_seg and raises.  So this process marks a short row too, and the
-    helper stops there, at any row already marked, at any other error (the
-    row stays unmarked), and before any row once this process is no longer
-    its parent: a caller killed without unwinding (SIGKILL, SIGTERM) leaves
-    it at most the row in hand.  The helper leaves through os._exit, never into
-    the caller; this process SIGKILLs and reaps it, without waiting on it,
-    before it returns or raises.
+    Both sides make a row with make(row), which stores the row and then sets
+    its bit in a shared per-row record: one bit, stored or not.  A row that
+    raises, a short one included, stays unmarked, so this process makes
+    every row the helper did not store and raises that row's error itself,
+    as the serial loop would; a short row the helper met costs one limb
+    more.  The helper stops at its first error, at any row already marked,
+    and before any row once this process is no longer its parent: a caller
+    killed without unwinding (SIGKILL, SIGTERM) leaves it at most the row in
+    hand.  The helper leaves through os._exit, never into the caller; this
+    process SIGKILLs and reaps it, without waiting on it, before it returns
+    or raises.
     """
     rows = len(params.base)
     out = _shared_array((rows, *shape), dtype)
-    made = _shared_array((rows,), np.int64)
+    made = _shared_array((rows,), np.bool_)
 
     def make(row: int) -> None:
-        try:
-            out[row] = row_fn(row, generate_limb(seed, params.base[row], params).coeffs)
-        except GenerationFailure as failure:
-            made[row] = 1 + failure.id_seg
-            raise
-        made[row] = -1
+        out[row] = row_fn(row, generate_limb(seed, params.base[row], params).coeffs)
+        made[row] = True
 
     caller = os.getpid()
     helper = 0
@@ -353,10 +351,7 @@ def _each_limb(seed: Seed, params: GenParams, row_fn: Callable[[int, np.ndarray]
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, held)
         for row in range(rows):
-            mark = int(made[row])  # read once: the helper may mark the row meanwhile
-            if mark > 0:
-                raise GenerationFailure(params.base[row], mark - 1)
-            if mark == 0:
+            if not made[row]:
                 make(row)
     finally:
         if helper:
@@ -370,9 +365,10 @@ def generate_mrp(seed: Seed, params: GenParams) -> MultiResiduePolynomial:
     """Generate one limb per base modulus; fails if any segment is short.
 
     The (L, N) array is _each_limb's shared output, so the rows a helper
-    makes are not pickled or copied back.  The bits, and the
-    GenerationFailure for the first short row in base order, are the serial
-    loop's.
+    makes are not pickled or copied back.  A row's one bit is set only once
+    it is stored, so a short row is never marked: this process makes it
+    itself and raises its GenerationFailure.  The bits, and that failure for
+    the first short row in base order, are the serial loop's.
     """
     coeffs = _each_limb(seed, params, lambda row, limb: limb, (params.N,), np.uint32)
     return MultiResiduePolynomial(base=params.base, coeffs=coeffs)

@@ -7,8 +7,19 @@
 # The pipeline here (input encoding, word split, threshold filter) is
 # written from scratch on purpose; the package under test must reproduce
 # these bytes without sharing any code with them.
+#
+# The canonical CLI reports (cli_text.txt, cli_json.txt) are the one
+# exception: they pin the package's own output, so a change that must keep
+# every report byte for byte is checked against them.  Writing them needs
+# the package on the path:
+#
+#     PYTHONPATH=../src python gen_fixtures.py
 
+import contextlib
 import hashlib
+import io
+import os
+import tempfile
 from pathlib import Path
 
 import reference_keccak as ref
@@ -121,8 +132,66 @@ def write_small_fixtures():
     write_golden_mrp("golden_k12_mrp.txt", k12_block, k12)
 
 
+ZERO_HEX = SEED_ZERO.hex()
+DESK_PARAMS = "N = 256\nw = 32\nlen = 32\nn_seg = 8\nbase = 7681, 10753\n"
+# q = 2147483777 rejects about half the words, so 32 acceptances among 42
+# are rare: segment 0 under the zero seed is short
+HARD_PARAMS = "N = 64\nw = 32\nlen = 32\nn_seg = 2\nbase = 2147483777\n"
+CLI_RUNS = [
+    ["gen-mrp", "--seed", ZERO_HEX, "--params", "desk.params", "--out", "desk.mrp"],
+    ["gen-limb", "--seed", ZERO_HEX, "--params", "desk.params", "--q", "7681",
+     "--out", "desk.limb"],
+    ["gen-seg", "--seed", ZERO_HEX, "--params", "desk.params", "--q", "10753", "--id", "3"],
+    ["gen-seg", "--seed", ZERO_HEX, "--params", "hard.params", "--q", "2147483777",
+     "--id", "0"],
+    ["retry-gen", "--params", "desk.params", "--rng-seed", "7", "--out", "retry.mrp"],
+    ["verify", "--mrp", "desk.mrp", "--seed", ZERO_HEX],
+    ["verify", "--mrp", "desk.mrp", "--common", "00" * 32, "--poly-id", "1"],
+    ["stats", "--mrp", "desk.mrp", "--bins", "16"],
+    ["enum-primes", "--n", "8", "--w", "16"],
+    ["table1"],
+    ["analyze", "--len", "32", "--nseg", "8", "--L", "2", "--pr", "1/4096"],
+    ["fit-table1"],
+    ["cost", "--R", "16", "--w", "32", "--f", "1", "--gamma", "1/8", "--d", "15",
+     "--E", "40"],
+]
+
+
+def cli_report(fmt, workdir):
+    """Every CLI_RUNS command under --canonical --format fmt, run in process
+    in order from workdir with relative paths, so that input_digest does not
+    depend on where it runs: argv, stdout, stderr and exit code of each."""
+    from mrpgen.cli import main
+
+    workdir = Path(workdir)
+    (workdir / "desk.params").write_text(DESK_PARAMS)
+    (workdir / "hard.params").write_text(HARD_PARAMS)
+    chunks = []
+    home = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for argv in CLI_RUNS:
+            argv = ["--canonical", "--format", fmt, *argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            chunks.append(f"$ mrpgen {' '.join(argv)}\n{out.getvalue()}"
+                          + "".join(f"[stderr] {line}\n" for line in err.getvalue().splitlines())
+                          + f"[exit {code}]\n")
+    finally:
+        os.chdir(home)
+    return "\n".join(chunks)
+
+
+def write_cli_fixtures():
+    for fmt in ("text", "json"):
+        with tempfile.TemporaryDirectory() as workdir:
+            (OUT / f"cli_{fmt}.txt").write_text(cli_report(fmt, workdir))
+
+
 if __name__ == "__main__":
     OUT.mkdir(exist_ok=True)
     write_small_fixtures()
     write_golden_k12_limb()
+    write_cli_fixtures()
     print(f"fixtures written to {OUT}")

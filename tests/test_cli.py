@@ -397,6 +397,10 @@ class TestErrorTaxonomy:
          "params-error"),
         (["gen-mrp", "--seed", ZERO_SEED, "--params", "{tmp}/perm-2^63.params"],
          "params-error"),
+        (COST + ["--R", str(10 ** 400)], "params-error"),
+        (COST + ["--w", str(10 ** 400)], "params-error"),
+        (ENUM_PRIMES + ["--n", "65"], "params-error"),
+        (ENUM_PRIMES + ["--qmin-bits", "65"], "params-error"),
     ], ids=["seed-length", "seed-not-hex", "common-length", "common-not-hex",
             "poly-id-range", "limb-q-not-in-base", "seg-q-not-in-base", "seg-id-range",
             "stats-too-few-samples", "stats-one-bin", "analyze-pr-2", "analyze-pr-abc",
@@ -409,7 +413,8 @@ class TestErrorTaxonomy:
             "analyze-t-10000", "analyze-nseg-65537", "analyze-nseg-10^400",
             "analyze-L-2^32+1", "analyze-pr-den-2^64+1", "fit-lmax-0",
             "common-without-poly-id", "base-float", "base-empty", "base-too-wide",
-            "perm-index-2^63"])
+            "perm-index-2^63", "cost-R-10^400", "cost-w-10^400", "enum-n-65",
+            "enum-qmin-bits-65"])
     def test_bad_input_is_a_typed_error(self, capsys, tmp_path, params_file, argv,
                                         code_name):
         mrp = tmp_path / "p.mrp"

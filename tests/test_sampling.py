@@ -210,6 +210,11 @@ class TestPermutation:
 
 
 class TestGenParamsValidation:
+    @pytest.mark.parametrize("n_ring", [0, 3, 96])
+    def test_ring_dimension_must_be_a_power_of_two(self, n_ring):
+        with pytest.raises(ParamsError, match="N must be a power of two"):
+            GenParams(N=n_ring, w=32, seg_len=32, n_seg=8, base=(7681,))
+
     def test_product_must_match(self):
         with pytest.raises(ParamsError):
             GenParams(N=256, w=32, seg_len=32, n_seg=4, base=(7681,))
@@ -600,8 +605,9 @@ class TestForkedGeneration:
 
     def test_a_row_the_helper_marked_short_is_raised_here(self, monkeypatch, forked,
                                                           zero_seed):
-        # the helper makes row 4, marks row 3 short and stops; this process
-        # waits for that, makes rows 0 to 2 and raises at row 3 unmade
+        # the helper makes row 4, meets row 3 short and stops, leaving it
+        # unmarked; this process waits for that, makes rows 0 to 3 and
+        # raises the failure of row 3, which it made itself
         good = iter(ntt_primes(64, 4, q_min=61440, q_max=1 << 16))
         short = ntt_primes(64, 1, q_min=1 << 15, q_max=1 << 16)[0]
         base = tuple(short if row == 3 else next(good) for row in range(5))
@@ -612,7 +618,7 @@ class TestForkedGeneration:
         with pytest.raises(GenerationFailure) as err:
             generate_mrp(zero_seed, params)
         assert (err.value.q, err.value.id_seg) == (short, 0)
-        assert made_here == list(base[:3])
+        assert made_here == list(base[:4])
         assert len(forked) == 1
 
     @pytest.mark.parametrize("helper", [False, True], ids=["serial", "forked"])

@@ -223,6 +223,15 @@ class TestKangarooTwelveBackend:
         assert keccak.kangaroo_twelve(b"", b"", 32).hex() == (
             "1ac2d450fc3b4205d19da7bfca1b37513c0803577ac7167f06fe2ce1f0ef39e5")
 
+    def test_turbo_shake128_kat(self):
+        # RFC 9861: TurboSHAKE128(M = empty, D = 0x1F, 32 bytes)
+        assert keccak.turbo_shake128(b"", 0x1F, 32).hex() == (
+            "1e415f1c5983aff2169217277d17bb538cd945a397ddec541f1ce41af2c1b74c")
+
+    def test_empty_kangaroo_twelve_is_turbo_shake128_of_its_length_encoding(self):
+        # no message and no customization leave S = length_encode(0) = 00
+        assert keccak.turbo_shake128(b"\x00", 0x07, 32) == keccak.kangaroo_twelve(b"", b"", 32)
+
     def test_customization_separates(self):
         assert keccak.kangaroo_twelve(b"m", b"", 32) != keccak.kangaroo_twelve(b"m", b"c", 32)
 
