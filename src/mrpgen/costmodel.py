@@ -43,14 +43,34 @@ class CostParams:
             raise ParamsError("gamma is a fraction of cycles, at most 1")
 
 
+def _product(*factors: float) -> float:
+    """The product of non-negative finite factors, taken left to right.
+
+    Only if that is not finite is it taken again, multiplying by the smallest
+    factor left while the partial product is at least 1 and by the largest
+    otherwise.  Those partials stay within the range of 1, the factors and
+    the result, so a finite result comes out finite even when a left-to-right
+    partial overflows, and every result that is finite left to right keeps
+    its bits.
+    """
+    value = math.prod(factors)
+    if math.isfinite(value):
+        return value
+    rest = sorted(factors)
+    value = 1.0
+    while rest:
+        value *= rest.pop(0) if value >= 1 else rest.pop()
+    return value
+
+
 def required_throughput(p: CostParams) -> float:
     """Peak uniform-word demand gamma * R * w * f in bits per second."""
-    return p.gamma * p.R * p.w * p.f_hz
+    return _product(p.gamma, p.R, p.w, p.f_hz)
 
 
 def central_wiring_power(p: CostParams) -> float:
     """Watts spent hauling the stream an average of d/2 mm from one unit."""
-    return required_throughput(p) * (p.d_mm / 2.0) * p.e_j_per_bit_mm
+    return _product(required_throughput(p), p.d_mm / 2.0, p.e_j_per_bit_mm)
 
 
 def per_axis_bandwidth_density(p: CostParams) -> float:
@@ -71,7 +91,7 @@ def distributed_wiring_power(p: CostParams, local_hop_mm: float = 0.0) -> float:
     """
     if not 0 <= local_hop_mm < math.inf:
         raise ParamsError("local hop distance must be non-negative and finite")
-    return required_throughput(p) * local_hop_mm * p.e_j_per_bit_mm
+    return _product(required_throughput(p), local_hop_mm, p.e_j_per_bit_mm)
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,30 @@ tests use it to check the permutation and all 24 round constants against
 A state is 25 little-endian 64-bit lanes, lane (x, y) at index x + 5*y as in
 FIPS 202.  ``keccak_p`` takes a ``uint64`` array whose first axis is those 25
 lanes; any axes after it are a batch of B independent states, so lanes[i, b]
-is lane i of state b.  Every step of a round is a few whole-array numpy
-operations over all B states at once: the "times-N" layout of XKCP's
-KeccakP-1600-times4/8, with the batch axis in place of SIMD lanes.  A
-KangarooTwelve limb (RFC 9861) is n_seg independent single-block inputs, so it
-costs 12 rounds of array operations instead of n_seg per-state permutations.
+is lane i of state b.  It permutes the states in tiles of W = ``_TILE``, and a
+round is a few whole-array numpy operations over all W states of a tile at
+once: the "times-N" layout of XKCP's KeccakP-1600-times4/8, with the batch
+axis in place of SIMD lanes.  A KangarooTwelve limb (RFC 9861) is n_seg
+independent single-block inputs, so it costs 12 rounds of array operations
+instead of n_seg per-state permutations.
+
+Each tile is first copied into a C-ordered (25, W) array, so that every lane
+is one contiguous row.  The sponge passes the transposed (count, 25) view of
+its padded blocks, where one lane's values sit 200 bytes apart.  A plain
+``np.array`` copy keeps that order, and rounds on it take two to three times
+as long on 2048 states.  A round works on the tile and its own temporaries:
+
+- theta reduces the tile's (5, 5, W) view over y into the five column
+  parities, one ``bitwise_xor.reduce``, and xors each column's d into the
+  tile in place by broadcasting over that view.  The parity stays one
+  reduce: four xors of plane slices gain at most a few percent on a large
+  batch and cost 7-10% on one state, the per-segment KangarooTwelve path.
+- rho and pi gather the lanes in pi order into a temporary b and rotate it:
+  the right shift goes to a second temporary, the left shift and the or are
+  done in place on b.
+- chi gathers b's lanes at x + 1, inverts them in place, ands b's lanes at
+  x + 2 into them, and writes their xor with b into the tile; iota then
+  xors the round constant into lane 0.
 
 The sponge functions take one message as ``bytes`` or a batch as a 2-D
 ``uint8`` matrix with one message per row, such as the (n_seg, 42) domain
@@ -59,7 +78,6 @@ _PI_SOURCE = np.empty(25, dtype=np.intp)
 for _x in range(5):
     for _y in range(5):
         _PI_SOURCE[_y + 5 * ((2 * _x + 3 * _y) % 5)] = _x + 5 * _y
-_PI_COLUMN = _PI_SOURCE % 5
 _ROT_LEFT = np.array([_RHO[i] for i in _PI_SOURCE], dtype=np.uint64)[:, None]
 _ROT_RIGHT = (np.uint64(64) - _ROT_LEFT) % np.uint64(64)
 # theta mixes column x with columns x - 1 and x + 1; chi combines lane (x, y)
@@ -80,7 +98,8 @@ def keccak_p(lanes, rounds: int) -> np.ndarray:
     ``lanes`` may be anything ``np.asarray`` turns into 25 leading lanes,
     such as a list of 25 ints for one state; the input is not modified and
     the result is a ``uint64`` array of the same shape.  States are permuted
-    _TILE at a time, so that a round's temporaries stay in cache.
+    _TILE at a time, so that a round's temporaries stay in cache, each tile in
+    a C-ordered copy (see the module docstring).
     """
     state = np.asarray(lanes, dtype=np.uint64)
     if state.shape[:1] != (25,):
@@ -88,18 +107,25 @@ def keccak_p(lanes, rounds: int) -> np.ndarray:
     flat = state.reshape(25, -1)
     out = np.empty_like(flat)
     for lo in range(0, flat.shape[1], _TILE):
-        a = flat[:, lo:lo + _TILE]
+        a = np.array(flat[:, lo:lo + _TILE], order="C")
         width = a.shape[1]
+        planes = a.reshape(5, 5, width)  # planes[y, x] is lane (x, y); a view of a
         for rc in _ROUND_CONSTANTS[24 - rounds:]:
-            # theta: column parities and d[x] = c[x - 1] ^ rotl(c[x + 1], 1)
-            c = np.bitwise_xor.reduce(a.reshape(5, 5, width), axis=0)
+            # theta: column parities c[x], then d[x] = c[x - 1] ^ rotl(c[x + 1], 1)
+            # xored into column x of every plane
+            c = np.bitwise_xor.reduce(planes, axis=0)
             c1 = c.take(_NEXT, axis=0)
-            d = c.take(_PREV, axis=0) ^ ((c1 << _ONE) | (c1 >> _SIXTY_THREE))
-            # theta's xor of d into each column, then rho + pi, in pi order
-            b = a.take(_PI_SOURCE, axis=0) ^ d.take(_PI_COLUMN, axis=0)
-            b = (b << _ROT_LEFT) | (b >> _ROT_RIGHT)
-            # chi
-            a = b ^ (~b.take(_CHI_NEXT, axis=0) & b.take(_CHI_AFTER, axis=0))
+            planes ^= c.take(_PREV, axis=0) ^ ((c1 << _ONE) | (c1 >> _SIXTY_THREE))
+            # rho + pi: the lanes in pi order, each rotated in place
+            b = a.take(_PI_SOURCE, axis=0)
+            carry = b >> _ROT_RIGHT
+            b <<= _ROT_LEFT
+            b |= carry
+            # chi: b ^ (~b[x + 1] & b[x + 2]), written into the tile
+            chi = b.take(_CHI_NEXT, axis=0)
+            np.invert(chi, out=chi)
+            chi &= b.take(_CHI_AFTER, axis=0)
+            np.bitwise_xor(b, chi, out=a)
             # iota
             a[0] ^= rc
         out[:, lo:lo + width] = a

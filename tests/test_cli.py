@@ -443,6 +443,25 @@ class TestErrorTaxonomy:
         assert err.startswith("error code=params-error central_power_w is not finite")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("extra, field, watts", [
+        (["--d", "1e300", "--E", "1"], "central_power_w", 5.12e296),
+        (["--d", "1", "--E", "1e-10", "--local-hop", "1e300"], "distributed_power_w",
+         1.024e287),
+    ], ids=["central", "distributed"])
+    def test_a_finite_cost_whose_left_to_right_partial_overflows(self, capsys, fmt, extra,
+                                                                 field, watts):
+        # TP x distance overflows before the femtojoules bring it back down
+        code, out, err = run(capsys, "--format", fmt, "cost", "--R", "64", "--w", "32",
+                             "--f", "1", "--gamma", "1/2", *extra)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            value = json.loads(out)["result"][field]
+        else:
+            value = float(dict(line.split(" = ") for line in out.splitlines()
+                               if " = " in line)[field])
+        assert value == pytest.approx(watts, rel=1e-15)
+
     @pytest.mark.parametrize("argv, target", [
         (["gen-mrp", "--seed", ZERO_SEED], "{tmp}/missing/x.mrp"),
         (["gen-limb", "--seed", ZERO_SEED, "--q", "7681"], "missing/x.bin"),

@@ -1,4 +1,9 @@
+import math
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrpgen import (CostParams, ParamsError, build_cost_report, central_wiring_power,
                     distributed_wiring_power, per_axis_bandwidth_density,
@@ -88,6 +93,42 @@ class TestDistributed:
             distributed_wiring_power(reference_params(), -1.0)
 
 
+class TestOverflowingPartials:
+    # each product here overflows in a left-to-right partial product, but
+    # is itself far below the largest float
+    def test_central_power(self):
+        p = reference_params(d_mm=1e308)
+        assert central_wiring_power(p) == pytest.approx(1.31072e308, rel=1e-15)
+
+    def test_distributed_power(self):
+        p = reference_params(e_j_per_bit_mm=1e-25)
+        assert distributed_wiring_power(p, 1e300) == pytest.approx(6.5536e288, rel=1e-15)
+
+    def test_throughput(self):
+        p = reference_params(R=10 ** 200, w=10 ** 200, f_hz=1e-300)
+        assert required_throughput(p) == pytest.approx(1.25e99, rel=1e-15)
+
+    def test_a_zero_factor_gives_zero_not_nan(self):
+        assert distributed_wiring_power(reference_params(d_mm=1e308, e_j_per_bit_mm=0.0),
+                                        1e308) == 0.0
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 2 ** 20), st.floats(1e-300, 1e300), st.floats(1e-300, 1e308),
+           st.floats(1e-300, 1e300))
+    def test_matches_left_to_right_or_the_exact_product(self, lanes, f_hz, d_mm, energy):
+        p = reference_params(R=lanes, f_hz=f_hz, d_mm=d_mm, e_j_per_bit_mm=energy)
+        tp = required_throughput(p)
+        watts = central_wiring_power(p)
+        left_to_right = tp * (d_mm / 2) * energy
+        exact = math.prod(Fraction(f) for f in (tp, d_mm / 2, energy))
+        if math.isfinite(left_to_right):
+            assert watts == left_to_right
+        elif exact < 2 ** 1023:
+            assert watts == pytest.approx(float(exact), rel=1e-15)
+        elif exact > 2 ** 1024:
+            assert watts == math.inf
+
+
 class TestScaling:
     def test_linear_in_each_factor(self):
         base = reference_params()
@@ -107,8 +148,9 @@ class TestScaling:
 
 class TestReport:
     def test_refuses_a_result_that_overflows(self):
+        # 6.5536e13 b/s x 5e307 mm x 1e-12 J/bit/mm is 3.3e309 W in any order
         with pytest.raises(ParamsError, match="central_power_w is not finite"):
-            build_cost_report(reference_params(d_mm=1e308))
+            build_cost_report(reference_params(d_mm=1e308, e_j_per_bit_mm=1e-12))
 
     def test_report_fields(self):
         report = build_cost_report(reference_params())

@@ -284,6 +284,15 @@ def _reference_permute(lanes, rounds):
     return [state[(i % 5, i // 5)] for i in range(25)]
 
 
+def _assert_reference_permutation(lanes, rounds):
+    kept = lanes.copy()
+    out = keccak.keccak_p(lanes, rounds)
+    assert out.shape == lanes.shape and out.dtype == np.uint64
+    for before, after in zip(kept.reshape(25, -1).T, out.reshape(25, -1).T):
+        assert after.tolist() == _reference_permute(before, rounds)
+    assert np.array_equal(lanes, kept)  # input unchanged
+
+
 class TestKeccakP:
     @settings(deadline=None, max_examples=20)
     @given(st.sampled_from([12, 24]), st.sampled_from([1, 2, 7, 64]), st.data())
@@ -316,6 +325,29 @@ class TestKeccakP:
         whole = keccak.keccak_p(lanes, 12)
         monkeypatch.setattr(keccak, "_TILE", 8)
         assert np.array_equal(keccak.keccak_p(lanes, 12), whole)
+
+    # the rounds work on a C-ordered copy of each tile, so every memory order
+    # of the input gives the reference permutation and leaves the input alone
+    @pytest.mark.parametrize("layout", ["c-contiguous", "absorb-view", "batch-axes"])
+    def test_every_input_layout_equals_reference_per_state(self, layout):
+        rng = np.random.default_rng(18)
+        if layout == "absorb-view":
+            # the transposed (count, 25) view of padded blocks that the sponge passes
+            lanes = rng.integers(0, 256, size=(5, 200), dtype=np.uint8).view("<u8").T
+        else:
+            lanes = rng.integers(0, 2 ** 64, size=(25, 6), dtype=np.uint64)
+            if layout == "batch-axes":
+                lanes = lanes.reshape(25, 2, 3)
+        assert lanes.flags.c_contiguous == (layout != "absorb-view")
+        _assert_reference_permutation(lanes, 12)
+
+    @pytest.mark.parametrize("rounds", [12, 24])
+    @pytest.mark.parametrize("count", [7, 8, 9, 17])
+    def test_every_tile_equals_reference_per_state(self, monkeypatch, rounds, count):
+        monkeypatch.setattr(keccak, "_TILE", 8)
+        states = np.random.default_rng(count).integers(0, 2 ** 64, size=(count, 25),
+                                                       dtype=np.uint64)
+        _assert_reference_permutation(states.T, rounds)
 
     def test_rejects_a_state_without_25_lanes(self):
         with pytest.raises(ConfigError):
