@@ -30,8 +30,8 @@ _EXPORTS = {
     "costmodel": ("CostParams", "CostReport", "build_cost_report", "central_wiring_power",
                   "distributed_wiring_power", "per_axis_bandwidth_density",
                   "required_throughput"),
-    "errors": ("ConfigError", "DomainFailure", "FormatError", "GenerationFailure",
-               "MrpgenError", "ParamsError", "RetryExhausted", "UnknownName"),
+    "errors": ("DomainFailure", "FormatError", "GenerationFailure", "MrpgenError",
+               "ParamsError", "RetryExhausted", "UnknownName"),
     "formats": ("load_params", "read_mrp", "save_params", "verify_mrp_file", "write_mrp"),
     "primes": ("CatalogFilter", "ModuliCatalog", "PrimeRecord", "enumerate_supported",
                "histogram", "hw_naf", "is_ntt_friendly", "is_prime", "naf",

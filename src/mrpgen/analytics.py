@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .errors import ConfigError, GenerationFailure, ParamsError
+from .errors import GenerationFailure, ParamsError
 from .primes import sample_rejection_prob
 from .profiles import DEFAULT_R_BITS
 
@@ -32,7 +32,7 @@ if TYPE_CHECKING:
     from .sampling import GenParams, Limb
     from .xof import Seed
 
-MAX_T = DEFAULT_R_BITS // 8  # 168 words: r <= 1344 bits and w >= 8
+MAX_T = DEFAULT_R_BITS // 8  # 168 words: one 1344-bit block of 8-bit words
 MAX_N_SEG = 1 << 16  # 16-bit segment ids, as GenParams enforces
 MAX_L = 1 << 32  # there are fewer distinct w-bit moduli than that
 MAX_DENOMINATOR = 1 << 64  # a modulus gives (2^w mod q) / 2^w with w <= 64
@@ -113,7 +113,7 @@ def solve_p_r_max(t: int, seg_len: int, n_seg: int, L: int, max_fail,
     if budget >= 1:
         return Fraction(1)
     if budget < 0 or seg_len > t:
-        raise ConfigError("infeasible: even p_r = 0 exceeds the failure budget")
+        raise ParamsError("infeasible: even p_r = 0 exceeds the failure budget")
     lo, hi = Fraction(0), Fraction(1)
     for _ in range(math.ceil(digits * math.log2(10)) + 2):
         mid = (lo + hi) / 2
@@ -140,14 +140,14 @@ class FitResult:
 
 
 def fit_limb_count(rows: Sequence[tuple[int, object]], t: int, n_ring: int, max_fail,
-                   l_range: tuple[int, int] = (1, 200), tolerance: float = 0.0005,
-                   digits: int = 7) -> FitResult:
+                   l_range: tuple[int, int] = (1, 200),
+                   tolerance: float = 0.0005) -> FitResult:
     """Search the limb count L whose solved thresholds match published ones.
 
     ``rows`` holds (seg_len, published p_r_max) pairs; n_seg is n_ring /
-    seg_len.  Returns the L minimizing the max absolute deviation; ``ok``
-    reports whether it lands inside ``tolerance`` (a no-fit is a value, not
-    an error).
+    seg_len.  Each L's thresholds are solved to 7 decimal digits.  Returns
+    the L minimizing the max absolute deviation; ``ok`` reports whether it
+    lands inside ``tolerance`` (a no-fit is a value, not an error).
 
     Only the integers around each row's exact crossing are scored: the bound
     at a row's published p_r reaches the budget at the real limb count
@@ -158,7 +158,7 @@ def fit_limb_count(rows: Sequence[tuple[int, object]], t: int, n_ring: int, max_
     """
     lo, hi = l_range
     if not 1 <= lo <= hi:
-        raise ConfigError(f"limb-count range {lo}..{hi} is empty or below 1")
+        raise ParamsError(f"limb-count range {lo}..{hi} is empty or below 1")
     if not 0 <= tolerance < math.inf:
         raise ParamsError(f"fit tolerance must be a finite number >= 0, got {tolerance}")
     if not rows or min(seg_len for seg_len, _ in rows) < 1:
@@ -179,8 +179,7 @@ def fit_limb_count(rows: Sequence[tuple[int, object]], t: int, n_ring: int, max_
                           f"more than {MAX_FIT_SPAN}; narrow the rows or the range")
     best = None
     for L in range(lo, hi + 1):
-        solved = tuple(solve_p_r_max(t, seg_len, n_ring // seg_len, L, max_fail,
-                                     digits=digits)
+        solved = tuple(solve_p_r_max(t, seg_len, n_ring // seg_len, L, max_fail, digits=7)
                        for seg_len, _ in rows)
         residual = max(abs(float(s - p)) for s, p in zip(solved, published))
         if best is None or residual < best[1]:
@@ -254,7 +253,7 @@ def chi_square_uniformity(limb: Limb, bins: int = 64) -> UniformityReport:
     import numpy as np
 
     if bins < 2:
-        raise ConfigError("need at least 2 bins")
+        raise ParamsError("need at least 2 bins")
     n = len(limb.coeffs)
     if n < 5 * bins:
         raise ParamsError(f"need at least {5 * bins} samples for {bins} bins")

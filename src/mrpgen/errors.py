@@ -3,8 +3,9 @@
 Each class carries the CLI exit code it maps to, so ``cli.main`` has one
 handler for all of them: 1 for a ``DomainFailure``, an expected outcome of
 the probabilistic model (shortfall, retry exhaustion, mismatch, no-fit)
-whose ``code`` names it; 2 for any other ``MrpgenError``, a bad input or
-configuration.  ``cli.main`` itself gives 2 to an ``OSError`` from a path
+whose ``code`` names it; 2 for any other ``MrpgenError``: a ``ParamsError``
+for a refused input, a ``FormatError`` for a container that does not parse.
+``cli.main`` itself gives 2 to an ``OSError`` from a path
 (``code=io-error``) and 3 to any other exception (``code=internal-error``).
 """
 
@@ -16,13 +17,13 @@ class MrpgenError(Exception):
     exit_code = 2
 
 
-class ConfigError(MrpgenError):
-    """Invalid configuration: unknown backend, unsupported block size, etc."""
+class ParamsError(MrpgenError):
+    """An argument, a profile value or a params file is out of its domain."""
 
-    code = "config-error"
+    code = "params-error"
 
 
-class UnknownName(ConfigError, AttributeError):
+class UnknownName(ParamsError, AttributeError):
     """``mrpgen`` has no export or submodule of that name.
 
     Also an ``AttributeError``, so ``hasattr`` and ``from mrpgen import x``
@@ -30,14 +31,8 @@ class UnknownName(ConfigError, AttributeError):
     """
 
 
-class ParamsError(MrpgenError):
-    """An argument or generation-profile value is out of its domain."""
-
-    code = "params-error"
-
-
 class FormatError(MrpgenError):
-    """A file (params text or MRP binary) does not parse."""
+    """An MRP container does not parse, or its header holds an invalid profile."""
 
     code = "format-error"
 

@@ -122,6 +122,8 @@ def read_mrp(path) -> tuple[MultiResiduePolynomial, GenParams]:
     n_ring, w, r, n_seg, backend_id, base_len = struct.unpack("<6I", _span(data, 8, 24))
     if backend_id not in _BACKEND_NAMES:
         raise FormatError(f"unknown backend id {backend_id}")
+    if r != DEFAULT_R_BITS:
+        raise FormatError(f"MRP header r = {r}; a profile's block is {DEFAULT_R_BITS} bits")
     base = tuple(int(q) for q in np.frombuffer(_span(data, 32, 4 * base_len), dtype="<u4"))
     (perm_kind,) = struct.unpack("<I", _span(data, 32 + 4 * base_len, 4))
     if perm_kind not in _PERM_IDS.values():
@@ -136,8 +138,7 @@ def read_mrp(path) -> tuple[MultiResiduePolynomial, GenParams]:
         raise FormatError("trailing bytes after the last limb")
     try:
         params = GenParams(N=n_ring, w=w, seg_len=n_ring // n_seg if n_seg else 0,
-                           n_seg=n_seg, base=base, r=r,
-                           backend=_BACKEND_NAMES[backend_id])
+                           n_seg=n_seg, base=base, backend=_BACKEND_NAMES[backend_id])
         if perm_kind == 1:
             params = replace(params, layout=Permutation.reverse(n_ring))
         elif perm_kind == 2:
@@ -191,7 +192,8 @@ def load_params(path) -> GenParams:
 
     Recognized keys: N, w, r, len, n_seg, base (comma-separated moduli),
     permutation (identity | reverse | path of an index file, relative to the
-    params file), backend.  Unknown keys are rejected by name.
+    params file), backend.  Unknown keys are rejected by name; r is optional
+    and, when given, must be the block's 1344 bits.
     """
     path = Path(path)
     try:
@@ -218,13 +220,14 @@ def load_params(path) -> GenParams:
         base = tuple(int(tok) for tok in fields["base"].replace(",", " ").split())
     except ValueError:
         raise ParamsError(f"{path}: base must be a list of integers") from None
+    if "r" in fields and _parse_int(fields, "r", path) != DEFAULT_R_BITS:
+        raise ParamsError(f"{path}: key 'r' must be {DEFAULT_R_BITS}, one whole XOF block")
     params = GenParams(
         N=_parse_int(fields, "N", path),
         w=_parse_int(fields, "w", path),
         seg_len=_parse_int(fields, "len", path),
         n_seg=_parse_int(fields, "n_seg", path),
         base=base,
-        r=_parse_int(fields, "r", path) if "r" in fields else DEFAULT_R_BITS,
         backend=fields.get("backend", "shake128"),
     )
     # the layout is sized by N, so it is built only once N has been validated
@@ -257,12 +260,16 @@ def _parse_permutation(value: str, n_ring: int, path: Path) -> Permutation:
 
 
 def save_params(params: GenParams, path) -> None:
-    """Serialize a profile so that load_params round-trips it."""
+    """Serialize a profile so that load_params round-trips it.
+
+    An explicit layout goes to the index file ``<file name>.perm`` beside it,
+    so files that share a stem, or one named x.perm, keep their own layouts.
+    """
     path = Path(path)
     if params.layout.kind in ("identity", "reverse"):
         perm_value = params.layout.kind
     else:
-        perm_file = path.with_suffix(".perm")
+        perm_file = path.with_name(path.name + ".perm")
         perm_file.write_text(" ".join(str(i) for i in params.layout.mapping) + "\n")
         perm_value = perm_file.name
     lines = [

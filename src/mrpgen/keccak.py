@@ -43,12 +43,12 @@ batch is never split into per-message objects.
 
 Every sponge here is one block, as each (q, id_seg) engine uses it: at most
 167 input bytes padded into the 168-byte rate, one permutation, and one
-squeeze of at most 168 bytes.  Anything longer raises ConfigError.
+squeeze of at most 168 bytes.  Anything longer raises ParamsError.
 """
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ParamsError
 from .profiles import DEFAULT_R_BITS
 
 # Keccak-f[1600] iota constants; Keccak-p[1600, n] uses the last n of them.
@@ -103,7 +103,7 @@ def keccak_p(lanes, rounds: int) -> np.ndarray:
     """
     state = np.asarray(lanes, dtype=np.uint64)
     if state.shape[:1] != (25,):
-        raise ConfigError(f"a Keccak state has 25 lanes, got shape {state.shape}")
+        raise ParamsError(f"a Keccak state has 25 lanes, got shape {state.shape}")
     flat = state.reshape(25, -1)
     out = np.empty_like(flat)
     for lo in range(0, flat.shape[1], _TILE):
@@ -137,7 +137,7 @@ def _message_rows(data) -> np.ndarray:
     if isinstance(data, (bytes, bytearray, memoryview)):
         return np.frombuffer(data, dtype=np.uint8).reshape(1, -1)
     if not (isinstance(data, np.ndarray) and data.ndim == 2 and data.dtype == np.uint8):
-        raise ConfigError("a sponge batch is a 2-D uint8 matrix, one message per row")
+        raise ParamsError("a sponge batch is a 2-D uint8 matrix, one message per row")
     return data
 
 
@@ -147,7 +147,7 @@ def _absorb_squeeze(rows: np.ndarray, tail: bytes, suffix: int, out_len: int,
     count, size = rows.shape
     end = size + len(tail)
     if end >= _RATE or out_len > _RATE:
-        raise ConfigError(f"one sponge block takes at most {_RATE - 1} input bytes and "
+        raise ParamsError(f"one sponge block takes at most {_RATE - 1} input bytes and "
                           f"gives at most {_RATE}; got {end} in and {out_len} out")
     state = np.zeros((count, 200), dtype=np.uint8)   # 1600 bits, rate then capacity
     state[:, :size] = rows
@@ -171,7 +171,7 @@ def sponge(data: bytes | np.ndarray, suffix: int, out_len: int, rounds: int) -> 
 
 def turbo_shake128(data: bytes | np.ndarray, domain: int, out_len: int) -> bytes:
     if not 0x01 <= domain <= 0x7F:
-        raise ConfigError(f"TurboSHAKE domain byte out of range: {domain:#x}")
+        raise ParamsError(f"TurboSHAKE domain byte out of range: {domain:#x}")
     return sponge(data, domain, out_len, rounds=12)
 
 
@@ -187,7 +187,7 @@ def kangaroo_twelve(data: bytes | np.ndarray, customization: bytes,
     Every row of a batch shares ``customization``, whose encoding goes into
     the padded block after each row.  A row, the customization and its length
     encoding take at most 167 bytes together and ``out_len`` is at most 168;
-    anything longer raises ConfigError.  Such inputs are far below one 8 KiB
+    anything longer raises ParamsError.  Such inputs are far below one 8 KiB
     chunk, where RFC 9861 needs no tree hashing.
     """
     rows = _message_rows(data)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
-from .errors import ConfigError, ParamsError
+from .errors import ParamsError
 
 # Deterministic Miller-Rabin witness sets, each proven complete below its bound.
 _MR_RANGES = (
@@ -141,7 +141,7 @@ def size_bucket(q: int, convention: str = "round") -> int:
         if q * q > 1 << (2 * b + 1):
             b += 1
         return b
-    raise ConfigError(f"unknown bucket convention '{convention}'")
+    raise ParamsError(f"unknown bucket convention '{convention}'")
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,7 @@ class ModuliCatalog:
 
     def worst_p_r(self) -> Fraction:
         if not self.records:
-            raise ConfigError("empty catalog has no worst rejection probability")
+            raise ParamsError("empty catalog has no worst rejection probability")
         return max(r.p_r for r in self.records)
 
     def restrict(self, p_r_max) -> "ModuliCatalog":

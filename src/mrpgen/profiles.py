@@ -11,7 +11,7 @@ from fractions import Fraction
 
 DEFAULT_N = 1 << 16
 DEFAULT_W = 32
-DEFAULT_R_BITS = 1344  # the SHAKE128/KangarooTwelve rate: one block, and r's cap
+DEFAULT_R_BITS = 1344  # the SHAKE128/KangarooTwelve rate: each segment's one block
 DEFAULT_T = DEFAULT_R_BITS // DEFAULT_W  # 42 candidate words per block
 DEFAULT_HW_NAF_MAX = 5
 DEFAULT_Q_MIN_EXCLUSIVE = 1 << 19

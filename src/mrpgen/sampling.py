@@ -33,7 +33,7 @@ import os
 import signal
 import threading
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterable
 
 import numpy as np
 
@@ -108,7 +108,7 @@ class GenParams:
 
     seg_len * n_seg must equal N, every base modulus must be transform
     friendly for N, and a segment must fit in one XOF block
-    (seg_len <= floor(r / w)).
+    (seg_len <= t = r / w).  r, the block's 1344 bits, is a class constant.
     """
 
     N: int
@@ -117,18 +117,14 @@ class GenParams:
     n_seg: int
     base: tuple[int, ...]
     layout: Permutation | None = None
-    r: int = DEFAULT_R_BITS
     backend: str = "shake128"
+    r: ClassVar[int] = DEFAULT_R_BITS
 
     def __post_init__(self):
         if self.N <= 0 or self.N & (self.N - 1):
             raise ParamsError("N must be a power of two")
         if self.w not in (8, 16, 32):
             raise ParamsError("word size must be 8, 16, or 32 bits")
-        if self.r <= 0 or self.r % 8 or self.r % self.w:
-            raise ParamsError("r must be a positive multiple of the word size")
-        if self.r > DEFAULT_R_BITS:
-            raise ParamsError(f"r exceeds the single-squeeze block of {DEFAULT_R_BITS} bits")
         if self.seg_len < 1 or self.seg_len > self.t:
             raise ParamsError(f"seg_len must be in 1..{self.t} (one XOF block)")
         if self.n_seg < 1 or self.n_seg > 1 << 16:
@@ -226,7 +222,7 @@ def generate_segment(seed: Seed, q: int, id_seg: int, params: GenParams) -> Segm
         raise ParamsError(f"q={q} is not in the profile base")
     if not 0 <= id_seg < params.n_seg:
         raise ParamsError(f"id_seg {id_seg} out of range for n_seg={params.n_seg}")
-    block = xof_expand(encode_domain_input(seed, q, id_seg), params.r, params.backend)
+    block = xof_expand(encode_domain_input(seed, q, id_seg), backend=params.backend)
     words = split_words(block, params.w)
     accepted = words[words < compute_threshold(q, params.w)]
     return Segment(q=q, values=accepted[:params.seg_len].astype(np.uint32))
@@ -245,11 +241,10 @@ def generate_limb(seed: Seed, q: int, params: GenParams) -> Limb:
     """
     if q not in params.base:
         raise ParamsError(f"q={q} is not in the profile base")
-    blocks = xof_expand_many(encode_domain_inputs(seed, q, params.n_seg), params.r,
-                             params.backend)
+    blocks = xof_expand_many(encode_domain_inputs(seed, q, params.n_seg), params.backend)
     words = split_words(blocks, params.w).reshape(params.n_seg, params.t)
     keep = words < compute_threshold(q, params.w)
-    # t <= 168 (r <= 1344, w >= 8), so a uint8 running count cannot wrap
+    # t <= 168 (r = 1344, w >= 8), so a uint8 running count cannot wrap
     rank = np.cumsum(keep, axis=1, dtype=np.uint8)
     keep &= rank <= params.seg_len
     coeffs = words[keep]

@@ -13,15 +13,15 @@ expansion of ML-KEM (FIPS 203) builds all of its XOF inputs at once.
 ``encode_domain_input`` is the scalar ``bytes`` form of one row, for the
 per-segment engine path.
 
-``xof_expand_many`` expands such a matrix, one block per row, into one
-buffer: block i is bytes [i*r/8, (i+1)*r/8).  It checks the backend, the
-block size and the matrix's shape, dtype and width once for the batch, then
-hands the matrix to the backend's batch expander in ``BACKENDS``.  SHAKE128
-hashes ``bytes`` slices of one copy of the matrix with ``hashlib``, which
-beats any numpy Keccak per block; KangarooTwelve permutes all of the rows'
-states in one batched Keccak-p call.  ``xof_expand`` expands one ``bytes``
-input: a valid SHAKE128 call goes to ``hashlib`` directly, anything else is
-a one-row matrix.
+``xof_expand_many`` expands such a matrix, one whole 168-byte block per row,
+into one buffer: block i is bytes [168*i, 168*(i+1)).  It checks the backend
+and the matrix's shape, dtype and width once for the batch, then hands the
+matrix to the backend's batch expander in ``BACKENDS``.  SHAKE128 hashes
+``bytes`` slices of one copy of the matrix with ``hashlib``, which beats any
+numpy Keccak per block; KangarooTwelve permutes all of the rows' states in
+one batched Keccak-p call.  ``xof_expand`` expands one ``bytes`` input to
+the first r_bits/8 bytes of its block: a valid SHAKE128 call goes to
+``hashlib`` directly, anything else is a one-row matrix.
 
 All multi-byte values are little-endian; both the encoder and the word
 splitter share the convention so any fixed-width field change shows up in
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import keccak
-from .errors import ConfigError, ParamsError
+from .errors import ParamsError
 from .profiles import DEFAULT_R_BITS
 
 SEED_BYTES = 36          # 288-bit seed
@@ -119,18 +119,18 @@ def encode_domain_inputs(seed: Seed, q: int, count: int) -> np.ndarray:
     return rows
 
 
-def _expand_shake128(inputs: np.ndarray, out_len: int) -> bytearray:
+def _expand_shake128(inputs: np.ndarray) -> bytearray:
     count, width = inputs.shape
     data = inputs.tobytes()
     starts = range(0, count * width, width) if width else [0] * count
-    out = bytearray()
+    out, size = bytearray(), DEFAULT_R_BITS // 8
     for lo in starts:
-        out += hashlib.shake_128(data[lo:lo + width]).digest(out_len)
+        out += hashlib.shake_128(data[lo:lo + width]).digest(size)
     return out
 
 
-def _expand_kangarootwelve(inputs: np.ndarray, out_len: int) -> bytes:
-    return keccak.kangaroo_twelve(inputs, b"", out_len)
+def _expand_kangarootwelve(inputs: np.ndarray) -> bytes:
+    return keccak.kangaroo_twelve(inputs, b"", DEFAULT_R_BITS // 8)
 
 
 BACKENDS = {
@@ -139,9 +139,8 @@ BACKENDS = {
 }
 
 
-def xof_expand_many(inputs: np.ndarray, r_bits: int = DEFAULT_R_BITS,
-                    backend: str = "shake128") -> bytes | bytearray:
-    """Produce one r-bit block of XOF output per matrix row, concatenated in order.
+def xof_expand_many(inputs: np.ndarray, backend: str = "shake128") -> bytes | bytearray:
+    """Produce one 1344-bit block of XOF output per matrix row, concatenated in order.
 
     ``inputs`` is a 2-D ``uint8`` matrix with one input of at most 64 bytes
     per row, such as ``encode_domain_inputs`` returns.  One block per input,
@@ -152,31 +151,29 @@ def xof_expand_many(inputs: np.ndarray, r_bits: int = DEFAULT_R_BITS,
     try:
         expand = BACKENDS[backend]
     except KeyError:
-        raise ConfigError(f"unknown XOF backend '{backend}'") from None
-    if r_bits <= 0 or r_bits % 8 != 0:
-        raise ConfigError("block size must be a positive multiple of 8 bits")
-    if r_bits > DEFAULT_R_BITS:
-        raise ConfigError(f"block size {r_bits} exceeds the single-squeeze "
-                          f"limit of {DEFAULT_R_BITS} bits")
+        raise ParamsError(f"unknown XOF backend '{backend}'") from None
     if not (isinstance(inputs, np.ndarray) and inputs.ndim == 2 and inputs.dtype == np.uint8):
-        raise ConfigError("XOF batch inputs must be a 2-D uint8 matrix, one input per row")
+        raise ParamsError("XOF batch inputs must be a 2-D uint8 matrix, one input per row")
     if inputs.shape[1] > MAX_INPUT_BYTES:
-        raise ConfigError(f"XOF input longer than {MAX_INPUT_BYTES} bytes")
-    return expand(inputs, r_bits // 8)
+        raise ParamsError(f"XOF input longer than {MAX_INPUT_BYTES} bytes")
+    return expand(inputs)
 
 
 def xof_expand(data: bytes, r_bits: int = DEFAULT_R_BITS, backend: str = "shake128") -> bytes:
-    """Produce one r-bit block of XOF output for ``data``: a batch of one.
+    """The first r_bits/8 bytes of ``data``'s one XOF block: a batch of one.
 
-    A valid SHAKE128 call goes straight to ``hashlib``: building a one-row
+    ``r_bits`` is a positive multiple of 8 up to the block's 1344 bits.  A
+    valid SHAKE128 call goes straight to ``hashlib``: building a one-row
     matrix costs more than a hash.  Anything else takes the batch path as a
     one-row matrix, which also reports an invalid call.
     """
-    if (backend == "shake128" and 0 < r_bits <= DEFAULT_R_BITS and r_bits % 8 == 0
-            and len(data) <= MAX_INPUT_BYTES):
+    if not (0 < r_bits <= DEFAULT_R_BITS and r_bits % 8 == 0):
+        raise ParamsError(f"block size must be a positive multiple of 8 bits "
+                          f"up to {DEFAULT_R_BITS}, got {r_bits}")
+    if backend == "shake128" and len(data) <= MAX_INPUT_BYTES:
         return hashlib.shake_128(data).digest(r_bits // 8)
     row = np.frombuffer(data, dtype=np.uint8).reshape(1, -1)
-    return bytes(xof_expand_many(row, r_bits, backend))
+    return bytes(xof_expand_many(row, backend)[:r_bits // 8])
 
 
 def split_words(block: bytes, w: int) -> np.ndarray:
@@ -186,7 +183,7 @@ def split_words(block: bytes, w: int) -> np.ndarray:
     the rejection scan consumes words strictly in this order.
     """
     if w not in _WORD_DTYPES:
-        raise ConfigError(f"unsupported word size {w}; expected one of {sorted(_WORD_DTYPES)}")
+        raise ParamsError(f"unsupported word size {w}; expected one of {sorted(_WORD_DTYPES)}")
     nbytes = w // 8
     t = len(block) // nbytes
     return np.frombuffer(block, dtype=_WORD_DTYPES[w], count=t)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mrpgen import (ConfigError, GenParams, Limb, ParamsError, analytics,
+from mrpgen import (GenParams, Limb, ParamsError, analytics,
                     chi_square_uniformity, empirical_failure_rate,
                     fit_limb_count, limb_failure, mrp_failure_bound,
                     mrp_failure_exact_base, p_seg, sample_rejection_prob,
@@ -339,8 +339,7 @@ class TestSolvePrMax:
         assert loose > tight
 
     def test_infeasible_request(self):
-        from mrpgen import ConfigError
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParamsError):
             solve_p_r_max(T, T + 1, 2, 2, Fraction("0.03"))
 
 
@@ -456,5 +455,5 @@ class TestChiSquareUniformity:
             chi_square_uniformity(Limb(q=97, coeffs=np.zeros(100, dtype=np.uint32)), 64)
 
     def test_requires_two_bins(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParamsError):
             chi_square_uniformity(Limb(q=97, coeffs=np.zeros(1024, dtype=np.uint32)), 1)

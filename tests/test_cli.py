@@ -311,25 +311,25 @@ class TestErrorTaxonomy:
         assert code == 2
         assert "code=format-error" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("r, message", [(100, "multiple of the word size"),
-                                            (2688, "single-squeeze")])
-    def test_a_params_file_r_outside_one_block_exits_two(self, capsys, tmp_path, r,
-                                                         message):
+    @pytest.mark.parametrize("r", [100, 1024, 2688])
+    def test_a_params_file_r_outside_one_block_exits_two(self, capsys, tmp_path, r):
+        # r = 1024 was a valid t = 32 profile while r was a profile field
         path = tmp_path / "r.params"
         path.write_text(f"N = 256\nw = 32\nr = {r}\nlen = 32\nn_seg = 8\nbase = 7681\n")
         code, out, err = run(capsys, "gen-mrp", "--seed", ZERO_SEED, "--params", path)
         assert (code, out) == (2, "")
-        assert err.startswith("error code=params-error ") and message in err
+        assert err.startswith("error code=params-error ") and "'r' must be 1344" in err
 
     def test_an_mrp_header_r_beyond_one_block_exits_two(self, capsys, tmp_path):
         from conftest import mrp_header
-        blob = bytearray(mrp_header(256, 8) + bytes(4 * 256))
-        struct.pack_into("<I", blob, 16, 2688)  # magic, version, N, w, then r
-        path = tmp_path / "r.mrp"
-        path.write_bytes(bytes(blob))
-        code, out, err = run(capsys, "verify", "--mrp", path, "--seed", ZERO_SEED)
-        assert (code, out) == (2, "")
-        assert err.startswith("error code=format-error ") and "single-squeeze" in err
+        for r in (2688, 1024):  # 1024 was read as a t = 32 profile while r was a field
+            blob = bytearray(mrp_header(256, 8) + bytes(4 * 256))
+            struct.pack_into("<I", blob, 16, r)  # magic, version, N, w, then r
+            path = tmp_path / "r.mrp"
+            path.write_bytes(bytes(blob))
+            code, out, err = run(capsys, "verify", "--mrp", path, "--seed", ZERO_SEED)
+            assert (code, out) == (2, "")
+            assert err.startswith("error code=format-error ") and f"r = {r};" in err
 
     def test_missing_seed_exits_two(self, capsys, params_file):
         code, _, err = run(capsys, "gen-mrp", "--params", params_file)
@@ -352,7 +352,7 @@ class TestErrorTaxonomy:
         (["gen-seg", "--params", "{params}", "--seed", ZERO_SEED, "--q", "7681", "--id", "8"],
          "params-error"),
         (["stats", "--mrp", "{mrp}"], "params-error"),
-        (["stats", "--mrp", "{mrp}", "--bins", "1"], "config-error"),
+        (["stats", "--mrp", "{mrp}", "--bins", "1"], "params-error"),
         (ANALYZE + ["--pr", "2"], "params-error"),
         (ANALYZE + ["--pr", "abc"], "params-error"),
         (ANALYZE + ["--L", "-3"], "params-error"),
@@ -387,7 +387,7 @@ class TestErrorTaxonomy:
         (ANALYZE + ["--nseg", str(10 ** 400)], "params-error"),
         (ANALYZE + ["--L", str((1 << 32) + 1)], "params-error"),
         (ANALYZE + ["--pr", f"1/{(1 << 64) + 1}"], "params-error"),
-        (["fit-table1", "--lmax", "0"], "config-error"),
+        (["fit-table1", "--lmax", "0"], "params-error"),
         (["gen-mrp", "--params", "{params}", "--common", "00" * 32], "params-error"),
         (["gen-mrp", "--seed", ZERO_SEED, "--params", "{tmp}/base-float.params"],
          "params-error"),

@@ -377,7 +377,7 @@ class TestParamsFile:
         path = tmp_path / "named.params"
         save_params(params, path)
         assert f"permutation = {name}\n" in path.read_text()
-        assert not path.with_suffix(".perm").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["named.params"]  # no .perm file
 
     def test_round_trip_explicit_layout(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -386,6 +386,22 @@ class TestParamsFile:
                            layout=layout)
         path = tmp_path / "explicit.params"
         save_params(params, path)
+        assert load_params(path).layout == layout
+
+    def test_profiles_that_share_a_stem_keep_their_own_layouts(self, tmp_path):
+        rng = np.random.default_rng(6)
+        layouts = {name: Permutation(rng.permutation(256)) for name in ("a.params", "a.cfg")}
+        for name, layout in layouts.items():
+            save_params(GenParams(N=256, w=32, seg_len=32, n_seg=8, base=(7681,),
+                                  layout=layout), tmp_path / name)
+        for name, layout in layouts.items():
+            assert load_params(tmp_path / name).layout == layout
+
+    def test_a_params_file_named_like_an_index_file_round_trips(self, tmp_path):
+        layout = Permutation(np.random.default_rng(7).permutation(256))
+        path = tmp_path / "x.perm"
+        save_params(GenParams(N=256, w=32, seg_len=32, n_seg=8, base=(7681,),
+                              layout=layout), path)
         assert load_params(path).layout == layout
 
     def test_comments_and_spacing(self, tmp_path):
@@ -569,6 +585,6 @@ class TestInputBoundaryFuzz:
         layout, text = case
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "desk.params"
-            save_params(_desk(layout), path)  # leaves desk.perm for "explicit"
+            save_params(_desk(layout), path)  # leaves desk.params.perm for "explicit"
             path.write_text(text)
             _returns_or_raises_typed(load_params, path)

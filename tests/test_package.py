@@ -12,7 +12,7 @@ import mrpgen
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Every name the package exported when it imported its submodules eagerly.
+# Every name the package exports, under the submodule that defines it.
 EXPORTS = {
     "analytics": ("EmpiricalReport", "FitResult", "UniformityReport",
                   "chi_square_uniformity", "empirical_failure_rate", "fit_limb_count",
@@ -21,8 +21,8 @@ EXPORTS = {
     "costmodel": ("CostParams", "CostReport", "build_cost_report", "central_wiring_power",
                   "distributed_wiring_power", "per_axis_bandwidth_density",
                   "required_throughput"),
-    "errors": ("ConfigError", "DomainFailure", "FormatError", "GenerationFailure",
-               "MrpgenError", "ParamsError", "RetryExhausted"),
+    "errors": ("DomainFailure", "FormatError", "GenerationFailure", "MrpgenError",
+               "ParamsError", "RetryExhausted"),
     "formats": ("load_params", "read_mrp", "save_params", "verify_mrp_file", "write_mrp"),
     "primes": ("CatalogFilter", "ModuliCatalog", "PrimeRecord", "enumerate_supported",
                "histogram", "hw_naf", "is_ntt_friendly", "is_prime", "naf",
@@ -87,7 +87,7 @@ def test_unknown_name_keeps_the_attribute_protocol():
     with pytest.raises(mrpgen.UnknownName) as err:
         mrpgen.nope
     assert isinstance(err.value, AttributeError)
-    assert isinstance(err.value, mrpgen.ConfigError)
+    assert isinstance(err.value, mrpgen.ParamsError)
     with pytest.raises(ImportError):
         from mrpgen import nope  # noqa: F401
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrpgen import (CatalogFilter, ConfigError, ParamsError, PrimeRecord,
+from mrpgen import (CatalogFilter, ParamsError, PrimeRecord,
                     enumerate_supported, histogram, hw_naf, is_ntt_friendly, is_prime,
                     naf, sample_rejection_prob, size_bucket)
 from mrpgen import primes
@@ -152,7 +152,7 @@ class TestSizeBucket:
         assert size_bucket(q, "round") == 20
 
     def test_unknown_convention(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParamsError):
             size_bucket(17, "nearest")
 
     def test_rejects_q_below_two(self):
@@ -298,7 +298,7 @@ class TestHistogram:
         filt = CatalogFilter(n_ring=1 << 15, w=16, hw_naf_max=1, p_r_max=Fraction(1, 100))
         catalog = enumerate_supported(filt)
         assert len(catalog) == 0 and histogram(catalog) == {}
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParamsError):
             catalog.worst_p_r()
 
     def test_partition(self):

@@ -14,6 +14,7 @@ import sys
 import tempfile
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -242,6 +243,13 @@ class TestGenParamsValidation:
 
     def test_t_property(self, desk_params):
         assert desk_params.t == 42
+
+    def test_r_is_the_one_block_and_not_a_field(self, desk_params):
+        assert GenParams.r == desk_params.r == 1344
+        with pytest.raises(TypeError):
+            GenParams(N=256, w=32, seg_len=32, n_seg=8, base=(7681,), r=1344)
+        with pytest.raises(TypeError):
+            replace(desk_params, r=1024)
 
 
 class TestGenerateLimb:

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_keccak
-from mrpgen import (ConfigError, ParamsError, Seed, derive_polynomial_seed,
+from mrpgen import (ParamsError, Seed, derive_polynomial_seed,
                     encode_domain_input, encode_domain_inputs, split_words, xof_expand,
                     xof_expand_many)
 from mrpgen import keccak
@@ -110,19 +110,21 @@ class TestXofExpand:
         assert len(xof_expand(b"")) == DEFAULT_R_BITS // 8
 
     def test_rejects_oversized_r(self):
-        with pytest.raises(ConfigError):
-            xof_expand(b"", r_bits=2688)
+        for backend in ("shake128", "kangarootwelve"):
+            with pytest.raises(ParamsError, match="up to 1344"):
+                xof_expand(b"", 2688, backend)
 
     def test_rejects_non_byte_r(self):
-        with pytest.raises(ConfigError):
-            xof_expand(b"", r_bits=1343)
+        for r_bits in (1343, 0, -8):
+            with pytest.raises(ParamsError, match="multiple of 8"):
+                xof_expand(b"", r_bits)
 
     def test_rejects_long_input(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParamsError):
             xof_expand(bytes(MAX_INPUT_BYTES + 1))
 
     def test_rejects_unknown_backend(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParamsError):
             xof_expand(b"", backend="blake2")
 
     def test_agrees_with_independent_reference(self):
@@ -134,9 +136,15 @@ class TestXofExpandMany:
     @pytest.mark.parametrize("backend", ["shake128", "kangarootwelve"])
     @pytest.mark.parametrize("r_bits", [1344, 256, 8])
     def test_is_the_concatenation_of_single_blocks(self, backend, r_bits):
+        # every row gets one whole block; xof_expand(row, r_bits) is its prefix
         inputs = encode_domain_inputs(Seed(bytes(range(36))), 7681, 5)
-        assert xof_expand_many(inputs, r_bits, backend) == b"".join(
-            xof_expand(bytes(row), r_bits, backend) for row in inputs)
+        blocks = xof_expand_many(inputs, backend)
+        assert blocks == b"".join(xof_expand(bytes(row), DEFAULT_R_BITS, backend)
+                                  for row in inputs)
+        for i, row in enumerate(inputs):
+            one = xof_expand_many(row.reshape(1, -1), backend)
+            assert one == blocks[168 * i:168 * (i + 1)]
+            assert xof_expand(bytes(row), r_bits, backend) == one[:r_bits // 8]
 
     @pytest.mark.parametrize("backend", ["shake128", "kangarootwelve"])
     def test_empty_batch(self, backend):
@@ -148,7 +156,7 @@ class TestXofExpandMany:
             xof_expand(b"", backend=backend) * 3)
 
     def test_rejects_one_long_input_in_a_batch(self):
-        with pytest.raises(ConfigError, match="longer than"):
+        with pytest.raises(ParamsError, match="longer than"):
             xof_expand_many(np.zeros((3, MAX_INPUT_BYTES + 1), np.uint8))
 
     @pytest.mark.parametrize("inputs", [
@@ -159,18 +167,21 @@ class TestXofExpandMany:
     ], ids=["1-D", "uint16", "3-D", "list"])
     @pytest.mark.parametrize("backend", ["shake128", "kangarootwelve"])
     def test_rejects_anything_but_a_uint8_matrix(self, inputs, backend):
-        with pytest.raises(ConfigError, match="2-D uint8 matrix"):
+        with pytest.raises(ParamsError, match="2-D uint8 matrix"):
             xof_expand_many(inputs, backend=backend)
 
     def test_rejects_bad_block_size_and_backend(self):
-        with pytest.raises(ConfigError):
-            xof_expand_many(np.zeros((1, 42), np.uint8), r_bits=2688)
-        with pytest.raises(ConfigError):
+        # the block is always one whole 1344-bit block: there is no size to pass
+        with pytest.raises(TypeError):
+            xof_expand_many(np.zeros((1, 42), np.uint8), r_bits=1344)
+        with pytest.raises(TypeError):
+            xof_expand_many(np.zeros((1, 42), np.uint8), 1344, "shake128")
+        with pytest.raises(ParamsError):
             xof_expand_many(np.zeros((1, 42), np.uint8), backend="blake2")
 
     def test_kangarootwelve_batch_needs_equal_lengths(self):
         # only a matrix is a batch, so a ragged batch cannot be written
-        with pytest.raises(ConfigError, match="2-D uint8 matrix"):
+        with pytest.raises(ParamsError, match="2-D uint8 matrix"):
             xof_expand_many([bytes(42), bytes(41)], backend="kangarootwelve")
 
     def test_kangarootwelve_agrees_with_independent_reference(self):
@@ -198,7 +209,7 @@ class TestSplitWords:
         assert list(split_words(block, 32)) == [0x0201CDAB]
 
     def test_rejects_unsupported_width(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParamsError):
             split_words(bytes(168), 12)
 
     @given(st.binary(min_size=4, max_size=168))
@@ -242,11 +253,11 @@ class TestKangarooTwelveBackend:
                     == hashlib.shake_128(data).digest(168))
 
     def test_rejects_multi_chunk(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParamsError):
             keccak.kangaroo_twelve(bytes(9000), b"", 32)
 
     def test_rejects_bad_domain_byte(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParamsError):
             keccak.turbo_shake128(b"", 0x80, 32)
 
     def test_batch_is_the_concatenation_of_single_messages(self):
@@ -267,14 +278,14 @@ class TestKangarooTwelveBackend:
         for call, full in cases:
             assert call(167, 168) == full
             for size, out in ((168, 168), (167, 169)):
-                with pytest.raises(ConfigError, match="one sponge block"):
+                with pytest.raises(ParamsError, match="one sponge block"):
                     call(size, out)
 
     @pytest.mark.parametrize("batch", [[b"m"], np.zeros(4, np.uint8),
                                        np.zeros((2, 2), np.int8)],
                              ids=["list", "1-D", "int8"])
     def test_rejects_a_batch_that_is_not_a_uint8_matrix(self, batch):
-        with pytest.raises(ConfigError, match="2-D uint8 matrix"):
+        with pytest.raises(ParamsError, match="2-D uint8 matrix"):
             keccak.kangaroo_twelve(batch, b"", 32)
 
 
@@ -350,5 +361,5 @@ class TestKeccakP:
         _assert_reference_permutation(states.T, rounds)
 
     def test_rejects_a_state_without_25_lanes(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ParamsError):
             keccak.keccak_p([0] * 24, 12)
