@@ -29,7 +29,7 @@ from .primes import sample_rejection_prob
 from .profiles import DEFAULT_R_BITS
 
 if TYPE_CHECKING:
-    from .sampling import GenParams, Limb
+    from .sampling import GenParams
     from .xof import Seed
 
 MAX_T = DEFAULT_R_BITS // 8  # 168 words: one 1344-bit block of 8-bit words
@@ -101,12 +101,11 @@ def mrp_failure_exact_base(p_r_list: Sequence, t: int, seg_len: int, n_seg: int)
     return _failure([seg_failure_prob(p, t, seg_len) for p in p_r_list], n_seg)
 
 
-def solve_p_r_max(t: int, seg_len: int, n_seg: int, L: int, max_fail,
-                  digits: int = 9) -> Fraction:
+def solve_p_r_max(t: int, seg_len: int, n_seg: int, L: int, max_fail) -> Fraction:
     """Largest per-sample rejection probability meeting an MRP-failure budget.
 
-    Bisects the monotone failure bound to ``digits`` decimal digits and
-    returns the satisfying endpoint (a dyadic rational).
+    Bisects the monotone failure bound to 7 decimal digits and returns the
+    satisfying endpoint (a dyadic rational).
     """
     _check_model(0, t, seg_len, n_seg, L)
     budget = _fraction(max_fail)
@@ -115,7 +114,7 @@ def solve_p_r_max(t: int, seg_len: int, n_seg: int, L: int, max_fail,
     if budget < 0 or seg_len > t:
         raise ParamsError("infeasible: even p_r = 0 exceeds the failure budget")
     lo, hi = Fraction(0), Fraction(1)
-    for _ in range(math.ceil(digits * math.log2(10)) + 2):
+    for _ in range(math.ceil(7 * math.log2(10)) + 2):
         mid = (lo + hi) / 2
         if _failure([seg_failure_prob(mid, t, seg_len)], n_seg * L) <= float(budget):
             lo = mid
@@ -179,7 +178,7 @@ def fit_limb_count(rows: Sequence[tuple[int, object]], t: int, n_ring: int, max_
                           f"more than {MAX_FIT_SPAN}; narrow the rows or the range")
     best = None
     for L in range(lo, hi + 1):
-        solved = tuple(solve_p_r_max(t, seg_len, n_ring // seg_len, L, max_fail, digits=7)
+        solved = tuple(solve_p_r_max(t, seg_len, n_ring // seg_len, L, max_fail)
                        for seg_len, _ in rows)
         residual = max(abs(float(s - p)) for s, p in zip(solved, published))
         if best is None or residual < best[1]:
@@ -243,8 +242,8 @@ class UniformityReport:
     p_value: float
 
 
-def chi_square_uniformity(limb: Limb, bins: int = 64) -> UniformityReport:
-    """Bin the reduced residues of a limb and test them against uniformity.
+def chi_square_uniformity(q: int, coeffs, bins: int = 64) -> UniformityReport:
+    """Bin the residues mod q of one limb's coeffs and test them against uniformity.
 
     Bin b covers residues r with r * bins // q == b; expected counts are
     proportional to each bin's exact integer width, so moduli that do not
@@ -254,11 +253,12 @@ def chi_square_uniformity(limb: Limb, bins: int = 64) -> UniformityReport:
 
     if bins < 2:
         raise ParamsError("need at least 2 bins")
-    n = len(limb.coeffs)
+    if not 1 < q < 1 << 32:
+        raise ParamsError(f"q must be in 2..2^32-1, got {q}")
+    n = len(coeffs)
     if n < 5 * bins:
         raise ParamsError(f"need at least {5 * bins} samples for {bins} bins")
-    q = limb.q
-    residues = (limb.coeffs % np.uint32(q)).astype(np.uint64)
+    residues = (coeffs % np.uint32(q)).astype(np.uint64)
     idx = (residues * np.uint64(bins)) // np.uint64(q)
     counts = np.bincount(idx.astype(np.int64), minlength=bins)
     starts = np.array([-(-b * q // bins) for b in range(bins + 1)], dtype=np.int64)

@@ -71,18 +71,18 @@ def _text_lines(value, key=""):
     return [f"{key} = {value}"]
 
 
-def _digest(command: str, args: argparse.Namespace) -> str:
+def _digest(args: argparse.Namespace) -> str:
     skip = {"handler", "format", "canonical"}
     payload = {k: str(v) for k, v in sorted(vars(args).items()) if k not in skip}
-    blob = json.dumps({"command": command, "args": payload}, sort_keys=True)
+    blob = json.dumps({"command": args.command, "args": payload}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _emit(args, command: str, payload: dict, body_lines=None) -> None:
+def _emit(args, payload: dict, body_lines=None) -> None:
     envelope = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
-        "input_digest": _digest(command, args),
+        "input_digest": _digest(args),
     }
     if not args.canonical:
         from datetime import datetime, timezone
@@ -165,7 +165,7 @@ def _parse_fraction(text: str) -> Fraction:
 
 # ---------------------------------------------------------------- handlers
 
-def cmd_gen_mrp(args) -> int:
+def cmd_gen_mrp(args) -> None:
     from . import formats, sampling
 
     params = formats.load_params(args.params)
@@ -178,11 +178,10 @@ def cmd_gen_mrp(args) -> int:
         "limb_sha256": _summaries_and_write(mrp, params, args.out),
         "out": str(args.out) if args.out else None,
     }
-    _emit(args, "gen-mrp", payload)
-    return 0
+    _emit(args, payload)
 
 
-def cmd_gen_limb(args) -> int:
+def cmd_gen_limb(args) -> None:
     import numpy as np
 
     from . import formats, sampling
@@ -198,29 +197,27 @@ def cmd_gen_limb(args) -> int:
         "head": limb.coeffs[:4].tolist(), "tail": limb.coeffs[-4:].tolist(),
         "out": str(args.out) if args.out else None,
     }
-    _emit(args, "gen-limb", payload)
-    return 0
+    _emit(args, payload)
 
 
-def cmd_gen_seg(args) -> int:
+def cmd_gen_seg(args) -> None:
     from . import formats, sampling
 
     params = formats.load_params(args.params)
     seed = _seed_from_args(args)
-    seg = sampling.generate_segment(seed, args.q, args.id, params)
+    values = sampling.generate_segment(seed, args.q, args.id, params).values
+    complete = len(values) >= params.seg_len
     payload = {
         "seed": seed.hex(), "q": args.q, "id_seg": args.id,
-        "requested": params.seg_len, "accepted": len(seg.values),
-        "complete": seg.complete(params.seg_len),
-        "values": seg.values.tolist(),
+        "requested": params.seg_len, "accepted": len(values),
+        "complete": complete, "values": values.tolist(),
     }
-    _emit(args, "gen-seg", payload)
-    if not seg.complete(params.seg_len):
+    _emit(args, payload)
+    if not complete:
         raise GenerationFailure(args.q, args.id)
-    return 0
 
 
-def cmd_retry_gen(args) -> int:
+def cmd_retry_gen(args) -> None:
     import random
 
     from . import formats, sampling
@@ -235,24 +232,22 @@ def cmd_retry_gen(args) -> int:
         "limb_sha256": _summaries_and_write(result.mrp, params, args.out),
         "out": str(args.out) if args.out else None,
     }
-    _emit(args, "retry-gen", payload)
-    return 0
+    _emit(args, payload)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> None:
     from . import formats
 
     seed = _seed_from_args(args)
     report = formats.verify_mrp_file(args.mrp, seed)
     payload = {"mrp": str(args.mrp), "seed": seed.hex(),
                "match": report.ok, "detail": report.detail or None}
-    _emit(args, "verify", payload)
+    _emit(args, payload)
     if not report.ok:
         raise DomainFailure("verify-mismatch", report.detail)
-    return 0
 
 
-def cmd_enum_primes(args) -> int:
+def cmd_enum_primes(args) -> None:
     # 64 bits is the widest word CatalogFilter admits
     if not (0 <= args.n <= 64 and 0 <= args.qmin_bits <= 64):
         raise ParamsError("--n and --qmin-bits must be in 0..64")
@@ -274,8 +269,7 @@ def cmd_enum_primes(args) -> int:
              for r in catalog]
     body += ["", f"count = {len(catalog)}"]
     body += [f"bucket[{b}] = {c}" for b, c in hist.items()]
-    _emit(args, "enum-primes", payload, body)
-    return 0
+    _emit(args, payload, body)
 
 
 def _reference_filter() -> primes.CatalogFilter:
@@ -285,7 +279,7 @@ def _reference_filter() -> primes.CatalogFilter:
         q_min_exclusive=profiles.DEFAULT_Q_MIN_EXCLUSIVE)
 
 
-def cmd_table1(args) -> int:
+def cmd_table1(args) -> None:
     full = primes.enumerate_supported(_reference_filter())
     rows = []
     all_match = True
@@ -316,10 +310,9 @@ def cmd_table1(args) -> int:
                     f"count={row['count']}/{row['expected_count']} "
                     f"hist={','.join(str(c) for c in row['histogram'])} [{status}]")
     body.append(f"all_match = {all_match}")
-    _emit(args, "table1", payload, body)
+    _emit(args, payload, body)
     if not all_match:
         raise DomainFailure("reference-mismatch", "supported-set statistics deviate")
-    return 0
 
 
 def _alt_convention_rows(catalog: primes.ModuliCatalog) -> dict:
@@ -327,7 +320,7 @@ def _alt_convention_rows(catalog: primes.ModuliCatalog) -> dict:
     return {c: {str(b): n for b, n in sorted(hist.items())} for c, hist in counts.items()}
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     from . import analytics
 
     p_r = _parse_fraction(args.pr)
@@ -345,11 +338,10 @@ def cmd_analyze(args) -> int:
         "p_mrp_bound": 1 - mrp_fail,
         "mrp_failure_bound": mrp_fail,
     }
-    _emit(args, "analyze", payload)
-    return 0
+    _emit(args, payload)
 
 
-def cmd_fit_table1(args) -> int:
+def cmd_fit_table1(args) -> None:
     from . import analytics
 
     rows = [(seg_len, p_r_max)
@@ -372,27 +364,25 @@ def cmd_fit_table1(args) -> int:
         payload["len4_check"] = {"len": seg_len, "worst_p_r": float(worst),
                                  "failure_bound": bound,
                                  "ok": bound <= 0.0030}
-    _emit(args, "fit-table1", payload)
+    _emit(args, payload)
     if not fit.ok:
         raise DomainFailure("no-fit", f"best L={fit.L} residual={fit.residual}")
-    return 0
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> None:
     from . import analytics, formats
 
-    mrp, params = formats.read_mrp(args.mrp)
-    reports = [analytics.chi_square_uniformity(limb, args.bins)
-               for limb in mrp.limbs.values()]
+    mrp, _ = formats.read_mrp(args.mrp)
+    reports = [analytics.chi_square_uniformity(q, row, args.bins)
+               for q, row in zip(mrp.base, mrp.coeffs)]
     payload = {"mrp": str(args.mrp), "bins": args.bins,
                "limbs": [{"q": r.q, "samples": r.sample_count,
                           "statistic": r.statistic, "dof": r.dof,
                           "p_value": r.p_value} for r in reports]}
-    _emit(args, "stats", payload)
-    return 0
+    _emit(args, payload)
 
 
-def cmd_cost(args) -> int:
+def cmd_cost(args) -> None:
     from . import costmodel
 
     params = costmodel.CostParams(
@@ -409,8 +399,7 @@ def cmd_cost(args) -> int:
         "per_axis_density_bps_per_mm": report.per_axis_density_bps_per_mm,
         "per_axis_density_tbps_per_mm": report.per_axis_density_tbps_per_mm,
     }
-    _emit(args, "cost", payload)
-    return 0
+    _emit(args, payload)
 
 
 # ---------------------------------------------------------------- parser
@@ -510,7 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        args.handler(args)
+        return 0
     except MrpgenError as exc:
         print(f"error code={exc.code} {exc}", file=sys.stderr)
         return exc.exit_code

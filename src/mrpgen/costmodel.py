@@ -50,17 +50,16 @@ def _product(*factors: float) -> float:
     factor left while the partial product is at least 1 and by the largest
     otherwise.  Those partials stay within the range of 1, the factors and
     the result, so a finite result comes out finite even when a left-to-right
-    partial overflows, and every result that is finite left to right keeps
-    its bits.
+    partial overflows, and every nonzero result that is finite left to right
+    keeps its bits.  A zero product is +0.0, also when a factor is -0.0.
     """
     value = math.prod(factors)
-    if math.isfinite(value):
-        return value
-    rest = sorted(factors)
-    value = 1.0
-    while rest:
-        value *= rest.pop(0) if value >= 1 else rest.pop()
-    return value
+    if not math.isfinite(value):
+        rest = sorted(factors)
+        value = 1.0
+        while rest:
+            value *= rest.pop(0) if value >= 1 else rest.pop()
+    return value or 0.0
 
 
 def required_throughput(p: CostParams) -> float:

@@ -111,8 +111,17 @@ def _span(data: bytes, offset: int, size: int) -> bytes:
     return data[offset:offset + size]
 
 
+def _is_device(path) -> bool:
+    """Whether path is a character or block device, whose reads may never end
+    (/dev/zero); a regular file or a pipe is not."""
+    mode = os.stat(path).st_mode
+    return stat.S_ISCHR(mode) or stat.S_ISBLK(mode)
+
+
 def read_mrp(path) -> tuple[MultiResiduePolynomial, GenParams]:
     """Parse a container; the returned coeffs are a read-only view of its bytes."""
+    if _is_device(path):
+        raise FormatError(f"{path}: a device, not an input file")
     data = Path(path).read_bytes()
     if _span(data, 0, 4) != MAGIC:
         raise FormatError("not an MRP file (bad magic)")
@@ -196,6 +205,8 @@ def load_params(path) -> GenParams:
     and, when given, must be the block's 1344 bits.
     """
     path = Path(path)
+    if _is_device(path):
+        raise ParamsError(f"{path}: a device, not an input file")
     try:
         text = path.read_text()
     except UnicodeDecodeError:

@@ -157,6 +157,7 @@ class GenParams:
         return replace(self, base=tuple(base))
 
 
+# Segment and Limb stay only because bench/workloads.py reads .values and .coeffs
 @dataclass(eq=False)
 class Segment:
     """Accepted words for one (q, id_seg) unit, in scan order, unreduced.
@@ -166,18 +167,13 @@ class Segment:
     an error.
     """
 
-    q: int
     values: np.ndarray
-
-    def complete(self, seg_len: int) -> bool:
-        return len(self.values) >= seg_len
 
 
 @dataclass(eq=False)
 class Limb:
     """One full residue vector: N accepted words for a single modulus."""
 
-    q: int
     coeffs: np.ndarray
 
 
@@ -195,7 +191,7 @@ class MultiResiduePolynomial:
     @property
     def limbs(self) -> dict[int, Limb]:
         """The rows as Limb views keyed by modulus (a fresh dict per call)."""
-        return {q: Limb(q=q, coeffs=row) for q, row in zip(self.base, self.coeffs)}
+        return {q: Limb(coeffs=row) for q, row in zip(self.base, self.coeffs)}
 
 
 def compute_threshold(q: int, w: int) -> int:
@@ -225,7 +221,7 @@ def generate_segment(seed: Seed, q: int, id_seg: int, params: GenParams) -> Segm
     block = xof_expand(encode_domain_input(seed, q, id_seg), backend=params.backend)
     words = split_words(block, params.w)
     accepted = words[words < compute_threshold(q, params.w)]
-    return Segment(q=q, values=accepted[:params.seg_len].astype(np.uint32))
+    return Segment(values=accepted[:params.seg_len].astype(np.uint32))
 
 
 def generate_limb(seed: Seed, q: int, params: GenParams) -> Limb:
@@ -251,7 +247,7 @@ def generate_limb(seed: Seed, q: int, params: GenParams) -> Limb:
     if len(coeffs) < params.N:
         short = rank[:, -1] < params.seg_len
         raise GenerationFailure(q, int(np.argmax(short)))
-    return Limb(q=q, coeffs=permute(coeffs.astype(np.uint32, copy=False), params.layout))
+    return Limb(coeffs=permute(coeffs.astype(np.uint32, copy=False), params.layout))
 
 
 # A forked helper made CLI gen-mrp and verify faster in most interleaved

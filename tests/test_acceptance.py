@@ -245,8 +245,7 @@ def test_criterion_10_uniformity_chi_square(full_catalog):
     seed = Seed(bytes(range(36)))
     low_p = []
     for q in base:
-        limb = generate_limb(seed, q, params)
-        rep = chi_square_uniformity(limb, bins=64)
+        rep = chi_square_uniformity(q, generate_limb(seed, q, params).coeffs, bins=64)
         if rep.p_value <= 0.001:
             low_p.append(f"q={q}: p={rep.p_value:.5f}")
     report(10, f"chi-square uniformity on 2^16 limbs for {base}",

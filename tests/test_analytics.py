@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mrpgen import (GenParams, Limb, ParamsError, analytics,
+from mrpgen import (GenParams, ParamsError, analytics,
                     chi_square_uniformity, empirical_failure_rate,
                     fit_limb_count, limb_failure, mrp_failure_bound,
                     mrp_failure_exact_base, p_seg, sample_rejection_prob,
@@ -328,14 +328,13 @@ class TestSolvePrMax:
 
     def test_monotone_in_len(self):
         n_ring = 1 << 16
-        sols = [solve_p_r_max(T, seg_len, n_ring // seg_len, 64, Fraction("0.03"),
-                              digits=6)
+        sols = [solve_p_r_max(T, seg_len, n_ring // seg_len, 64, Fraction("0.03"))
                 for seg_len in (8, 16, 32)]
         assert sols[0] > sols[1] > sols[2]
 
     def test_monotone_in_budget(self):
-        loose = solve_p_r_max(T, 32, 2048, 64, Fraction("0.2"), digits=6)
-        tight = solve_p_r_max(T, 32, 2048, 64, Fraction("0.01"), digits=6)
+        loose = solve_p_r_max(T, 32, 2048, 64, Fraction("0.2"))
+        tight = solve_p_r_max(T, 32, 2048, 64, Fraction("0.01"))
         assert loose > tight
 
     def test_infeasible_request(self):
@@ -410,13 +409,13 @@ class TestChiSquareUniformity:
     def test_perfectly_stratified(self):
         q, bins = 128, 64
         coeffs = np.tile(np.arange(q, dtype=np.uint32), 8)
-        report = chi_square_uniformity(Limb(q=q, coeffs=coeffs), bins)
+        report = chi_square_uniformity(q, coeffs, bins)
         assert report.statistic == pytest.approx(0)
         assert report.dof == bins - 1
 
     def test_constant_residue_is_rejected(self):
         coeffs = np.full(1024, 7, dtype=np.uint32)
-        report = chi_square_uniformity(Limb(q=97, coeffs=coeffs), 16)
+        report = chi_square_uniformity(97, coeffs, 16)
         assert report.p_value < 1e-12
 
     def test_uneven_bin_widths_stay_unbiased(self):
@@ -424,7 +423,7 @@ class TestChiSquareUniformity:
         # must still produce a tiny statistic
         q, bins = 97, 16
         coeffs = np.tile(np.arange(q, dtype=np.uint32), 32)
-        report = chi_square_uniformity(Limb(q=q, coeffs=coeffs), bins)
+        report = chi_square_uniformity(q, coeffs, bins)
         assert report.p_value > 0.999
 
     @pytest.mark.parametrize("bins", [2, 3, 5])
@@ -442,18 +441,23 @@ class TestChiSquareUniformity:
         closed = {2: math.erfc(math.sqrt(x / 2)), 3: math.exp(-x / 2),
                   5: math.exp(-x / 2) * (1 + x / 2)}[bins]
         coeffs = np.array(values, dtype=np.uint32)
-        report = chi_square_uniformity(Limb(q=q, coeffs=coeffs), bins)
+        report = chi_square_uniformity(q, coeffs, bins)
         assert report.statistic == pytest.approx(x, rel=1e-12)
         assert report.p_value == pytest.approx(closed, rel=1e-12)
         assert 1e-6 < report.p_value < 0.5
         # generated words are unreduced: coeffs + k*q, k up to floor(2^32/q) - 1
         k = np.arange(len(values), dtype=np.uint32) * np.uint32((2 ** 32 // q - 1) // len(values))
-        assert chi_square_uniformity(Limb(q=q, coeffs=coeffs + k * np.uint32(q)), bins) == report
+        assert chi_square_uniformity(q, coeffs + k * np.uint32(q), bins) == report
 
     def test_requires_enough_samples(self):
         with pytest.raises(ParamsError):
-            chi_square_uniformity(Limb(q=97, coeffs=np.zeros(100, dtype=np.uint32)), 64)
+            chi_square_uniformity(97, np.zeros(100, dtype=np.uint32), 64)
 
     def test_requires_two_bins(self):
         with pytest.raises(ParamsError):
-            chi_square_uniformity(Limb(q=97, coeffs=np.zeros(1024, dtype=np.uint32)), 1)
+            chi_square_uniformity(97, np.zeros(1024, dtype=np.uint32), 1)
+
+    @pytest.mark.parametrize("q", [0, 1, 2 ** 32, 2 ** 64])
+    def test_requires_a_32_bit_modulus(self, q):
+        with pytest.raises(ParamsError, match="q must be in 2..2"):
+            chi_square_uniformity(q, np.zeros(1024, dtype=np.uint32), 16)

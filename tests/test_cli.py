@@ -3,6 +3,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import struct
 import subprocess
@@ -434,6 +435,27 @@ class TestErrorTaxonomy:
         assert "value-error" not in err and "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv, device, code_name", [
+        (["gen-mrp", "--seed", ZERO_SEED, "--params"], "/dev/zero", "params-error"),
+        (["gen-mrp", "--seed", ZERO_SEED, "--params"], "/dev/null", "params-error"),
+        (["verify", "--seed", ZERO_SEED, "--mrp"], "/dev/zero", "format-error"),
+        (["verify", "--seed", ZERO_SEED, "--mrp"], "/dev/null", "format-error"),
+        (["stats", "--mrp"], "/dev/zero", "format-error"),
+    ], ids=["params-zero", "params-null", "verify-zero", "verify-null", "stats-zero"])
+    def test_a_device_is_not_an_input_file(self, argv, device, code_name):
+        # A reader of /dev/zero never reaches its end: the child runs under a
+        # 1 GiB address-space cap and a timeout, so one that tried fails here
+        # with a MemoryError instead of filling the machine's memory.
+        script = ("import resource, sys; "
+                  "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                  "from mrpgen.cli import main; sys.exit(main(sys.argv[1:]))")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script, *argv, device],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error code={code_name} {device}: a device, not an input file\n"
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_a_cost_that_overflows_a_float_exits_two(self, capsys, fmt):
         # the inputs are finite, but the central power is not
@@ -461,6 +483,22 @@ class TestErrorTaxonomy:
             value = float(dict(line.split(" = ") for line in out.splitlines()
                                if " = " in line)[field])
         assert value == pytest.approx(watts, rel=1e-15)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("extra, fields", [
+        (["--E", "-0"], ("central_power_w", "distributed_power_w")),
+        (["--E", "40", "--local-hop", "-0"], ("distributed_power_w",)),
+    ], ids=["energy", "local-hop"])
+    def test_a_zero_power_is_positive_zero(self, capsys, fmt, extra, fields):
+        code, out, err = run(capsys, "--format", fmt, "cost", "--R", "64", "--w", "32",
+                             "--f", "1", "--gamma", "1/8", "--d", "15", *extra)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            result = json.loads(out)["result"]
+        else:
+            result = dict(line.split(" = ") for line in out.splitlines() if " = " in line)
+        assert [math.copysign(1, float(result[f])) for f in fields] == [1] * len(fields)
+        assert "-0.0" not in out
 
     @pytest.mark.parametrize("argv, target", [
         (["gen-mrp", "--seed", ZERO_SEED], "{tmp}/missing/x.mrp"),
@@ -559,7 +597,7 @@ class TestReportEnvelope:
     def test_json_never_prints_nan_or_infinity(self, capsys, value):
         args = cli.build_parser().parse_args(["--canonical", "--format", "json", "table1"])
         with pytest.raises(ValueError, match="JSON compliant"):
-            cli._emit(args, "table1", {"x": value})
+            cli._emit(args, {"x": value})
         assert capsys.readouterr().out == ""
 
     def test_digest_tracks_inputs(self, capsys):

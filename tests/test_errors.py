@@ -51,3 +51,17 @@ def test_only_main_prints_error_lines():
     printers = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
                 and "error code=" in ast.unparse(node)}
     assert printers == {"main"}
+
+
+def test_handlers_restate_neither_command_name_nor_exit_code():
+    # argparse stores the command name and main returns 0 once a handler returns
+    tree = ast.parse(Path(cli.__file__).read_text())
+    returning = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                 and node.name.startswith("cmd_")
+                 and any(isinstance(ret, ast.Return) and ret.value is not None
+                         for ret in ast.walk(node))}
+    literal_names = [ast.unparse(node) for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and ast.unparse(node.func) == "_emit"
+                     and any(isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                             for arg in node.args)]
+    assert not returning and not literal_names

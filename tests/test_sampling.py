@@ -85,7 +85,7 @@ class TestGenSeg:
         q = desk_params.base[1]
         seg = generate_segment(zero_seed, q, 0, desk_params)
         thresh = compute_threshold(q, 32)
-        assert seg.complete(desk_params.seg_len)
+        assert len(seg.values) == desk_params.seg_len
         assert all(int(v) < thresh for v in seg.values)
 
     def test_scan_order_is_block_order(self, zero_seed):
@@ -105,7 +105,6 @@ class TestGenSeg:
         q = ntt_primes(64, 1, q_min=2 ** 31, q_max=2 ** 32)[0]
         params = GenParams(N=64, w=32, seg_len=32, n_seg=2, base=(q,))
         seg = generate_segment(zero_seed, q, 0, params)
-        assert not seg.complete(32)
         assert len(seg.values) < 32
 
 
@@ -671,11 +670,14 @@ class TestForkedGeneration:
     def test_a_child_killed_inside_visit_leaves_its_row_unmade(self, monkeypatch, forked,
                                                                zero_seed):
         # the helper dies while its first limb is stored: a row counts as
-        # made only once it is stored, so this process makes every row
+        # made only once it is stored, so this process makes every row.  It
+        # waits for the helper's end first, so the exit code is the helper's
+        # own: one that raised instead of dying would exit 1, not -SIGKILL.
         params = self._profile()
         expected = _serial_rows(zero_seed, params)
-        parent, real = os.getpid(), sampling.generate_limb
-        made_here = []
+        made_here, codes = [], []
+        parent, wait = os.getpid(), sampling._wait
+        waiting = _caller_waits_for_helper(forked, made_here)
 
         class KilledOnCopy:
             def __array__(self, dtype=None, copy=None):
@@ -683,12 +685,17 @@ class TestForkedGeneration:
 
         def dying(seed, q, p):
             if os.getpid() != parent:
-                return sampling.Limb(q=q, coeffs=KilledOnCopy())
-            made_here.append(q)
-            return real(seed, q, p)
+                return sampling.Limb(coeffs=KilledOnCopy())
+            return waiting(seed, q, p)
+
+        def recorded_wait(pid):
+            codes.append(wait(pid))
+            return codes[-1]
 
         monkeypatch.setattr(sampling, "generate_limb", dying)
+        monkeypatch.setattr(sampling, "_wait", recorded_wait)
         assert np.array_equal(generate_mrp(zero_seed, params).coeffs, expected)
+        assert codes == [-signal.SIGKILL]
         assert made_here == list(params.base)
         assert len(forked) == 1
 
