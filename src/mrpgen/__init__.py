@@ -23,10 +23,8 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "analytics": ("EmpiricalReport", "FitResult", "UniformityReport",
-                  "chi_square_uniformity", "empirical_failure_rate", "fit_limb_count",
-                  "limb_failure", "mrp_failure_bound", "mrp_failure_exact_base", "p_seg",
-                  "seed_space_bits", "seg_failure_prob", "solve_p_r_max"),
+    "analytics": ("FitResult", "chi_square_uniformity", "fit_limb_count",
+                  "mrp_failure_bound", "seg_failure_prob", "solve_p_r_max"),
     "costmodel": ("CostParams", "CostReport", "build_cost_report", "central_wiring_power",
                   "distributed_wiring_power", "per_axis_bandwidth_density",
                   "required_throughput"),
@@ -34,7 +32,7 @@ _EXPORTS = {
                "ParamsError", "RetryExhausted", "UnknownName"),
     "formats": ("load_params", "read_mrp", "save_params", "verify_mrp_file", "write_mrp"),
     "primes": ("CatalogFilter", "ModuliCatalog", "PrimeRecord", "enumerate_supported",
-               "histogram", "hw_naf", "is_ntt_friendly", "is_prime", "naf",
+               "histogram", "hw_naf", "is_ntt_friendly", "is_prime",
                "sample_rejection_prob", "size_bucket"),
     "sampling": ("GenParams", "Limb", "MultiResiduePolynomial", "Permutation",
                  "RetryResult", "Segment", "client_generate_with_retry", "compute_threshold",

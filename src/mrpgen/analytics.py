@@ -12,9 +12,9 @@ rounded exact -count * seg_fail below 2^-60, so a failure probability is
 never 1 minus a near-one value and a subnormal tail keeps its precision.
 The MAX_* input bounds bound the tail's work.  The chi-square p-value is
 the closed form of Abramowitz & Stegun 26.4.4-26.4.5, summed outward from
-its largest term.  Only ``empirical_failure_rate`` and ``chi_square_uniformity``
-touch the generator and numpy, and they import them when called, so the
-model itself loads without numpy.
+its largest term.  Only ``chi_square_uniformity`` touches numpy, and it
+imports it when called, so the model loads without numpy, ``primes`` or
+the generator.
 """
 
 from __future__ import annotations
@@ -22,15 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Sequence
 
-from .errors import GenerationFailure, ParamsError
-from .primes import sample_rejection_prob
+from .errors import ParamsError
 from .profiles import DEFAULT_R_BITS
-
-if TYPE_CHECKING:
-    from .sampling import GenParams
-    from .xof import Seed
 
 MAX_T = DEFAULT_R_BITS // 8  # 168 words: one 1344-bit block of 8-bit words
 MAX_N_SEG = 1 << 16  # 16-bit segment ids, as GenParams enforces
@@ -59,12 +54,12 @@ def _check_model(p_r, t: int, seg_len: int, n_seg: int = 1, L: int = 1) -> Fract
     return pr
 
 
-def _failure(seg_fails: Sequence[Fraction], count: int) -> float:
-    """1 - prod (1 - sf)^count over exact seg_fails, as +0.0 and never -0.0."""
-    if 1 in map(float, seg_fails):
+def _failure(seg_fail: Fraction, count: int) -> float:
+    """1 - (1 - seg_fail)^count for an exact seg_fail, as +0.0 and never -0.0."""
+    if float(seg_fail) == 1:
         return 1.0  # log1p(-1) raises, also for a tail just below 1 that rounds up
-    return 0.0 - math.expm1(math.fsum(count * math.log1p(-float(sf)) if sf > 2 ** -60
-                                      else float(-count * sf) for sf in seg_fails))
+    return 0.0 - math.expm1(count * math.log1p(-float(seg_fail)) if seg_fail > 2 ** -60
+                            else float(-count * seg_fail))
 
 
 def seg_failure_prob(p_r, t: int, seg_len: int) -> Fraction:
@@ -75,30 +70,10 @@ def seg_failure_prob(p_r, t: int, seg_len: int) -> Fraction:
                         for i in range(min(seg_len, t + 1))), d ** t)
 
 
-def p_seg(p_r, t: int, seg_len: int) -> Fraction:
-    """Exact probability of collecting at least seg_len acceptances among t."""
-    return 1 - seg_failure_prob(p_r, t, seg_len)
-
-
-def limb_failure(seg_fail, n_seg: int) -> float:
-    """1 - (1 - seg_fail)^n_seg for one segment failure probability."""
-    _check_model(0, 0, 0, n_seg)
-    sf = _fraction(seg_fail)
-    if not 0 <= sf <= 1:
-        raise ParamsError("seg_fail must lie in [0, 1]")
-    return _failure([sf], n_seg)
-
-
 def mrp_failure_bound(p_r, t: int, seg_len: int, n_seg: int, L: int) -> float:
-    """1 - p_limb_worst^L for a base whose worst modulus has rejection p_r."""
+    """1 - p_limb_worst^L for a base whose worst modulus has rejection p_r (L = 1: one limb)."""
     _check_model(p_r, t, seg_len, n_seg, L)
-    return _failure([seg_failure_prob(p_r, t, seg_len)], n_seg * L)
-
-
-def mrp_failure_exact_base(p_r_list: Sequence, t: int, seg_len: int, n_seg: int) -> float:
-    """1 - prod_q p_limb_q over an explicit base (not the worst-case bound)."""
-    _check_model(0, t, seg_len, n_seg, len(p_r_list))
-    return _failure([seg_failure_prob(p, t, seg_len) for p in p_r_list], n_seg)
+    return _failure(seg_failure_prob(p_r, t, seg_len), n_seg * L)
 
 
 def solve_p_r_max(t: int, seg_len: int, n_seg: int, L: int, max_fail) -> Fraction:
@@ -116,7 +91,7 @@ def solve_p_r_max(t: int, seg_len: int, n_seg: int, L: int, max_fail) -> Fractio
     lo, hi = Fraction(0), Fraction(1)
     for _ in range(math.ceil(7 * math.log2(10)) + 2):
         mid = (lo + hi) / 2
-        if _failure([seg_failure_prob(mid, t, seg_len)], n_seg * L) <= float(budget):
+        if _failure(seg_failure_prob(mid, t, seg_len), n_seg * L) <= float(budget):
             lo = mid
         else:
             hi = mid
@@ -187,67 +162,13 @@ def fit_limb_count(rows: Sequence[tuple[int, object]], t: int, n_ring: int, max_
                      published=published, tolerance=tolerance)
 
 
-def seed_space_bits(seed_len: int, p_mrp) -> float:
-    """Effective log2 seed-space size once invalid seeds are discarded."""
-    p = _fraction(p_mrp)
-    if not 0 < p <= 1:
-        raise ParamsError("p_mrp must lie in (0, 1]")
-    return seed_len + math.log2(p)
-
-
-@dataclass
-class EmpiricalReport:
-    """Monte-Carlo generation failures next to the exact analytic rate."""
-
-    failures: int
-    trials: int
-    analytic_failure: float
-
-    @property
-    def empirical_failure(self) -> float:
-        return self.failures / self.trials
-
-    @property
-    def binomial_sigma(self) -> float:
-        p = self.analytic_failure
-        return math.sqrt(p * (1 - p) / self.trials)
-
-
-def empirical_failure_rate(params: GenParams, trials: int,
-                           seed_source: Callable[[], Seed]) -> EmpiricalReport:
-    """Run whole-polynomial generation on fresh seeds and count failures."""
-    from .sampling import generate_mrp
-
-    if trials < 1:
-        raise ParamsError("trials must be at least 1")
-    p_r_list = [sample_rejection_prob(q, params.w) for q in params.base]
-    analytic = mrp_failure_exact_base(p_r_list, params.t, params.seg_len, params.n_seg)
-    failures = 0
-    for _ in range(trials):
-        try:
-            generate_mrp(seed_source(), params)
-        except GenerationFailure:
-            failures += 1
-    return EmpiricalReport(failures=failures, trials=trials, analytic_failure=analytic)
-
-
-@dataclass(frozen=True)
-class UniformityReport:
-    """Chi-square goodness of fit of one limb's residues against uniform."""
-
-    q: int
-    sample_count: int
-    statistic: float
-    dof: int
-    p_value: float
-
-
-def chi_square_uniformity(q: int, coeffs, bins: int = 64) -> UniformityReport:
-    """Bin the residues mod q of one limb's coeffs and test them against uniformity.
+def chi_square_uniformity(q: int, coeffs, bins: int = 64) -> tuple[float, float]:
+    """(statistic, p_value) of the residues mod q of one limb's coeffs against uniform.
 
     Bin b covers residues r with r * bins // q == b; expected counts are
     proportional to each bin's exact integer width, so moduli that do not
-    divide evenly into bins are handled without bias.
+    divide evenly into bins are handled without bias.  The test has bins - 1
+    degrees of freedom.
     """
     import numpy as np
 
@@ -265,9 +186,7 @@ def chi_square_uniformity(q: int, coeffs, bins: int = 64) -> UniformityReport:
     widths = np.diff(starts)
     expected = n * widths / q
     statistic = float(((counts - expected) ** 2 / expected).sum())
-    dof = bins - 1
-    return UniformityReport(q=q, sample_count=n, statistic=statistic,
-                            dof=dof, p_value=_chi_square_sf(statistic, dof))
+    return statistic, _chi_square_sf(statistic, bins - 1)
 
 
 def _poisson_term(a: float, h: float) -> float:

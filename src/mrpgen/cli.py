@@ -17,17 +17,17 @@ any other ``MrpgenError`` or an ``OSError`` from a path (``code=io-error``);
 error it catches as one ``error code=<code> <message>`` line on stderr.
 
 Imports sit at the top unless deferring one spares a start that does not
-use it: ``fractions`` and ``collections`` load on every start (through
-``profiles`` and ``argparse``), and ``primes`` on all but cost.  Handlers
-import the rest: only the generator handlers (gen-mrp, gen-limb, gen-seg,
-retry-gen, verify, stats) load ``formats``, ``sampling``, ``xof`` and numpy,
-and only analyze, fit-table1 and stats load ``analytics``.  ``random`` stays
-in retry-gen: without the interpreter's ``site`` hooks (``python -S``)
-``import mrpgen.cli`` does not load it.  When ``main`` runs as the program
-(no argv given), it calls ``gc.freeze()`` once the handler is done, so the
-interpreter's final collection does not walk the heap; every file the CLI
-writes is closed explicitly, because a file caught in a reference cycle
-would no longer be finalized by that collection.
+use it: ``fractions`` loads on every start (through ``profiles``), and
+``primes`` on all but cost.  Handlers import the rest: only the generator
+handlers (gen-mrp, gen-limb, gen-seg, retry-gen, verify, stats) load
+``formats``, ``sampling``, ``xof`` and numpy, and only analyze, fit-table1
+and stats load ``analytics``.  ``random`` stays in retry-gen: without the
+interpreter's ``site`` hooks (``python -S``) ``import mrpgen.cli`` does not
+load it.  When ``main`` runs as the program (no argv given), it calls
+``gc.freeze()`` once the handler is done, so the interpreter's final
+collection does not walk the heap; every file the CLI writes is closed
+explicitly, because a file caught in a reference cycle would no longer be
+finalized by that collection.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import hashlib
 import json
 import sys
 import threading
-from collections import Counter
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -294,10 +293,7 @@ def cmd_table1(args) -> None:
             "histogram": got_row, "expected_histogram": list(hist),
             "histogram_match": got_row == list(hist),
         }
-        if not (row["count_match"] and row["histogram_match"]):
-            all_match = False
-            row["bucket_deltas"] = [g - e for g, e in zip(got_row, hist)]
-            row["alt_conventions"] = _alt_convention_rows(sub)
+        all_match = all_match and row["count_match"] and row["histogram_match"]
         rows.append(row)
     payload = {"bucket_convention": "round(log2 q)",
                "buckets": list(profiles.HIST_BUCKETS),
@@ -315,23 +311,17 @@ def cmd_table1(args) -> None:
         raise DomainFailure("reference-mismatch", "supported-set statistics deviate")
 
 
-def _alt_convention_rows(catalog: primes.ModuliCatalog) -> dict:
-    counts = {c: Counter(primes.size_bucket(r.q, c) for r in catalog) for c in ("ceil", "floor")}
-    return {c: {str(b): n for b, n in sorted(hist.items())} for c, hist in counts.items()}
-
-
 def cmd_analyze(args) -> None:
     from . import analytics
 
     p_r = _parse_fraction(args.pr)
-    seg_success = analytics.p_seg(p_r, args.t, args.len)
     seg_fail = analytics.seg_failure_prob(p_r, args.t, args.len)
-    limb_fail = analytics.limb_failure(seg_fail, args.nseg)
+    limb_fail = analytics.mrp_failure_bound(p_r, args.t, args.len, args.nseg, 1)
     mrp_fail = analytics.mrp_failure_bound(p_r, args.t, args.len, args.nseg, args.L)
     payload = {
         "t": args.t, "len": args.len, "n_seg": args.nseg, "L": args.L,
         "p_r": str(p_r),
-        "p_seg": float(seg_success),
+        "p_seg": float(1 - seg_fail),
         "seg_failure": float(seg_fail),
         "p_limb": 1 - limb_fail,
         "limb_failure": limb_fail,
@@ -373,12 +363,12 @@ def cmd_stats(args) -> None:
     from . import analytics, formats
 
     mrp, _ = formats.read_mrp(args.mrp)
-    reports = [analytics.chi_square_uniformity(q, row, args.bins)
-               for q, row in zip(mrp.base, mrp.coeffs)]
-    payload = {"mrp": str(args.mrp), "bins": args.bins,
-               "limbs": [{"q": r.q, "samples": r.sample_count,
-                          "statistic": r.statistic, "dof": r.dof,
-                          "p_value": r.p_value} for r in reports]}
+    limbs = []
+    for q, row in zip(mrp.base, mrp.coeffs):
+        statistic, p_value = analytics.chi_square_uniformity(q, row, args.bins)
+        limbs.append({"q": q, "samples": len(row), "statistic": statistic,
+                      "dof": args.bins - 1, "p_value": p_value})
+    payload = {"mrp": str(args.mrp), "bins": args.bins, "limbs": limbs}
     _emit(args, payload)
 
 

@@ -77,34 +77,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def naf(n: int) -> list[int]:
-    """Canonical non-adjacent form of n, least-significant digit first.
-
-    Digits are in {-1, 0, +1}, no two adjacent digits are nonzero, and
-    sum(d_i * 2^i) == n.  naf(0) == [].
-    """
-    if n < 0:
-        raise ParamsError("naf is defined for non-negative integers")
-    digits = []
-    while n:
-        if n & 1:
-            d = 2 - (n & 3)  # +1 when n % 4 == 1, -1 when n % 4 == 3
-            digits.append(d)
-            n -= d
-        else:
-            digits.append(0)
-        n >>= 1
-    return digits
-
-
 def hw_naf(n: int) -> int:
-    """Number of nonzero digits in the canonical NAF of n.
+    """Number of nonzero digits in the canonical non-adjacent form (NAF) of n.
 
-    The nonzero digits of naf(n) sit at the set bits of (3n XOR n) >> 1 (the
-    bit-parallel NAF), so the weight is one popcount.
+    Those digits sit at the set bits of (3n XOR n) >> 1 (the bit-parallel
+    NAF), so the weight is one popcount.
     """
     if n < 0:
-        raise ParamsError("naf is defined for non-negative integers")
+        raise ParamsError("the NAF weight is defined for non-negative integers")
     return ((n ^ 3 * n) >> 1).bit_count()
 
 
@@ -122,26 +102,18 @@ def sample_rejection_prob(q: int, w: int) -> Fraction:
     return Fraction((1 << w) % q, 1 << w)
 
 
-def size_bucket(q: int, convention: str = "round") -> int:
-    """Integer size class of q under a log2 bucketing convention.
+def size_bucket(q: int) -> int:
+    """Integer size class of q: round(log2 q), the published reference statistics' buckets.
 
-    ``round`` (the default, matching the published reference statistics)
-    assigns bucket b when 2^(2b-1) < q^2 <= 2^(2b+1); ``ceil`` and ``floor``
-    are available for cross-convention reporting.  All three are computed in
-    exact integer arithmetic.
+    Bucket b holds the q with 2^(2b-1) < q^2 <= 2^(2b+1), decided in exact
+    integer arithmetic.
     """
     if q < 2:
         raise ParamsError("bucket is defined for q >= 2")
-    if convention == "floor":
-        return q.bit_length() - 1
-    if convention == "ceil":
-        return (q - 1).bit_length()
-    if convention == "round":
-        b = q.bit_length() - 1
-        if q * q > 1 << (2 * b + 1):
-            b += 1
-        return b
-    raise ParamsError(f"unknown bucket convention '{convention}'")
+    b = q.bit_length() - 1
+    if q * q > 1 << (2 * b + 1):
+        b += 1
+    return b
 
 
 @dataclass(frozen=True)

@@ -7,38 +7,41 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mrpgen import (GenParams, ParamsError, analytics,
-                    chi_square_uniformity, empirical_failure_rate,
-                    fit_limb_count, limb_failure, mrp_failure_bound,
-                    mrp_failure_exact_base, p_seg, sample_rejection_prob,
-                    seed_space_bits,
+from mrpgen import (GenParams, ParamsError, analytics, chi_square_uniformity,
+                    fit_limb_count, mrp_failure_bound, sample_rejection_prob,
                     seed_source_from_rng, seg_failure_prob, solve_p_r_max)
 
 from conftest import ntt_primes
+from oracles import empirical_failure_rate, mrp_failure_exact_base, seed_space_bits
 
 T = 42
 FIT_ARGS = dict(t=T, n_ring=1 << 14, max_fail=Fraction("0.03"), l_range=(1, 8))
 
 
 class TestPSeg:
+    # the segment success probability, 1 - seg_failure_prob, as the analyze
+    # command reports it
     def test_zero_rejection_is_certain(self):
-        assert p_seg(0, T, 32) == 1
+        assert seg_failure_prob(0, T, 32) == 0
 
     def test_all_must_be_accepted(self):
         pr = Fraction(1, 10)
-        assert p_seg(pr, T, T) == (1 - pr) ** T
+        assert 1 - seg_failure_prob(pr, T, T) == (1 - pr) ** T
 
     def test_impossible_request(self):
-        assert p_seg(Fraction(1, 10), T, T + 1) == 0
+        assert seg_failure_prob(Fraction(1, 10), T, T + 1) == 1
 
     def test_complement_is_exact(self):
+        # the tail below seg_len plus the success sum from seg_len up is 1
         for pr in (Fraction(0), Fraction(1, 7), Fraction("0.03655"), Fraction(1, 2)):
             for seg_len in (0, 1, 16, 32, T):
-                assert p_seg(pr, T, seg_len) + seg_failure_prob(pr, T, seg_len) == 1
+                success = sum(math.comb(T, i) * (1 - pr) ** i * pr ** (T - i)
+                              for i in range(seg_len, T + 1))
+                assert success + seg_failure_prob(pr, T, seg_len) == 1
 
     def test_frozen_reference_value(self):
         # frozen from the independent exact-rational oracle run pre-build
-        value = p_seg(Fraction("0.03655"), T, 32)
+        value = 1 - seg_failure_prob(Fraction("0.03655"), T, 32)
         assert abs(float(value) - 0.9999997676006575) < 1e-15
 
     def test_consistent_with_three_percent_design_point(self):
@@ -50,28 +53,25 @@ class TestPSeg:
     def test_monotone_in_p_r_and_len(self):
         grid = [Fraction(i, 20) for i in range(0, 11)]
         for seg_len in (8, 16, 32):
-            values = [p_seg(pr, T, seg_len) for pr in grid]
-            assert all(a >= b for a, b in zip(values, values[1:]))
+            values = [seg_failure_prob(pr, T, seg_len) for pr in grid]
+            assert all(a <= b for a, b in zip(values, values[1:]))
         for pr in (Fraction(1, 10), Fraction(1, 3)):
-            by_len = [p_seg(pr, T, seg_len) for seg_len in (4, 8, 16, 32, 42)]
-            assert all(a >= b for a, b in zip(by_len, by_len[1:]))
+            by_len = [seg_failure_prob(pr, T, seg_len) for seg_len in (4, 8, 16, 32, 42)]
+            assert all(a <= b for a, b in zip(by_len, by_len[1:]))
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ParamsError):
-            p_seg(Fraction(3, 2), T, 8)
+            seg_failure_prob(Fraction(3, 2), T, 8)
 
 
 class TestModelDomain:
     # inputs outside the model used to give impossible probabilities (a
-    # negative bound for L < 0, p_seg + seg_failure = 0 for t < 0, a complex
-    # limb failure for seg_fail = 2), exceptions of the wrong type, or work
-    # without bound (t = 10000 took 44 s)
+    # negative bound for L < 0, a success and a failure summing to 0 for
+    # t < 0), exceptions of the wrong type, or work without bound (t = 10000
+    # took 44 s)
     @pytest.mark.parametrize("call", [
-        lambda: p_seg(Fraction(1, 10), -1, 4),
-        lambda: p_seg(Fraction(1, 10), T, -1),
         lambda: seg_failure_prob(Fraction(1, 10), -1, 4),
         lambda: seg_failure_prob(Fraction(1, 10), T, -1),
-        lambda: limb_failure(Fraction(1, 10), 0),
         lambda: mrp_failure_bound(Fraction(1, 10), -1, 4, 8, 2),
         lambda: mrp_failure_bound(Fraction(1, 10), T, 4, 0, 2),
         lambda: mrp_failure_bound(Fraction(1, 10), T, 4, 8, 0),
@@ -83,8 +83,6 @@ class TestModelDomain:
         lambda: mrp_failure_bound(Fraction(1, analytics.MAX_DENOMINATOR + 1), T, 4, 8, 2),
         lambda: mrp_failure_bound(math.nan, T, 4, 8, 2),
         lambda: seg_failure_prob("abc", T, 4),
-        lambda: limb_failure(Fraction(2), 8),
-        lambda: limb_failure(Fraction(1, 10), analytics.MAX_N_SEG + 1),
         lambda: mrp_failure_exact_base([2], T, 32, 8),
         lambda: mrp_failure_exact_base([], T, 32, 8),
         lambda: solve_p_r_max(T, 4, 8, 0, Fraction("0.03")),
@@ -94,11 +92,11 @@ class TestModelDomain:
         lambda: fit_limb_count([(32, Fraction(3, 2))], **FIT_ARGS),
         lambda: fit_limb_count([(32, Fraction("0.03655"))], t=T, n_ring=1 << 14,
                                max_fail=Fraction("0.03"), l_range=(1, analytics.MAX_L + 1)),
-    ], ids=["p_seg-t", "p_seg-len", "seg_failure-t", "seg_failure-len", "limb-n_seg",
+    ], ids=["seg_failure-t", "seg_failure-len",
             "bound-t", "bound-n_seg", "bound-L0", "bound-L-3", "bound-p_r",
             "bound-t-169", "bound-n_seg-65537", "bound-L-2^32+1", "bound-den-2^64+1",
-            "bound-p_r-nan", "seg_failure-p_r-abc", "limb-seg_fail-2", "limb-n_seg-65537",
-            "exact-base-p_r-2", "exact-base-empty", "solve-L0", "solve-t-169",
+            "bound-p_r-nan", "seg_failure-p_r-abc", "exact-base-p_r-2", "exact-base-empty",
+            "solve-L0", "solve-t-169",
             "fit-len0", "fit-empty", "fit-p_r", "fit-lmax-2^32+1"])
     def test_rejects_counts_outside_the_model(self, call):
         with pytest.raises(ParamsError):
@@ -119,7 +117,7 @@ class TestModelDomain:
                               l_range=(1, analytics.MAX_FIT_SPAN)).L >= 1
 
     def test_accepts_the_edges(self):
-        assert p_seg(Fraction(1, 10), 0, 0) == 1
+        assert seg_failure_prob(Fraction(1, 10), 0, 0) == 0
         assert seg_failure_prob(Fraction(1, 10), 0, 1) == 1
         assert mrp_failure_bound(Fraction(1, 10), T, 0, 1, 1) == 0
         # seg_len > t cannot be met: certain failure, not a complex number
@@ -127,7 +125,7 @@ class TestModelDomain:
         top = mrp_failure_bound(Fraction(1, analytics.MAX_DENOMINATOR), analytics.MAX_T,
                                 analytics.MAX_T, analytics.MAX_N_SEG, analytics.MAX_L)
         assert 0 < top < 1
-        assert limb_failure(1, analytics.MAX_N_SEG) == 1
+        assert mrp_failure_bound(1, 1, 1, analytics.MAX_N_SEG, 1) == 1
         # an exact tail just below 1 whose float rounds to 1
         assert mrp_failure_bound(Fraction(2 ** 32 - 1, 2 ** 32), T, 4, 8, 2) == 1
         assert str(mrp_failure_bound(0, T, 32, 8, 2)) == "0.0"  # reports never show -0.0
@@ -140,12 +138,14 @@ class TestModelDomain:
 
 
 class TestPLimb:
+    # one limb is the bound at L = 1; with one word per segment and one
+    # acceptance needed (t = seg_len = 1) the segment tail is p_r itself
     def test_identity_cases(self):
-        assert limb_failure(0, 2048) == 0
-        assert limb_failure(Fraction(1, 10), 1) == pytest.approx(0.1, rel=1e-15)
+        assert mrp_failure_bound(0, 1, 1, 2048, 1) == 0
+        assert mrp_failure_bound(Fraction(1, 10), 1, 1, 1, 1) == pytest.approx(0.1, rel=1e-15)
 
     def test_exact_power(self):
-        assert float(limb_failure(Fraction(1, 2), 10)) == 1 - 1 / 1024
+        assert mrp_failure_bound(Fraction(1, 2), 1, 1, 10, 1) == 1 - 1 / 1024
 
     def test_two_routes_agree_to_ten_digits(self):
         # float conversion keeps ~15.9 digits, enough to verify 10
@@ -157,7 +157,7 @@ class TestPLimb:
         ]
         for seg_fail, n_seg in cases:
             exact_fail = float(1 - (1 - seg_fail) ** n_seg)
-            float_fail = float(limb_failure(seg_fail, n_seg))
+            float_fail = mrp_failure_bound(seg_fail, 1, 1, n_seg, 1)
             rel = abs(float_fail - exact_fail) / exact_fail
             assert rel < 1e-10, (seg_fail, n_seg, rel)
 
@@ -165,16 +165,16 @@ class TestPLimb:
         seg_fail = Fraction(1, 10 ** 6)
         n_seg, L = 2048, 24
         exact_fail = float(1 - ((1 - seg_fail) ** n_seg) ** L)
-        float_fail = float(limb_failure(seg_fail, n_seg * L))
+        float_fail = mrp_failure_bound(seg_fail, 1, 1, n_seg, L)
         assert abs(float_fail - exact_fail) / exact_fail < 1e-10
 
 
 class TestPMrpBound:
     def test_single_limb_identity(self):
+        # one limb of 2048 segments fails as 2048 limbs of one segment do
         p_r = Fraction("0.03655")
-        limb = limb_failure(seg_failure_prob(p_r, T, 32), 2048)
-        assert float(mrp_failure_bound(p_r, T, 32, 2048, 1)) == pytest.approx(
-            float(limb), rel=1e-14)
+        limb = mrp_failure_bound(p_r, T, 32, 2048, 1)
+        assert mrp_failure_bound(p_r, T, 32, 1, 2048) == pytest.approx(limb, rel=1e-14)
 
     def test_certain_success(self):
         assert mrp_failure_bound(0, T, 32, 2048, 40) == 0
@@ -201,8 +201,10 @@ class TestExactBaseFailure:
         p_rs = [Fraction(1, 50), Fraction(1, 13)]
         t, seg_len, n_seg = 12, 4, 3
         exact = 1 - Fraction(
-            np.prod([(p_seg(pr, t, seg_len) ** n_seg).numerator for pr in p_rs], dtype=object),
-            np.prod([(p_seg(pr, t, seg_len) ** n_seg).denominator for pr in p_rs], dtype=object))
+            np.prod([((1 - seg_failure_prob(pr, t, seg_len)) ** n_seg).numerator
+                     for pr in p_rs], dtype=object),
+            np.prod([((1 - seg_failure_prob(pr, t, seg_len)) ** n_seg).denominator
+                     for pr in p_rs], dtype=object))
         got = mrp_failure_exact_base(p_rs, t, seg_len, n_seg)
         assert abs(float(got - exact)) < 1e-15
 
@@ -409,22 +411,21 @@ class TestChiSquareUniformity:
     def test_perfectly_stratified(self):
         q, bins = 128, 64
         coeffs = np.tile(np.arange(q, dtype=np.uint32), 8)
-        report = chi_square_uniformity(q, coeffs, bins)
-        assert report.statistic == pytest.approx(0)
-        assert report.dof == bins - 1
+        statistic, _ = chi_square_uniformity(q, coeffs, bins)
+        assert statistic == pytest.approx(0)
 
     def test_constant_residue_is_rejected(self):
         coeffs = np.full(1024, 7, dtype=np.uint32)
-        report = chi_square_uniformity(97, coeffs, 16)
-        assert report.p_value < 1e-12
+        _, p_value = chi_square_uniformity(97, coeffs, 16)
+        assert p_value < 1e-12
 
     def test_uneven_bin_widths_stay_unbiased(self):
         # q = 97 does not divide into 16 bins evenly; exact stratification
         # must still produce a tiny statistic
         q, bins = 97, 16
         coeffs = np.tile(np.arange(q, dtype=np.uint32), 32)
-        report = chi_square_uniformity(q, coeffs, bins)
-        assert report.p_value > 0.999
+        _, p_value = chi_square_uniformity(q, coeffs, bins)
+        assert p_value > 0.999
 
     @pytest.mark.parametrize("bins", [2, 3, 5])
     def test_p_value_matches_closed_form(self, bins):
@@ -442,9 +443,10 @@ class TestChiSquareUniformity:
                   5: math.exp(-x / 2) * (1 + x / 2)}[bins]
         coeffs = np.array(values, dtype=np.uint32)
         report = chi_square_uniformity(q, coeffs, bins)
-        assert report.statistic == pytest.approx(x, rel=1e-12)
-        assert report.p_value == pytest.approx(closed, rel=1e-12)
-        assert 1e-6 < report.p_value < 0.5
+        statistic, p_value = report
+        assert statistic == pytest.approx(x, rel=1e-12)
+        assert p_value == pytest.approx(closed, rel=1e-12)
+        assert 1e-6 < p_value < 0.5
         # generated words are unreduced: coeffs + k*q, k up to floor(2^32/q) - 1
         k = np.arange(len(values), dtype=np.uint32) * np.uint32((2 ** 32 // q - 1) // len(values))
         assert chi_square_uniformity(q, coeffs + k * np.uint32(q), bins) == report

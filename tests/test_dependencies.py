@@ -26,3 +26,5 @@ def test_declared_dependency_is_numpy_only():
     names = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower()
              for dep in project["dependencies"]}
     assert names == {"numpy"}
+    # tomllib, which this test imports, is new in Python 3.11
+    assert project["requires-python"] == ">=3.11"

@@ -14,18 +14,16 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Every name the package exports, under the submodule that defines it.
 EXPORTS = {
-    "analytics": ("EmpiricalReport", "FitResult", "UniformityReport",
-                  "chi_square_uniformity", "empirical_failure_rate", "fit_limb_count",
-                  "limb_failure", "mrp_failure_bound", "mrp_failure_exact_base", "p_seg",
-                  "seed_space_bits", "seg_failure_prob", "solve_p_r_max"),
+    "analytics": ("FitResult", "chi_square_uniformity", "fit_limb_count",
+                  "mrp_failure_bound", "seg_failure_prob", "solve_p_r_max"),
     "costmodel": ("CostParams", "CostReport", "build_cost_report", "central_wiring_power",
                   "distributed_wiring_power", "per_axis_bandwidth_density",
                   "required_throughput"),
     "errors": ("DomainFailure", "FormatError", "GenerationFailure", "MrpgenError",
-               "ParamsError", "RetryExhausted"),
+               "ParamsError", "RetryExhausted", "UnknownName"),
     "formats": ("load_params", "read_mrp", "save_params", "verify_mrp_file", "write_mrp"),
     "primes": ("CatalogFilter", "ModuliCatalog", "PrimeRecord", "enumerate_supported",
-               "histogram", "hw_naf", "is_ntt_friendly", "is_prime", "naf",
+               "histogram", "hw_naf", "is_ntt_friendly", "is_prime",
                "sample_rejection_prob", "size_bucket"),
     "sampling": ("GenParams", "Limb", "MultiResiduePolynomial", "Permutation",
                  "RetryResult", "Segment", "client_generate_with_retry", "compute_threshold",
@@ -64,6 +62,7 @@ def test_export_is_the_submodule_object(module, name):
 
 def test_all_lists_only_resolvable_names():
     assert mrpgen.__all__ == sorted(set(mrpgen.__all__))
+    assert mrpgen.__all__ == sorted(n for names in EXPORTS.values() for n in names)
     for name in mrpgen.__all__:
         assert hasattr(mrpgen, name), name
 
@@ -90,6 +89,13 @@ def test_unknown_name_keeps_the_attribute_protocol():
     assert isinstance(err.value, mrpgen.ParamsError)
     with pytest.raises(ImportError):
         from mrpgen import nope  # noqa: F401
+
+
+def test_analytics_loads_neither_numpy_nor_primes():
+    got = _python("import sys, mrpgen.analytics\n"
+                  "print(sorted(m for m in ('numpy', 'mrpgen.primes', 'mrpgen.sampling') "
+                  "if m in sys.modules))")
+    assert got.strip() == "[]"
 
 
 def test_design_commands_never_load_numpy():

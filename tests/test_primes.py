@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from mrpgen import (CatalogFilter, ParamsError, PrimeRecord,
                     enumerate_supported, histogram, hw_naf, is_ntt_friendly, is_prime,
-                    naf, sample_rejection_prob, size_bucket)
+                    sample_rejection_prob, size_bucket)
 from mrpgen import primes
 from mrpgen.profiles import (DEFAULT_HW_NAF_MAX, DEFAULT_N, DEFAULT_Q_MIN_EXCLUSIVE,
                              DEFAULT_W, REFERENCE_ROWS)
+
+from oracles import naf
 
 
 def naf_value(digits):
@@ -146,14 +148,10 @@ class TestSizeBucket:
         assert size_bucket(1482911) == 21
 
     def test_conventions(self):
-        q = 786433  # log2 ≈ 19.585
-        assert size_bucket(q, "floor") == 19
-        assert size_bucket(q, "ceil") == 20
-        assert size_bucket(q, "round") == 20
-
-    def test_unknown_convention(self):
-        with pytest.raises(ParamsError):
-            size_bucket(17, "nearest")
+        # round(log2 q) lies between floor(log2 q) and ceil(log2 q)
+        assert size_bucket(786433) == 20  # log2 ≈ 19.585
+        for q in range(2, 5000):
+            assert q.bit_length() - 1 <= size_bucket(q) <= (q - 1).bit_length()
 
     def test_rejects_q_below_two(self):
         with pytest.raises(ParamsError):

@@ -699,6 +699,28 @@ class TestForkedGeneration:
         assert made_here == list(params.base)
         assert len(forked) == 1
 
+    def test_a_helper_the_kernel_reaped_is_not_waited_for(self, monkeypatch, forked,
+                                                          zero_seed):
+        # a caller that ignores SIGCHLD has its children reaped for it, so
+        # waitpid finds no child: _wait returns None and nothing is raised
+        params = self._profile()
+        expected = _serial_rows(zero_seed, params)
+        codes, wait = [], sampling._wait
+
+        def recorded_wait(pid):
+            codes.append(wait(pid))
+            return codes[-1]
+
+        monkeypatch.setattr(sampling, "_wait", recorded_wait)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            coeffs = generate_mrp(zero_seed, params).coeffs
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert np.array_equal(coeffs, expected)
+        assert codes == [None]
+        assert len(forked) == 1
+
     @pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["kill", "term"])
     def test_a_child_stops_once_its_caller_is_gone(self, sig):
         # The caller, a fresh interpreter, stalls in its own first row; its
