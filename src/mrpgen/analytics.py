@@ -20,15 +20,13 @@ the generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import ParamsError
-from .profiles import DEFAULT_R_BITS
+from .profiles import DEFAULT_R_BITS, MAX_N_SEG
 
 MAX_T = DEFAULT_R_BITS // 8  # 168 words: one 1344-bit block of 8-bit words
-MAX_N_SEG = 1 << 16  # 16-bit segment ids, as GenParams enforces
 MAX_L = 1 << 32  # there are fewer distinct w-bit moduli than that
 MAX_DENOMINATOR = 1 << 64  # a modulus gives (2^w mod q) / 2^w with w <= 64
 MAX_FIT_SPAN = 256  # limb counts one fit scores; the reference rows score 3
@@ -98,30 +96,16 @@ def solve_p_r_max(t: int, seg_len: int, n_seg: int, L: int, max_fail) -> Fractio
     return lo
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """Best integer limb count explaining a set of published thresholds."""
-
-    L: int
-    residual: float
-    solved: tuple[Fraction, ...]
-    published: tuple[Fraction, ...]
-    tolerance: float
-
-    @property
-    def ok(self) -> bool:
-        return self.residual <= self.tolerance
-
-
 def fit_limb_count(rows: Sequence[tuple[int, object]], t: int, n_ring: int, max_fail,
-                   l_range: tuple[int, int] = (1, 200),
-                   tolerance: float = 0.0005) -> FitResult:
+                   l_range: tuple[int, int] = (1, 200)
+                   ) -> tuple[int, float, tuple[Fraction, ...]]:
     """Search the limb count L whose solved thresholds match published ones.
 
     ``rows`` holds (seg_len, published p_r_max) pairs; n_seg is n_ring /
     seg_len.  Each L's thresholds are solved to 7 decimal digits.  Returns
-    the L minimizing the max absolute deviation; ``ok`` reports whether it
-    lands inside ``tolerance`` (a no-fit is a value, not an error).
+    (L, residual, solved) for the L minimizing the residual, the max absolute
+    deviation from the published thresholds, with that L's solved thresholds
+    in row order; whether the residual is small enough is the caller's call.
 
     Only the integers around each row's exact crossing are scored: the bound
     at a row's published p_r reaches the budget at the real limb count
@@ -133,8 +117,6 @@ def fit_limb_count(rows: Sequence[tuple[int, object]], t: int, n_ring: int, max_
     lo, hi = l_range
     if not 1 <= lo <= hi:
         raise ParamsError(f"limb-count range {lo}..{hi} is empty or below 1")
-    if not 0 <= tolerance < math.inf:
-        raise ParamsError(f"fit tolerance must be a finite number >= 0, got {tolerance}")
     if not rows or min(seg_len for seg_len, _ in rows) < 1:
         raise ParamsError("the fit needs at least one row, each with seg_len >= 1")
     published = tuple(_check_model(p, t, seg_len, n_ring // seg_len, hi) for seg_len, p in rows)
@@ -158,8 +140,7 @@ def fit_limb_count(rows: Sequence[tuple[int, object]], t: int, n_ring: int, max_
         residual = max(abs(float(s - p)) for s, p in zip(solved, published))
         if best is None or residual < best[1]:
             best = (L, residual, solved)
-    return FitResult(L=best[0], residual=best[1], solved=best[2],
-                     published=published, tolerance=tolerance)
+    return best
 
 
 def chi_square_uniformity(q: int, coeffs, bins: int = 64) -> tuple[float, float]:

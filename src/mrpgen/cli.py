@@ -37,6 +37,7 @@ import contextlib
 import gc
 import hashlib
 import json
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -334,29 +335,32 @@ def cmd_analyze(args) -> None:
 def cmd_fit_table1(args) -> None:
     from . import analytics
 
-    rows = [(seg_len, p_r_max)
+    if not 0 <= args.tol < math.inf:
+        raise ParamsError(f"fit tolerance must be a finite number >= 0, got {args.tol}")
+    rows = [(seg_len, Fraction(p_r_max))
             for p_r_max, _, _, seg_len, _ in profiles.REFERENCE_ROWS
             if Fraction(p_r_max) < Fraction(1, 2)]
-    fit = analytics.fit_limb_count(rows, t=profiles.DEFAULT_T, n_ring=profiles.DEFAULT_N,
-                                   max_fail=profiles.DEFAULT_MAX_FAIL,
-                                   l_range=(1, args.lmax), tolerance=args.tol)
+    L, residual, solved = analytics.fit_limb_count(
+        rows, t=profiles.DEFAULT_T, n_ring=profiles.DEFAULT_N,
+        max_fail=profiles.DEFAULT_MAX_FAIL, l_range=(1, args.lmax))
+    ok = residual <= args.tol
     payload = {
-        "L": fit.L, "residual": fit.residual, "ok": fit.ok, "tolerance": fit.tolerance,
+        "L": L, "residual": residual, "ok": ok, "tolerance": args.tol,
         "rows": [{"len": seg_len, "published": str(pub), "solved": float(sol),
                   "deviation": abs(float(sol - pub))}
-                 for (seg_len, _), pub, sol in zip(rows, fit.published, fit.solved)],
+                 for (seg_len, pub), sol in zip(rows, solved)],
     }
     if args.len4_check:
         worst = primes.enumerate_supported(_reference_filter()).worst_p_r()
-        seg_len = profiles.DEFAULT_SEG_LENS[-1]
+        seg_len = profiles.REFERENCE_ROWS[-1][3]
         bound = analytics.mrp_failure_bound(worst, profiles.DEFAULT_T, seg_len,
-                                            profiles.DEFAULT_N // seg_len, fit.L)
+                                            profiles.DEFAULT_N // seg_len, L)
         payload["len4_check"] = {"len": seg_len, "worst_p_r": float(worst),
                                  "failure_bound": bound,
                                  "ok": bound <= 0.0030}
     _emit(args, payload)
-    if not fit.ok:
-        raise DomainFailure("no-fit", f"best L={fit.L} residual={fit.residual}")
+    if not ok:
+        raise DomainFailure("no-fit", f"best L={L} residual={residual}")
 
 
 def cmd_stats(args) -> None:
@@ -382,12 +386,12 @@ def cmd_cost(args) -> None:
     report = costmodel.build_cost_report(params, local_hop_mm=args.local_hop)
     payload = {
         "throughput_bps": report.throughput_bps,
-        "throughput_tbps": report.throughput_tbps,
+        "throughput_tbps": report.throughput_bps / 1e12,
         "central_power_w": report.central_power_w,
         "distributed_power_w": report.distributed_power_w,
-        "saving_w": report.saving_w,
+        "saving_w": report.central_power_w - report.distributed_power_w,
         "per_axis_density_bps_per_mm": report.per_axis_density_bps_per_mm,
-        "per_axis_density_tbps_per_mm": report.per_axis_density_tbps_per_mm,
+        "per_axis_density_tbps_per_mm": report.per_axis_density_bps_per_mm / 1e12,
     }
     _emit(args, payload)
 

@@ -95,24 +95,12 @@ def distributed_wiring_power(p: CostParams, local_hop_mm: float = 0.0) -> float:
 
 @dataclass(frozen=True)
 class CostReport:
-    """Central-versus-distributed comparison in SI and display units."""
+    """Central-versus-distributed comparison in SI units."""
 
     throughput_bps: float
     central_power_w: float
     distributed_power_w: float
     per_axis_density_bps_per_mm: float
-
-    @property
-    def throughput_tbps(self) -> float:
-        return self.throughput_bps / 1e12
-
-    @property
-    def per_axis_density_tbps_per_mm(self) -> float:
-        return self.per_axis_density_bps_per_mm / 1e12
-
-    @property
-    def saving_w(self) -> float:
-        return self.central_power_w - self.distributed_power_w
 
 
 def build_cost_report(p: CostParams, local_hop_mm: float = 0.0) -> CostReport:

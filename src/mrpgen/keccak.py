@@ -1,10 +1,10 @@
 """Keccak-p[1600] sponge primitives for the KangarooTwelve backend, batched.
 
 The standard SHA-3 XOF path of this library goes through ``hashlib``; this
-module exists only to provide the optional reduced-round backend.  The
-full-round mode, ``sponge(data, 0x1F, out_len, rounds=24)``, is SHAKE128; the
-tests use it to check the permutation and all 24 round constants against
-``hashlib``.
+module exists only to provide the optional reduced-round backend, whose two
+sponges, TurboSHAKE128 and KangarooTwelve (RFC 9861), both run 12 rounds.
+``keccak_p`` takes any round count, so the tests can check 12 and 24 rounds,
+and with them all 24 round constants, against a plain reference permutation.
 
 A state is 25 little-endian 64-bit lanes, lane (x, y) at index x + 5*y as in
 FIPS 202.  ``keccak_p`` takes a ``uint64`` array whose first axis is those 25
@@ -141,9 +141,9 @@ def _message_rows(data) -> np.ndarray:
     return data
 
 
-def _absorb_squeeze(rows: np.ndarray, tail: bytes, suffix: int, out_len: int,
-                    rounds: int) -> bytes:
-    """The one-block sponge over every row of ``rows`` and the common ``tail``."""
+def _absorb_squeeze(rows: np.ndarray, tail: bytes, suffix: int, out_len: int) -> bytes:
+    """The one-block, 12-round sponge over every row of ``rows`` and the common
+    ``tail``; the lowest bit of the domain byte ``suffix`` starts the padding."""
     count, size = rows.shape
     end = size + len(tail)
     if end >= _RATE or out_len > _RATE:
@@ -154,25 +154,15 @@ def _absorb_squeeze(rows: np.ndarray, tail: bytes, suffix: int, out_len: int,
     state[:, size:end] = np.frombuffer(tail, dtype=np.uint8)
     state[:, end] ^= suffix
     state[:, _RATE - 1] ^= 0x80
-    lanes = keccak_p(state.view("<u8").T, rounds)
+    lanes = keccak_p(state.view("<u8").T, 12)
     return np.ascontiguousarray(lanes.T, dtype="<u8").view(np.uint8)[:, :out_len].tobytes()
 
 
-def sponge(data: bytes | np.ndarray, suffix: int, out_len: int, rounds: int) -> bytes:
-    """Keccak sponge (rate 168 bytes) with combined suffix-and-pad10*1 padding.
-
-    ``suffix`` is the domain byte whose lowest bit starts the padding
-    (0x1F for SHAKE128, 0x01..0x7F for TurboSHAKE).  ``data`` is one message
-    or a 2-D ``uint8`` matrix of messages, one per row; all states of a batch
-    absorb and squeeze together, and the result is their outputs concatenated.
-    """
-    return _absorb_squeeze(_message_rows(data), b"", suffix, out_len, rounds)
-
-
 def turbo_shake128(data: bytes | np.ndarray, domain: int, out_len: int) -> bytes:
+    """TurboSHAKE128 (RFC 9861) with a domain byte in 0x01..0x7F."""
     if not 0x01 <= domain <= 0x7F:
         raise ParamsError(f"TurboSHAKE domain byte out of range: {domain:#x}")
-    return sponge(data, domain, out_len, rounds=12)
+    return _absorb_squeeze(_message_rows(data), b"", domain, out_len)
 
 
 def _length_encode(n: int) -> bytes:
@@ -192,4 +182,4 @@ def kangaroo_twelve(data: bytes | np.ndarray, customization: bytes,
     """
     rows = _message_rows(data)
     return _absorb_squeeze(rows, customization + _length_encode(len(customization)),
-                           0x07, out_len, rounds=12)
+                           0x07, out_len)

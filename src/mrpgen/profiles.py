@@ -15,8 +15,8 @@ DEFAULT_R_BITS = 1344  # the SHAKE128/KangarooTwelve rate: each segment's one bl
 DEFAULT_T = DEFAULT_R_BITS // DEFAULT_W  # 42 candidate words per block
 DEFAULT_HW_NAF_MAX = 5
 DEFAULT_Q_MIN_EXCLUSIVE = 1 << 19
-DEFAULT_SEG_LENS = (32, 16, 8, 4)
 DEFAULT_MAX_FAIL = Fraction("0.03")
+MAX_N_SEG = 1 << 16  # segment ids are 16 bits wide in the XOF input
 
 HIST_BUCKETS = tuple(range(20, 33))
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import GenerationFailure, ParamsError, RetryExhausted
 from .primes import is_ntt_friendly
-from .profiles import DEFAULT_R_BITS
+from .profiles import DEFAULT_R_BITS, MAX_N_SEG
 from .xof import (BACKENDS, Seed, encode_domain_input, encode_domain_inputs, split_words,
                   xof_expand, xof_expand_many)
 
@@ -127,7 +127,7 @@ class GenParams:
             raise ParamsError("word size must be 8, 16, or 32 bits")
         if self.seg_len < 1 or self.seg_len > self.t:
             raise ParamsError(f"seg_len must be in 1..{self.t} (one XOF block)")
-        if self.n_seg < 1 or self.n_seg > 1 << 16:
+        if self.n_seg < 1 or self.n_seg > MAX_N_SEG:
             raise ParamsError("n_seg must be in 1..65536 (16-bit segment ids)")
         if self.seg_len * self.n_seg != self.N:
             raise ParamsError(f"seg_len * n_seg = {self.seg_len * self.n_seg} != N = {self.N}")

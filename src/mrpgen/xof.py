@@ -37,7 +37,7 @@ import numpy as np
 
 from . import keccak
 from .errors import ParamsError
-from .profiles import DEFAULT_R_BITS
+from .profiles import DEFAULT_R_BITS, MAX_N_SEG
 
 SEED_BYTES = 36          # 288-bit seed
 COMMON_PART_BYTES = 32   # shared seed part of a multi-polynomial key
@@ -100,7 +100,7 @@ def encode_domain_input(seed: Seed, q: int, id_seg: int) -> bytes:
     Injective by construction: all three fields have fixed width.
     """
     prefix = _domain_prefix(seed, q)
-    if not 0 <= id_seg < 2 ** 16:
+    if not 0 <= id_seg < MAX_N_SEG:
         raise ParamsError("id_seg must fit in 16 bits")
     return prefix + id_seg.to_bytes(2, "little")
 
@@ -111,7 +111,7 @@ def encode_domain_inputs(seed: Seed, q: int, count: int) -> np.ndarray:
     Row i equals ``encode_domain_input(seed, q, i)``.
     """
     prefix = _domain_prefix(seed, q)
-    if not 0 <= count <= 2 ** 16:
+    if not 0 <= count <= MAX_N_SEG:
         raise ParamsError("count must be in 0..65536 (16-bit segment ids)")
     rows = np.empty((count, INPUT_BYTES), dtype=np.uint8)
     rows[:, :len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)

@@ -46,11 +46,10 @@ def full_catalog():
 
 @pytest.fixture(scope="module")
 def limb_fit(full_catalog):
-    rows = [(seg_len, p_r_max) for p_r_max, _, _, seg_len, _ in REFERENCE_ROWS
+    rows = [(seg_len, Fraction(p_r_max)) for p_r_max, _, _, seg_len, _ in REFERENCE_ROWS
             if Fraction(p_r_max) < Fraction(1, 2)]
     return rows, fit_limb_count(rows, t=DEFAULT_T, n_ring=DEFAULT_N,
-                                max_fail=DEFAULT_MAX_FAIL, l_range=(1, 200),
-                                tolerance=0.0005)
+                                max_fail=DEFAULT_MAX_FAIL, l_range=(1, 200))
 
 
 def test_criterion_01_supported_set_sizes(full_catalog):
@@ -80,24 +79,24 @@ def test_criterion_02_histograms(full_catalog):
 
 
 def test_criterion_03_threshold_fit(full_catalog, limb_fit):
-    rows, fit = limb_fit
+    rows, (L, residual, solved_rows) = limb_fit
     problems = []
-    if not fit.ok:
-        problems.append(f"best L={fit.L} residual={fit.residual:.2e} > 5e-4")
-    for (seg_len, _), published, solved in zip(rows, fit.published, fit.solved):
+    if not residual <= 0.0005:
+        problems.append(f"best L={L} residual={residual:.2e} > 5e-4")
+    for (seg_len, published), solved in zip(rows, solved_rows):
         deviation = abs(float(solved - published))
         if deviation > 0.0005:
             problems.append(f"len={seg_len}: |{float(solved):.6f} - "
                             f"{float(published):.5f}| = {deviation:.2e}")
-    if fit.L != 64:
-        problems.append(f"fitted limb count drifted: {fit.L} != 64")
+    if L != 64:
+        problems.append(f"fitted limb count drifted: {L} != 64")
     worst = full_catalog.worst_p_r()
     seg_len = 4
     bound = float(mrp_failure_bound(worst, DEFAULT_T, seg_len,
-                                    DEFAULT_N // seg_len, fit.L))
+                                    DEFAULT_N // seg_len, L))
     if bound > 0.0030:
         problems.append(f"len=4 failure bound {bound:.5f} > 0.30%")
-    report(3, f"threshold fit (L*={fit.L}, residual={fit.residual:.1e}, "
+    report(3, f"threshold fit (L*={L}, residual={residual:.1e}, "
               f"len4 bound={bound * 100:.3f}%)", not problems, "; ".join(problems))
 
 
@@ -105,12 +104,12 @@ def test_criterion_04_cost_model():
     params = CostParams(R=16384, w=32, f_hz=1e9, gamma=1 / 8, d_mm=15.0,
                         e_j_per_bit_mm=40e-15)
     rep = build_cost_report(params)
-    ok = (abs(rep.throughput_tbps - 65.5) <= 0.1
+    tbps, density_tbps_per_mm = rep.throughput_bps / 1e12, rep.per_axis_density_bps_per_mm / 1e12
+    ok = (abs(tbps - 65.5) <= 0.1
           and abs(rep.central_power_w - 19.7) <= 0.1
-          and abs(rep.per_axis_density_tbps_per_mm - 2.2) <= 0.05)
+          and abs(density_tbps_per_mm - 2.2) <= 0.05)
     report(4, "cost model 65.5 Tbps / 19.7 W / 2.2 Tbps/mm", ok,
-           f"TP={rep.throughput_tbps:.3f} P={rep.central_power_w:.3f} "
-           f"D={rep.per_axis_density_tbps_per_mm:.3f}")
+           f"TP={tbps:.3f} P={rep.central_power_w:.3f} D={density_tbps_per_mm:.3f}")
 
 
 def test_criterion_05_seed_space():

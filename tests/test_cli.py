@@ -264,12 +264,33 @@ class TestAnalyticsCommands:
         assert result["central_power_w"] == pytest.approx(19.66, abs=0.01)
         assert result["per_axis_density_tbps_per_mm"] == pytest.approx(2.18, abs=0.01)
 
+    def test_cost_saving_is_central_minus_distributed(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "cost", "--R", "16384",
+                           "--w", "32", "--f", "1", "--gamma", "1/8",
+                           "--d", "15", "--E", "40", "--local-hop", "0.5")
+        result = json.loads(out)["result"]
+        assert code == 0
+        assert 0 < result["distributed_power_w"] < result["central_power_w"]
+        assert result["saving_w"] == result["central_power_w"] - result["distributed_power_w"]
+
     def test_fit_table1_recovers_sixty_four_limbs(self, capsys):
         code, out, _ = run(capsys, "--canonical", "--format", "json", "fit-table1")
         result = json.loads(out)["result"]
         assert code == 0
         assert result["L"] == 64 and result["ok"] is True
         assert result["len4_check"]["ok"] is True
+
+    def test_fit_table1_zero_tolerance_is_a_no_fit(self, capsys):
+        code, out, err = run(capsys, "--format", "json", "fit-table1", "--tol", "0")
+        assert code == 1 and "error code=no-fit" in err
+        assert '"ok": false' in out and '"tolerance": 0.0' in out
+
+    def test_fit_table1_residual_equal_to_the_tolerance_fits(self, capsys):
+        argv = ("--format", "json", "fit-table1", "--no-len4-check")
+        _, out, _ = run(capsys, *argv, "--tol", "0")
+        residual = json.loads(out)["result"]["residual"]
+        code, out, _ = run(capsys, *argv, "--tol", repr(residual))
+        assert code == 0 and json.loads(out)["result"]["ok"] is True
 
     def test_stats_on_stored_mrp(self, capsys, tmp_path, params_file):
         out_file = tmp_path / "p.mrp"
@@ -381,6 +402,7 @@ class TestErrorTaxonomy:
         (["fit-table1", "--tol", "-1"], "params-error"),
         (["fit-table1", "--tol", "nan"], "params-error"),
         (["fit-table1", "--tol", "inf"], "params-error"),
+        (["fit-table1", "--tol=-1e-12"], "params-error"),  # argparse reads -1e-12 as an option
         (["enum-primes", "--n", "3", "--w", "48"], "params-error"),
         (ANALYZE + ["--t", "169"], "params-error"),
         (ANALYZE + ["--t", "10000"], "params-error"),
@@ -410,7 +432,7 @@ class TestErrorTaxonomy:
             "retry-max-attempts-0", "cost-R-0", "cost-gamma-abc", "cost-gamma-2",
             "cost-local-hop-1", "cost-f-nan", "cost-d-inf", "missing-params",
             "mrp-is-a-directory", "out-dir-missing", "binary-params", "fit-tol-1",
-            "fit-tol-nan", "fit-tol-inf", "enum-w-48-unbounded-scan", "analyze-t-169",
+            "fit-tol-nan", "fit-tol-inf", "fit-tol-1e-12", "enum-w-48-unbounded-scan", "analyze-t-169",
             "analyze-t-10000", "analyze-nseg-65537", "analyze-nseg-10^400",
             "analyze-L-2^32+1", "analyze-pr-den-2^64+1", "fit-lmax-0",
             "common-without-poly-id", "base-float", "base-empty", "base-too-wide",

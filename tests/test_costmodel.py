@@ -154,8 +154,7 @@ class TestReport:
 
     def test_report_fields(self):
         report = build_cost_report(reference_params())
-        assert report.throughput_tbps == pytest.approx(65.536)
+        assert report.throughput_bps == pytest.approx(65.536e12)
         assert report.central_power_w == pytest.approx(19.66, abs=0.01)
         assert report.distributed_power_w == 0.0
-        assert report.saving_w == pytest.approx(report.central_power_w)
-        assert report.per_axis_density_tbps_per_mm == pytest.approx(2.18, abs=0.01)
+        assert report.per_axis_density_bps_per_mm == pytest.approx(2.18e12, abs=0.01e12)

@@ -1,5 +1,6 @@
 """The package stays on its one numeric dependency, numpy."""
 
+import importlib.metadata
 import os
 import re
 import subprocess
@@ -28,3 +29,13 @@ def test_declared_dependency_is_numpy_only():
     assert names == {"numpy"}
     # tomllib, which this test imports, is new in Python 3.11
     assert project["requires-python"] == ">=3.11"
+
+
+def test_installed_numpy_meets_the_declared_floor():
+    # the floor is what the suite runs on; an older numpy is untested
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    (floor,) = [re.fullmatch(r"numpy>=([0-9.]+)", dep).group(1)
+                for dep in project["dependencies"]]
+    installed = re.match(r"[0-9]+(\.[0-9]+)*", importlib.metadata.version("numpy")).group(0)
+    assert ([int(part) for part in installed.split(".")]
+            >= [int(part) for part in floor.split(".")])

@@ -14,8 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Every name the package exports, under the submodule that defines it.
 EXPORTS = {
-    "analytics": ("FitResult", "chi_square_uniformity", "fit_limb_count",
-                  "mrp_failure_bound", "seg_failure_prob", "solve_p_r_max"),
+    "analytics": ("chi_square_uniformity", "fit_limb_count", "mrp_failure_bound",
+                  "seg_failure_prob", "solve_p_r_max"),
     "costmodel": ("CostParams", "CostReport", "build_cost_report", "central_wiring_power",
                   "distributed_wiring_power", "per_axis_bandwidth_density",
                   "required_throughput"),

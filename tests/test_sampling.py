@@ -240,6 +240,13 @@ class TestGenParamsValidation:
             GenParams(N=256, w=32, seg_len=32, n_seg=8, base=(7681,),
                       layout=Permutation.identity(128))
 
+    def test_n_seg_is_a_16_bit_segment_id(self):
+        # 786433 = 3 * 2^18 + 1 is transform-friendly for both rings
+        top = GenParams(N=1 << 16, w=32, seg_len=1, n_seg=1 << 16, base=(786433,))
+        assert top.n_seg == 1 << 16
+        with pytest.raises(ParamsError, match="16-bit segment ids"):
+            GenParams(N=1 << 17, w=32, seg_len=1, n_seg=1 << 17, base=(786433,))
+
     def test_t_property(self, desk_params):
         assert desk_params.t == 42
 

@@ -1,4 +1,3 @@
-import hashlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -246,11 +245,11 @@ class TestKangarooTwelveBackend:
     def test_customization_separates(self):
         assert keccak.kangaroo_twelve(b"m", b"", 32) != keccak.kangaroo_twelve(b"m", b"c", 32)
 
-    def test_sponge_matches_hashlib_in_full_round_mode(self):
+    def test_turbo_shake128_matches_the_reference_sponge(self):
         # at 167 bytes the suffix and the final 0x80 share the block's last byte
         for data in (b"", b"a", bytes(range(166)), b"x" * 167):
-            assert (keccak.sponge(data, 0x1F, 168, rounds=24)
-                    == hashlib.shake_128(data).digest(168))
+            assert (keccak.turbo_shake128(data, 0x1F, 168)
+                    == reference_keccak.sponge(data, 0x1F, 168, 12))
 
     def test_rejects_multi_chunk(self):
         with pytest.raises(ParamsError):
@@ -271,8 +270,8 @@ class TestKangarooTwelveBackend:
         # 167 padded bytes fill the rate block and 168 are squeezed; one more
         # byte in or out raises.  KangarooTwelve pads 159 message bytes with
         # "custom" and its 2-byte length encoding.
-        cases = [(lambda size, out: keccak.sponge(bytes(size), 0x1F, out, rounds=24),
-                  hashlib.shake_128(bytes(167)).digest(168)),
+        cases = [(lambda size, out: keccak.turbo_shake128(bytes(size), 0x1F, out),
+                  reference_keccak.sponge(bytes(167), 0x1F, 168, 12)),
                  (lambda size, out: keccak.kangaroo_twelve(bytes(size - 8), b"custom", out),
                   reference_keccak.kangaroo_twelve(bytes(159), b"custom", 168))]
         for call, full in cases:
