@@ -432,8 +432,8 @@ class TestErrorTaxonomy:
             "retry-max-attempts-0", "cost-R-0", "cost-gamma-abc", "cost-gamma-2",
             "cost-local-hop-1", "cost-f-nan", "cost-d-inf", "missing-params",
             "mrp-is-a-directory", "out-dir-missing", "binary-params", "fit-tol-1",
-            "fit-tol-nan", "fit-tol-inf", "fit-tol-1e-12", "enum-w-48-unbounded-scan", "analyze-t-169",
-            "analyze-t-10000", "analyze-nseg-65537", "analyze-nseg-10^400",
+            "fit-tol-nan", "fit-tol-inf", "fit-tol-1e-12", "enum-w-48-unbounded-scan",
+            "analyze-t-169", "analyze-t-10000", "analyze-nseg-65537", "analyze-nseg-10^400",
             "analyze-L-2^32+1", "analyze-pr-den-2^64+1", "fit-lmax-0",
             "common-without-poly-id", "base-float", "base-empty", "base-too-wide",
             "perm-index-2^63", "cost-R-10^400", "cost-w-10^400", "enum-n-65",
