@@ -2,17 +2,14 @@
 
 Run from anywhere, with the interpreter that runs the tests:
 
-    python tests/mutants.py              # every mutant
-    python tests/mutants.py keccak cli   # mutants whose file or text contains a word
+    python tests/mutants.py
 
 The run copies ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary
 directory.  For each mutant it replaces the old text, which must occur
 exactly once, with the new text in that file of the copy, runs
-``python -m pytest -x -q tests`` there and puts the file back.  The run
-leaves out ``tests/test_mutants.py``, which fails on any mutated tree because
-it checks that every old text occurs.  A mutant is killed when pytest fails;
-the report names the first failing test and the seconds the run took.  A
-mutant the suite passes survived.  Each entry says
+``python -m pytest -x -q tests`` there and puts the file back.  A mutant is
+killed when pytest fails; the report names the first failing test and the
+seconds the run took.  A mutant the suite passes survived.  Each entry says
 either that it must fail or why it is equivalent: why no input can tell it
 from the original.  A survivor that must fail is a missing test.
 
@@ -98,8 +95,7 @@ def _run_suite(tree: Path) -> tuple[bool, str, float]:
     start = time.perf_counter()
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             "--ignore", "tests/test_mutants.py", "tests"],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
             cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return False, f"timed out after {TIMEOUT_S} s", time.perf_counter() - start
@@ -109,13 +105,12 @@ def _run_suite(tree: Path) -> tuple[bool, str, float]:
     return proc.returncode == 0, first, seconds
 
 
-def main(words: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not words or any(w in f"{m[0]} {m[1]}" for w in words)]
+def main() -> int:
     bad = 0
     with tempfile.TemporaryDirectory(prefix="mrpgen-mutants-") as tmp:
         tree = Path(tmp)
         _copy_tree(tree)
-        for number, (rel, old, new, verdict) in enumerate(chosen, 1):
+        for number, (rel, old, new, verdict) in enumerate(MUTANTS, 1):
             path = tree / rel
             original = path.read_text()
             label = f"{number:2d} {rel}: {old!r} -> {new!r}"
@@ -133,9 +128,9 @@ def main(words: list[str]) -> int:
             print(f"{label}\n   {status} in {seconds:.1f} s"
                   f"{'' if expected else '  <-- UNEXPECTED'} ({verdict})", flush=True)
             bad += not expected
-    print(f"{len(chosen)} mutants, {bad} unexpected")
+    print(f"{len(MUTANTS)} mutants, {bad} unexpected")
     return 1 if bad else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
