@@ -105,7 +105,9 @@ def _emit(args, payload: dict, body_lines=None) -> None:
 def _seed_from_args(args) -> Seed:
     from .xof import Seed, derive_polynomial_seed
 
-    if args.seed:
+    if args.seed is not None:
+        if args.common is not None or args.poly_id is not None:
+            raise ParamsError("--seed excludes --common and --poly-id")
         return Seed.from_hex(args.seed)
     if args.common is not None:
         if args.poly_id is None:
@@ -366,9 +368,9 @@ def cmd_fit_table1(args) -> None:
 def cmd_stats(args) -> None:
     from . import analytics, formats
 
-    mrp, _ = formats.read_mrp(args.mrp)
+    coeffs, params = formats.read_mrp(args.mrp)
     limbs = []
-    for q, row in zip(mrp.base, mrp.coeffs):
+    for q, row in zip(params.base, coeffs):
         statistic, p_value = analytics.chi_square_uniformity(q, row, args.bins)
         limbs.append({"q": q, "samples": len(row), "statistic": statistic,
                       "dof": args.bins - 1, "p_value": p_value})

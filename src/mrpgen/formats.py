@@ -15,9 +15,9 @@ integers are little-endian 32-bit words:
     mapping    N x u32  only when perm_kind = 2
     limbs      L x N x u32, in base order
 
-The limb section is a MultiResiduePolynomial's (L, N) array byte for byte:
-write_mrp writes its buffer after the header and read_mrp returns a view of
-the file's bytes, so neither copies a limb.  The header carries the full
+The limb section is the polynomial's (L, N) array byte for byte: write_mrp
+writes its buffer after the header and read_mrp returns that array as a view
+of the file's bytes, so neither copies a limb.  The header carries the full
 generation profile so a stored polynomial can be re-derived and checked from
 its seed alone.
 """
@@ -118,8 +118,9 @@ def _is_device(path) -> bool:
     return stat.S_ISCHR(mode) or stat.S_ISBLK(mode)
 
 
-def read_mrp(path) -> tuple[MultiResiduePolynomial, GenParams]:
-    """Parse a container; the returned coeffs are a read-only view of its bytes."""
+def read_mrp(path) -> tuple[np.ndarray, GenParams]:
+    """Parse a container into (coeffs, params): coeffs is the (L, N) limb
+    section, row i the limb of params.base[i], a read-only view of the file."""
     if _is_device(path):
         raise FormatError(f"{path}: a device, not an input file")
     data = Path(path).read_bytes()
@@ -156,8 +157,7 @@ def read_mrp(path) -> tuple[MultiResiduePolynomial, GenParams]:
             pos += 4 * n_ring
     except ParamsError as exc:
         raise FormatError(f"MRP header holds an invalid profile: {exc}") from exc
-    coeffs = np.frombuffer(data, dtype="<u4", offset=pos).reshape(base_len, n_ring)
-    return MultiResiduePolynomial(base=base, coeffs=coeffs), params
+    return np.frombuffer(data, dtype="<u4", offset=pos).reshape(base_len, n_ring), params
 
 
 @dataclass
@@ -180,7 +180,7 @@ def verify_mrp_file(path, seed: Seed) -> VerifyReport:
     stored, params = read_mrp(path)
 
     def first_diff(row: int, limb: np.ndarray) -> int:
-        differs = stored.coeffs[row] != limb
+        differs = stored[row] != limb
         return int(np.argmax(differs)) if differs.any() else -1
 
     diffs = _each_limb(seed, params, first_diff, (), np.int64)

@@ -146,9 +146,10 @@ class CatalogFilter:
 
 @dataclass(frozen=True)
 class ModuliCatalog:
-    """The supported moduli set for one filter, sorted ascending by q."""
+    """The supported moduli, sorted ascending by q, and the p_r cap they were
+    admitted under."""
 
-    filter: CatalogFilter
+    p_r_max: Fraction
     records: tuple[PrimeRecord, ...]
 
     def __len__(self):
@@ -168,13 +169,9 @@ class ModuliCatalog:
     def restrict(self, p_r_max) -> "ModuliCatalog":
         """Sub-catalog under a tighter rejection-probability cap."""
         cap = Fraction(p_r_max)
-        if cap > self.filter.p_r_max:
+        if cap > self.p_r_max:
             raise ParamsError("restrict only tightens the p_r cap")
-        new_filter = CatalogFilter(self.filter.n_ring, self.filter.w,
-                                   self.filter.hw_naf_max, cap,
-                                   self.filter.q_min_exclusive)
-        return ModuliCatalog(new_filter,
-                             tuple(r for r in self.records if r.p_r <= cap))
+        return ModuliCatalog(cap, tuple(r for r in self.records if r.p_r <= cap))
 
 
 def enumerate_supported(filt: CatalogFilter) -> ModuliCatalog:
@@ -212,7 +209,7 @@ def enumerate_supported(filt: CatalogFilter) -> ModuliCatalog:
             p_r = sample_rejection_prob(q, filt.w)
             if p_r <= filt.p_r_max:
                 records.append(PrimeRecord(q, size_bucket(q), hw_naf(q), p_r))
-    return ModuliCatalog(filt, tuple(records))
+    return ModuliCatalog(filt.p_r_max, tuple(records))
 
 
 def histogram(catalog: ModuliCatalog) -> dict[int, int]:

@@ -40,8 +40,8 @@ import numpy as np
 from .errors import GenerationFailure, ParamsError, RetryExhausted
 from .primes import is_ntt_friendly
 from .profiles import DEFAULT_R_BITS, MAX_N_SEG
-from .xof import (BACKENDS, Seed, encode_domain_input, encode_domain_inputs, split_words,
-                  xof_expand, xof_expand_many)
+from .xof import (BACKENDS, SEED_BYTES, Seed, encode_domain_input, encode_domain_inputs,
+                  split_words, xof_expand, xof_expand_many)
 
 if TYPE_CHECKING:
     import random
@@ -367,7 +367,7 @@ def generate_mrp(seed: Seed, params: GenParams) -> MultiResiduePolynomial:
 
 def seed_source_from_rng(rng: random.Random) -> Callable[[], Seed]:
     """Fresh independent 288-bit seeds from an explicitly seeded generator."""
-    return lambda: Seed(rng.randbytes(36))
+    return lambda: Seed(rng.randbytes(SEED_BYTES))
 
 
 @dataclass

@@ -79,6 +79,18 @@ MUTANTS = [
      MUST_FAIL),
     ("src/mrpgen/xof.py", "if not 0 <= count <= MAX_N_SEG:", "if not 0 <= count < MAX_N_SEG:",
      MUST_FAIL),
+    # the MRP reader: the limb offset, the reverse layout, the trailing bytes
+    ("src/mrpgen/formats.py", 'np.frombuffer(data, dtype="<u4", offset=pos).reshape',
+     'np.frombuffer(data, dtype="<u4", offset=pos - 4).reshape', MUST_FAIL),
+    ("src/mrpgen/formats.py", "params = replace(params, layout=Permutation.reverse(n_ring))",
+     "params = replace(params, layout=Permutation.identity(n_ring))", MUST_FAIL),
+    ("src/mrpgen/formats.py", "if len(data) - pos > body:", "if len(data) - pos >= body:",
+     MUST_FAIL),
+    # the catalog's cap only tightens; the seed options exclude each other
+    ("src/mrpgen/primes.py", "if cap > self.p_r_max:", "if cap >= self.p_r_max:", MUST_FAIL),
+    ("src/mrpgen/cli.py", "if args.common is not None or args.poly_id is not None:",
+     "if args.common is not None and args.poly_id is not None:", MUST_FAIL),
+    ("src/mrpgen/cli.py", "if args.seed is not None:", "if args.seed:", MUST_FAIL),
 ]
 
 

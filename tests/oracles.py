@@ -3,13 +3,12 @@
 ``naf`` is the digit loop that ``primes.hw_naf``'s popcount is checked
 against.  ``mrp_failure_exact_base`` is the failure of an explicit base,
 which the worst-modulus bound must never understate, and
-``empirical_failure_rate`` counts generation failures by Monte Carlo next
-to it.  ``seed_space_bits`` is the seed space left once invalid seeds are
-discarded.
+``empirical_failure_rate`` counts generation failures by Monte Carlo and
+returns the count with the exact rate of that base.  ``seed_space_bits`` is
+the seed space left once invalid seeds are discarded.
 """
 
 import math
-from dataclasses import dataclass
 
 from mrpgen import (GenerationFailure, ParamsError, generate_mrp, mrp_failure_bound,
                     sample_rejection_prob)
@@ -52,26 +51,9 @@ def mrp_failure_exact_base(p_r_list, t: int, seg_len: int, n_seg: int) -> float:
     return 0.0 - math.expm1(math.fsum(math.log1p(-f) for f in limb_fails))
 
 
-@dataclass
-class EmpiricalReport:
-    """Monte-Carlo generation failures next to the exact analytic rate."""
-
-    failures: int
-    trials: int
-    analytic_failure: float
-
-    @property
-    def empirical_failure(self) -> float:
-        return self.failures / self.trials
-
-    @property
-    def binomial_sigma(self) -> float:
-        p = self.analytic_failure
-        return math.sqrt(p * (1 - p) / self.trials)
-
-
-def empirical_failure_rate(params, trials: int, seed_source) -> EmpiricalReport:
-    """Run whole-polynomial generation on fresh seeds and count failures."""
+def empirical_failure_rate(params, trials: int, seed_source) -> tuple[int, float]:
+    """(failures, analytic_failure): whole-polynomial generation run on trials
+    fresh seeds, and the exact failure rate of params' base."""
     if trials < 1:
         raise ParamsError("trials must be at least 1")
     p_r_list = [sample_rejection_prob(q, params.w) for q in params.base]
@@ -82,4 +64,4 @@ def empirical_failure_rate(params, trials: int, seed_source) -> EmpiricalReport:
             generate_mrp(seed_source(), params)
         except GenerationFailure:
             failures += 1
-    return EmpiricalReport(failures=failures, trials=trials, analytic_failure=analytic)
+    return failures, analytic

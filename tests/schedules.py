@@ -1,9 +1,10 @@
 """Schedules the generator's bits must not depend on, for the tests.
 
-``verify_distributed_equivalence`` replays generation as a bank of engines
-would: every (q, id_seg) unit goes to a thread pool in a shuffled order and
-is computed with ``generate_segment`` alone.  ``forking`` makes
-``generate_mrp`` and ``verify_mrp_file`` fork their limb helper at any size.
+``assemble_segments`` replays generation as a bank of engines would: every
+(q, id_seg) unit goes to a thread pool in a shuffled order and is computed
+with ``generate_segment`` alone, so it is the one place two units run at
+once.  ``forking`` makes ``generate_mrp`` and ``verify_mrp_file`` fork their
+limb helper at any size.
 """
 
 from __future__ import annotations
@@ -12,13 +13,11 @@ import contextlib
 import os
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
-from mrpgen import (GenerationFailure, GenParams, ParamsError, Seed, generate_mrp,
-                    generate_segment, permute, sampling)
+from mrpgen import GenerationFailure, GenParams, Seed, generate_segment, permute, sampling
 
 
 def assemble_segments(seed: Seed, params: GenParams, engine_count: int,
@@ -43,44 +42,6 @@ def assemble_segments(seed: Seed, params: GenParams, engine_count: int,
             raise GenerationFailure(*item)
     return np.stack([permute(np.concatenate([results[(q, i)] for i in range(params.n_seg)]),
                              params.layout) for q in params.base])
-
-
-@dataclass
-class EquivalenceReport:
-    """Outcome of replaying generation across simulated parallel engines."""
-
-    ok: bool
-    engine_count: int
-    schedules: int
-    work_items: int
-    mismatches: list = field(default_factory=list)
-
-
-def verify_distributed_equivalence(seed: Seed, params: GenParams, engine_count: int,
-                                   schedules: int = 1,
-                                   rng: random.Random | None = None) -> EquivalenceReport:
-    """Check that any engine partition reproduces the batched output bit-exactly.
-
-    Each work item (q, id_seg) is handed to a thread pool in a shuffled
-    order and computed with generate_segment; workers receive nothing but
-    the item and the profile.  The assembled limbs must equal generate_mrp's
-    batched word-matrix path, so a pass certifies both that no cross-engine
-    information flow is needed and that batched = per-segment.  A mismatch
-    is a bug report, never an expected outcome.
-    """
-    if engine_count < 1:
-        raise ParamsError("engine_count must be at least 1")
-    rng = rng or random.Random(0)
-    batched = generate_mrp(seed, params)
-    report = EquivalenceReport(ok=True, engine_count=engine_count, schedules=schedules,
-                               work_items=len(params.base) * params.n_seg)
-    for schedule in range(schedules):
-        assembled = assemble_segments(seed, params, engine_count, rng)
-        for q, limb, coeffs in zip(params.base, batched.coeffs, assembled):
-            if not np.array_equal(coeffs, limb):
-                report.ok = False
-                report.mismatches.append({"schedule": schedule, "q": q})
-    return report
 
 
 @contextlib.contextmanager

@@ -381,11 +381,10 @@ class TestSeedSpace:
 
 class TestEmpiricalFailureRate:
     def test_safe_profile_never_fails(self, desk_params):
-        report = empirical_failure_rate(desk_params, 50,
-                                        seed_source_from_rng(random.Random(2)))
-        assert report.failures == 0
-        assert report.analytic_failure < 1e-6
-        assert report.empirical_failure == 0
+        failures, analytic = empirical_failure_rate(desk_params, 50,
+                                                    seed_source_from_rng(random.Random(2)))
+        assert failures == 0
+        assert analytic < 1e-6
 
     def test_rejects_zero_trials(self, desk_params):
         with pytest.raises(ParamsError):

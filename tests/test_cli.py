@@ -143,7 +143,7 @@ class TestWriteAndHash:
         stored, _ = read_mrp(out_file)
         assert json.loads(out)["result"]["limb_sha256"] == {
             str(q): hashlib.sha256(row.tobytes()).hexdigest()
-            for q, row in zip(stored.base, stored.coeffs)}
+            for q, row in zip(params.base, stored)}
 
     @pytest.mark.parametrize("target", ["x.mrp", "missing/x.mrp"], ids=["ok", "io-error"])
     def test_the_thread_is_joined_before_main_returns(self, capsys, monkeypatch, tmp_path,
@@ -424,6 +424,12 @@ class TestErrorTaxonomy:
         (COST + ["--w", str(10 ** 400)], "params-error"),
         (ENUM_PRIMES + ["--n", "65"], "params-error"),
         (ENUM_PRIMES + ["--qmin-bits", "65"], "params-error"),
+        (["gen-mrp", "--params", "{params}", "--seed", ZERO_SEED, "--common", "11" * 32,
+          "--poly-id", "1"], "params-error"),
+        (["gen-mrp", "--params", "{params}", "--seed", ZERO_SEED, "--poly-id", "5"],
+         "params-error"),
+        (["gen-mrp", "--params", "{params}", "--seed", "", "--common", "11" * 32,
+          "--poly-id", "1"], "params-error"),
     ], ids=["seed-length", "seed-not-hex", "common-length", "common-not-hex",
             "poly-id-range", "limb-q-not-in-base", "seg-q-not-in-base", "seg-id-range",
             "stats-too-few-samples", "stats-one-bin", "analyze-pr-2", "analyze-pr-abc",
@@ -437,7 +443,8 @@ class TestErrorTaxonomy:
             "analyze-L-2^32+1", "analyze-pr-den-2^64+1", "fit-lmax-0",
             "common-without-poly-id", "base-float", "base-empty", "base-too-wide",
             "perm-index-2^63", "cost-R-10^400", "cost-w-10^400", "enum-n-65",
-            "enum-qmin-bits-65"])
+            "enum-qmin-bits-65", "seed-with-common", "seed-with-poly-id",
+            "empty-seed-with-common"])
     def test_bad_input_is_a_typed_error(self, capsys, tmp_path, params_file, argv,
                                         code_name):
         mrp = tmp_path / "p.mrp"

@@ -1,10 +1,13 @@
-"""The package stays on its one numeric dependency, numpy."""
+"""The package stays on its one numeric dependency, numpy, and the test
+dependencies run under the repo's pytest settings."""
 
 import importlib.metadata
 import os
 import re
+import shutil
 import subprocess
 import sys
+import textwrap
 import tomllib
 from pathlib import Path
 
@@ -39,3 +42,30 @@ def test_installed_numpy_meets_the_declared_floor():
     installed = re.match(r"[0-9]+(\.[0-9]+)*", importlib.metadata.version("numpy")).group(0)
     assert ([int(part) for part in installed.split(".")]
             >= [int(part) for part in floor.split(".")])
+
+
+def test_a_failing_property_is_one_failed_test(tmp_path):
+    # A failing @given test makes Hypothesis write a failing-example patch
+    # with libcst, whose import warns DeprecationWarning.  Under the repo's
+    # filterwarnings that warning must not become an error inside a pytest
+    # hook, which ended the session with INTERNALERROR before later tests ran.
+    shutil.copy(ROOT / "pyproject.toml", tmp_path / "pyproject.toml")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_property.py").write_text(textwrap.dedent("""\
+        from hypothesis import given, strategies as st
+
+
+        @given(st.integers())
+        def test_fails(n):
+            assert n < 10
+
+
+        def test_passes():
+            pass
+        """))
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    output = proc.stdout + proc.stderr
+    assert proc.returncode == 1, output
+    assert "1 failed, 1 passed" in proc.stdout
+    assert "INTERNALERROR" not in output

@@ -474,8 +474,8 @@ class TestBatchedLimbMatchesSegments:
                     path = os.path.join(tmp, "x.mrp")
                     write_mrp(path, mrp, params)
                     stored, stored_params = read_mrp(path)
-                    assert stored.base == params.base
-                    assert np.array_equal(stored.coeffs, expected)
+                    assert stored_params.base == params.base
+                    assert np.array_equal(stored, expected)
                     assert stored_params.layout.kind == params.layout.kind
                     assert stored_params.layout == params.layout
                     assert verify_mrp_file(path, seed).ok
@@ -495,8 +495,8 @@ class TestGenerateMrp:
         params = GenParams(N=golden_mrp["N"], w=32, seg_len=golden_mrp["len"],
                            n_seg=golden_mrp["n_seg"], base=golden_mrp["base"])
         mrp = generate_mrp(golden_mrp["seed"], params)
-        for q, expected in golden_mrp["limbs"].items():
-            assert mrp.limbs[q].coeffs.tolist() == expected
+        for q, row in zip(params.base, mrp.coeffs):
+            assert row.tolist() == golden_mrp["limbs"][q]
 
     def test_matches_kangarootwelve_golden_fixture(self, golden_k12_mrp):
         golden = golden_k12_mrp
@@ -504,8 +504,8 @@ class TestGenerateMrp:
                            n_seg=golden["n_seg"], base=golden["base"],
                            backend=golden["backend"])
         mrp = generate_mrp(golden["seed"], params)
-        for q, expected in golden["limbs"].items():
-            assert mrp.limbs[q].coeffs.tolist() == expected
+        for q, row in zip(params.base, mrp.coeffs):
+            assert row.tolist() == golden["limbs"][q]
 
     def test_single_modulus_single_segment(self, zero_seed):
         q = ntt_primes(32, 1)[0]
@@ -517,9 +517,9 @@ class TestGenerateMrp:
 
     def test_limb_random_access_equivalence(self, desk_params, zero_seed):
         mrp = generate_mrp(zero_seed, desk_params)
-        for q in desk_params.base:
+        for q, row in zip(desk_params.base, mrp.coeffs):
             standalone = generate_limb(zero_seed, q, desk_params)
-            assert np.array_equal(standalone.coeffs, mrp.limbs[q].coeffs)
+            assert np.array_equal(standalone.coeffs, row)
 
     def test_equals_helper(self, desk_params, zero_seed):
         assert np.array_equal(generate_mrp(zero_seed, desk_params).coeffs,
@@ -573,8 +573,8 @@ class TestForkedGeneration:
                                n_seg=golden["n_seg"], base=golden["base"],
                                backend=golden["backend"])
             mrp = generate_mrp(golden["seed"], params)
-            for q, expected in golden["limbs"].items():
-                assert mrp.limbs[q].coeffs.tolist() == expected
+            for q, row in zip(params.base, mrp.coeffs):
+                assert row.tolist() == golden["limbs"][q]
         assert len(forked) == 2
 
     @pytest.mark.parametrize("kind", ["identity", "explicit"])
