@@ -3,12 +3,13 @@
 Every subcommand prints a report envelope (command, version, input digest,
 result) on stdout and diagnostics on stderr.  With --canonical the report
 carries no timestamp and is byte-reproducible for identical inputs.  The
-catalog scan runs in the calling thread: it is pure-Python primality
-testing, which worker threads cannot overlap.  gen-mrp, retry-gen and verify
-run the serial limb loop, which for a large polynomial one forked helper
-process may save work (``sampling._each_limb``); their output is the serial
-loop's.  With --out, gen-mrp and retry-gen hash the limb summaries on one
-second thread while the file is written, and join it before reporting.
+catalog scan runs in the calling thread: it is a pure-Python sieve, with
+Miller-Rabin only above 32-bit words, which worker threads cannot overlap.
+gen-mrp, retry-gen and verify run the serial limb loop, which for a large
+polynomial one forked helper process may save work
+(``sampling._each_limb``); their output is the serial loop's.  With --out,
+gen-mrp and retry-gen hash the limb summaries on one second thread while the
+file is written, and join it before reporting.
 
 Exit codes: 0 success; 1 an expected domain failure, raised as a
 ``DomainFailure`` after the report is printed; 2 a usage error (argparse),

@@ -88,6 +88,21 @@ MUTANTS = [
      MUST_FAIL),
     # the catalog's cap only tightens; the seed options exclude each other
     ("src/mrpgen/primes.py", "if cap > self.p_r_max:", "if cap >= self.p_r_max:", MUST_FAIL),
+    # the catalog's sieve: its prime list, the struck class, the prime itself,
+    # its bound and whether it is complete; the test-work bound's shortcut
+    ("src/mrpgen/primes.py", "flags[0] = 0", "flags[0] = 1", MUST_FAIL),
+    ("src/mrpgen/primes.py", "i = (-first - pow(p + 1 >> 1, k, p)) % p",
+     "i = (first + pow(p + 1 >> 1, k, p)) % p", MUST_FAIL),
+    ("src/mrpgen/primes.py", "            i += p\n", "            i += 0\n", MUST_FAIL),
+    ("src/mrpgen/primes.py", "root = isqrt(limit - 1)", "root = isqrt(limit - 1) - 1",
+     MUST_FAIL),
+    ("src/mrpgen/primes.py", "bound = min(root, _SIEVE_BOUND)",
+     "bound = min(root - 1, _SIEVE_BOUND)", MUST_FAIL),
+    ("src/mrpgen/primes.py", "if bound < root:", "if bound >= root:", MUST_FAIL),
+    ("src/mrpgen/primes.py", "if candidates > most_tested:",
+     "if candidates > most_tested + 1:", MUST_FAIL),
+    ("src/mrpgen/primes.py", "if candidates > most_tested:", "if candidates >= most_tested:",
+     "equivalent: no more than `candidates` candidates can be under the weight cap"),
     ("src/mrpgen/cli.py", "if args.common is not None or args.poly_id is not None:",
      "if args.common is not None and args.poly_id is not None:", MUST_FAIL),
     ("src/mrpgen/cli.py", "if args.seed is not None:", "if args.seed:", MUST_FAIL),

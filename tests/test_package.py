@@ -108,6 +108,19 @@ def test_design_commands_never_load_numpy():
     assert got.strip() == "False False"
 
 
+def test_catalog_and_analysis_commands_load_no_dataclasses():
+    # fit-table1 runs its len-4 check, which enumerates the catalog; cost is
+    # left out, because costmodel keeps its dataclasses
+    commands = [["table1"], ["fit-table1", "--lmax", "64"], *DESIGN_COMMANDS[2:4]]
+    got = _python("import contextlib, io, sys\n"
+                  "from mrpgen import cli\n"
+                  f"for argv in {commands!r}:\n"
+                  "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "        assert cli.main(['--canonical', *argv]) == 0, argv\n"
+                  "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    assert got.strip() == "[]"
+
+
 def test_generator_commands_load_no_design_module(tmp_path):
     # numpy's own extension module imports datetime, so only the design
     # commands above can show that a canonical report does not

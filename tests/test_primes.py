@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -238,20 +239,58 @@ class TestEnumerateSupported:
                                               p_r_max=Fraction(1, 2),
                                               q_min_exclusive=1 << 47))
 
-    def test_reference_catalog_tests_the_same_candidates(self, monkeypatch):
+    def test_test_bound_refuses_when_every_candidate_is_light(self, monkeypatch):
+        # all seven candidates 17, 33, ..., 113 are under the weight cap of 7
+        filt = CatalogFilter(n_ring=8, w=7, hw_naf_max=7, p_r_max=Fraction(1, 2))
+        monkeypatch.setattr(primes, "MAX_TEST_WORK", 7 * 7 ** 2)
+        assert list(enumerate_supported(filt).moduli()) == [17, 97, 113]
+        monkeypatch.setattr(primes, "MAX_TEST_WORK", 7 * 7 ** 2 - 1)
+        with pytest.raises(ParamsError, match="more than 6 candidates"):
+            enumerate_supported(filt)
+
+    def test_reference_catalog_tests_no_candidate(self, monkeypatch):
+        # below 2^32 the sieve reaches every candidate's square root
+        def fail(_):
+            raise AssertionError("a candidate was tested")
+
+        monkeypatch.setattr(primes, "is_prime", fail)
+        catalog = enumerate_supported(CatalogFilter(
+            n_ring=DEFAULT_N, w=DEFAULT_W, hw_naf_max=DEFAULT_HW_NAF_MAX,
+            p_r_max=Fraction(1, 2), q_min_exclusive=DEFAULT_Q_MIN_EXCLUSIVE))
+        assert len(catalog) == REFERENCE_ROWS[-1][1]
+
+    def test_wide_word_tests_only_weight_capped_survivors(self, monkeypatch):
+        # at w = 40 the sieve stops at 2^16, so Miller-Rabin decides its survivors
         tested = []
 
         def counting(q):
             tested.append(q)
             return is_prime(q)
 
+        w, step, hw_max = 40, 1 << 11, 6
+        q_min = (1 << w) - 3000 * step
+        sieving = math.prod(p for p in range(3, 1 << 16, 2) if is_prime(p))
+        coprime = [q for q in range(q_min + 1, 1 << w, step) if math.gcd(q, sieving) == 1]
+        survivors = [q for q in coprime if hw_naf(q) <= hw_max]
+        assert len(survivors) < len(coprime)
         monkeypatch.setattr(primes, "is_prime", counting)
         catalog = enumerate_supported(CatalogFilter(
-            n_ring=DEFAULT_N, w=DEFAULT_W, hw_naf_max=DEFAULT_HW_NAF_MAX,
-            p_r_max=Fraction(1, 2), q_min_exclusive=DEFAULT_Q_MIN_EXCLUSIVE))
-        assert len(tested) == 6348
-        assert len(catalog) == REFERENCE_ROWS[-1][1]
-        assert len(tested) * DEFAULT_W ** 2 <= primes.MAX_TEST_WORK
+            n_ring=step // 2, w=w, hw_naf_max=hw_max, p_r_max=Fraction(1, 2),
+            q_min_exclusive=q_min))
+        assert 0 < len(catalog) < len(tested) == len(survivors)
+        assert tested == survivors
+        assert len(tested) * w ** 2 <= primes.MAX_TEST_WORK
+
+    @pytest.mark.parametrize("log_n", range(4))
+    def test_small_filters_match_brute_force(self, log_n):
+        # small enough that some candidates are sieving primes, and that
+        # isqrt(2^w - 1) is itself a prime whose square is a candidate (w = 5, 7)
+        step = 2 << log_n
+        for w in range(1, 17):
+            filt = CatalogFilter(n_ring=1 << log_n, w=w, hw_naf_max=w + 1,
+                                 p_r_max=Fraction(1))
+            brute = [q for q in range(step + 1, 1 << w, step) if is_prime(q)]
+            assert list(enumerate_supported(filt).moduli()) == brute, w
 
     @pytest.mark.parametrize("w", [0, 65, 200])
     def test_rejects_word_size_outside_is_prime_range(self, w):
@@ -271,6 +310,21 @@ class TestEnumerateSupported:
         # the records of the old order: prime, then NAF weight, then p_r
         brute = [PrimeRecord(q, size_bucket(q), weight, p_r)
                  for q in range(step + 1, 1 << w, step) if q > q_min and is_prime(q)
+                 if (weight := naf_weight(q)) <= hw_max
+                 if (p_r := sample_rejection_prob(q, w)) <= p_r_max]
+        filt = CatalogFilter(n_ring=1 << log_n, w=w, hw_naf_max=hw_max, p_r_max=p_r_max,
+                             q_min_exclusive=q_min)
+        assert list(enumerate_supported(filt).records) == brute
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data(), st.integers(0, 12), st.integers(33, 40), st.integers(-1, 40),
+           st.fractions(min_value=0, max_value=1))
+    def test_partial_sieve_matches_brute_force(self, data, log_n, w, hw_max, p_r_max):
+        # above 32-bit words the sieve stops at 2^16 and Miller-Rabin decides
+        step = 2 << log_n
+        q_min = (1 << w) - step * data.draw(st.integers(0, 3000))
+        brute = [PrimeRecord(q, size_bucket(q), weight, p_r)
+                 for q in range(q_min + 1, 1 << w, step) if is_prime(q)
                  if (weight := naf_weight(q)) <= hw_max
                  if (p_r := sample_rejection_prob(q, w)) <= p_r_max]
         filt = CatalogFilter(n_ring=1 << log_n, w=w, hw_naf_max=hw_max, p_r_max=p_r_max,
