@@ -148,6 +148,8 @@ class CatalogFilter(namedtuple("CatalogFilter", "n_ring w hw_naf_max p_r_max q_m
             raise ParamsError("ring dimension must be a power of two")
         if not 0 < w <= 64:
             raise ParamsError("word size must be in 1..64 bits (is_prime's exact range)")
+        if hw_naf_max < 0:
+            raise ParamsError(f"the NAF weight cap must be at least 0, got {hw_naf_max}")
         return super().__new__(cls, n_ring, w, hw_naf_max, Fraction(p_r_max), q_min_exclusive)
 
 

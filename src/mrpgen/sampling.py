@@ -10,9 +10,15 @@ multiplier would receive them.
 
 ``generate_segment`` is the engine unit and the reference: it validates
 (q, id_seg), encodes the domain input, expands one block and scans it once.
-``generate_limb`` computes the same n_seg units at once, as one (n_seg, t)
-word matrix filtered row by row, and a polynomial is one (L, N) ``uint32``
-array in base order, the same as the limb section of an MRP file.
+``generate_limb`` computes the same n_seg units at once.  It squeezes only
+the first k words of each block, k the fewest for which a short row in the
+limb has probability below PREFIX_MISS (the XOFs are prefix-consistent, so
+these are the block's own first words), and filters the (n_seg, k) word
+matrix column by column: a row's first seg_len words are kept as they are,
+and only the later columns consult the running acceptance count.  A limb
+with a row still short is made again over whole blocks, and that pass
+raises for a short row.  A polynomial is one (L, N) ``uint32`` array in
+base order, the same as the limb section of an MRP file.
 
 Because a segment is a pure function of (seed, q, id_seg) plus the profile,
 any schedule over any number of engines reproduces the serial client output
@@ -28,6 +34,8 @@ against per-segment assembly in shuffled orders (``tests/schedules.py``).
 from __future__ import annotations
 
 import contextlib
+import functools
+import math
 import mmap
 import os
 import signal
@@ -224,29 +232,76 @@ def generate_segment(seed: Seed, q: int, id_seg: int, params: GenParams) -> Segm
     return Segment(values=accepted[:params.seg_len].astype(np.uint32))
 
 
+# A limb squeezes k < t words per block only while a short row in it, which
+# makes it again over whole blocks, has a probability below this.
+PREFIX_MISS = 1e-3
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _prefix_words(q: int, w: int, seg_len: int, n_seg: int) -> int:
+    """The fewest words k <= t with n_seg * P[Binomial(k, 1 - p_r) < seg_len] < PREFIX_MISS.
+
+    p_r = (2^w mod q) / 2^w.  The tail at k = seg_len is 1 - a^seg_len with
+    a = 1 - p_r, and one more word removes the chance that the first k held
+    exactly seg_len - 1 acceptances and the new word is one:
+    tail(k + 1) = tail(k) - C(k, seg_len - 1) a^seg_len p_r^(k - seg_len + 1).
+    """
+    t = DEFAULT_R_BITS // w
+    p = ((1 << w) % q) / (1 << w)
+    a = 1 - p
+    k, tail = seg_len, 1 - a ** seg_len
+    while k < t and n_seg * tail >= PREFIX_MISS:
+        tail -= math.comb(k, seg_len - 1) * a ** seg_len * p ** (k - seg_len + 1)
+        k += 1
+    return k
+
+
+def _scan(inputs: np.ndarray, thresh: int, k: int,
+          params: GenParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(words, keep, count) over the first k words of each row's block.
+
+    words is the (n_seg, k) matrix, keep the transposed (k, n_seg) mask of
+    the words a row keeps, and count each row's acceptances, at most seg_len.
+    Fewer than seg_len words precede the first seg_len columns, so those are
+    kept wherever they are below the threshold; each later column keeps a
+    word only where its row is still short.
+    """
+    blocks = xof_expand_many(inputs, params.backend, out_len=k * params.w // 8)
+    words = split_words(blocks, params.w).reshape(params.n_seg, k)
+    keep = np.less(words.T, thresh, order="C")
+    # t <= 168 (r = 1344, w >= 8), so a uint8 count cannot wrap
+    count = keep[:params.seg_len].sum(axis=0, dtype=np.uint8)
+    for col in keep[params.seg_len:]:
+        col &= count < params.seg_len
+        count += col
+    return words, keep, count
+
+
 def generate_limb(seed: Seed, q: int, params: GenParams) -> Limb:
     """All n_seg segments for q as one word matrix, then the layout permutation.
 
     The n_seg inputs are one (n_seg, 42) byte matrix, row id_seg the input
-    generate_segment would encode, and its blocks come from one batched XOF
-    call; the matrix is not kept once hashed.  Row id_seg of the (n_seg, t)
-    word matrix is the block generate_segment would expand; a running
-    count of accepted words per row keeps each row's first seg_len
-    acceptances, so the result equals concatenating the segments.
-    Raises GenerationFailure naming the first short (q, id_seg).
+    generate_segment would encode, and their blocks come from one batched
+    XOF call that squeezes the first k = _prefix_words(...) words of each;
+    the matrix is not kept once hashed.  Row id_seg of the (n_seg, k) word
+    matrix starts the block generate_segment would expand, and keeping each
+    row's first seg_len acceptances gives the concatenated segments.  If a
+    row is short within k < t words, the limb is made again over whole
+    blocks, as rarely as PREFIX_MISS allows.  Raises GenerationFailure
+    naming the first short (q, id_seg) of whole blocks.
     """
     if q not in params.base:
         raise ParamsError(f"q={q} is not in the profile base")
-    blocks = xof_expand_many(encode_domain_inputs(seed, q, params.n_seg), params.backend)
-    words = split_words(blocks, params.w).reshape(params.n_seg, params.t)
-    keep = words < compute_threshold(q, params.w)
-    # t <= 168 (r = 1344, w >= 8), so a uint8 running count cannot wrap
-    rank = np.cumsum(keep, axis=1, dtype=np.uint8)
-    keep &= rank <= params.seg_len
-    coeffs = words[keep]
-    if len(coeffs) < params.N:
-        short = rank[:, -1] < params.seg_len
+    inputs = encode_domain_inputs(seed, q, params.n_seg)
+    thresh = compute_threshold(q, params.w)
+    k = _prefix_words(q, params.w, params.seg_len, params.n_seg)
+    words, keep, count = _scan(inputs, thresh, k, params)
+    if k < params.t and count.min() < params.seg_len:
+        words, keep, count = _scan(inputs, thresh, params.t, params)
+    short = count < params.seg_len
+    if short.any():
         raise GenerationFailure(q, int(np.argmax(short)))
+    coeffs = words[keep.T]
     return Limb(coeffs=permute(coeffs.astype(np.uint32, copy=False), params.layout))
 
 

@@ -13,11 +13,14 @@ expansion of ML-KEM (FIPS 203) builds all of its XOF inputs at once.
 ``encode_domain_input`` is the scalar ``bytes`` form of one row, for the
 per-segment engine path.
 
-``xof_expand_many`` expands such a matrix, one whole 168-byte block per row,
-into one buffer: block i is bytes [168*i, 168*(i+1)).  It checks the backend
-and the matrix's shape, dtype and width once for the batch, then hands the
-matrix to the backend's batch expander in ``BACKENDS``.  SHAKE128 hashes
-``bytes`` slices of one copy of the matrix with ``hashlib``, which beats any
+``xof_expand_many`` expands such a matrix to the same ``out_len``-byte prefix
+of each row's one 168-byte block (the whole block by default), into one
+buffer: row i's prefix is bytes [out_len*i, out_len*(i+1)).  Both XOFs are
+prefix-consistent, so a shorter squeeze gives the same leading bytes.  It
+checks the backend, the length and the matrix's shape, dtype and width once
+for the batch, then hands the matrix to the backend's batch expander in
+``BACKENDS``.  SHAKE128 hashes the rows of one copy of the matrix, unpacked
+as ``bytes`` by ``struct.iter_unpack``, with ``hashlib``, which beats any
 numpy Keccak per block; KangarooTwelve permutes all of the rows' states in
 one batched Keccak-p call.  ``xof_expand`` expands one ``bytes`` input to
 the first r_bits/8 bytes of its block: a valid SHAKE128 call goes to
@@ -31,6 +34,7 @@ the golden vectors.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +47,7 @@ SEED_BYTES = 36          # 288-bit seed
 COMMON_PART_BYTES = 32   # shared seed part of a multi-polynomial key
 INPUT_BYTES = 42         # seed || q(4) || id_seg(2)
 MAX_INPUT_BYTES = 64     # hard cap; keeps the hash to one absorb block
+BLOCK_BYTES = DEFAULT_R_BITS // 8  # 168: the one block a segment may squeeze
 
 _WORD_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4"}
 
@@ -119,18 +124,18 @@ def encode_domain_inputs(seed: Seed, q: int, count: int) -> np.ndarray:
     return rows
 
 
-def _expand_shake128(inputs: np.ndarray) -> bytearray:
+def _expand_shake128(inputs: np.ndarray, out_len: int) -> bytes | bytearray:
     count, width = inputs.shape
-    data = inputs.tobytes()
-    starts = range(0, count * width, width) if width else [0] * count
-    out, size = bytearray(), DEFAULT_R_BITS // 8
-    for lo in starts:
-        out += hashlib.shake_128(data[lo:lo + width]).digest(size)
+    if not width:  # a struct of length 0 cannot be unpacked iteratively
+        return hashlib.shake_128(b"").digest(out_len) * count
+    out = bytearray()
+    for (row,) in struct.iter_unpack(f"{width}s", inputs.tobytes()):
+        out += hashlib.shake_128(row).digest(out_len)
     return out
 
 
-def _expand_kangarootwelve(inputs: np.ndarray) -> bytes:
-    return keccak.kangaroo_twelve(inputs, b"", DEFAULT_R_BITS // 8)
+def _expand_kangarootwelve(inputs: np.ndarray, out_len: int) -> bytes:
+    return keccak.kangaroo_twelve(inputs, b"", out_len)
 
 
 BACKENDS = {
@@ -139,11 +144,13 @@ BACKENDS = {
 }
 
 
-def xof_expand_many(inputs: np.ndarray, backend: str = "shake128") -> bytes | bytearray:
-    """Produce one 1344-bit block of XOF output per matrix row, concatenated in order.
+def xof_expand_many(inputs: np.ndarray, backend: str = "shake128", *,
+                    out_len: int = BLOCK_BYTES) -> bytes | bytearray:
+    """The first out_len bytes of each matrix row's one XOF block, concatenated in order.
 
     ``inputs`` is a 2-D ``uint8`` matrix with one input of at most 64 bytes
-    per row, such as ``encode_domain_inputs`` returns.  One block per input,
+    per row, such as ``encode_domain_inputs`` returns; ``out_len`` is in
+    1..168, the whole 1344-bit block by default.  One block per input,
     never a second, mirroring hardware that latches a single sponge output per
     (q, id_seg) instance; the instances share no state, so a backend may
     compute them in any order or all at once.
@@ -156,7 +163,9 @@ def xof_expand_many(inputs: np.ndarray, backend: str = "shake128") -> bytes | by
         raise ParamsError("XOF batch inputs must be a 2-D uint8 matrix, one input per row")
     if inputs.shape[1] > MAX_INPUT_BYTES:
         raise ParamsError(f"XOF input longer than {MAX_INPUT_BYTES} bytes")
-    return expand(inputs)
+    if not (isinstance(out_len, int) and 0 < out_len <= BLOCK_BYTES):
+        raise ParamsError(f"XOF output length must be in 1..{BLOCK_BYTES} bytes, got {out_len!r}")
+    return expand(inputs, out_len)
 
 
 def xof_expand(data: bytes, r_bits: int = DEFAULT_R_BITS, backend: str = "shake128") -> bytes:
@@ -173,7 +182,7 @@ def xof_expand(data: bytes, r_bits: int = DEFAULT_R_BITS, backend: str = "shake1
     if backend == "shake128" and len(data) <= MAX_INPUT_BYTES:
         return hashlib.shake_128(data).digest(r_bits // 8)
     row = np.frombuffer(data, dtype=np.uint8).reshape(1, -1)
-    return bytes(xof_expand_many(row, backend)[:r_bits // 8])
+    return bytes(xof_expand_many(row, backend, out_len=r_bits // 8))
 
 
 def split_words(block: bytes, w: int) -> np.ndarray:

@@ -60,14 +60,23 @@ MUTANTS = [
      'lanes = keccak_p(state.view("<u8").T, 24)', MUST_FAIL),
     ("src/mrpgen/keccak.py", "0x07, out_len)", "0x06, out_len)", MUST_FAIL),
     # the generator: the filter, the threshold, the segment id, the short row
-    ("src/mrpgen/sampling.py", "keep &= rank <= params.seg_len",
-     "keep &= rank < params.seg_len", MUST_FAIL),
+    ("src/mrpgen/sampling.py", "col &= count < params.seg_len",
+     "col &= count <= params.seg_len", MUST_FAIL),
     ("src/mrpgen/sampling.py", "return ((1 << w) // q) * q", "return ((1 << w) // q) * q + 1",
      MUST_FAIL),
     ("src/mrpgen/xof.py", 'np.arange(count, dtype="<u2")', 'np.arange(count, dtype=">u2")',
      MUST_FAIL),
-    ("src/mrpgen/sampling.py", "if len(coeffs) < params.N:", "if len(coeffs) < params.N - 1:",
-     MUST_FAIL),
+    ("src/mrpgen/sampling.py", "short = count < params.seg_len",
+     "short = count < params.seg_len - 1", MUST_FAIL),
+    # the block prefix: k's bound, the fallback, the tail loop's start, the count's seed
+    ("src/mrpgen/sampling.py", "while k < t and n_seg * tail >= PREFIX_MISS:",
+     "while k < t and tail >= PREFIX_MISS:", MUST_FAIL),
+    ("src/mrpgen/sampling.py", "if k < params.t and count.min() < params.seg_len:",
+     "if k > params.t and count.min() < params.seg_len:", MUST_FAIL),
+    ("src/mrpgen/sampling.py", "for col in keep[params.seg_len:]:",
+     "for col in keep[params.seg_len + 1:]:", MUST_FAIL),
+    ("src/mrpgen/sampling.py", "count = keep[:params.seg_len].sum(",
+     "count = keep[:params.seg_len - 1].sum(", MUST_FAIL),
     ("src/mrpgen/sampling.py", "for row in range(rows - 1, -1, -1):",
      "for row in range(rows - 1, 0, -1):",
      "equivalent: the caller makes every row the helper did not store, row 0 included"),
@@ -86,8 +95,12 @@ MUTANTS = [
      "params = replace(params, layout=Permutation.identity(n_ring))", MUST_FAIL),
     ("src/mrpgen/formats.py", "if len(data) - pos > body:", "if len(data) - pos >= body:",
      MUST_FAIL),
-    # the catalog's cap only tightens; the seed options exclude each other
+    # the catalog's cap only tightens, and its weight cap is not negative; the
+    # solver keeps an endpoint that meets the budget exactly; the seed options
+    # exclude each other
     ("src/mrpgen/primes.py", "if cap > self.p_r_max:", "if cap >= self.p_r_max:", MUST_FAIL),
+    ("src/mrpgen/primes.py", "if hw_naf_max < 0:", "if hw_naf_max < -1:", MUST_FAIL),
+    ("src/mrpgen/analytics.py", "<= float(budget)", "< float(budget)", MUST_FAIL),
     # the catalog's sieve: its prime list, the struck class, the prime itself,
     # its bound and whether it is complete; the test-work bound's shortcut
     ("src/mrpgen/primes.py", "flags[0] = 0", "flags[0] = 1", MUST_FAIL),

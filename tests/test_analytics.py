@@ -329,6 +329,11 @@ class TestSolvePrMax:
         bumped = sol + Fraction(1, 10 ** 6)
         assert float(mrp_failure_bound(bumped, T, 16, 4096, 64)) > 0.03
 
+    def test_a_tie_with_the_budget_returns_the_endpoint(self):
+        # the first midpoint, 1/2, meets a budget equal to its own bound exactly
+        budget = mrp_failure_bound(Fraction(1, 2), 42, 4, 1, 1)
+        assert solve_p_r_max(42, 4, 1, 1, budget) == Fraction(1, 2)
+
     def test_monotone_in_len(self):
         n_ring = 1 << 16
         sols = [solve_p_r_max(T, seg_len, n_ring // seg_len, 64, Fraction("0.03"))

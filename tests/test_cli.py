@@ -430,6 +430,8 @@ class TestErrorTaxonomy:
          "params-error"),
         (["gen-mrp", "--params", "{params}", "--seed", "", "--common", "11" * 32,
           "--poly-id", "1"], "params-error"),
+        (["enum-primes", "--n", "16", "--qmin-bits", "19", "--hwnaf-max", "-1"],
+         "params-error"),
     ], ids=["seed-length", "seed-not-hex", "common-length", "common-not-hex",
             "poly-id-range", "limb-q-not-in-base", "seg-q-not-in-base", "seg-id-range",
             "stats-too-few-samples", "stats-one-bin", "analyze-pr-2", "analyze-pr-abc",
@@ -444,7 +446,7 @@ class TestErrorTaxonomy:
             "common-without-poly-id", "base-float", "base-empty", "base-too-wide",
             "perm-index-2^63", "cost-R-10^400", "cost-w-10^400", "enum-n-65",
             "enum-qmin-bits-65", "seed-with-common", "seed-with-poly-id",
-            "empty-seed-with-common"])
+            "empty-seed-with-common", "enum-hwnaf-max-1"])
     def test_bad_input_is_a_typed_error(self, capsys, tmp_path, params_file, argv,
                                         code_name):
         mrp = tmp_path / "p.mrp"

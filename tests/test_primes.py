@@ -301,8 +301,15 @@ class TestEnumerateSupported:
         with pytest.raises(ParamsError):
             CatalogFilter(n_ring=3, w=7, hw_naf_max=7, p_r_max=Fraction(1, 2))
 
+    @pytest.mark.parametrize("hw_max", [-1, -64])
+    def test_rejects_a_negative_weight_cap(self, hw_max):
+        # no modulus has a negative NAF weight, so the catalog would always be empty
+        with pytest.raises(ParamsError, match="NAF weight cap"):
+            CatalogFilter(n_ring=8, w=20, hw_naf_max=hw_max, p_r_max=Fraction(1, 2))
+        CatalogFilter(n_ring=8, w=20, hw_naf_max=0, p_r_max=Fraction(1, 2))
+
     @settings(max_examples=60, deadline=None)
-    @given(st.data(), st.integers(1, 8), st.integers(1, 20), st.integers(-1, 8),
+    @given(st.data(), st.integers(1, 8), st.integers(1, 20), st.integers(0, 8),
            st.fractions(min_value=0, max_value=1))
     def test_weight_first_scan_matches_brute_force(self, data, log_n, w, hw_max, p_r_max):
         q_min = data.draw(st.integers(0, 1 << w))
@@ -317,7 +324,7 @@ class TestEnumerateSupported:
         assert list(enumerate_supported(filt).records) == brute
 
     @settings(max_examples=30, deadline=None)
-    @given(st.data(), st.integers(0, 12), st.integers(33, 40), st.integers(-1, 40),
+    @given(st.data(), st.integers(0, 12), st.integers(33, 40), st.integers(0, 40),
            st.fractions(min_value=0, max_value=1))
     def test_partial_sieve_matches_brute_force(self, data, log_n, w, hw_max, p_r_max):
         # above 32-bit words the sieve stops at 2^16 and Miller-Rabin decides

@@ -15,6 +15,7 @@ import tempfile
 import threading
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from mrpgen import (GenerationFailure, GenParams, MultiResiduePolynomial, Params
                     generate_segment, is_ntt_friendly, permute,
                     sample_rejection_prob, seed_source_from_rng, split_words,
                     verify_mrp_file, xof_expand)
-from mrpgen import formats, keccak, read_mrp, sampling, write_mrp, xof
+from mrpgen import formats, keccak, primes, profiles, read_mrp, sampling, write_mrp, xof
+from mrpgen.analytics import seg_failure_prob
 from mrpgen.xof import encode_domain_input
 
 from conftest import ntt_primes
@@ -339,6 +341,108 @@ class TestGenerateLimb:
             except GenerationFailure as exc:
                 failures.append((exc.q, exc.id_seg))
         assert failures[0] is not None and failures.count(failures[0]) == 3
+
+
+def _counted_scans(monkeypatch) -> list[int]:
+    """The word count k of every _scan generate_limb makes from now on."""
+    ks, real = [], sampling._scan
+
+    def scan(inputs, thresh, k, params):
+        ks.append(k)
+        return real(inputs, thresh, k, params)
+
+    monkeypatch.setattr(sampling, "_scan", scan)
+    return ks
+
+
+class TestBlockPrefix:
+    @pytest.fixture(scope="class")
+    def catalog(self):
+        return primes.enumerate_supported(primes.CatalogFilter(
+            n_ring=profiles.DEFAULT_N, w=profiles.DEFAULT_W,
+            hw_naf_max=profiles.DEFAULT_HW_NAF_MAX, p_r_max=Fraction(1, 2),
+            q_min_exclusive=profiles.DEFAULT_Q_MIN_EXCLUSIVE))
+
+    @pytest.mark.parametrize("p_r_max, seg_len",
+                             [(row[0], row[3]) for row in profiles.REFERENCE_ROWS])
+    def test_k_is_the_fewest_words_the_model_allows(self, catalog, p_r_max, seg_len):
+        # n_seg * P[fewer than seg_len acceptances in k words] is below the
+        # miss bound at k, in exact arithmetic, and not below it at k - 1
+        n_seg, t = profiles.DEFAULT_N // seg_len, profiles.DEFAULT_T
+        bound = Fraction(sampling.PREFIX_MISS)
+
+        def meets(k):
+            return n_seg * seg_failure_prob(rec.p_r, k, seg_len) < bound
+
+        ks = []
+        for rec in catalog.restrict(Fraction(p_r_max)):
+            k = sampling._prefix_words(rec.q, profiles.DEFAULT_W, seg_len, n_seg)
+            assert seg_len <= k <= t
+            assert k == t or meets(k), rec.q
+            assert k == seg_len or not meets(k - 1), rec.q
+            ks.append(k)
+        assert min(ks) < t  # the prefix is shorter than the block somewhere
+
+    def test_fallback_over_whole_blocks_keeps_the_bits(self, monkeypatch, golden_mrp,
+                                                        golden_k12_limb):
+        # with k = seg_len nearly every limb has a short row in its prefix and
+        # is made again over whole blocks
+        monkeypatch.setattr(sampling, "_prefix_words", lambda q, w, seg_len, n_seg: seg_len)
+        ks = _counted_scans(monkeypatch)
+        k12 = golden_k12_limb
+        params = GenParams(N=k12["N"], w=32, seg_len=k12["len"], n_seg=k12["n_seg"],
+                           base=(k12["q"],), backend=k12["backend"])
+        coeffs = generate_limb(k12["seed"], k12["q"], params).coeffs
+        assert hashlib.sha256(coeffs.astype("<u4").tobytes()).hexdigest() == k12["sha256"]
+        assert ks == [params.seg_len, params.t]
+        params = GenParams(N=golden_mrp["N"], w=32, seg_len=golden_mrp["len"],
+                           n_seg=golden_mrp["n_seg"], base=golden_mrp["base"])
+        for q, expected in golden_mrp["limbs"].items():
+            assert generate_limb(golden_mrp["seed"], q, params).coeffs.tolist() == expected
+        ks.clear()
+        for w, n_ring in ((32, 1024), (16, 256), (8, 32)):
+            base = _moduli_pool(w, n_ring)
+            params = GenParams(N=n_ring, w=w, seg_len=4, n_seg=n_ring // 4, base=base)
+            for seed in (Seed(bytes(36)), Seed(bytes(range(36)))):
+                expected = assemble_segments(seed, params, 1, random.Random(0))
+                got = np.stack([generate_limb(seed, q, params).coeffs for q in base])
+                assert np.array_equal(got, expected), (w, seed)
+        redone = len(ks) - ks.count(4)
+        assert 0 < redone < ks.count(4)
+
+    def test_a_block_the_model_needs_whole_is_scanned_once(self, monkeypatch, zero_seed):
+        # p_r near 1/2 at len 32: the model cannot stop before t, and a short
+        # row is not scanned a second time
+        q = _moduli_pool(32, 256)[0]
+        params = GenParams(N=256, w=32, seg_len=32, n_seg=8, base=(q,))
+        assert sampling._prefix_words(q, 32, 32, 8) == params.t
+        ks = _counted_scans(monkeypatch)
+        expected = _outcome(lambda: assemble_segments(zero_seed, params, 1, random.Random(0)))
+        assert _outcome(lambda: generate_limb(zero_seed, q, params).coeffs) == expected
+        assert ks == [params.t]
+
+    @pytest.mark.parametrize("prefix", ["model", "seg_len"])
+    def test_a_short_row_is_the_first_short_segment(self, monkeypatch, prefix):
+        # p_r near 1/5 at len 32 over 8 segments: about a quarter of the
+        # segments are short, so the first short one varies with the seed
+        q = ntt_primes(256, 1, q_min=(1 << 32) * 4 // 5, q_max=1 << 32)[0]
+        params = GenParams(N=256, w=32, seg_len=32, n_seg=8, base=(q,))
+        if prefix == "seg_len":
+            monkeypatch.setattr(sampling, "_prefix_words", lambda q, w, seg_len, n_seg: seg_len)
+        named = []
+        for i in range(16):
+            seed = Seed(bytes([i]) * 36)
+            segments = [generate_segment(seed, q, j, params).values for j in range(8)]
+            short = [j for j, values in enumerate(segments) if len(values) < params.seg_len]
+            if not short:
+                assert np.array_equal(generate_limb(seed, q, params).coeffs,
+                                      np.concatenate(segments))
+                continue
+            with pytest.raises(GenerationFailure) as err:
+                generate_limb(seed, q, params)
+            assert (err.value.q, err.value.id_seg) == (q, short[0])
+            named.append(short[0])
+        assert len(set(named)) > 1 and len(named) < 16
 
 
 @functools.lru_cache(maxsize=None)

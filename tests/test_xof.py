@@ -146,13 +146,31 @@ class TestXofExpandMany:
             assert xof_expand(bytes(row), r_bits, backend) == one[:r_bits // 8]
 
     @pytest.mark.parametrize("backend", ["shake128", "kangarootwelve"])
+    @pytest.mark.parametrize("out_len", [1, 44, 167, 168])
+    def test_a_shorter_squeeze_is_each_blocks_prefix(self, backend, out_len):
+        inputs = encode_domain_inputs(Seed(bytes(range(36))), 7681, 5)
+        blocks = xof_expand_many(inputs, backend)
+        assert xof_expand_many(inputs, backend, out_len=out_len) == b"".join(
+            blocks[168 * i:168 * i + out_len] for i in range(5))
+
+    @pytest.mark.parametrize("backend", ["shake128", "kangarootwelve"])
+    @pytest.mark.parametrize("out_len", [0, -1, 169, 1.5, None])
+    def test_rejects_an_output_length_outside_the_block(self, backend, out_len):
+        with pytest.raises(ParamsError, match="output length"):
+            xof_expand_many(np.zeros((1, 42), np.uint8), backend, out_len=out_len)
+
+    @pytest.mark.parametrize("backend", ["shake128", "kangarootwelve"])
     def test_empty_batch(self, backend):
-        assert xof_expand_many(np.empty((0, INPUT_BYTES), np.uint8), backend=backend) == b""
+        for out_len in (168, 12):
+            assert xof_expand_many(np.empty((0, INPUT_BYTES), np.uint8), backend=backend,
+                                   out_len=out_len) == b""
 
     @pytest.mark.parametrize("backend", ["shake128", "kangarootwelve"])
     def test_empty_inputs(self, backend):
-        assert xof_expand_many(np.empty((3, 0), np.uint8), backend=backend) == (
-            xof_expand(b"", backend=backend) * 3)
+        for out_len in (168, 12):
+            assert xof_expand_many(np.empty((3, 0), np.uint8), backend=backend,
+                                   out_len=out_len) == (
+                xof_expand(b"", out_len * 8, backend=backend) * 3)
 
     def test_rejects_one_long_input_in_a_batch(self):
         with pytest.raises(ParamsError, match="longer than"):
@@ -170,7 +188,7 @@ class TestXofExpandMany:
             xof_expand_many(inputs, backend=backend)
 
     def test_rejects_bad_block_size_and_backend(self):
-        # the block is always one whole 1344-bit block: there is no size to pass
+        # a row's output is a prefix of its one block, sized only by out_len
         with pytest.raises(TypeError):
             xof_expand_many(np.zeros((1, 42), np.uint8), r_bits=1344)
         with pytest.raises(TypeError):
