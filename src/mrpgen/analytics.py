@@ -10,6 +10,10 @@ tail, summed once in exact integers (``seg_failure_prob``): for p_r = n/d,
 It becomes a float only inside -expm1(count * log1p(-seg_fail)), or as the
 rounded exact -count * seg_fail below 2^-60, so a failure probability is
 never 1 minus a near-one value and a subnormal tail keeps its precision.
+Over the whole bounded model, ``mrp_failure_bound`` is within 1e-15
+relative, or one subnormal (2^-1074) absolute, of the exact
+1 - (1 - seg_fail)^(n_seg L); below 2^-60, -count * seg_fail differs from
+count * log1p(-seg_fail) by a relative seg_fail / 2 at most.
 The MAX_* input bounds bound the tail's work.  The chi-square p-value is
 the closed form of Abramowitz & Stegun 26.4.4-26.4.5, summed outward from
 its largest term.  Only ``chi_square_uniformity`` touches numpy, and it

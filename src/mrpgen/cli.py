@@ -8,8 +8,7 @@ Miller-Rabin only above 32-bit words, which worker threads cannot overlap.
 gen-mrp, retry-gen and verify run the serial limb loop, which for a large
 polynomial one forked helper process may save work
 (``sampling._each_limb``); their output is the serial loop's.  With --out,
-gen-mrp and retry-gen hash the limb summaries on one second thread while the
-file is written, and join it before reporting.
+gen-mrp and retry-gen write the file and then hash the limb summaries.
 
 Exit codes: 0 success; 1 an expected domain failure, raised as a
 ``DomainFailure`` after the report is printed; 2 a usage error (argparse),
@@ -34,13 +33,11 @@ finalized by that collection.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import hashlib
 import json
 import math
 import sys
-import threading
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -132,31 +129,12 @@ def _limb_summaries(mrp) -> dict:
 
 
 def _summaries_and_write(mrp: MultiResiduePolynomial, params: GenParams, out) -> dict:
-    """_limb_summaries(mrp); with out, write_mrp(out, mrp, params) meanwhile.
+    """With out, write_mrp(out, mrp, params); then _limb_summaries(mrp)."""
+    if out:
+        from . import formats
 
-    The summaries are hashed on a second thread while the file is written:
-    hashlib and the file write both release the GIL on buffers this large,
-    so the two overlap.  The thread is joined before this returns or raises.
-    A thread that failed leaves the hashing to this thread, so its error is
-    raised here, in the caller, and threading.excepthook never prints it.
-    """
-    if not out:
-        return _limb_summaries(mrp)
-    from . import formats
-
-    hashed = []
-
-    def summarize():
-        with contextlib.suppress(Exception):
-            hashed.append(_limb_summaries(mrp))
-
-    thread = threading.Thread(target=summarize)
-    thread.start()
-    try:
         formats.write_mrp(out, mrp, params)
-    finally:
-        thread.join()
-    return hashed[0] if hashed else _limb_summaries(mrp)
+    return _limb_summaries(mrp)
 
 
 def _parse_fraction(text: str) -> Fraction:

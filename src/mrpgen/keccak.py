@@ -3,8 +3,9 @@
 The standard SHA-3 XOF path of this library goes through ``hashlib``; this
 module exists only to provide the optional reduced-round backend, whose two
 sponges, TurboSHAKE128 and KangarooTwelve (RFC 9861), both run 12 rounds.
-``keccak_p`` takes any round count, so the tests can check 12 and 24 rounds,
-and with them all 24 round constants, against a plain reference permutation.
+``keccak_p`` takes any round count from 0 to 24, so the tests can check 12
+and 24 rounds, and with them all 24 round constants, against a plain
+reference permutation.
 
 A state is 25 little-endian 64-bit lanes, lane (x, y) at index x + 5*y as in
 FIPS 202.  ``keccak_p`` takes a ``uint64`` array whose first axis is those 25
@@ -97,10 +98,13 @@ def keccak_p(lanes, rounds: int) -> np.ndarray:
 
     ``lanes`` may be anything ``np.asarray`` turns into 25 leading lanes,
     such as a list of 25 ints for one state; the input is not modified and
-    the result is a ``uint64`` array of the same shape.  States are permuted
-    _TILE at a time, so that a round's temporaries stay in cache, each tile in
-    a C-ordered copy (see the module docstring).
+    the result is a ``uint64`` array of the same shape.  ``rounds`` is an int
+    in 0..24: Keccak-p[1600, n] runs the last n of Keccak-f[1600]'s 24 rounds.
+    States are permuted _TILE at a time, so that a round's temporaries stay in
+    cache, each tile in a C-ordered copy (see the module docstring).
     """
+    if not isinstance(rounds, int) or not 0 <= rounds <= 24:
+        raise ParamsError(f"Keccak-p[1600] runs 0..24 rounds, got {rounds!r}")
     state = np.asarray(lanes, dtype=np.uint64)
     if state.shape[:1] != (25,):
         raise ParamsError(f"a Keccak state has 25 lanes, got shape {state.shape}")

@@ -27,20 +27,22 @@ shortfall) and the server can then regenerate any limb at random access
 without ever stalling.  The library's own schedule is one such schedule:
 ``generate_mrp`` and ``formats.verify_mrp_file`` run the serial limb loop,
 and for a large polynomial one forked helper runs it from the other end
-and only saves it work (``_each_limb``).  The test suite checks the result
-against per-segment assembly in shuffled orders (``tests/schedules.py``).
+and only saves it work (``_each_limb``); it is forked only where both the
+CPU affinity and any cgroup CPU quota give two CPUs (``_may_fork``).  The
+test suite checks the result against per-segment assembly in shuffled
+orders (``tests/schedules.py``).
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 import mmap
 import os
 import signal
 import threading
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import TYPE_CHECKING, Callable, ClassVar, Iterable
 
 import numpy as np
@@ -237,7 +239,6 @@ def generate_segment(seed: Seed, q: int, id_seg: int, params: GenParams) -> Segm
 PREFIX_MISS = 1e-3
 
 
-@functools.lru_cache(maxsize=1 << 12)
 def _prefix_words(q: int, w: int, seg_len: int, n_seg: int) -> int:
     """The fewest words k <= t with n_seg * P[Binomial(k, 1 - p_r) < seg_len] < PREFIX_MISS.
 
@@ -245,6 +246,8 @@ def _prefix_words(q: int, w: int, seg_len: int, n_seg: int) -> int:
     a = 1 - p_r, and one more word removes the chance that the first k held
     exactly seg_len - 1 acceptances and the new word is one:
     tail(k + 1) = tail(k) - C(k, seg_len - 1) a^seg_len p_r^(k - seg_len + 1).
+    Each limb computes it afresh: at most t - seg_len steps, microseconds
+    against the milliseconds of the limb.
     """
     t = DEFAULT_R_BITS // w
     p = ((1 << w) % q) / (1 << w)
@@ -321,6 +324,37 @@ def _shared_array(shape: tuple[int, ...], dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
 
 
+# Where _cpu_quota finds this process's cgroup and the cgroup's CPU limit.
+_PROC_CGROUP = "/proc/self/cgroup"
+_CGROUP_ROOT = "/sys/fs/cgroup"
+
+
+def _cpu_quota() -> int | None:
+    """The whole CPUs this process's cgroup grants, floor(quota / period), or
+    None for no limit.
+
+    A cgroup v1 line "id:cpu,...:/path" of _PROC_CGROUP puts the limit in
+    cpu.cfs_quota_us and cpu.cfs_period_us under _CGROUP_ROOT/cpu/path, with
+    a quota of -1 for none; without one, the v2 line "0::/path" puts it in
+    _CGROUP_ROOT/path/cpu.max as "quota period", with a quota of "max" for
+    none.  A missing, unreadable or malformed file also counts as none.
+    """
+    try:
+        entries = [line.split(":", 2) for line in Path(_PROC_CGROUP).read_text().splitlines()]
+        v1 = [path for _, names, path in entries if "cpu" in names.split(",")]
+        if v1:
+            where = Path(_CGROUP_ROOT, "cpu", v1[0].lstrip("/"))
+            fields = [(where / name).read_text()
+                      for name in ("cpu.cfs_quota_us", "cpu.cfs_period_us")]
+        else:
+            v2 = [path for _, names, path in entries if not names]
+            fields = Path(_CGROUP_ROOT, v2[0].lstrip("/"), "cpu.max").read_text().split()
+        quota, period = map(int, fields)  # "max" raises, as malformed text does
+    except (OSError, ValueError, IndexError):
+        return None
+    return quota // period if quota > 0 and period > 0 else None
+
+
 def _may_fork(params: GenParams) -> bool:
     # threading.active_count() sees Python threads only.  After import numpy
     # the OpenBLAS pool is a second OS thread, and a child that called into
@@ -331,7 +365,10 @@ def _may_fork(params: GenParams) -> bool:
         return False
     if threading.active_count() > 1 or len(params.base) * params.n_seg < MIN_FORK_BLOCKS:
         return False
-    return len(os.sched_getaffinity(0)) > 1 and len(params.base) > 1
+    if len(os.sched_getaffinity(0)) < 2 or len(params.base) < 2:
+        return False
+    cpus = _cpu_quota()  # two CPUs in the affinity mask may share one CPU of quota
+    return cpus is None or cpus >= 2
 
 
 def _wait(pid: int) -> int | None:

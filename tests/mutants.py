@@ -59,6 +59,12 @@ MUTANTS = [
     ("src/mrpgen/keccak.py", 'lanes = keccak_p(state.view("<u8").T, 12)',
      'lanes = keccak_p(state.view("<u8").T, 24)', MUST_FAIL),
     ("src/mrpgen/keccak.py", "0x07, out_len)", "0x06, out_len)", MUST_FAIL),
+    # the permutation: the round-count check, a round constant that only 24
+    # rounds use, a rho offset
+    ("src/mrpgen/keccak.py", "    if not isinstance(rounds, int) or not 0 <= rounds <= 24:\n",
+     "    if False:\n", MUST_FAIL),
+    ("src/mrpgen/keccak.py", "0x800000000000808A,", "0x800000000000808B,", MUST_FAIL),
+    ("src/mrpgen/keccak.py", "36, 44, 6, 55, 20,", "36, 44, 6, 55, 21,", MUST_FAIL),
     # the generator: the filter, the threshold, the segment id, the short row
     ("src/mrpgen/sampling.py", "col &= count < params.seg_len",
      "col &= count <= params.seg_len", MUST_FAIL),
@@ -77,6 +83,9 @@ MUTANTS = [
      "for col in keep[params.seg_len + 1:]:", MUST_FAIL),
     ("src/mrpgen/sampling.py", "count = keep[:params.seg_len].sum(",
      "count = keep[:params.seg_len - 1].sum(", MUST_FAIL),
+    # the helper needs two whole CPUs of cgroup quota
+    ("src/mrpgen/sampling.py", "return cpus is None or cpus >= 2",
+     "return cpus is None or cpus >= 1", MUST_FAIL),
     ("src/mrpgen/sampling.py", "for row in range(rows - 1, -1, -1):",
      "for row in range(rows - 1, 0, -1):",
      "equivalent: the caller makes every row the helper did not store, row 0 included"),
@@ -101,6 +110,9 @@ MUTANTS = [
     ("src/mrpgen/primes.py", "if cap > self.p_r_max:", "if cap >= self.p_r_max:", MUST_FAIL),
     ("src/mrpgen/primes.py", "if hw_naf_max < 0:", "if hw_naf_max < -1:", MUST_FAIL),
     ("src/mrpgen/analytics.py", "<= float(budget)", "< float(budget)", MUST_FAIL),
+    # the failure bound's exact branch: -count * seg_fail only below 2^-60
+    ("src/mrpgen/analytics.py", "if seg_fail > 2 ** -60", "if seg_fail > 2 ** -30",
+     MUST_FAIL),
     # the catalog's sieve: its prime list, the struck class, the prime itself,
     # its bound and whether it is complete; the test-work bound's shortcut
     ("src/mrpgen/primes.py", "flags[0] = 0", "flags[0] = 1", MUST_FAIL),

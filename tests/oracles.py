@@ -5,10 +5,14 @@ against.  ``mrp_failure_exact_base`` is the failure of an explicit base,
 which the worst-modulus bound must never understate, and
 ``empirical_failure_rate`` counts generation failures by Monte Carlo and
 returns the count with the exact rate of that base.  ``seed_space_bits`` is
-the seed space left once invalid seeds are discarded.
+the seed space left once invalid seeds are discarded.  ``failure_decimal``
+is 1 - (1 - seg_fail)^count in ``decimal`` arithmetic, which the float
+failure bound is checked against.
 """
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 from mrpgen import (GenerationFailure, ParamsError, generate_mrp, mrp_failure_bound,
                     sample_rejection_prob)
@@ -39,6 +43,26 @@ def seed_space_bits(seed_len: int, p_mrp) -> float:
     if not 0 < p_mrp <= 1:
         raise ParamsError("p_mrp must lie in (0, 1]")
     return seed_len + math.log2(p_mrp)
+
+
+def failure_decimal(seg_fail: Fraction, count: int, digits: int = 40) -> Decimal:
+    """1 - (1 - seg_fail)^count for an exact seg_fail in [0, 1], to about
+    `digits` significant digits.
+
+    The precision is `digits` plus the number of leading zeros of
+    x = seg_fail, so 1 - x keeps `digits` digits of x however small x is,
+    and so does the closing subtraction from 1, whose result is at least x.
+    A tail of d^-t with d <= 2^64 and t <= 168 takes about 3300 digits; the
+    integer power is binary exponentiation, at most 2 * 48 products for
+    count <= 2^48.
+    """
+    if seg_fail in (0, 1):
+        return Decimal(int(seg_fail))
+    zeros = seg_fail.denominator.bit_length() - seg_fail.numerator.bit_length() + 1
+    with localcontext() as ctx:
+        ctx.prec = digits + 5 + math.ceil(zeros * math.log10(2))
+        x = Decimal(seg_fail.numerator) / seg_fail.denominator
+        return 1 - (1 - x) ** count
 
 
 def mrp_failure_exact_base(p_r_list, t: int, seg_len: int, n_seg: int) -> float:

@@ -47,7 +47,7 @@ def assemble_segments(seed: Seed, params: GenParams, engine_count: int,
 @contextlib.contextmanager
 def forking(monkeypatch: pytest.MonkeyPatch):
     """generate_mrp and verify_mrp_file fork their one helper at any size,
-    as on a host with two CPUs.
+    as on a host with two CPUs and no cgroup CPU quota.
 
     Yields the pids os.fork handed out; at exit none may be left unreaped.
     The patches go through `monkeypatch`, so they are undone with it.
@@ -56,6 +56,7 @@ def forking(monkeypatch: pytest.MonkeyPatch):
         pytest.skip("no os.fork on this platform")
     monkeypatch.setattr(sampling, "MIN_FORK_BLOCKS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sampling, "_cpu_quota", lambda: None)
     pids = []
     real_fork = os.fork
 

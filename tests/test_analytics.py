@@ -6,13 +6,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrpgen import (GenParams, ParamsError, analytics, chi_square_uniformity,
                     fit_limb_count, mrp_failure_bound, sample_rejection_prob,
                     seed_source_from_rng, seg_failure_prob, solve_p_r_max)
 
 from conftest import ntt_primes
-from oracles import empirical_failure_rate, mrp_failure_exact_base, seed_space_bits
+from oracles import (empirical_failure_rate, failure_decimal, mrp_failure_exact_base,
+                     seed_space_bits)
 
 T = 42
 FIT_ARGS = dict(t=T, n_ring=1 << 14, max_fail=Fraction("0.03"), l_range=(1, 8))
@@ -195,6 +198,46 @@ class TestPMrpBound:
         exact = float(count * seg_failure_prob(p_r, T, 9))
         got = mrp_failure_bound(p_r, T, 9, 1 << 16, 1 << 32)
         assert got == pytest.approx(exact, rel=1e-14, abs=0)
+
+
+@st.composite
+def _tail_points(draw) -> tuple[Fraction, int, int]:
+    """(p_r, t, seg_len) with 0 < p_r = n/d < 1, d <= 2^64, and 1 <= seg_len
+    <= t <= 168; n is drawn near 0, anywhere and near d, so the tail runs
+    from near 1 down past the smallest float."""
+    t = draw(st.integers(1, analytics.MAX_T))
+    d = draw(st.integers(1, 64).flatmap(lambda bits: st.integers(2, 1 << bits)))
+    n = draw(st.one_of(st.integers(1, min(d - 1, 16)), st.integers(1, d - 1),
+                       st.integers(max(d - 16, 1), d - 1)))
+    return Fraction(n, d), t, draw(st.integers(1, t))
+
+
+class TestCertifiedBound:
+    """mrp_failure_bound is within 1e-15 relative, or one subnormal (2^-1074)
+    absolute, of the exact 1 - (1 - seg_fail)^(n_seg L) (analytics docstring)."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(_tail_points(), st.integers(1, 1 << 16), st.integers(1, 1 << 32))
+    # seg_fail about 7.9e-13, 1.9e-11 and 8.1e-10: between 2^-60 and 2^-30
+    # the exponent must be count * log1p(-x), not -count * x
+    @example((Fraction(2, 5), 42, 4), 1 << 14, 1)
+    @example((Fraction(1, 2), 50, 4), 1 << 14, 1 << 6)
+    @example((Fraction(1, 2), 44, 4), 1, 1)
+    # at the switch point (2^-60), a subnormal tail, a tail within 1e-17 of
+    # 1, the smallest tail the model admits (2^-10752), and the certain outcomes
+    @example((Fraction(1, 2), 60, 1), 1 << 16, 1 << 32)
+    @example((Fraction(1, 1 << 32), 42, 9), 1 << 16, 1 << 32)
+    @example((Fraction((1 << 64) - 1, 1 << 64), 168, 1), 1, 1)
+    @example((Fraction(1, 1 << 64), 168, 1), 1 << 16, 1 << 32)
+    @example((Fraction(0), 42, 32), 1 << 16, 1 << 32)
+    @example((Fraction(1, 3), 42, 43), 1, 1)
+    def test_the_bound_is_within_its_stated_error(self, point, n_seg, L):
+        p_r, t, seg_len = point
+        exact = failure_decimal(seg_failure_prob(p_r, t, seg_len), n_seg * L)
+        got = mrp_failure_bound(p_r, t, seg_len, n_seg, L)
+        error = abs(Decimal(got) - exact)
+        assert error <= max(Decimal("1e-15") * exact, Decimal(math.ulp(0.0))), (
+            got, f"{exact:.20e}")
 
 
 class TestExactBaseFailure:

@@ -125,8 +125,7 @@ class TestGenerateCommands:
 
 
 class TestWriteAndHash:
-    """gen-mrp and retry-gen hash the limb summaries on a second thread while
-    --out is written."""
+    """gen-mrp and retry-gen write --out, then hash the limb summaries."""
 
     @pytest.mark.parametrize("argv", [["gen-mrp", "--seed", ZERO_SEED], ["retry-gen"]],
                              ids=["gen-mrp", "retry-gen"])
@@ -144,31 +143,6 @@ class TestWriteAndHash:
         assert json.loads(out)["result"]["limb_sha256"] == {
             str(q): hashlib.sha256(row.tobytes()).hexdigest()
             for q, row in zip(params.base, stored)}
-
-    @pytest.mark.parametrize("target", ["x.mrp", "missing/x.mrp"], ids=["ok", "io-error"])
-    def test_the_thread_is_joined_before_main_returns(self, capsys, monkeypatch, tmp_path,
-                                                      params_file, target):
-        real = cli._limb_summaries
-
-        def slow(mrp):
-            time.sleep(0.2)
-            return real(mrp)
-        monkeypatch.setattr(cli, "_limb_summaries", slow)
-        code, _, _ = run(capsys, "retry-gen", "--params", params_file,
-                         "--out", tmp_path / target)
-        assert code == (0 if target == "x.mrp" else 2)
-        assert threading.active_count() == 1
-
-    def test_an_error_in_the_thread_is_raised_in_the_caller(self, capsys, monkeypatch,
-                                                           tmp_path, params_file):
-        def broken(mrp):
-            raise RuntimeError("boom")
-        monkeypatch.setattr(cli, "_limb_summaries", broken)
-        code, out, err = run(capsys, "retry-gen", "--params", params_file,
-                             "--out", tmp_path / "x.mrp")
-        assert (code, out) == (3, "")
-        assert err == "error code=internal-error RuntimeError: boom\n"
-        assert threading.active_count() == 1
 
 
 class TestExitWithoutCollection:
@@ -545,7 +519,7 @@ class TestErrorTaxonomy:
         assert (code, out) == (2, "")
         assert err == f"error code=io-error [Errno 2] No such file or directory: {target!r}\n"
         assert ".tmp" not in err
-        assert threading.active_count() == 1  # the hashing thread was joined
+        assert threading.active_count() == 1  # no handler starts a thread
 
     def test_retry_exhausted_exits_one(self, capsys, hard_params_file):
         path, q = hard_params_file

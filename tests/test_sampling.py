@@ -659,6 +659,9 @@ class TestClientRetry:
         assert [a().hex() for _ in range(4)] == [b().hex() for _ in range(4)]
 
 
+_CPU_QUOTA = sampling._cpu_quota  # the real reader, which forking() replaces
+
+
 def _serial_rows(seed, params):
     return np.stack([generate_limb(seed, q, params).coeffs for q in params.base])
 
@@ -845,6 +848,7 @@ class TestForkedGeneration:
             "from mrpgen import GenParams, Seed, generate_mrp, sampling",
             "sampling.MIN_FORK_BLOCKS = 0",
             "os.sched_getaffinity = lambda pid: {0, 1}",
+            "sampling._cpu_quota = lambda: None",
             "caller, real = os.getpid(), sampling.generate_limb",
             "def slow(seed, q, p):",
             "    if os.getpid() == caller:",
@@ -1049,6 +1053,54 @@ class TestForkedGeneration:
         assert np.array_equal(generate_mrp(zero_seed, params).coeffs,
                               _serial_rows(zero_seed, params))
         assert len(attempts) == 1
+
+    # fake cgroup trees: (/proc/self/cgroup text, {file under the root: text})
+    V1 = "12:cpu,cpuacct:/job\n3:memory:/job\n0::/\n"
+    V2 = "0::/job\n"
+    CGROUPS = {
+        "v1-one-cpu": (V1, {"cpu/job/cpu.cfs_quota_us": "150000\n",
+                            "cpu/job/cpu.cfs_period_us": "100000\n"}, 1),
+        "v1-two-cpus": (V1, {"cpu/job/cpu.cfs_quota_us": "200000\n",
+                             "cpu/job/cpu.cfs_period_us": "100000\n"}, 2),
+        "v1-half-cpu": (V1, {"cpu/job/cpu.cfs_quota_us": "50000\n",
+                             "cpu/job/cpu.cfs_period_us": "100000\n"}, 0),
+        "v1-no-quota": (V1, {"cpu/job/cpu.cfs_quota_us": "-1\n",
+                             "cpu/job/cpu.cfs_period_us": "100000\n"}, None),
+        "v1-no-period": (V1, {"cpu/job/cpu.cfs_quota_us": "100000\n"}, None),
+        "v1-unreadable": (V1, {"cpu/job/cpu.cfs_quota_us/x": "",
+                               "cpu/job/cpu.cfs_period_us": "100000\n"}, None),
+        "v2-one-cpu": (V2, {"job/cpu.max": "100000 100000\n"}, 1),
+        "v2-two-cpus": (V2, {"job/cpu.max": "250000 100000\n"}, 2),
+        "v2-max": (V2, {"job/cpu.max": "max 100000\n"}, None),
+        "v2-missing": (V2, {}, None),
+        "v2-malformed": (V2, {"job/cpu.max": "100000\n"}, None),
+        "v2-zero-period": (V2, {"job/cpu.max": "100000 0\n"}, None),
+        "no-cgroup-file": (None, {}, None),
+        "malformed-cgroup-file": ("cpu\n", {}, None),
+    }
+
+    @pytest.fixture(params=list(CGROUPS), ids=list(CGROUPS))
+    def cgroup(self, request, monkeypatch, tmp_path):
+        """A fake cgroup tree under tmp_path; the CPUs its quota grants."""
+        proc, files, cpus = self.CGROUPS[request.param]
+        if proc is not None:
+            (tmp_path / "cgroup").write_text(proc)
+        for name, text in files.items():
+            (tmp_path / "root" / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / "root" / name).write_text(text)
+        monkeypatch.setattr(sampling, "_PROC_CGROUP", str(tmp_path / "cgroup"))
+        monkeypatch.setattr(sampling, "_CGROUP_ROOT", str(tmp_path / "root"))
+        return cpus
+
+    def test_a_cpu_quota_below_two_cpus_keeps_the_loop_serial(self, monkeypatch, forked,
+                                                              zero_seed, cgroup):
+        # forked stands in for a host with no quota; read the fake tree instead
+        monkeypatch.setattr(sampling, "_cpu_quota", _CPU_QUOTA)
+        assert sampling._cpu_quota() == cgroup
+        params = self._profile()
+        assert np.array_equal(generate_mrp(zero_seed, params).coeffs,
+                              _serial_rows(zero_seed, params))
+        assert len(forked) == (cgroup is None or cgroup >= 2)
 
     @pytest.mark.parametrize("module, missing", [(os, "fork"), (os, "sched_getaffinity"),
                                                  (signal, "pthread_sigmask")],

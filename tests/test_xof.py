@@ -322,6 +322,29 @@ def _assert_reference_permutation(lanes, rounds):
 
 
 class TestKeccakP:
+    def test_keccak_f1600_of_the_zero_state(self):
+        # the Keccak team's known answer; 24 rounds use every round constant
+        out = keccak.keccak_p([0] * 25, 24)
+        assert int(out[0]) == 0xF1258F7940E1DDE7
+        assert out.tolist() == _reference_permute([0] * 25, 24)
+
+    # at the real tile width, with no patching: one state, one short of a
+    # tile, one tile, one past it and two tiles and a partial third.  State b
+    # is pool[b % 67], so the reference permutes only the pool, and as 67
+    # does not divide the tile width, each tile starts at another pool state.
+    @pytest.mark.parametrize("rounds", [12, 24])
+    def test_fixed_batches_across_tiles_equal_reference_per_state(self, rounds):
+        pool = np.random.default_rng(2026).integers(0, 2 ** 64, size=(67, 25),
+                                                    dtype=np.uint64)
+        expected = np.array([_reference_permute(state, rounds) for state in pool],
+                            dtype=np.uint64)
+        tile = keccak._TILE
+        for width in (1, tile - 1, tile, tile + 1, 2 * tile + 3):
+            index = np.arange(width) % len(pool)
+            out = keccak.keccak_p(pool[index].T, rounds)
+            wrong = np.flatnonzero((out != expected[index].T).any(axis=0))
+            assert wrong.size == 0, f"width {width}: states {wrong[:8].tolist()} differ"
+
     @settings(deadline=None, max_examples=20)
     @given(st.sampled_from([12, 24]), st.sampled_from([1, 2, 7, 64]), st.data())
     def test_batch_equals_reference_per_state(self, rounds, count, data):
@@ -380,3 +403,9 @@ class TestKeccakP:
     def test_rejects_a_state_without_25_lanes(self):
         with pytest.raises(ParamsError):
             keccak.keccak_p([0] * 24, 12)
+
+    # Keccak-p[1600, n] is the last n of 24 rounds: 25 would silently run one
+    @pytest.mark.parametrize("rounds", [-1, 25, 12.0])
+    def test_rejects_a_round_count_it_cannot_run(self, rounds):
+        with pytest.raises(ParamsError, match="0..24 rounds"):
+            keccak.keccak_p([0] * 25, rounds)
