@@ -130,7 +130,7 @@ def _limb_summaries(mrp) -> dict:
 
 def _summaries_and_write(mrp: MultiResiduePolynomial, params: GenParams, out) -> dict:
     """With out, write_mrp(out, mrp, params); then _limb_summaries(mrp)."""
-    if out:
+    if out is not None:
         from . import formats
 
         formats.write_mrp(out, mrp, params)
@@ -157,7 +157,7 @@ def cmd_gen_mrp(args) -> None:
         "N": params.N, "w": params.w, "n_seg": params.n_seg,
         "base": list(params.base),
         "limb_sha256": _summaries_and_write(mrp, params, args.out),
-        "out": str(args.out) if args.out else None,
+        "out": None if args.out is None else str(args.out),
     }
     _emit(args, payload)
 
@@ -170,13 +170,13 @@ def cmd_gen_limb(args) -> None:
     params = formats.load_params(args.params)
     seed = _seed_from_args(args)
     limb = sampling.generate_limb(seed, args.q, params)
-    if args.out:
+    if args.out is not None:
         formats._write_file(args.out, (np.ascontiguousarray(limb.coeffs, dtype="<u4"),))
     payload = {
         "seed": seed.hex(), "q": args.q, "coeff_count": len(limb.coeffs),
         "sha256": _sha256_words(limb.coeffs),
         "head": limb.coeffs[:4].tolist(), "tail": limb.coeffs[-4:].tolist(),
-        "out": str(args.out) if args.out else None,
+        "out": None if args.out is None else str(args.out),
     }
     _emit(args, payload)
 
@@ -211,7 +211,7 @@ def cmd_retry_gen(args) -> None:
         "seed": result.seed.hex(),
         "rng_seed": args.rng_seed,
         "limb_sha256": _summaries_and_write(result.mrp, params, args.out),
-        "out": str(args.out) if args.out else None,
+        "out": None if args.out is None else str(args.out),
     }
     _emit(args, payload)
 

@@ -8,17 +8,19 @@ copies of every residue class, so accepted words are uniform mod q without
 any bias correction; they are stored unreduced, as a downstream modular
 multiplier would receive them.
 
-``generate_segment`` is the engine unit and the reference: it validates
-(q, id_seg), encodes the domain input, expands one block and scans it once.
-``generate_limb`` computes the same n_seg units at once.  It squeezes only
+There is one engine path, ``_scan``: it expands the first k words of the
+blocks of a batch of segments, one row each, and filters the word matrix
+column by column.  A row's first seg_len words are kept as they are, and
+only the later columns consult the running acceptance count.
+``generate_limb`` scans all n_seg rows of one modulus.  It squeezes only
 the first k words of each block, k the fewest for which a short row in the
 limb has probability below PREFIX_MISS (the XOFs are prefix-consistent, so
-these are the block's own first words), and filters the (n_seg, k) word
-matrix column by column: a row's first seg_len words are kept as they are,
-and only the later columns consult the running acceptance count.  A limb
-with a row still short is made again over whole blocks, and that pass
-raises for a short row.  A polynomial is one (L, N) ``uint32`` array in
-base order, the same as the limb section of an MRP file.
+these are the block's own first words); a limb with a row still short is
+scanned again over whole blocks, and that pass raises for a short row.
+``generate_segment``, the unit one distributed engine computes, is one row
+scanned over its whole block, and a short segment stays data there.  A
+polynomial is one (L, N) ``uint32`` array in base order, the same as the
+limb section of an MRP file.
 
 Because a segment is a pure function of (seed, q, id_seg) plus the profile,
 any schedule over any number of engines reproduces the serial client output
@@ -29,8 +31,8 @@ without ever stalling.  The library's own schedule is one such schedule:
 and for a large polynomial one forked helper runs it from the other end
 and only saves it work (``_each_limb``); it is forked only where both the
 CPU affinity and any cgroup CPU quota give two CPUs (``_may_fork``).  The
-test suite checks the result against per-segment assembly in shuffled
-orders (``tests/schedules.py``).
+test suite checks the result against an independent per-segment reference
+assembled in shuffled orders (``tests/schedules.py``).
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ import numpy as np
 from .errors import GenerationFailure, ParamsError, RetryExhausted
 from .primes import is_ntt_friendly
 from .profiles import DEFAULT_R_BITS, MAX_N_SEG
-from .xof import (BACKENDS, SEED_BYTES, Seed, encode_domain_input, encode_domain_inputs,
-                  split_words, xof_expand, xof_expand_many)
+from .xof import BACKENDS, SEED_BYTES, Seed, encode_domain_inputs, split_words, xof_expand_many
 
 if TYPE_CHECKING:
     import random
@@ -167,7 +168,8 @@ class GenParams:
         return replace(self, base=tuple(base))
 
 
-# Segment and Limb stay only because bench/workloads.py reads .values and .coeffs
+# Segment and Limb stay only because bench/workloads.py reads .values and .coeffs;
+# xof.encode_domain_input and xof.xof_expand stay, as one-row views, because it calls them
 @dataclass(eq=False)
 class Segment:
     """Accepted words for one (q, id_seg) unit, in scan order, unreduced.
@@ -216,7 +218,7 @@ def compute_threshold(q: int, w: int) -> int:
 
 
 def generate_segment(seed: Seed, q: int, id_seg: int, params: GenParams) -> Segment:
-    """The exact unit one distributed engine computes.
+    """The exact unit one distributed engine computes: one row of _scan.
 
     Expands the one XOF block keyed by (seed, q, id_seg) and scans its
     t = floor(r/w) words in index order, keeping words below thresh(q, w)
@@ -228,10 +230,9 @@ def generate_segment(seed: Seed, q: int, id_seg: int, params: GenParams) -> Segm
         raise ParamsError(f"q={q} is not in the profile base")
     if not 0 <= id_seg < params.n_seg:
         raise ParamsError(f"id_seg {id_seg} out of range for n_seg={params.n_seg}")
-    block = xof_expand(encode_domain_input(seed, q, id_seg), backend=params.backend)
-    words = split_words(block, params.w)
-    accepted = words[words < compute_threshold(q, params.w)]
-    return Segment(values=accepted[:params.seg_len].astype(np.uint32))
+    inputs = encode_domain_inputs(seed, q, range(id_seg, id_seg + 1))
+    words, keep, _ = _scan(inputs, compute_threshold(q, params.w), params.t, params)
+    return Segment(values=words[keep.T].astype(np.uint32, copy=False))
 
 
 # A limb squeezes k < t words per block only while a short row in it, which
@@ -261,16 +262,16 @@ def _prefix_words(q: int, w: int, seg_len: int, n_seg: int) -> int:
 
 def _scan(inputs: np.ndarray, thresh: int, k: int,
           params: GenParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(words, keep, count) over the first k words of each row's block.
+    """(words, keep, count) over the first k words of each input row's block.
 
-    words is the (n_seg, k) matrix, keep the transposed (k, n_seg) mask of
+    words is the (rows, k) matrix, keep the transposed (k, rows) mask of
     the words a row keeps, and count each row's acceptances, at most seg_len.
     Fewer than seg_len words precede the first seg_len columns, so those are
     kept wherever they are below the threshold; each later column keeps a
     word only where its row is still short.
     """
     blocks = xof_expand_many(inputs, params.backend, out_len=k * params.w // 8)
-    words = split_words(blocks, params.w).reshape(params.n_seg, k)
+    words = split_words(blocks, params.w).reshape(len(inputs), k)
     keep = np.less(words.T, thresh, order="C")
     # t <= 168 (r = 1344, w >= 8), so a uint8 count cannot wrap
     count = keep[:params.seg_len].sum(axis=0, dtype=np.uint8)
@@ -283,19 +284,18 @@ def _scan(inputs: np.ndarray, thresh: int, k: int,
 def generate_limb(seed: Seed, q: int, params: GenParams) -> Limb:
     """All n_seg segments for q as one word matrix, then the layout permutation.
 
-    The n_seg inputs are one (n_seg, 42) byte matrix, row id_seg the input
-    generate_segment would encode, and their blocks come from one batched
-    XOF call that squeezes the first k = _prefix_words(...) words of each;
-    the matrix is not kept once hashed.  Row id_seg of the (n_seg, k) word
-    matrix starts the block generate_segment would expand, and keeping each
-    row's first seg_len acceptances gives the concatenated segments.  If a
-    row is short within k < t words, the limb is made again over whole
+    The inputs of range(n_seg) are one (n_seg, 42) byte matrix, and _scan
+    squeezes the first k = _prefix_words(...) words of each row's block in
+    one batched XOF call; the matrix is not kept once hashed.  Row id_seg of
+    the (n_seg, k) word matrix starts segment id_seg's block, and keeping
+    each row's first seg_len acceptances gives the concatenated segments.
+    If a row is short within k < t words, the limb is made again over whole
     blocks, as rarely as PREFIX_MISS allows.  Raises GenerationFailure
     naming the first short (q, id_seg) of whole blocks.
     """
     if q not in params.base:
         raise ParamsError(f"q={q} is not in the profile base")
-    inputs = encode_domain_inputs(seed, q, params.n_seg)
+    inputs = encode_domain_inputs(seed, q, range(params.n_seg))
     thresh = compute_threshold(q, params.w)
     k = _prefix_words(q, params.w, params.seg_len, params.n_seg)
     words, keep, count = _scan(inputs, thresh, k, params)

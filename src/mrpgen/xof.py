@@ -6,12 +6,13 @@ the 32-bit modulus, and the 16-bit segment index, 336 bits in all.  The
 modulus and segment index make every segment's stream independent, which is
 what allows segments to be generated in any order, on any engine.
 
-A limb's inputs are one (n_seg, 42) ``uint8`` matrix, row id_seg the input of
-segment id_seg: ``encode_domain_inputs`` broadcasts the ``seed || q`` prefix
-and appends the little-endian segment indices, as the vectorized matrix
-expansion of ML-KEM (FIPS 203) builds all of its XOF inputs at once.
-``encode_domain_input`` is the scalar ``bytes`` form of one row, for the
-per-segment engine path.
+There is one path from a range of segment ids to their blocks.
+``encode_domain_inputs`` builds the inputs of a range of segment ids as one
+(len(ids), 42) ``uint8`` matrix: it broadcasts the ``seed || q`` prefix and
+appends the little-endian segment indices, as the vectorized matrix
+expansion of ML-KEM (FIPS 203) builds all of its XOF inputs at once.  A
+limb's inputs are the rows of ``range(n_seg)``, a segment's the one row of
+its own id.
 
 ``xof_expand_many`` expands such a matrix to the same ``out_len``-byte prefix
 of each row's one 168-byte block (the whole block by default), into one
@@ -22,9 +23,9 @@ for the batch, then hands the matrix to the backend's batch expander in
 ``BACKENDS``.  SHAKE128 hashes the rows of one copy of the matrix, unpacked
 as ``bytes`` by ``struct.iter_unpack``, with ``hashlib``, which beats any
 numpy Keccak per block; KangarooTwelve permutes all of the rows' states in
-one batched Keccak-p call.  ``xof_expand`` expands one ``bytes`` input to
-the first r_bits/8 bytes of its block: a valid SHAKE128 call goes to
-``hashlib`` directly, anything else is a one-row matrix.
+one batched Keccak-p call.  ``encode_domain_input`` and ``xof_expand`` are
+one-row views of the two batch functions, for callers that hold one input
+as ``bytes``.
 
 All multi-byte values are little-endian; both the encoder and the word
 splitter share the convention so any fixed-width field change shows up in
@@ -93,35 +94,26 @@ def derive_polynomial_seed(common: bytes, poly_id: int) -> Seed:
     return Seed(common + poly_id.to_bytes(4, "little"))
 
 
-def _domain_prefix(seed: Seed, q: int) -> bytes:
+def encode_domain_inputs(seed: Seed, q: int, ids: range) -> np.ndarray:
+    """Encode ``seed || q || id_seg`` for each id_seg in ids: one (len(ids), 42) ``uint8`` matrix.
+
+    ids is a step-1 range within the 16-bit segment ids; row i is the input
+    of segment ids[i].  Injective by construction: all three fields have
+    fixed width.
+    """
     if not 0 < q < 2 ** 32:
         raise ParamsError("q must be a positive 32-bit value")
-    return seed.data + q.to_bytes(4, "little")
+    if not (ids.step == 1 and 0 <= ids.start <= ids.stop <= MAX_N_SEG):
+        raise ParamsError(f"segment ids must be a range within 0..{MAX_N_SEG - 1} (16 bits)")
+    rows = np.empty((len(ids), INPUT_BYTES), dtype=np.uint8)
+    rows[:, :-2] = np.frombuffer(seed.data + q.to_bytes(4, "little"), dtype=np.uint8)
+    rows[:, -2:] = np.arange(ids.start, ids.stop, dtype="<u2").view(np.uint8).reshape(-1, 2)
+    return rows
 
 
 def encode_domain_input(seed: Seed, q: int, id_seg: int) -> bytes:
-    """Encode ``seed || q || id_seg`` into the fixed 42-byte hash input.
-
-    Injective by construction: all three fields have fixed width.
-    """
-    prefix = _domain_prefix(seed, q)
-    if not 0 <= id_seg < MAX_N_SEG:
-        raise ParamsError("id_seg must fit in 16 bits")
-    return prefix + id_seg.to_bytes(2, "little")
-
-
-def encode_domain_inputs(seed: Seed, q: int, count: int) -> np.ndarray:
-    """The inputs of segments 0..count-1 as one (count, 42) ``uint8`` matrix.
-
-    Row i equals ``encode_domain_input(seed, q, i)``.
-    """
-    prefix = _domain_prefix(seed, q)
-    if not 0 <= count <= MAX_N_SEG:
-        raise ParamsError("count must be in 0..65536 (16-bit segment ids)")
-    rows = np.empty((count, INPUT_BYTES), dtype=np.uint8)
-    rows[:, :len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
-    rows[:, len(prefix):] = np.arange(count, dtype="<u2").view(np.uint8).reshape(count, 2)
-    return rows
+    """The 42-byte hash input of one segment: its row of encode_domain_inputs."""
+    return encode_domain_inputs(seed, q, range(id_seg, id_seg + 1)).tobytes()
 
 
 def _expand_shake128(inputs: np.ndarray, out_len: int) -> bytes | bytearray:
@@ -169,18 +161,13 @@ def xof_expand_many(inputs: np.ndarray, backend: str = "shake128", *,
 
 
 def xof_expand(data: bytes, r_bits: int = DEFAULT_R_BITS, backend: str = "shake128") -> bytes:
-    """The first r_bits/8 bytes of ``data``'s one XOF block: a batch of one.
+    """The first r_bits/8 bytes of ``data``'s one XOF block: a batch of one row.
 
-    ``r_bits`` is a positive multiple of 8 up to the block's 1344 bits.  A
-    valid SHAKE128 call goes straight to ``hashlib``: building a one-row
-    matrix costs more than a hash.  Anything else takes the batch path as a
-    one-row matrix, which also reports an invalid call.
+    ``r_bits`` is a positive multiple of 8 up to the block's 1344 bits.
     """
     if not (0 < r_bits <= DEFAULT_R_BITS and r_bits % 8 == 0):
         raise ParamsError(f"block size must be a positive multiple of 8 bits "
                           f"up to {DEFAULT_R_BITS}, got {r_bits}")
-    if backend == "shake128" and len(data) <= MAX_INPUT_BYTES:
-        return hashlib.shake_128(data).digest(r_bits // 8)
     row = np.frombuffer(data, dtype=np.uint8).reshape(1, -1)
     return bytes(xof_expand_many(row, backend, out_len=r_bits // 8))
 

@@ -5,13 +5,15 @@ Run from anywhere, with the interpreter that runs the tests:
     python tests/mutants.py
 
 The run copies ``src/``, ``tests/`` and ``pyproject.toml`` into a temporary
-directory.  For each mutant it replaces the old text, which must occur
-exactly once, with the new text in that file of the copy, runs
-``python -m pytest -x -q tests`` there and puts the file back.  A mutant is
-killed when pytest fails; the report names the first failing test and the
-seconds the run took.  A mutant the suite passes survived.  Each entry says
-either that it must fail or why it is equivalent: why no input can tell it
-from the original.  A survivor that must fail is a missing test.
+directory, leaving out ``tests/test_mutants.py``, which checks this list
+against the unmutated tree in tier-1.  For each mutant it replaces the old
+text, which must occur exactly once, with the new text in that file of the
+copy, runs ``python -m pytest -x -q tests`` there and puts the file back.
+A mutant is killed when pytest fails; the report names the first failing
+test and the seconds the run took.  A mutant the suite passes survived.
+Each entry says either that it must fail or why it is equivalent: why no
+input can tell it from the original.  A survivor that must fail is a
+missing test.
 
 The exit status is 1 if a mutant that must fail survived, an equivalent one
 was killed, or an old text no longer occurs exactly once; 0 otherwise.  The
@@ -70,8 +72,11 @@ MUTANTS = [
      "col &= count <= params.seg_len", MUST_FAIL),
     ("src/mrpgen/sampling.py", "return ((1 << w) // q) * q", "return ((1 << w) // q) * q + 1",
      MUST_FAIL),
-    ("src/mrpgen/xof.py", 'np.arange(count, dtype="<u2")', 'np.arange(count, dtype=">u2")',
-     MUST_FAIL),
+    ("src/mrpgen/xof.py", 'np.arange(ids.start, ids.stop, dtype="<u2")',
+     'np.arange(ids.start, ids.stop, dtype=">u2")', MUST_FAIL),
+    # a segment is one row of the scan, over its whole block
+    ("src/mrpgen/sampling.py", "compute_threshold(q, params.w), params.t, params)",
+     "compute_threshold(q, params.w), params.t - 1, params)", MUST_FAIL),
     ("src/mrpgen/sampling.py", "short = count < params.seg_len",
      "short = count < params.seg_len - 1", MUST_FAIL),
     # the block prefix: k's bound, the fallback, the tail loop's start, the count's seed
@@ -93,10 +98,16 @@ MUTANTS = [
     ("src/mrpgen/profiles.py", "MAX_N_SEG = 1 << 16", "MAX_N_SEG = 1 << 15", MUST_FAIL),
     ("src/mrpgen/sampling.py", "self.n_seg > MAX_N_SEG:", "self.n_seg >= MAX_N_SEG:",
      MUST_FAIL),
-    ("src/mrpgen/xof.py", "if not 0 <= id_seg < MAX_N_SEG:", "if not 0 <= id_seg <= MAX_N_SEG:",
+    ("src/mrpgen/xof.py", "ids.stop <= MAX_N_SEG):", "ids.stop <= MAX_N_SEG + 1):", MUST_FAIL),
+    ("src/mrpgen/xof.py", "ids.stop <= MAX_N_SEG):", "ids.stop < MAX_N_SEG):", MUST_FAIL),
+    # the fixed-width fields of the hash input and of a derived seed
+    ("src/mrpgen/xof.py", 'seed.data + q.to_bytes(4, "little")',
+     'seed.data + q.to_bytes(4, "big")', MUST_FAIL),
+    ("src/mrpgen/xof.py", 'poly_id.to_bytes(4, "little")', 'poly_id.to_bytes(4, "big")',
      MUST_FAIL),
-    ("src/mrpgen/xof.py", "if not 0 <= count <= MAX_N_SEG:", "if not 0 <= count < MAX_N_SEG:",
-     MUST_FAIL),
+    # a profile's segments tile the ring
+    ("src/mrpgen/sampling.py", "if self.seg_len * self.n_seg != self.N:",
+     "if self.seg_len * self.n_seg > self.N:", MUST_FAIL),
     # the MRP reader: the limb offset, the reverse layout, the trailing bytes
     ("src/mrpgen/formats.py", 'np.frombuffer(data, dtype="<u4", offset=pos).reshape',
      'np.frombuffer(data, dtype="<u4", offset=pos - 4).reshape', MUST_FAIL),
@@ -113,6 +124,34 @@ MUTANTS = [
     # the failure bound's exact branch: -count * seg_fail only below 2^-60
     ("src/mrpgen/analytics.py", "if seg_fail > 2 ** -60", "if seg_fail > 2 ** -30",
      MUST_FAIL),
+    # the catalog's rejection cap is not negative; the NAF weight's shift
+    ("src/mrpgen/primes.py", "if p_r_max < 0:", "if p_r_max < -1:", MUST_FAIL),
+    ("src/mrpgen/primes.py", "return ((n ^ 3 * n) >> 1).bit_count()",
+     "return ((n ^ 3 * n) >> 2).bit_count()", MUST_FAIL),
+    ("src/mrpgen/primes.py", "return ((n ^ 3 * n) >> 1).bit_count()",
+     "return (n ^ 3 * n).bit_count()",
+     "equivalent: n and 3n have the same parity, so bit 0 of n ^ 3n is always 0"),
+    # the one tail sum: its bounds and its term; the bisection's step count;
+    # the guard for a tail that rounds to 1
+    ("src/mrpgen/analytics.py", "for i in range(min(seg_len, t + 1))",
+     "for i in range(min(seg_len - 1, t + 1))", MUST_FAIL),
+    ("src/mrpgen/analytics.py", "for i in range(min(seg_len, t + 1))",
+     "for i in range(min(seg_len, t))", MUST_FAIL),
+    ("src/mrpgen/analytics.py", "(d - n) ** i * n ** (t - i)", "n ** i * (d - n) ** (t - i)",
+     MUST_FAIL),
+    ("src/mrpgen/analytics.py", "math.ceil(7 * math.log2(10)) + 2",
+     "math.ceil(7 * math.log2(10)) + 1", MUST_FAIL),
+    ("src/mrpgen/analytics.py", "if float(seg_fail) == 1:", "if seg_fail == 1:", MUST_FAIL),
+    # the wiring model's factors: half the die side for the central hop and
+    # for the per-axis density
+    ("src/mrpgen/costmodel.py", "p.d_mm / 2.0, p.e_j_per_bit_mm)", "p.d_mm, p.e_j_per_bit_mm)",
+     MUST_FAIL),
+    ("src/mrpgen/costmodel.py", "required_throughput(p) / p.d_mm / 2.0",
+     "required_throughput(p) / p.d_mm", MUST_FAIL),
+    # the exit code of an expected outcome; a key a params file must hold
+    ("src/mrpgen/errors.py", "    exit_code = 1\n", "    exit_code = 2\n", MUST_FAIL),
+    ("src/mrpgen/formats.py", '_REQUIRED_KEYS = ("N", "w", "len", "n_seg", "base")',
+     '_REQUIRED_KEYS = ("N", "w", "len", "base")', MUST_FAIL),
     # the catalog's sieve: its prime list, the struck class, the prime itself,
     # its bound and whether it is complete; the test-work bound's shortcut
     ("src/mrpgen/primes.py", "flags[0] = 0", "flags[0] = 1", MUST_FAIL),
@@ -135,7 +174,8 @@ MUTANTS = [
 
 
 def _copy_tree(dest: Path) -> None:
-    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache",
+                                    "test_mutants.py")
     for part in ("src", "tests"):
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")

@@ -7,15 +7,33 @@ which the worst-modulus bound must never understate, and
 returns the count with the exact rate of that base.  ``seed_space_bits`` is
 the seed space left once invalid seeds are discarded.  ``failure_decimal``
 is 1 - (1 - seg_fail)^count in ``decimal`` arithmetic, which the float
-failure bound is checked against.
+failure bound is checked against.  ``segment`` is one engine unit built
+from a bytes encoder, the hash primitive and a boolean-mask filter, so it
+shares no encoder, expander or filter with the generator it checks.
 """
 
+import hashlib
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from mrpgen import (GenerationFailure, ParamsError, generate_mrp, mrp_failure_bound,
+import numpy as np
+
+from mrpgen import (GenerationFailure, ParamsError, generate_mrp, keccak, mrp_failure_bound,
                     sample_rejection_prob)
+
+
+def segment(seed, q: int, id_seg: int, params) -> np.ndarray:
+    """The accepted words of unit (q, id_seg), in block order: up to seg_len
+    words of its one 168-byte block below floor(2^w / q) * q, fewer for a
+    short segment."""
+    data = seed.data + q.to_bytes(4, "little") + id_seg.to_bytes(2, "little")
+    if params.backend == "shake128":
+        block = hashlib.shake_128(data).digest(168)
+    else:
+        block = keccak.kangaroo_twelve(data, b"", 168)
+    words = np.frombuffer(block, dtype=f"<u{params.w // 8}")
+    return words[words < (1 << params.w) // q * q][:params.seg_len]
 
 
 def naf(n: int) -> list[int]:

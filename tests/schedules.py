@@ -2,9 +2,10 @@
 
 ``assemble_segments`` replays generation as a bank of engines would: every
 (q, id_seg) unit goes to a thread pool in a shuffled order and is computed
-with ``generate_segment`` alone, so it is the one place two units run at
-once.  ``forking`` makes ``generate_mrp`` and ``verify_mrp_file`` fork their
-limb helper at any size.
+by ``oracles.segment``, which shares no code with the generator's engine
+path, so it is the one place two units run at once.  ``forking`` makes
+``generate_mrp`` and ``verify_mrp_file`` fork their limb helper at any
+size.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from mrpgen import GenerationFailure, GenParams, Seed, generate_segment, permute, sampling
+import oracles
+from mrpgen import GenerationFailure, GenParams, Seed, permute, sampling
 
 
 def assemble_segments(seed: Seed, params: GenParams, engine_count: int,
@@ -33,7 +35,7 @@ def assemble_segments(seed: Seed, params: GenParams, engine_count: int,
 
     def engine_task(item):
         q, id_seg = item
-        return item, generate_segment(seed, q, id_seg, params).values
+        return item, oracles.segment(seed, q, id_seg, params)
 
     with ThreadPoolExecutor(max_workers=engine_count) as pool:
         results = dict(pool.map(engine_task, order))

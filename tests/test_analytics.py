@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -367,10 +368,15 @@ class TestSolvePrMax:
         assert solve_p_r_max(T, 32, 2048, 64, 1) == 1
 
     def test_solution_sits_on_budget_boundary(self):
-        sol = solve_p_r_max(T, 16, 4096, 64, Fraction("0.03"))
-        assert float(mrp_failure_bound(sol, T, 16, 4096, 64)) <= 0.03
-        bumped = sol + Fraction(1, 10 ** 6)
-        assert float(mrp_failure_bound(bumped, T, 16, 4096, 64)) > 0.03
+        # 26 halvings of [0, 1] (7 decimal digits and two more): the answer is
+        # a multiple of 2^-26 that meets the budget, and one step more does not
+        step = Fraction(1, 2 ** 26)
+        for budget, seg_len in itertools.product((0.03, 0.01), (4, 8, 16, 32)):
+            n_seg = (1 << 16) // seg_len
+            sol = solve_p_r_max(T, seg_len, n_seg, 64, Fraction(str(budget)))
+            assert (sol / step).denominator == 1
+            assert mrp_failure_bound(sol, T, seg_len, n_seg, 64) <= budget
+            assert mrp_failure_bound(sol + step, T, seg_len, n_seg, 64) > budget
 
     def test_a_tie_with_the_budget_returns_the_endpoint(self):
         # the first midpoint, 1/2, meets a budget equal to its own bound exactly

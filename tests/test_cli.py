@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -5,19 +6,22 @@ import io
 import json
 import math
 import os
+import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ntt_primes
-from mrpgen import GenParams, analytics, cli, profiles, read_mrp, save_params
+from mrpgen import (GenParams, Seed, analytics, cli, generate_mrp, profiles, read_mrp,
+                    save_params, write_mrp)
 from mrpgen.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -406,6 +410,7 @@ class TestErrorTaxonomy:
           "--poly-id", "1"], "params-error"),
         (["enum-primes", "--n", "16", "--qmin-bits", "19", "--hwnaf-max", "-1"],
          "params-error"),
+        (["enum-primes", "--n", "16", "--pr-max", "-1"], "params-error"),
     ], ids=["seed-length", "seed-not-hex", "common-length", "common-not-hex",
             "poly-id-range", "limb-q-not-in-base", "seg-q-not-in-base", "seg-id-range",
             "stats-too-few-samples", "stats-one-bin", "analyze-pr-2", "analyze-pr-abc",
@@ -420,7 +425,7 @@ class TestErrorTaxonomy:
             "common-without-poly-id", "base-float", "base-empty", "base-too-wide",
             "perm-index-2^63", "cost-R-10^400", "cost-w-10^400", "enum-n-65",
             "enum-qmin-bits-65", "seed-with-common", "seed-with-poly-id",
-            "empty-seed-with-common", "enum-hwnaf-max-1"])
+            "empty-seed-with-common", "enum-hwnaf-max-1", "enum-pr-max-1"])
     def test_bad_input_is_a_typed_error(self, capsys, tmp_path, params_file, argv,
                                         code_name):
         mrp = tmp_path / "p.mrp"
@@ -521,6 +526,21 @@ class TestErrorTaxonomy:
         assert ".tmp" not in err
         assert threading.active_count() == 1  # no handler starts a thread
 
+    @pytest.mark.parametrize("argv", [
+        ["gen-mrp", "--seed", ZERO_SEED],
+        ["gen-limb", "--seed", ZERO_SEED, "--q", "7681"],
+        ["retry-gen"],
+    ], ids=["gen-mrp", "gen-limb", "retry-gen"])
+    def test_an_empty_out_path_is_an_io_error(self, capsys, monkeypatch, tmp_path,
+                                              params_file, argv):
+        # an empty --out names no file: it is refused, not read as "no --out"
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run(capsys, *argv, "--params", params_file, "--out", "")
+        assert (code, out) == (2, "")
+        assert err.startswith("error code=io-error ") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_retry_exhausted_exits_one(self, capsys, hard_params_file):
         path, q = hard_params_file
         code, _, err = run(capsys, "retry-gen", "--params", path, "--max-attempts", "2")
@@ -613,3 +633,115 @@ class TestReportEnvelope:
         digest = [ln for ln in a.splitlines() if ln.startswith("input_digest")]
         other = [ln for ln in b.splitlines() if ln.startswith("input_digest")]
         assert digest and other and digest != other
+
+
+# Every option of every subcommand draws its value from this pool, so an
+# option added to the parser is covered without a test edit.  "{dir}" is a
+# directory, "{empty}" an empty file and "{params}" a params file, which is
+# also what an option that wants an MRP container gets when it draws it.
+HOSTILE = ["0", "-1", str(2 ** 63), str(2 ** 64), "1e308", "nan", "inf", "1/0", "",
+           "ünïcödé €", "{dir}", "{empty}", "{params}"]
+# A value an option may draw instead, by its destination, so that some argv
+# get past the parser and the first checks to the generator, the reader and
+# the writers.  The profile has N = 256, far too small for the helper to fork.
+PLAUSIBLE = {"params": "{params}", "mrp": "{mrp}", "seed": ZERO_SEED, "common": "00" * 32,
+             "poly_id": "1", "q": "7681", "id": "3", "out": "{dir}/out.bin", "n": "4",
+             "w": "20", "qmin_bits": "12", "len": "4", "nseg": "8", "L": "2", "pr": "1/8",
+             "pr_max": "1/4", "bins": "16", "max_attempts": "2", "R": "16", "gamma": "1/8",
+             "format": "json"}
+
+
+def _options(parser) -> list:
+    return [action for action in parser._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction)]
+
+
+def _subcommands(parser) -> dict:
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+@st.composite
+def _hostile_argv(draw) -> list[str]:
+    """argv for one subcommand.  Each option is present or not (a required
+    one always), and a flag stands alone.  Half the time one value comes
+    from the hostile pool and every other option with a plausible value
+    takes it; otherwise each value is hostile or plausible at even odds."""
+    parser = cli.build_parser()
+    name = draw(st.sampled_from(sorted(_subcommands(parser))))
+    actions = _options(parser) + [name] + _options(_subcommands(parser)[name])
+    present = [a for a in actions if a is name or a.required or draw(st.booleans())]
+    valued = [a for a in present if a is not name and a.nargs != 0]
+    single = draw(st.sampled_from(valued)) if valued and draw(st.booleans()) else None
+    argv = []
+    for action in present:
+        if action is name:
+            argv.append(name)
+            continue
+        flag = action.option_strings[-1]
+        plausible = PLAUSIBLE.get(action.dest)
+        if action.nargs == 0:
+            argv.append(flag)
+        elif single not in (None, action) and plausible is not None:
+            argv.append(f"{flag}={plausible}")
+        else:
+            even = single is None and plausible is not None
+            pool = HOSTILE + [plausible] * len(HOSTILE) * even
+            argv.append(f"{flag}={draw(st.sampled_from(pool))}")  # "=" keeps "-1" a value
+    return argv
+
+
+def _refuse_constant(name):
+    raise ValueError(f"JSON output holds {name}")
+
+
+class TestArgvSurface:
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("argv")
+        params = GenParams(N=256, w=32, seg_len=32, n_seg=8, base=(7681, 10753))
+        save_params(params, root / "p.params")
+        write_mrp(root / "p.mrp", generate_mrp(Seed(bytes(36)), params), params)
+        return root
+
+    @settings(deadline=None, max_examples=300)
+    @given(_hostile_argv())
+    def test_any_argv_exits_with_a_typed_code(self, inputs, argv):
+        # exit 0, 1 or 2 and never a traceback; main prints exactly one
+        # "error code=" line for 1 and 2, and exits 0 only with every --out
+        # written; argparse refuses what it cannot parse with its own one
+        # "error:" line and exit 2, before any handler
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in ("p.params", "p.mrp"):
+                shutil.copy(inputs / name, tmp)
+            Path(tmp, "empty").touch()
+            argv = [arg.format(dir=tmp, empty=f"{tmp}/empty", params=f"{tmp}/p.params",
+                               mrp=f"{tmp}/p.mrp") for arg in argv]
+            out, err = io.StringIO(), io.StringIO()
+            start = time.perf_counter()
+            # a relative --out lands in the temporary directory
+            with (contextlib.chdir(tmp), contextlib.redirect_stdout(out),
+                  contextlib.redirect_stderr(err)):
+                try:
+                    code, parsed = main(argv), True
+                except SystemExit as exc:
+                    code, parsed = exc.code, False
+            seconds = time.perf_counter() - start
+            targets = [arg.partition("=")[2] for arg in argv if arg.startswith("--out=")]
+            written = all(os.path.isfile(os.path.join(tmp, target)) for target in targets)
+        out, err = out.getvalue(), err.getvalue()
+        event(f"exit {code}" if parsed else "argparse")
+        assert "Traceback" not in out + err
+        assert seconds < 10
+        assert threading.active_count() == 1
+        if not parsed:
+            assert code == 2 and out == ""
+            assert err.splitlines()[-1].startswith(f"{cli.build_parser().prog}")
+            assert ": error: " in err.splitlines()[-1]
+            return
+        assert code in (0, 1, 2)
+        errors = [line for line in err.splitlines() if line.startswith("error code=")]
+        assert len(errors) == (code != 0), err
+        assert written or code != 0
+        if code == 0 and "--format=json" in argv:
+            json.loads(out, parse_constant=_refuse_constant)

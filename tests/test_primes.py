@@ -308,6 +308,13 @@ class TestEnumerateSupported:
             CatalogFilter(n_ring=8, w=20, hw_naf_max=hw_max, p_r_max=Fraction(1, 2))
         CatalogFilter(n_ring=8, w=20, hw_naf_max=0, p_r_max=Fraction(1, 2))
 
+    @pytest.mark.parametrize("p_r_max", [-1, Fraction(-1, 2 ** 64)], ids=["-1", "-2^-64"])
+    def test_rejects_a_negative_rejection_cap(self, p_r_max):
+        # no modulus rejects with negative probability, so the catalog would always be empty
+        with pytest.raises(ParamsError, match="rejection cap"):
+            CatalogFilter(n_ring=8, w=20, hw_naf_max=7, p_r_max=p_r_max)
+        assert CatalogFilter(n_ring=8, w=20, hw_naf_max=7, p_r_max=0).p_r_max == 0
+
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.integers(1, 8), st.integers(1, 20), st.integers(0, 8),
            st.fractions(min_value=0, max_value=1))

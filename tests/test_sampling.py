@@ -32,6 +32,7 @@ from mrpgen import formats, keccak, primes, profiles, read_mrp, sampling, write_
 from mrpgen.analytics import seg_failure_prob
 from mrpgen.xof import encode_domain_input
 
+import oracles
 from conftest import ntt_primes
 from schedules import assemble_segments, forking
 
@@ -307,20 +308,26 @@ class TestGenerateLimb:
         assert hashlib.sha256(coeffs.astype("<u4").tobytes()).hexdigest() == golden["sha256"]
 
     def test_encodes_no_per_segment_inputs(self, monkeypatch, golden_mrp, golden_k12_limb):
-        def refuse(*args):
-            raise AssertionError("generate_limb encoded one segment input")
+        # one encoder call per limb, over the whole range of its segment ids
+        calls, encode = [], sampling.encode_domain_inputs
 
-        monkeypatch.setattr(xof, "encode_domain_input", refuse)
-        monkeypatch.setattr(sampling, "encode_domain_input", refuse)
+        def recorded(seed, q, ids):
+            calls.append(ids)
+            return encode(seed, q, ids)
+
+        monkeypatch.setattr(sampling, "encode_domain_inputs", recorded)
         k12 = golden_k12_limb
         params = GenParams(N=k12["N"], w=32, seg_len=k12["len"], n_seg=k12["n_seg"],
                            base=(k12["q"],), backend=k12["backend"])
         coeffs = generate_limb(k12["seed"], k12["q"], params).coeffs
         assert hashlib.sha256(coeffs.astype("<u4").tobytes()).hexdigest() == k12["sha256"]
+        assert calls == [range(k12["n_seg"])]
+        calls.clear()
         params = GenParams(N=golden_mrp["N"], w=32, seg_len=golden_mrp["len"],
                            n_seg=golden_mrp["n_seg"], base=golden_mrp["base"])
         for q, expected in golden_mrp["limbs"].items():
             assert generate_limb(golden_mrp["seed"], q, params).coeffs.tolist() == expected
+        assert calls == [range(golden_mrp["n_seg"])] * len(golden_mrp["limbs"])
 
     def test_failure_names_first_short_segment(self, zero_seed):
         q = ntt_primes(64, 1, q_min=2 ** 31, q_max=2 ** 32)[0]
@@ -550,11 +557,11 @@ class TestBatchedLimbMatchesSegments:
     @given(_short_prone_profiles(), st.integers(1, 4), st.integers(0, 2 ** 32),
            st.sampled_from(["serial", "forked"]) | st.integers(0, 2))
     def test_batched_equals_per_segment(self, case, engines, shuffle_seed, schedule):
-        # per-segment engines in a shuffled order are the reference; random
-        # access per row and generate_mrp must agree with it, down to the
-        # first short (q, id_seg) in base order, whether generate_mrp runs
-        # serially, with a helper, or with a helper that dies after
-        # `schedule` rows
+        # independent per-segment units (oracles.segment) on engines in a
+        # shuffled order are the reference; random access per row and
+        # generate_mrp must agree with it, down to the first short
+        # (q, id_seg) in base order, whether generate_mrp runs serially,
+        # with a helper, or with a helper that dies after `schedule` rows
         seed, params = case
         expected = _outcome(lambda: assemble_segments(seed, params, engines,
                                                       random.Random(shuffle_seed)))
@@ -592,6 +599,40 @@ class TestBatchedLimbMatchesSegments:
             else:
                 assert got.dtype == np.uint32, name
                 assert np.array_equal(got, expected), name
+
+
+class TestSegmentMatchesOracle:
+    @settings(deadline=None, max_examples=100)
+    @given(_short_prone_profiles(), st.data())
+    def test_generate_segment_is_the_independent_unit(self, case, data):
+        # one row of the engine scan against oracles.segment, which shares no
+        # encoder, expander or filter with it; a short segment is data on both
+        seed, params = case
+        for _ in range(4):
+            q = data.draw(st.sampled_from(params.base))
+            id_seg = data.draw(st.integers(0, params.n_seg - 1))
+            values = generate_segment(seed, q, id_seg, params).values
+            expected = oracles.segment(seed, q, id_seg, params)
+            event("short" if len(expected) < params.seg_len else "complete")
+            assert values.dtype == np.uint32
+            assert np.array_equal(values, expected), (q, id_seg)
+
+    def test_the_last_word_of_a_block_can_complete_its_segment(self):
+        # p_r near 1/4 at len 32, t = 42: the 32nd acceptance is the block's
+        # last word in about one segment in ten, and the scan must reach it
+        q = ntt_primes(64, 1, q_min=(1 << 32) * 3 // 4, q_max=1 << 32)[0]
+        params = GenParams(N=64, w=32, seg_len=32, n_seg=2, base=(q,))
+        for i in range(200):
+            seed = Seed(i.to_bytes(36, "little"))
+            block = hashlib.shake_128(seed.data + q.to_bytes(4, "little") + bytes(2)).digest(168)
+            accepted = np.frombuffer(block, "<u4") < q  # thresh = q for q > 2^31
+            if accepted[-1] and accepted.sum() == params.seg_len:
+                break
+        else:
+            pytest.fail("no segment of 200 seeds completes on its last word")
+        values = generate_segment(seed, q, 0, params).values
+        assert len(values) == params.seg_len
+        assert np.array_equal(values, oracles.segment(seed, q, 0, params))
 
 
 class TestGenerateMrp:

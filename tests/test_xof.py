@@ -69,19 +69,34 @@ class TestEncodeDomainInput:
 class TestEncodeDomainInputs:
     @settings(deadline=None, max_examples=25)
     @given(st.binary(min_size=36, max_size=36), st.integers(1, 2 ** 32 - 1),
-           st.integers(0, 2 ** 16))
-    @example(bytes(36), 2 ** 32 - 1, 2 ** 16)
-    def test_row_i_is_the_encoding_of_segment_i(self, seed_bytes, q, count):
-        seed = Seed(seed_bytes)
-        rows = encode_domain_inputs(seed, q, count)
-        assert rows.shape == (count, INPUT_BYTES) and rows.dtype == np.uint8
-        assert rows.tobytes() == b"".join(encode_domain_input(seed, q, i)
-                                          for i in range(count))
+           st.integers(0, 2 ** 16), st.integers(0, 2 ** 16))
+    @example(bytes(36), 2 ** 32 - 1, 0, 2 ** 16)
+    @example(bytes(36), 3, 2 ** 16 - 1, 2 ** 16)
+    def test_row_i_is_the_encoding_of_segment_i(self, seed_bytes, q, start, stop):
+        # against a bytes concatenation that shares no code with the encoder
+        start, stop = sorted((start, stop))
+        rows = encode_domain_inputs(Seed(seed_bytes), q, range(start, stop))
+        assert rows.shape == (stop - start, INPUT_BYTES) and rows.dtype == np.uint8
+        assert rows.tobytes() == b"".join(seed_bytes + q.to_bytes(4, "little")
+                                          + i.to_bytes(2, "little")
+                                          for i in range(start, stop))
 
     @pytest.mark.parametrize("q, count", [(0, 1), (1 << 32, 1), (3, (1 << 16) + 1), (3, -1)])
     def test_rejects_out_of_range(self, zero_seed, q, count):
         with pytest.raises(ParamsError):
-            encode_domain_inputs(zero_seed, q, count)
+            encode_domain_inputs(zero_seed, q, range(count))
+
+    @pytest.mark.parametrize("ids", [range(-1, 2), range(1 << 16, (1 << 16) + 1),
+                                     range(5, 3), range(0, 4, 2), range(3, -1, -1)],
+                             ids=["negative", "past-16-bits", "reversed", "step-2", "down"])
+    def test_rejects_ids_that_are_not_an_ascending_16_bit_range(self, zero_seed, ids):
+        with pytest.raises(ParamsError, match="segment ids"):
+            encode_domain_inputs(zero_seed, 3, ids)
+
+    def test_a_segment_is_its_row_of_the_limb(self, zero_seed):
+        limb = encode_domain_inputs(zero_seed, 7681, range(1 << 16))
+        for id_seg in (0, 1, 255, 256, (1 << 16) - 1):
+            assert encode_domain_input(zero_seed, 7681, id_seg) == limb[id_seg].tobytes()
 
 
 class TestXofExpand:
@@ -136,10 +151,11 @@ class TestXofExpandMany:
     @pytest.mark.parametrize("r_bits", [1344, 256, 8])
     def test_is_the_concatenation_of_single_blocks(self, backend, r_bits):
         # every row gets one whole block; xof_expand(row, r_bits) is its prefix
-        inputs = encode_domain_inputs(Seed(bytes(range(36))), 7681, 5)
+        inputs = encode_domain_inputs(Seed(bytes(range(36))), 7681, range(5))
         blocks = xof_expand_many(inputs, backend)
-        assert blocks == b"".join(xof_expand(bytes(row), DEFAULT_R_BITS, backend)
-                                  for row in inputs)
+        reference = (reference_keccak.shake128 if backend == "shake128" else
+                     lambda data, out_len: reference_keccak.kangaroo_twelve(data, b"", out_len))
+        assert blocks == b"".join(reference(bytes(row), 168) for row in inputs)
         for i, row in enumerate(inputs):
             one = xof_expand_many(row.reshape(1, -1), backend)
             assert one == blocks[168 * i:168 * (i + 1)]
@@ -148,7 +164,7 @@ class TestXofExpandMany:
     @pytest.mark.parametrize("backend", ["shake128", "kangarootwelve"])
     @pytest.mark.parametrize("out_len", [1, 44, 167, 168])
     def test_a_shorter_squeeze_is_each_blocks_prefix(self, backend, out_len):
-        inputs = encode_domain_inputs(Seed(bytes(range(36))), 7681, 5)
+        inputs = encode_domain_inputs(Seed(bytes(range(36))), 7681, range(5))
         blocks = xof_expand_many(inputs, backend)
         assert xof_expand_many(inputs, backend, out_len=out_len) == b"".join(
             blocks[168 * i:168 * i + out_len] for i in range(5))
