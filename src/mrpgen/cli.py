@@ -7,8 +7,11 @@ catalog scan runs in the calling thread: it is a pure-Python sieve, with
 Miller-Rabin only above 32-bit words, which worker threads cannot overlap.
 gen-mrp, retry-gen and verify run the serial limb loop, which for a large
 polynomial one forked helper process may save work
-(``sampling._each_limb``); their output is the serial loop's.  With --out,
-gen-mrp and retry-gen write the file and then hash the limb summaries.
+(``sampling._each_limb``); their output is the serial loop's.  gen-mrp and
+retry-gen hash each limb in the process that made it, and with --out write
+it there first, at its offset in a preallocated temporary file that replaces
+the target once every limb is in; so no (L, N) array is built, and verify
+reads only the stored row each process compares.
 
 Exit codes: 0 success; 1 an expected domain failure, raised as a
 ``DomainFailure`` after the report is printed; 2 a usage error (argparse),
@@ -47,7 +50,7 @@ from .errors import DomainFailure, GenerationFailure, MrpgenError, ParamsError
 if TYPE_CHECKING:
     import numpy as np
 
-    from .sampling import GenParams, MultiResiduePolynomial
+    from .sampling import GenParams
     from .xof import Seed
 
 
@@ -124,17 +127,43 @@ def _sha256_words(coeffs: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(coeffs, dtype="<u4")).hexdigest()
 
 
-def _limb_summaries(mrp) -> dict:
-    return {str(q): _sha256_words(row) for q, row in zip(mrp.base, mrp.coeffs)}
+def _limb_sha256(params: GenParams, out, run):
+    """run(make), where make(seed) makes seed's polynomial and returns its
+    limb_sha256 summary: each limb's SHA-256 over its "<u4" words, by q.
 
+    The process that makes a limb (sampling._each_limb) hashes it and, with
+    out, first writes it at its offset in the new file (formats._mrp_rows),
+    so no (L, N) array is built and this process reads no limb a helper
+    made.  An out that exists and is not a regular file cannot be written at
+    an offset: run then makes each polynomial whole (generate_mrp) and writes
+    it in order (write_mrp).
+    """
+    import numpy as np
 
-def _summaries_and_write(mrp: MultiResiduePolynomial, params: GenParams, out) -> dict:
-    """With out, write_mrp(out, mrp, params); then _limb_summaries(mrp)."""
-    if out is not None:
-        from . import formats
+    from . import formats, sampling
 
+    def make(seed: Seed, put=None) -> dict:
+        def digest(row: int, limb: np.ndarray) -> np.ndarray:
+            words = np.ascontiguousarray(limb, dtype="<u4")
+            if put is not None:
+                put(row, words)
+            return np.frombuffer(hashlib.sha256(words).digest(), np.uint8)
+
+        digests = sampling._each_limb(seed, params, digest, (32,), np.uint8)
+        return {str(q): row.tobytes().hex() for q, row in zip(params.base, digests)}
+
+    if out is None:
+        return run(make)
+    with formats._mrp_rows(out, params) as put:
+        if put is not None:
+            return run(lambda seed: make(seed, put))
+
+    def staged(seed: Seed) -> dict:
+        mrp = sampling.generate_mrp(seed, params)
         formats.write_mrp(out, mrp, params)
-    return _limb_summaries(mrp)
+        return {str(q): _sha256_words(row) for q, row in zip(params.base, mrp.coeffs)}
+
+    return run(staged)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -147,16 +176,15 @@ def _parse_fraction(text: str) -> Fraction:
 # ---------------------------------------------------------------- handlers
 
 def cmd_gen_mrp(args) -> None:
-    from . import formats, sampling
+    from . import formats
 
     params = formats.load_params(args.params)
     seed = _seed_from_args(args)
-    mrp = sampling.generate_mrp(seed, params)
     payload = {
         "seed": seed.hex(),
         "N": params.N, "w": params.w, "n_seg": params.n_seg,
         "base": list(params.base),
-        "limb_sha256": _summaries_and_write(mrp, params, args.out),
+        "limb_sha256": _limb_sha256(params, args.out, lambda make: make(seed)),
         "out": None if args.out is None else str(args.out),
     }
     _emit(args, payload)
@@ -205,12 +233,13 @@ def cmd_retry_gen(args) -> None:
 
     params = formats.load_params(args.params)
     source = sampling.seed_source_from_rng(random.Random(args.rng_seed))
-    result = sampling.client_generate_with_retry(source, params, args.max_attempts)
+    seed, summary, attempts = _limb_sha256(
+        params, args.out, lambda make: sampling._first_valid(source, args.max_attempts, make))
     payload = {
-        "attempts": result.attempts,
-        "seed": result.seed.hex(),
+        "attempts": attempts,
+        "seed": seed.hex(),
         "rng_seed": args.rng_seed,
-        "limb_sha256": _summaries_and_write(result.mrp, params, args.out),
+        "limb_sha256": summary,
         "out": None if args.out is None else str(args.out),
     }
     _emit(args, payload)

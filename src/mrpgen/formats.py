@@ -17,14 +17,20 @@ integers are little-endian 32-bit words:
 
 The limb section is the polynomial's (L, N) array byte for byte: write_mrp
 writes its buffer after the header and read_mrp returns that array as a view
-of the file's bytes, so neither copies a limb.  The header carries the full
-generation profile so a stored polynomial can be re-derived and checked from
-its seed alone.
+of the file's bytes, so neither copies a limb.  Row i starts 4 N i bytes
+after the header, so one limb can be written or read alone: the CLI's
+gen-mrp and retry-gen write each limb at its offset from the process that
+made it (_mrp_rows), and verify_mrp_file preads only the row it compares.
+The header carries the full generation profile so a stored polynomial can be
+re-derived and checked from its seed alone.  Every file written goes through
+one crash-safe protocol (_replacing): a temporary sibling, preallocated, then
+os.replace.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import stat
 import struct
@@ -50,15 +56,19 @@ def _u32s(values) -> bytes:
     return np.asarray(values, dtype="<u4").tobytes()
 
 
-def _write_file(path, chunks) -> None:
-    """Write the byte chunks to path through a temporary sibling and os.replace.
+@contextlib.contextmanager
+def _replacing(path, size: int):
+    """The crash-safe output protocol of every file mrpgen writes.
 
-    An error or an interrupt mid-write removes the temporary file and leaves
-    a previous file at path as it was.  The replacement keeps an existing
-    file's permission bits and a symlink is followed, as writing in place
-    would.  A target that exists but is not a regular file (/dev/null, a
-    FIFO) is written in place, never replaced.  An OSError names path as
-    the caller gave it, not the temporary file.
+    Yields a binary file of a new temporary sibling of path, preallocated to
+    size bytes where os.posix_fallocate exists, and os.replaces it over path
+    once the block is done.  An error or an interrupt in the block removes
+    the temporary file and leaves a previous file at path as it was.  The
+    replacement keeps an existing file's permission bits and a symlink is
+    followed, as writing in place would.  A target that exists but is not a
+    regular file (/dev/null, a FIFO) is never replaced: the block gets None
+    and writes it in place.  An OSError names path as the caller gave it,
+    not the temporary file.
     """
     target = os.path.realpath(path)
     try:
@@ -67,8 +77,7 @@ def _write_file(path, chunks) -> None:
         except FileNotFoundError:
             mode = None
         if mode is not None and not stat.S_ISREG(mode):
-            with open(target, "wb") as fh:
-                fh.writelines(chunks)
+            yield None
             return
         head, tail = os.path.split(target)
         tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
@@ -77,7 +86,11 @@ def _write_file(path, chunks) -> None:
             with open(fd, "wb") as fh:
                 if mode is not None:
                     os.chmod(tmp, stat.S_IMODE(mode))
-                fh.writelines(chunks)
+                # allocated blocks spare the os.replace over an old file a
+                # flush of delayed allocations (ext4's auto_da_alloc)
+                if hasattr(os, "posix_fallocate"):
+                    os.posix_fallocate(fd, 0, size)
+                yield fh
             os.replace(tmp, target)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -89,11 +102,27 @@ def _write_file(path, chunks) -> None:
         raise
 
 
-def write_mrp(path, mrp: MultiResiduePolynomial, params: GenParams) -> None:
-    """Write mrp under params' header; ParamsError if they do not match."""
-    if tuple(mrp.base) != params.base or mrp.coeffs.shape != (len(params.base), params.N):
-        raise ParamsError(f"the polynomial (base {tuple(mrp.base)}, shape "
-                          f"{mrp.coeffs.shape}) does not match the profile's base and N")
+def _write_file(path, chunks) -> None:
+    """Write the byte chunks to path, in order, under _replacing."""
+    chunks = [memoryview(chunk).cast("B") for chunk in chunks]
+    with _replacing(path, sum(map(len, chunks))) as fh:
+        if fh is None:
+            with open(os.path.realpath(path), "wb") as fh:
+                fh.writelines(chunks)
+        else:
+            fh.writelines(chunks)
+
+
+def _pwrite(fd: int, data, offset: int) -> None:
+    """Write all of data at offset: a short os.pwrite is continued, and a
+    failed one raises (a full disk raises ENOSPC, it does not return 0)."""
+    view = memoryview(data).cast("B")
+    while view:
+        done = os.pwrite(fd, view, offset)
+        view, offset = view[done:], offset + done
+
+
+def _header(params: GenParams) -> bytes:
     perm_kind = _PERM_IDS[params.layout.kind]
     header = MAGIC + struct.pack(
         "<7I", VERSION, params.N, params.w, params.r, params.n_seg,
@@ -101,7 +130,37 @@ def write_mrp(path, mrp: MultiResiduePolynomial, params: GenParams) -> None:
     header += _u32s(params.base) + struct.pack("<I", perm_kind)
     if perm_kind == 2:
         header += _u32s(params.layout.mapping)
-    _write_file(path, (header, np.ascontiguousarray(mrp.coeffs, dtype="<u4")))
+    return header
+
+
+def write_mrp(path, mrp: MultiResiduePolynomial, params: GenParams) -> None:
+    """Write mrp under params' header; ParamsError if they do not match."""
+    if tuple(mrp.base) != params.base or mrp.coeffs.shape != (len(params.base), params.N):
+        raise ParamsError(f"the polynomial (base {tuple(mrp.base)}, shape "
+                          f"{mrp.coeffs.shape}) does not match the profile's base and N")
+    _write_file(path, (_header(params), np.ascontiguousarray(mrp.coeffs, dtype="<u4")))
+
+
+@contextlib.contextmanager
+def _mrp_rows(path, params: GenParams):
+    """The container at path written a limb at a time, in any order and from
+    any process: yields put(row, limb), which writes the limb's "<u4" words
+    at row's offset.
+
+    The file is the temporary sibling of _replacing, preallocated to the
+    container's size and given its header before the block, so it replaces
+    path only once every row is in.  Yields None when path is not a regular
+    file, which cannot be written at an offset; the caller then writes the
+    whole container in order (write_mrp).
+    """
+    header = _header(params)
+    with _replacing(path, len(header) + 4 * len(params.base) * params.N) as fh:
+        if fh is None:
+            yield None
+            return
+        fd = fh.fileno()
+        _pwrite(fd, header, 0)
+        yield lambda row, limb: _pwrite(fd, limb, len(header) + row * 4 * params.N)
 
 
 def _span(data: bytes, offset: int, size: int) -> bytes:
@@ -111,11 +170,67 @@ def _span(data: bytes, offset: int, size: int) -> bytes:
     return data[offset:offset + size]
 
 
+def _pread(fd: int, length: int, offset: int, size: int) -> bytes:
+    """size bytes of the length-byte file fd from offset; FormatError if the
+    file ends before them, at length or, if it was cut since, earlier.
+
+    A regular file's pread is short only at its end.
+    """
+    if offset + size > length:
+        raise FormatError("truncated MRP file")
+    data = os.pread(fd, size, offset)
+    if len(data) < size:
+        raise FormatError("truncated MRP file")
+    return data
+
+
 def _is_device(path) -> bool:
     """Whether path is a character or block device, whose reads may never end
     (/dev/zero); a regular file or a pipe is not."""
     mode = os.stat(path).st_mode
     return stat.S_ISCHR(mode) or stat.S_ISBLK(mode)
+
+
+def _read_header(read, length: int) -> tuple[GenParams, int]:
+    """(params, offset of the limb section) of a length-byte container, whose
+    bytes read(offset, size) returns, or raises FormatError past the end.
+
+    The raw scalars fix the body length, and it is checked against length
+    before anything sized by N is built, so a header alone cannot make the
+    reader allocate.
+    """
+    if read(0, 4) != MAGIC:
+        raise FormatError("not an MRP file (bad magic)")
+    (version,) = struct.unpack("<I", read(4, 4))
+    if version != VERSION:
+        raise FormatError(f"unsupported MRP version {version}")
+    n_ring, w, r, n_seg, backend_id, base_len = struct.unpack("<6I", read(8, 24))
+    if backend_id not in _BACKEND_NAMES:
+        raise FormatError(f"unknown backend id {backend_id}")
+    if r != DEFAULT_R_BITS:
+        raise FormatError(f"MRP header r = {r}; a profile's block is {DEFAULT_R_BITS} bits")
+    base = tuple(int(q) for q in np.frombuffer(read(32, 4 * base_len), dtype="<u4"))
+    (perm_kind,) = struct.unpack("<I", read(32 + 4 * base_len, 4))
+    if perm_kind not in _PERM_IDS.values():
+        raise FormatError(f"unknown permutation kind {perm_kind}")
+    pos = 36 + 4 * base_len
+    body = 4 * (base_len * n_ring + (n_ring if perm_kind == 2 else 0))
+    if length - pos < body:
+        raise FormatError("truncated MRP file")
+    if length - pos > body:
+        raise FormatError("trailing bytes after the last limb")
+    try:
+        params = GenParams(N=n_ring, w=w, seg_len=n_ring // n_seg if n_seg else 0,
+                           n_seg=n_seg, base=base, backend=_BACKEND_NAMES[backend_id])
+        if perm_kind == 1:
+            params = replace(params, layout=Permutation.reverse(n_ring))
+        elif perm_kind == 2:
+            mapping = np.frombuffer(read(pos, 4 * n_ring), dtype="<u4")
+            params = replace(params, layout=Permutation(mapping))
+            pos += 4 * n_ring
+    except ParamsError as exc:
+        raise FormatError(f"MRP header holds an invalid profile: {exc}") from exc
+    return params, pos
 
 
 def read_mrp(path) -> tuple[np.ndarray, GenParams]:
@@ -124,40 +239,8 @@ def read_mrp(path) -> tuple[np.ndarray, GenParams]:
     if _is_device(path):
         raise FormatError(f"{path}: a device, not an input file")
     data = Path(path).read_bytes()
-    if _span(data, 0, 4) != MAGIC:
-        raise FormatError("not an MRP file (bad magic)")
-    (version,) = struct.unpack("<I", _span(data, 4, 4))
-    if version != VERSION:
-        raise FormatError(f"unsupported MRP version {version}")
-    n_ring, w, r, n_seg, backend_id, base_len = struct.unpack("<6I", _span(data, 8, 24))
-    if backend_id not in _BACKEND_NAMES:
-        raise FormatError(f"unknown backend id {backend_id}")
-    if r != DEFAULT_R_BITS:
-        raise FormatError(f"MRP header r = {r}; a profile's block is {DEFAULT_R_BITS} bits")
-    base = tuple(int(q) for q in np.frombuffer(_span(data, 32, 4 * base_len), dtype="<u4"))
-    (perm_kind,) = struct.unpack("<I", _span(data, 32 + 4 * base_len, 4))
-    if perm_kind not in _PERM_IDS.values():
-        raise FormatError(f"unknown permutation kind {perm_kind}")
-    # the raw scalars fix the body length; check it before anything sized
-    # by N is built, so a header alone cannot make the reader allocate
-    pos = 36 + 4 * base_len
-    body = 4 * (base_len * n_ring + (n_ring if perm_kind == 2 else 0))
-    if len(data) - pos < body:
-        raise FormatError("truncated MRP file")
-    if len(data) - pos > body:
-        raise FormatError("trailing bytes after the last limb")
-    try:
-        params = GenParams(N=n_ring, w=w, seg_len=n_ring // n_seg if n_seg else 0,
-                           n_seg=n_seg, base=base, backend=_BACKEND_NAMES[backend_id])
-        if perm_kind == 1:
-            params = replace(params, layout=Permutation.reverse(n_ring))
-        elif perm_kind == 2:
-            mapping = np.frombuffer(data, dtype="<u4", count=n_ring, offset=pos)
-            params = replace(params, layout=Permutation(mapping))
-            pos += 4 * n_ring
-    except ParamsError as exc:
-        raise FormatError(f"MRP header holds an invalid profile: {exc}") from exc
-    return np.frombuffer(data, dtype="<u4", offset=pos).reshape(base_len, n_ring), params
+    params, pos = _read_header(functools.partial(_span, data), len(data))
+    return np.frombuffer(data, dtype="<u4", offset=pos).reshape(len(params.base), params.N), params
 
 
 @dataclass
@@ -169,21 +252,37 @@ class VerifyReport:
 def verify_mrp_file(path, seed: Seed) -> VerifyReport:
     """Recompute a stored polynomial from its seed and compare bit-exactly.
 
-    Each regenerated limb is reduced to its first mismatch index (-1 for
-    none) under the worker rule of sampling._each_limb, so no second (L, N)
-    array is built, and the first mismatch in base order is named.  Every
-    limb is generated even after a mismatch, so a short segment still
-    raises GenerationFailure in base order, as generate_mrp would: a row is
-    marked made, one bit, only once its index is stored, so this process
-    meets a short row itself whoever met it first.
+    The header is read once; the process that regenerates a limb under the
+    worker rule of sampling._each_limb preads the stored row it compares
+    and keeps only its first mismatch index (-1 for none), so no (L, N)
+    array is built or read.  A row the file no longer holds, cut since its
+    length was checked, is a FormatError in whichever process meets it.
+    The first mismatch in base order is named.  Every limb is generated
+    even after a mismatch, so a short segment still raises GenerationFailure
+    in base order, as generate_mrp would: a row is marked made, one bit,
+    only once its index is stored, so this process meets a short row itself
+    whoever met it first.  A stored file that is not regular (a pipe) is
+    read whole first, as read_mrp does.
     """
-    stored, params = read_mrp(path)
+    if _is_device(path):
+        raise FormatError(f"{path}: a device, not an input file")
+    with open(path, "rb") as fh:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            length = info.st_size
+            read = functools.partial(_pread, fh.fileno(), length)
+        else:
+            data = fh.read()
+            length = len(data)
+            read = functools.partial(_span, data)
+        params, pos = _read_header(read, length)
 
-    def first_diff(row: int, limb: np.ndarray) -> int:
-        differs = stored[row] != limb
-        return int(np.argmax(differs)) if differs.any() else -1
+        def first_diff(row: int, limb: np.ndarray) -> int:
+            stored = read(pos + 4 * params.N * row, 4 * params.N)
+            differs = np.frombuffer(stored, dtype="<u4") != limb
+            return int(np.argmax(differs)) if differs.any() else -1
 
-    diffs = _each_limb(seed, params, first_diff, (), np.int64)
+        diffs = _each_limb(seed, params, first_diff, (), np.int64)
     mismatched = np.flatnonzero(diffs >= 0)
     if not len(mismatched):
         return VerifyReport(ok=True)

@@ -383,11 +383,18 @@ def _each_limb(seed: Seed, params: GenParams, row_fn: Callable[[int, np.ndarray]
                shape: tuple[int, ...], dtype) -> np.ndarray:
     """The (L, *shape) array whose row i is row_fn(i, coeffs of limb base[i]).
 
-    The worker rule of generate_mrp and formats.verify_mrp_file: this
-    process runs the serial loop in base order and raises its first error.
-    Rows are pure functions of (seed, q), so one helper, forked from this
-    process when _may_fork allows, runs the same loop from the last row down
-    and may only save it work; a row both sides make has the same bits.
+    row_fn runs in the process that made the limb and is the caller's only
+    sink: generate_mrp keeps the limb, formats.verify_mrp_file its first
+    mismatch with the stored row it reads, and the CLI's gen-mrp and
+    retry-gen its SHA-256, once it is written at its offset in the --out
+    file (formats._mrp_rows).  So a limb the helper made never passes
+    through this process, and the (L, *shape) array holds what is kept.
+
+    The worker rule of every caller: this process runs the serial loop in
+    base order and raises its first error.  Rows are pure functions of
+    (seed, q), so one helper, forked from this process when _may_fork
+    allows, runs the same loop from the last row down and may only save it
+    work; a row both sides make has the same bits.
     Both sides make a row with make(row), which stores the row and then sets
     its bit in a shared per-row record: one bit, stored or not.  A row that
     raises, a short one included, stays unmarked, so this process makes
@@ -469,9 +476,10 @@ class RetryResult:
     attempts: int
 
 
-def client_generate_with_retry(seed_source: Callable[[], Seed], params: GenParams,
-                               max_attempts: int) -> RetryResult:
-    """Draw seeds until generation succeeds; the winner is a validated seed.
+def _first_valid(seed_source: Callable[[], Seed], max_attempts: int,
+                 attempt: Callable[[Seed], object]) -> tuple[Seed, object, int]:
+    """(seed, attempt(seed), attempts) for the first drawn seed whose attempt
+    raises no GenerationFailure: the client's one retry loop.
 
     Every retry uses a fresh independent draw, so the surviving seed space
     is exactly the validated fraction of the full 288-bit space.
@@ -479,10 +487,18 @@ def client_generate_with_retry(seed_source: Callable[[], Seed], params: GenParam
     if max_attempts < 1:
         raise ParamsError("max_attempts must be at least 1")
     last = None
-    for attempt in range(1, max_attempts + 1):
+    for attempts in range(1, max_attempts + 1):
         seed = seed_source()
         try:
-            return RetryResult(seed=seed, mrp=generate_mrp(seed, params), attempts=attempt)
+            return seed, attempt(seed), attempts
         except GenerationFailure as failure:
             last = failure
     raise RetryExhausted(max_attempts, last)
+
+
+def client_generate_with_retry(seed_source: Callable[[], Seed], params: GenParams,
+                               max_attempts: int) -> RetryResult:
+    """Draw seeds until generation succeeds; the winner is a validated seed."""
+    seed, mrp, attempts = _first_valid(seed_source, max_attempts,
+                                       lambda seed: generate_mrp(seed, params))
+    return RetryResult(seed=seed, mrp=mrp, attempts=attempts)

@@ -113,8 +113,29 @@ MUTANTS = [
      'np.frombuffer(data, dtype="<u4", offset=pos - 4).reshape', MUST_FAIL),
     ("src/mrpgen/formats.py", "params = replace(params, layout=Permutation.reverse(n_ring))",
      "params = replace(params, layout=Permutation.identity(n_ring))", MUST_FAIL),
-    ("src/mrpgen/formats.py", "if len(data) - pos > body:", "if len(data) - pos >= body:",
+    ("src/mrpgen/formats.py", "if length - pos > body:", "if length - pos >= body:",
      MUST_FAIL),
+    # the streamed container: a limb's offset, a short write continued, the
+    # preallocated length; verify's pread of the stored row and its short
+    # read; the summary of each row
+    ("src/mrpgen/formats.py", "_pwrite(fd, limb, len(header) + row * 4 * params.N)",
+     "_pwrite(fd, limb, row * 4 * params.N)", MUST_FAIL),
+    ("src/mrpgen/formats.py", "view, offset = view[done:], offset + done",
+     "view, offset = view[done:], offset", MUST_FAIL),
+    ("src/mrpgen/formats.py", "os.posix_fallocate(fd, 0, size)",
+     "os.posix_fallocate(fd, 0, size + 1)", MUST_FAIL),
+    ("src/mrpgen/formats.py", "os.posix_fallocate(fd, 0, size)",
+     "os.posix_fallocate(fd, 0, size - 1)",
+     "equivalent: the writes extend the file to its whole length; the allocation "
+     "reserves blocks, and no byte or length of the output depends on it"),
+    ("src/mrpgen/formats.py", "stored = read(pos + 4 * params.N * row, 4 * params.N)",
+     "stored = read(4 * params.N * row, 4 * params.N)", MUST_FAIL),
+    ("src/mrpgen/formats.py", "stored = read(pos + 4 * params.N * row, 4 * params.N)",
+     "stored = read(pos + 4 * params.N * row, 4 * params.N - 4)", MUST_FAIL),
+    ("src/mrpgen/formats.py", "    if len(data) < size:\n", "    if len(data) < 0:\n",
+     MUST_FAIL),
+    ("src/mrpgen/cli.py", "for q, row in zip(params.base, digests)}",
+     "for q, row in zip(params.base, digests[::-1])}", MUST_FAIL),
     # the catalog's cap only tightens, and its weight cap is not negative; the
     # solver keeps an endpoint that meets the budget exactly; the seed options
     # exclude each other

@@ -5,7 +5,8 @@
 by ``oracles.segment``, which shares no code with the generator's engine
 path, so it is the one place two units run at once.  ``forking`` makes
 ``generate_mrp`` and ``verify_mrp_file`` fork their limb helper at any
-size.
+size, and ``dying_helper`` and ``caller_waits_for_helper`` fix which rows its
+helper makes.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import os
 import random
+import signal
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -72,3 +74,53 @@ def forking(monkeypatch: pytest.MonkeyPatch):
     yield pids
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def dying_helper(rows: int):
+    """sampling.generate_limb, except that a forked helper SIGKILLs itself
+    instead of starting a row after its first `rows`."""
+    parent, real = os.getpid(), sampling.generate_limb
+    started = []  # appended to only in a helper, so empty at each fork
+
+    def generate_limb(seed, q, p):
+        if os.getpid() != parent:
+            if len(started) == rows:
+                os.kill(os.getpid(), signal.SIGKILL)
+            started.append(q)
+        return real(seed, q, p)
+
+    return generate_limb
+
+
+@contextlib.contextmanager
+def within(seconds: float):
+    """Raise TimeoutError in this process once the block has run `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def caller_waits_for_helper(pids: list[int], made_here: list[int]):
+    """sampling.generate_limb, except that this process records the moduli
+    it makes in made_here and, before its first row of each call, waits
+    (within 30 s, without reaping) until the helper in pids has exited."""
+    parent, real = os.getpid(), sampling.generate_limb
+    waited = set()
+
+    def generate_limb(seed, q, p):
+        if os.getpid() == parent:
+            for pid in set(pids) - waited:
+                with within(30):
+                    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+                waited.add(pid)
+            made_here.append(q)
+        return real(seed, q, p)
+
+    return generate_limb

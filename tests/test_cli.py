@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import shutil
 import struct
 import subprocess
@@ -19,10 +20,12 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
 from conftest import ntt_primes
-from mrpgen import (GenParams, Seed, analytics, cli, generate_mrp, profiles, read_mrp,
-                    save_params, write_mrp)
+from mrpgen import (GenerationFailure, GenParams, Permutation, Seed, analytics, cli, formats,
+                    generate_mrp, profiles, read_mrp, sampling, save_params, write_mrp)
 from mrpgen.cli import main
+from schedules import caller_waits_for_helper, dying_helper
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -129,7 +132,8 @@ class TestGenerateCommands:
 
 
 class TestWriteAndHash:
-    """gen-mrp and retry-gen write --out, then hash the limb summaries."""
+    """gen-mrp and retry-gen hash each limb, and with --out write it at its
+    offset, in the process that made it; verify preads each stored row."""
 
     @pytest.mark.parametrize("argv", [["gen-mrp", "--seed", ZERO_SEED], ["retry-gen"]],
                              ids=["gen-mrp", "retry-gen"])
@@ -147,6 +151,98 @@ class TestWriteAndHash:
         assert json.loads(out)["result"]["limb_sha256"] == {
             str(q): hashlib.sha256(row.tobytes()).hexdigest()
             for q, row in zip(params.base, stored)}
+
+    def test_no_command_builds_the_polynomial(self, capsys, tmp_path, monkeypatch, forked):
+        params = GenParams(N=256, w=32, seg_len=32, n_seg=8, base=tuple(ntt_primes(256, 5)))
+        save_params(params, tmp_path / "five.params")
+        shapes, real = [], sampling._shared_array
+
+        def shared_array(shape, dtype):
+            shapes.append(shape)
+            return real(shape, dtype)
+
+        def no_read_mrp(path):
+            raise AssertionError("verify read the whole container")
+
+        monkeypatch.setattr(sampling, "_shared_array", shared_array)
+        monkeypatch.setattr(formats, "read_mrp", no_read_mrp)
+        common = ["--params", tmp_path / "five.params"]
+        for argv in (["gen-mrp", "--seed", ZERO_SEED, *common, "--out", tmp_path / "g.mrp"],
+                     ["retry-gen", *common, "--out", tmp_path / "r.mrp"],
+                     ["retry-gen", *common],
+                     ["verify", "--seed", ZERO_SEED, "--mrp", tmp_path / "g.mrp"]):
+            del shapes[:]
+            assert run(capsys, *argv)[0] == 0, argv
+            assert (5, 256) not in shapes and shapes, (argv, shapes)
+        assert len(forked) == 4
+
+    @pytest.mark.parametrize("backend", ["shake128", "kangarootwelve"])
+    @pytest.mark.parametrize("layout", ["identity", "reverse", "explicit"])
+    def test_the_streamed_file_is_the_written_polynomial(self, capsys, tmp_path, monkeypatch,
+                                                         forked, layout, backend):
+        # the helper makes rows 4, 3 and 2 and dies; this process waits for
+        # it, then makes rows 0 and 1
+        mapping = {"identity": np.arange(256), "reverse": np.arange(256)[::-1],
+                   "explicit": np.random.default_rng(7).permutation(256)}[layout]
+        params = GenParams(N=256, w=32, seg_len=32, n_seg=8, base=tuple(ntt_primes(256, 5)),
+                           layout=Permutation(mapping), backend=backend)
+        save_params(params, tmp_path / "five.params")
+        made_here = []
+        monkeypatch.setattr(sampling, "generate_limb", dying_helper(3))
+        monkeypatch.setattr(sampling, "generate_limb",
+                            caller_waits_for_helper(forked, made_here))
+        code, out, err = run(capsys, "--format", "json", "gen-mrp", "--seed", ZERO_SEED,
+                             "--params", tmp_path / "five.params",
+                             "--out", tmp_path / "streamed.mrp")
+        assert (code, err) == (0, "")
+        assert made_here == list(params.base[:2])
+        mrp = generate_mrp(Seed(bytes(36)), params)
+        write_mrp(tmp_path / "written.mrp", mrp, params)
+        assert ((tmp_path / "streamed.mrp").read_bytes()
+                == (tmp_path / "written.mrp").read_bytes())
+        assert json.loads(out)["result"]["limb_sha256"] == {
+            str(q): hashlib.sha256(row.astype("<u4").tobytes()).hexdigest()
+            for q, row in zip(params.base, mrp.coeffs)}
+
+    @staticmethod
+    def _short_first_seed(tmp_path):
+        # p_r near 1/2: 32 acceptances among 84 words fail about once in 70
+        # segments, and the first seed of --rng-seed 23 has a short one
+        params = GenParams(N=64, w=16, seg_len=32, n_seg=2,
+                           base=tuple(ntt_primes(64, 5, q_min=1 << 15, q_max=1 << 16)))
+        save_params(params, tmp_path / "prone.params")
+        source = sampling.seed_source_from_rng(random.Random(23))
+        with pytest.raises(GenerationFailure):
+            generate_mrp(source(), params)
+        return params, source()
+
+    def test_a_retry_leaves_only_its_own_file(self, capsys, tmp_path, forked):
+        params, second = self._short_first_seed(tmp_path)
+        del forked[:]
+        code, out, err = run(capsys, "--format", "json", "retry-gen", "--rng-seed", "23",
+                             "--params", tmp_path / "prone.params",
+                             "--out", tmp_path / "out.mrp")
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert (result["attempts"], result["seed"]) == (2, second.hex())
+        assert len(forked) == 2
+        write_mrp(tmp_path / "expected.mrp", generate_mrp(second, params), params)
+        assert (tmp_path / "out.mrp").read_bytes() == (tmp_path / "expected.mrp").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "expected.mrp", "out.mrp", "prone.params"]
+
+    def test_retry_exhaustion_keeps_the_old_out(self, capsys, tmp_path, forked):
+        self._short_first_seed(tmp_path)
+        del forked[:]
+        (tmp_path / "out.mrp").write_bytes(b"old")
+        code, out, err = run(capsys, "retry-gen", "--rng-seed", "23", "--max-attempts", "1",
+                             "--params", tmp_path / "prone.params",
+                             "--out", tmp_path / "out.mrp")
+        assert (code, out) == (1, "")
+        assert err.startswith("error code=retry-exhausted no valid seed found in 1 attempts")
+        assert len(forked) == 1
+        assert (tmp_path / "out.mrp").read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.mrp", "prone.params"]
 
 
 class TestExitWithoutCollection:
@@ -638,9 +734,11 @@ class TestReportEnvelope:
 # Every option of every subcommand draws its value from this pool, so an
 # option added to the parser is covered without a test edit.  "{dir}" is a
 # directory, "{empty}" an empty file and "{params}" a params file, which is
-# also what an option that wants an MRP container gets when it draws it.
+# also what an option that wants an MRP container gets when it draws it;
+# "{truncated}" is the container "{mrp}" cut mid-row and "{trailing}" it
+# with one byte more.
 HOSTILE = ["0", "-1", str(2 ** 63), str(2 ** 64), "1e308", "nan", "inf", "1/0", "",
-           "ünïcödé €", "{dir}", "{empty}", "{params}"]
+           "ünïcödé €", "{dir}", "{empty}", "{params}", "{truncated}", "{trailing}"]
 # A value an option may draw instead, by its destination, so that some argv
 # get past the parser and the first checks to the generator, the reader and
 # the writers.  The profile has N = 256, far too small for the helper to fork.
@@ -702,7 +800,21 @@ class TestArgvSurface:
         params = GenParams(N=256, w=32, seg_len=32, n_seg=8, base=(7681, 10753))
         save_params(params, root / "p.params")
         write_mrp(root / "p.mrp", generate_mrp(Seed(bytes(36)), params), params)
+        container = (root / "p.mrp").read_bytes()
+        (root / "truncated.mrp").write_bytes(container[:-4 * params.N - 6])
+        (root / "trailing.mrp").write_bytes(container + b"\0")
         return root
+
+    @pytest.mark.parametrize("container", ["truncated", "trailing"])
+    @pytest.mark.parametrize("command", [["verify", "--seed", ZERO_SEED], ["stats"]],
+                             ids=["verify", "stats"])
+    def test_a_cut_or_padded_container_is_a_format_error(self, capsys, inputs, command,
+                                                         container):
+        code, out, err = run(capsys, *command, "--mrp", inputs / f"{container}.mrp")
+        assert (code, out) == (2, "")
+        assert err == ("error code=format-error " + {
+            "truncated": "truncated MRP file", "trailing": "trailing bytes after the last limb",
+        }[container] + "\n")
 
     @settings(deadline=None, max_examples=300)
     @given(_hostile_argv())
@@ -712,11 +824,12 @@ class TestArgvSurface:
         # written; argparse refuses what it cannot parse with its own one
         # "error:" line and exit 2, before any handler
         with tempfile.TemporaryDirectory() as tmp:
-            for name in ("p.params", "p.mrp"):
+            for name in ("p.params", "p.mrp", "truncated.mrp", "trailing.mrp"):
                 shutil.copy(inputs / name, tmp)
             Path(tmp, "empty").touch()
             argv = [arg.format(dir=tmp, empty=f"{tmp}/empty", params=f"{tmp}/p.params",
-                               mrp=f"{tmp}/p.mrp") for arg in argv]
+                               mrp=f"{tmp}/p.mrp", truncated=f"{tmp}/truncated.mrp",
+                               trailing=f"{tmp}/trailing.mrp") for arg in argv]
             out, err = io.StringIO(), io.StringIO()
             start = time.perf_counter()
             # a relative --out lands in the temporary directory

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mrp_header, ntt_primes
+from schedules import caller_waits_for_helper
 from mrpgen import (FormatError, GenerationFailure, GenParams, MrpgenError,
                     MultiResiduePolynomial, ParamsError, Permutation, Seed, cli, formats,
                     generate_mrp, load_params, read_mrp, sampling, save_params,
@@ -106,6 +107,21 @@ class TestMrpContainer:
         assert not report.ok
         assert "q=" in report.detail
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_verify_reads_a_pipe_whole(self, stored_mrp, zero_seed):
+        # a pipe has no offsets to pread, so its bytes are read first
+        path, _, _ = stored_mrp
+        fifo = path.parent / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()),
+                                  daemon=True)
+        writer.start()
+        try:
+            assert verify_mrp_file(fifo, zero_seed).ok
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
     def test_verify_flags_wrong_seed(self, stored_mrp):
         from mrpgen import Seed
         path, _, _ = stored_mrp
@@ -159,18 +175,22 @@ class TestMrpContainer:
         with pytest.raises(FormatError):
             read_mrp(path)
 
-    def test_rejects_truncation(self, stored_mrp):
+    def test_rejects_truncation(self, stored_mrp, zero_seed):
         path, _, _ = stored_mrp
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) - 7])
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="truncated MRP file"):
             read_mrp(path)
+        with pytest.raises(FormatError, match="truncated MRP file"):
+            verify_mrp_file(path, zero_seed)
 
-    def test_rejects_trailing_garbage(self, stored_mrp):
+    def test_rejects_trailing_garbage(self, stored_mrp, zero_seed):
         path, _, _ = stored_mrp
         path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="trailing bytes"):
             read_mrp(path)
+        with pytest.raises(FormatError, match="trailing bytes"):
+            verify_mrp_file(path, zero_seed)
 
     def test_rejects_zero_segment_count(self, tmp_path):
         path = tmp_path / "zero.mrp"
@@ -179,21 +199,26 @@ class TestMrpContainer:
             read_mrp(path)
 
     @pytest.mark.parametrize("perm_kind", [0, 1])
-    def test_rejects_oversized_ring_before_allocating(self, tmp_path, perm_kind):
+    def test_rejects_oversized_ring_before_allocating(self, tmp_path, zero_seed, perm_kind):
         # N = 2^23 exceeds 42 words x 2^16 segments; N = 2^21 is a valid
-        # profile whose limbs are missing.  Neither header alone may make the
-        # reader build an N-sized layout.
-        for n_ring, base in ((1 << 23, (7681,)), (1 << 21, (104857601,))):
+        # profile whose limbs are missing; a base of 2^30 moduli is longer
+        # than the file.  No header alone may make the reader or verify
+        # build or read anything sized by it.
+        for n_ring, base, base_len in ((1 << 23, (7681,), 1), (1 << 21, (104857601,), 1),
+                                       (256, (7681,), 1 << 30)):
             path = tmp_path / "huge.mrp"
-            path.write_bytes(mrp_header(n_ring, 1 << 16, base=base, perm_kind=perm_kind))
-            tracemalloc.start()
-            try:
-                with pytest.raises(FormatError):
-                    read_mrp(path)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 1 << 20, n_ring
+            header = bytearray(mrp_header(n_ring, 1 << 16, base=base, perm_kind=perm_kind))
+            header[28:32] = base_len.to_bytes(4, "little")
+            path.write_bytes(header)
+            for read in (read_mrp, functools.partial(verify_mrp_file, seed=zero_seed)):
+                tracemalloc.start()
+                try:
+                    with pytest.raises(FormatError):
+                        read(path)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 1 << 20, (n_ring, base_len)
 
     def test_file_path_copies_no_limb(self, tmp_path, zero_seed):
         # a ~1 MiB container: writing streams the (L, N) array and reading
@@ -229,14 +254,28 @@ class TestCrashSafeOutput:
             "gen-limb": lambda path: cli.main(["gen-limb", "--seed", "11" * 36, "--params",
                                                str(params_file), "--q", "7681",
                                                "--out", str(path)]),
+            "gen-mrp": lambda path: cli.main(["gen-mrp", "--seed", "11" * 36, "--params",
+                                              str(params_file), "--out", str(path)]),
+            "retry-gen": lambda path: cli.main(["retry-gen", "--params", str(params_file),
+                                                "--out", str(path)]),
         }
 
-    @pytest.mark.parametrize("writer", ["write_mrp", "gen-limb"])
+    @pytest.mark.parametrize("writer, fault", [
+        pytest.param("write_mrp", "write", id="write_mrp"),
+        pytest.param("gen-limb", "write", id="gen-limb"),
+        pytest.param("gen-mrp", "pwrite", id="gen-mrp"),
+        pytest.param("retry-gen", "pwrite", id="retry-gen"),
+        *(pytest.param(writer, "fallocate", id=f"{writer}-fallocate")
+          for writer in ("write_mrp", "gen-limb", "gen-mrp", "retry-gen")),
+    ])
     def test_a_failed_body_write_keeps_the_old_file(self, stored_mrp, monkeypatch, capsys,
-                                                     writer):
+                                                     writer, fault):
         path, mrp, params = stored_mrp
         write = self._writers(path.parent, mrp, params)[writer]
-        old, real_open = path.read_bytes(), open
+        old, real_open, real_pwrite = path.read_bytes(), open, os.pwrite
+
+        def full():
+            return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
         class DiskFull:
             """A file that takes half of what it is given, then fails as a full
@@ -255,19 +294,73 @@ class TestCrashSafeOutput:
                 data = b"".join(bytes(chunk) for chunk in chunks)
                 self.fh.write(data[:len(data) // 2])
                 self.fh.flush()
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                raise full()
 
-        monkeypatch.setattr(formats, "open", DiskFull, raising=False)
+        def pwrite(fd, data, offset):
+            # the header goes in; the first limb half does, then the disk is full
+            if offset:
+                real_pwrite(fd, bytes(data)[:len(data) // 2], offset)
+                raise full()
+            return real_pwrite(fd, data, offset)
+
+        def fallocate(fd, offset, size):
+            raise full()
+
+        if fault == "write":
+            monkeypatch.setattr(formats, "open", DiskFull, raising=False)
+        elif fault == "pwrite":
+            monkeypatch.setattr(os, "pwrite", pwrite)
+        else:
+            monkeypatch.setattr(os, "posix_fallocate", fallocate, raising=False)
         if writer == "write_mrp":
             with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
                 write(path)
         else:
             assert write(path) == 2
-            assert "code=io-error" in capsys.readouterr().err
+            assert capsys.readouterr() == ("", f"error code=io-error {full()}: {str(path)!r}\n")
         assert path.read_bytes() == old
         assert sorted(p.name for p in path.parent.iterdir()) == ["desk.params", path.name]
 
-    @pytest.mark.parametrize("writer", ["write_mrp", "gen-limb"])
+    @pytest.mark.parametrize("fault", ["short", "helper-full", "no-fallocate"])
+    @pytest.mark.parametrize("writer", ["gen-mrp", "retry-gen"])
+    def test_a_limb_write_that_comes_up_short_is_finished(self, tmp_path, monkeypatch,
+                                                          capsys, forked, writer, fault):
+        # "short": every pwrite takes at most 1000 bytes; "helper-full": the
+        # helper writes half its first limb and meets a full disk, so this
+        # process, which waits for it to exit, makes and writes that limb
+        # again; "no-fallocate": a platform without it writes unallocated
+        params = GenParams(N=256, w=32, seg_len=32, n_seg=8, base=tuple(ntt_primes(256, 5)))
+        mrp = generate_mrp(Seed(bytes([0x11]) * 36), params)
+        write = self._writers(tmp_path, mrp, params)[writer]
+        write(tmp_path / "expected.mrp")
+        assert capsys.readouterr().err == ""
+        parent, real_pwrite = os.getpid(), os.pwrite
+        met = tmp_path / "met"  # a directory, so a helper's fault shows in this process
+
+        def pwrite(fd, data, offset):
+            if fault == "short":
+                return real_pwrite(fd, bytes(data)[:1000], offset)
+            if os.getpid() != parent and offset and not met.exists():
+                met.mkdir()
+                real_pwrite(fd, bytes(data)[:len(data) // 2], offset)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_pwrite(fd, data, offset)
+
+        if fault == "no-fallocate":
+            monkeypatch.delattr(os, "posix_fallocate", raising=False)
+        else:
+            monkeypatch.setattr(os, "pwrite", pwrite)
+        monkeypatch.setattr(sampling, "generate_limb", caller_waits_for_helper(forked, []))
+        del forked[:]
+        assert write(tmp_path / "got.mrp") == 0
+        assert capsys.readouterr().err == ""
+        assert len(forked) == 1
+        assert met.exists() == (fault == "helper-full")
+        assert (tmp_path / "got.mrp").read_bytes() == (tmp_path / "expected.mrp").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == [
+            "desk.params", "expected.mrp", "got.mrp"]
+
+    @pytest.mark.parametrize("writer", ["write_mrp", "gen-limb", "gen-mrp", "retry-gen"])
     def test_a_rewrite_keeps_the_mode_and_follows_a_symlink(self, stored_mrp, capsys,
                                                              writer):
         path, mrp, params = stored_mrp
@@ -300,6 +393,34 @@ class TestCrashSafeOutput:
         assert got == [expected.read_bytes()]
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file.mrp", "pipe"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("writer", ["gen-mrp", "retry-gen"])
+    def test_a_fifo_out_gets_the_whole_file_in_order(self, tmp_path, monkeypatch, capsys,
+                                                     forked, zero_seed, writer):
+        # a pipe cannot be written at an offset: the CLI makes the polynomial
+        # whole, then writes it in order, with the summaries of a file
+        params = GenParams(N=256, w=32, seg_len=32, n_seg=8, base=tuple(ntt_primes(256, 5)))
+        write = self._writers(tmp_path, generate_mrp(zero_seed, params), params)[writer]
+        assert write(tmp_path / "file.mrp") == 0
+        summaries = [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("limb_sha256.")]
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        monkeypatch.setattr(os, "pwrite", None)
+        try:
+            assert write(fifo) == 0
+        finally:
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [(tmp_path / "file.mrp").read_bytes()]
+        assert summaries and [line for line in capsys.readouterr().out.splitlines()
+                              if line.startswith("limb_sha256.")] == summaries
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["desk.params", "file.mrp",
+                                                             "pipe"]
 
 
 class TestForkedVerify:
@@ -350,6 +471,34 @@ class TestForkedVerify:
             verify_mrp_file(path, zero_seed)
         assert (err.value.q, err.value.id_seg) == (base[2], 0)
         assert len(forked) == 1
+
+
+    @pytest.mark.parametrize("helper", [False, True], ids=["serial", "helper"])
+    def test_a_file_cut_after_its_length_check_is_a_format_error(self, tmp_path, monkeypatch,
+                                                                capsys, forked, zero_seed,
+                                                                helper):
+        # the first limb made cuts the file mid-row 0, so the pread of its
+        # stored row comes up short; a helper that meets that exits, and this
+        # process, which waits for it, meets the cut again and raises it
+        path, params = self._stored(tmp_path, zero_seed)
+        cut = path.stat().st_size - 5 * 4 * params.N + 2 * params.N
+        made_here = []
+        real = caller_waits_for_helper(forked, made_here)
+
+        def cutting(seed, q, p):
+            if path.stat().st_size > cut:
+                os.truncate(path, cut)
+            return real(seed, q, p)
+
+        monkeypatch.setattr(sampling, "generate_limb", cutting)
+        if not helper:
+            monkeypatch.setattr(sampling, "MIN_FORK_BLOCKS", 1 << 30)
+        del forked[:]
+        code = cli.main(["verify", "--seed", zero_seed.hex(), "--mrp", str(path)])
+        assert (code, *capsys.readouterr()) == (2, "", "error code=format-error "
+                                                       "truncated MRP file\n")
+        assert len(forked) == helper
+        assert made_here == [params.base[0]]
 
 
 class TestParamsFile:

@@ -34,7 +34,8 @@ from mrpgen.xof import encode_domain_input
 
 import oracles
 from conftest import ntt_primes
-from schedules import assemble_segments, forking
+from schedules import (assemble_segments, caller_waits_for_helper, dying_helper, forking,
+                       within)
 
 
 class TestComputeThreshold:
@@ -502,56 +503,6 @@ def _outcome(run):
         return failure.q, failure.id_seg
 
 
-def _dying_helper(rows: int):
-    """sampling.generate_limb, except that a forked helper SIGKILLs itself
-    instead of starting a row after its first `rows`."""
-    parent, real = os.getpid(), sampling.generate_limb
-    started = []  # appended to only in a helper, so empty at each fork
-
-    def generate_limb(seed, q, p):
-        if os.getpid() != parent:
-            if len(started) == rows:
-                os.kill(os.getpid(), signal.SIGKILL)
-            started.append(q)
-        return real(seed, q, p)
-
-    return generate_limb
-
-
-@contextlib.contextmanager
-def _within(seconds: float):
-    """Raise TimeoutError in this process once the block has run `seconds`."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _caller_waits_for_helper(pids: list[int], made_here: list[int]):
-    """sampling.generate_limb, except that this process records the moduli
-    it makes in made_here and, before its first row of each call, waits
-    (within 30 s, without reaping) until the helper in pids has exited."""
-    parent, real = os.getpid(), sampling.generate_limb
-    waited = set()
-
-    def generate_limb(seed, q, p):
-        if os.getpid() == parent:
-            for pid in set(pids) - waited:
-                with _within(30):
-                    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
-                waited.add(pid)
-            made_here.append(q)
-        return real(seed, q, p)
-
-    return generate_limb
-
-
 class TestBatchedLimbMatchesSegments:
     @settings(deadline=None, max_examples=150)
     @given(_short_prone_profiles(), st.integers(1, 4), st.integers(0, 2 ** 32),
@@ -577,7 +528,7 @@ class TestBatchedLimbMatchesSegments:
             if schedule == "serial":
                 monkeypatch.setattr(sampling, "MIN_FORK_BLOCKS", 1 << 30)
             elif schedule != "forked":
-                monkeypatch.setattr(sampling, "generate_limb", _dying_helper(schedule))
+                monkeypatch.setattr(sampling, "generate_limb", dying_helper(schedule))
             mrp = _outcome(lambda: generate_mrp(seed, params))
             outcomes[schedule] = mrp if short else mrp.coeffs
             if not short:
@@ -776,7 +727,7 @@ class TestForkedGeneration:
         params = GenParams(N=64, w=16, seg_len=64, n_seg=1, base=base)
         made_here = []
         monkeypatch.setattr(sampling, "generate_limb",
-                            _caller_waits_for_helper(forked, made_here))
+                            caller_waits_for_helper(forked, made_here))
         with pytest.raises(GenerationFailure) as err:
             generate_mrp(zero_seed, params)
         assert (err.value.q, err.value.id_seg) == (short, 0)
@@ -815,9 +766,9 @@ class TestForkedGeneration:
         params = self._profile()
         expected = _serial_rows(zero_seed, params)
         made_here = []
-        monkeypatch.setattr(sampling, "generate_limb", _dying_helper(1))
+        monkeypatch.setattr(sampling, "generate_limb", dying_helper(1))
         monkeypatch.setattr(sampling, "generate_limb",
-                            _caller_waits_for_helper(forked, made_here))
+                            caller_waits_for_helper(forked, made_here))
         assert np.array_equal(generate_mrp(zero_seed, params).coeffs, expected)
         assert made_here == list(params.base[:4])
         assert len(forked) == 1
@@ -832,7 +783,7 @@ class TestForkedGeneration:
         expected = _serial_rows(zero_seed, params)
         made_here, codes = [], []
         parent, wait = os.getpid(), sampling._wait
-        waiting = _caller_waits_for_helper(forked, made_here)
+        waiting = caller_waits_for_helper(forked, made_here)
 
         class KilledOnCopy:
             def __array__(self, dtype=None, copy=None):
@@ -977,11 +928,11 @@ class TestForkedGeneration:
 
         monkeypatch.setattr(sampling, "generate_limb", stalling)
         try:
-            with _within(20):
+            with within(20):
                 coeffs = generate_mrp(zero_seed, params).coeffs
             assert made_here == list(params.base)
             del made_here[:]
-            with _within(20):
+            with within(20):
                 report = verify_mrp_file(path, zero_seed)
             assert made_here == list(params.base)
         finally:
@@ -1043,7 +994,7 @@ class TestForkedGeneration:
         monkeypatch.setattr(os, "fork", interrupted_fork)
         monkeypatch.setattr(sampling, "_wait", recorded_wait)
         monkeypatch.setattr(sampling, "generate_limb",
-                            _caller_waits_for_helper(forked, made_here))
+                            caller_waits_for_helper(forked, made_here))
         try:
             coeffs = generate_mrp(zero_seed, params).coeffs
         finally:
