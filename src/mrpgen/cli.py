@@ -7,11 +7,13 @@ catalog scan runs in the calling thread: it is a pure-Python sieve, with
 Miller-Rabin only above 32-bit words, which worker threads cannot overlap.
 gen-mrp, retry-gen and verify run the serial limb loop, which for a large
 polynomial one forked helper process may save work
-(``sampling._each_limb``); their output is the serial loop's.  gen-mrp and
-retry-gen hash each limb in the process that made it, and with --out write
-it there first, at its offset in a preallocated temporary file that replaces
-the target once every limb is in; so no (L, N) array is built, and verify
-reads only the stored row each process compares.
+(``sampling._each_limb``); their output is the serial loop's.  gen-limb
+makes its one limb in this process alone: the row helper that
+``sampling.generate_limb`` forks pays for itself only over many limbs.
+gen-mrp and retry-gen hash each limb in the process that made it, and with
+--out write it there first, at its offset in a preallocated temporary file
+that replaces the target once every limb is in; so no (L, N) array is
+built, and verify reads only the stored row each process compares.
 
 Exit codes: 0 success; 1 an expected domain failure, raised as a
 ``DomainFailure`` after the report is printed; 2 a usage error (argparse),
@@ -197,7 +199,7 @@ def cmd_gen_limb(args) -> None:
 
     params = formats.load_params(args.params)
     seed = _seed_from_args(args)
-    limb = sampling.generate_limb(seed, args.q, params)
+    limb = sampling._serial_limb(seed, args.q, params)
     if args.out is not None:
         formats._write_file(args.out, (np.ascontiguousarray(limb.coeffs, dtype="<u4"),))
     payload = {

@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import io
 import os
+import select
 import stat
 import struct
 from dataclasses import dataclass, replace
@@ -184,11 +186,40 @@ def _pread(fd: int, length: int, offset: int, size: int) -> bytes:
     return data
 
 
-def _is_device(path) -> bool:
-    """Whether path is a character or block device, whose reads may never end
-    (/dev/zero); a regular file or a pipe is not."""
-    mode = os.stat(path).st_mode
-    return stat.S_ISCHR(mode) or stat.S_ISBLK(mode)
+# How long a named FIFO input may wait for its writer's first bytes.
+FIFO_WAIT_S = 2.0
+
+
+def _open_input(path, mode: str = "rb"):
+    """The input file path, opened in mode, binary or text.
+
+    A character or block device, whose reads may never end (/dev/zero), is
+    refused before it is opened.  A path that is itself a FIFO node (made
+    by mkfifo) is opened O_NONBLOCK, so one that no process writes cannot
+    hang it: it is refused unless a writer sends bytes or closes within
+    FIFO_WAIT_S, and is then read whole as any pipe.  A link to a pipe that
+    already has its writer (/dev/stdin, a shell's <(...)) is read blocking,
+    however long the writer takes.  Refusals are FormatErrors; load_params
+    makes them ParamsErrors.
+    """
+    kind = os.stat(path).st_mode
+    if stat.S_ISCHR(kind) or stat.S_ISBLK(kind):
+        raise FormatError(f"{path}: a device, not an input file")
+    # io.open is the builtin open; a plain directory raises as it would there
+    if not stat.S_ISFIFO(os.lstat(path).st_mode):
+        return io.open(path, mode)
+    fh = io.open(path, mode, opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK))
+    try:
+        writer = select.poll()
+        writer.register(fh.fileno(), select.POLLIN)
+        if not writer.poll(FIFO_WAIT_S * 1000):
+            raise FormatError(f"{path}: a FIFO that no process wrote to within "
+                              f"{FIFO_WAIT_S:g} s")
+        os.set_blocking(fh.fileno(), True)
+    except BaseException:
+        fh.close()
+        raise
+    return fh
 
 
 def _read_header(read, length: int) -> tuple[GenParams, int]:
@@ -236,9 +267,8 @@ def _read_header(read, length: int) -> tuple[GenParams, int]:
 def read_mrp(path) -> tuple[np.ndarray, GenParams]:
     """Parse a container into (coeffs, params): coeffs is the (L, N) limb
     section, row i the limb of params.base[i], a read-only view of the file."""
-    if _is_device(path):
-        raise FormatError(f"{path}: a device, not an input file")
-    data = Path(path).read_bytes()
+    with _open_input(path) as fh:
+        data = fh.read()
     params, pos = _read_header(functools.partial(_span, data), len(data))
     return np.frombuffer(data, dtype="<u4", offset=pos).reshape(len(params.base), params.N), params
 
@@ -264,9 +294,7 @@ def verify_mrp_file(path, seed: Seed) -> VerifyReport:
     whoever met it first.  A stored file that is not regular (a pipe) is
     read whole first, as read_mrp does.
     """
-    if _is_device(path):
-        raise FormatError(f"{path}: a device, not an input file")
-    with open(path, "rb") as fh:
+    with _open_input(path) as fh:
         info = os.fstat(fh.fileno())
         if stat.S_ISREG(info.st_mode):
             length = info.st_size
@@ -304,12 +332,13 @@ def load_params(path) -> GenParams:
     and, when given, must be the block's 1344 bits.
     """
     path = Path(path)
-    if _is_device(path):
-        raise ParamsError(f"{path}: a device, not an input file")
     try:
-        text = path.read_text()
+        with _open_input(path, "r") as fh:
+            text = fh.read()
     except UnicodeDecodeError:
         raise ParamsError(f"{path}: not a text file") from None
+    except FormatError as exc:
+        raise ParamsError(str(exc)) from None
     fields: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -12,11 +12,12 @@ There is one engine path, ``_scan``: it expands the first k words of the
 blocks of a batch of segments, one row each, and filters the word matrix
 column by column.  A row's first seg_len words are kept as they are, and
 only the later columns consult the running acceptance count.
-``generate_limb`` scans all n_seg rows of one modulus.  It squeezes only
-the first k words of each block, k the fewest for which a short row in the
-limb has probability below PREFIX_MISS (the XOFs are prefix-consistent, so
-these are the block's own first words); a limb with a row still short is
-scanned again over whole blocks, and that pass raises for a short row.
+``_limb_rows`` scans a range of one modulus's rows, and ``generate_limb``
+all n_seg of them.  It squeezes only the first k words of each block, k
+the fewest for which a short row in the limb has probability below
+PREFIX_MISS (the XOFs are prefix-consistent, so these are the block's own
+first words); rows with one still short are scanned again over whole
+blocks, and a row short there is the limb's failure.
 ``generate_segment``, the unit one distributed engine computes, is one row
 scanned over its whole block, and a short segment stays data there.  A
 polynomial is one (L, N) ``uint32`` array in base order, the same as the
@@ -26,26 +27,38 @@ Because a segment is a pure function of (seed, q, id_seg) plus the profile,
 any schedule over any number of engines reproduces the serial client output
 bit for bit; the client validates a seed once (retrying on the rare
 shortfall) and the server can then regenerate any limb at random access
-without ever stalling.  The library's own schedule is one such schedule:
-``generate_mrp`` and ``formats.verify_mrp_file`` run the serial limb loop,
-and for a large polynomial one forked helper runs it from the other end
-and only saves it work (``_each_limb``); it is forked only where both the
-CPU affinity and any cgroup CPU quota give two CPUs (``_may_fork``).  The
-test suite checks the result against an independent per-segment reference
+without ever stalling.  The library's own schedules are two such
+schedules.  ``generate_mrp`` and ``formats.verify_mrp_file`` run the serial
+limb loop, and for a large polynomial one forked helper runs it from the
+other end and only saves it work (``_each_limb``).  ``generate_limb``, the
+server's random access, splits a limb of MIN_SPLIT_ROWS rows or more: this
+process scans rows [0, n_seg / 2) while a row helper, forked at the first
+such call and reused until this process exits, scans the rest
+(``_split_rows``).  That pays only for a caller that makes many limbs,
+one at a time, from one Python thread, with the second CPU otherwise idle,
+and a split that does not pay backs off (``_pace``).  ``_each_limb``'s rows
+(it holds the row helper's lock) and the CLI's one limb (``_serial_limb``)
+are made unsplit.  Either helper is forked only where both the CPU
+affinity and any cgroup CPU quota give two CPUs (``_may_fork``).  The test
+suite checks the result against an independent per-segment reference
 assembled in shuffled orders (``tests/schedules.py``).
 """
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import math
 import mmap
 import os
+import select
 import signal
+import struct
 import threading
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, ClassVar, Iterable
+from typing import TYPE_CHECKING, Callable, ClassVar, Iterable, NamedTuple
 
 import numpy as np
 
@@ -281,21 +294,18 @@ def _scan(inputs: np.ndarray, thresh: int, k: int,
     return words, keep, count
 
 
-def generate_limb(seed: Seed, q: int, params: GenParams) -> Limb:
-    """All n_seg segments for q as one word matrix, then the layout permutation.
+def _limb_rows(seed: Seed, q: int, ids: range, params: GenParams) -> np.ndarray | int:
+    """The accepted words of q's segments ids, in order, or the first short
+    id_seg among them.
 
-    The inputs of range(n_seg) are one (n_seg, 42) byte matrix, and _scan
+    The inputs of ids are one (len(ids), 42) byte matrix, and _scan
     squeezes the first k = _prefix_words(...) words of each row's block in
-    one batched XOF call; the matrix is not kept once hashed.  Row id_seg of
-    the (n_seg, k) word matrix starts segment id_seg's block, and keeping
-    each row's first seg_len acceptances gives the concatenated segments.
-    If a row is short within k < t words, the limb is made again over whole
-    blocks, as rarely as PREFIX_MISS allows.  Raises GenerationFailure
-    naming the first short (q, id_seg) of whole blocks.
+    one batched XOF call; the matrix is not kept once hashed.  If a row is
+    short within k < t words, the rows are scanned again over whole blocks,
+    as rarely as PREFIX_MISS allows.  Keeping each row's first seg_len
+    acceptances gives the concatenated segments.
     """
-    if q not in params.base:
-        raise ParamsError(f"q={q} is not in the profile base")
-    inputs = encode_domain_inputs(seed, q, range(params.n_seg))
+    inputs = encode_domain_inputs(seed, q, ids)
     thresh = compute_threshold(q, params.w)
     k = _prefix_words(q, params.w, params.seg_len, params.n_seg)
     words, keep, count = _scan(inputs, thresh, k, params)
@@ -303,9 +313,53 @@ def generate_limb(seed: Seed, q: int, params: GenParams) -> Limb:
         words, keep, count = _scan(inputs, thresh, params.t, params)
     short = count < params.seg_len
     if short.any():
-        raise GenerationFailure(q, int(np.argmax(short)))
-    coeffs = words[keep.T]
-    return Limb(coeffs=permute(coeffs.astype(np.uint32, copy=False), params.layout))
+        return ids.start + int(np.argmax(short))
+    return words[keep.T]
+
+
+def generate_limb(seed: Seed, q: int, params: GenParams) -> Limb:
+    """All n_seg segments for q as one word matrix, then the layout permutation.
+
+    Row id_seg of the word matrix starts segment id_seg's block (_limb_rows).
+    A limb of MIN_SPLIT_ROWS rows or more is made by two processes where
+    _may_fork allows: this one scans rows [0, h) while the row helper,
+    forked at the first such call and then reused, scans rows [h, n_seg),
+    h = n_seg // 2 (_split_rows).  The split pays for a caller that makes
+    many limbs, one at a time, from one Python thread, on a host whose
+    second CPU is otherwise idle: the first call pays the fork, and a busy
+    second CPU slows the split past the unsplit limb.  So after two splits
+    in a row that did not pay (SPLIT_PAYS), the next calls are unsplit, 1,
+    3, 7 and up to _SKIP_MAX of them while splits keep not paying (_pace).
+    A process that runs a second Python thread never forks the helper;
+    once forked, one caller at a time uses it (_helper_lock), and a call
+    made while another holds it scans the whole limb here.  Rows are pure
+    functions of (seed, q, id_seg), so the bits, and the error a caller
+    sees, are the same either way.  Raises GenerationFailure naming the
+    first short (q, id_seg) of whole blocks.
+    """
+    n, h = params.n_seg, _helper_row(params.n_seg)
+    if h < n and q in params.base and _helper_lock.acquire(blocking=False):
+        try:
+            if _split_due():
+                return _as_limb(q, _split_rows(seed, q, h, params), params)
+        finally:
+            _helper_lock.release()
+    return _serial_limb(seed, q, params)
+
+
+def _serial_limb(seed: Seed, q: int, params: GenParams) -> Limb:
+    """generate_limb made in this process alone, as CLI gen-limb makes its
+    one limb, which cannot pay for the row helper's fork."""
+    if q not in params.base:
+        raise ParamsError(f"q={q} is not in the profile base")
+    return _as_limb(q, _limb_rows(seed, q, range(params.n_seg), params), params)
+
+
+def _as_limb(q: int, rows: np.ndarray | int, params: GenParams) -> Limb:
+    """The layout of _limb_rows' words, or GenerationFailure for its short id_seg."""
+    if isinstance(rows, int):
+        raise GenerationFailure(q, rows)
+    return Limb(coeffs=permute(rows.astype(np.uint32, copy=False), params.layout))
 
 
 # A forked helper made CLI gen-mrp and verify faster in most interleaved
@@ -314,6 +368,269 @@ def generate_limb(seed: Seed, q: int, params: GenParams) -> Limb:
 # copy-on-write faults and the shared pages cost about what the hashing it
 # saves is worth.
 MIN_FORK_BLOCKS = 3 << 14
+
+# A limb of at least this many segment rows is split with the row helper.
+# In interleaved in-process pairs on two cores, split against unsplit, 2048
+# rows won 81-95 of 100 pairs in five of six sets (SHAKE128 len 4 and 32,
+# KangarooTwelve len 32; 54 in the sixth), and 1024 rows 52-100: below that
+# the round trip to the helper costs about what the second core saves.
+MIN_SPLIT_ROWS = 1 << 11
+
+# A split limb pays while it takes at most this share of the time an unsplit
+# one would.  Split limbs on the benchmark's server profiles, two cores,
+# measured wall / (2 * this process's half's CPU time): medians 0.51-0.59
+# with the second CPU idle, where on a noisy host a quarter of the SHAKE128
+# len-4 splits read above 0.75 and a tenth above 0.9, and 0.93-1.08 with
+# one busy process beside them, where the unsplit limb was faster in 69-97
+# of 100 pairs.  After splits that did not pay, at most _SKIP_MAX calls are
+# unsplit before the next one tries again.
+SPLIT_PAYS = 0.9
+_SKIP_MAX = 63
+
+# How often an idle row helper checks that its creator is still its parent.
+_HELPER_POLL_MS = 500
+
+
+def _helper_row(n_seg: int) -> int:
+    """The first row the row helper scans: n_seg // 2 for a limb of
+    MIN_SPLIT_ROWS (at least 2) rows or more, else n_seg (no split)."""
+    return n_seg // 2 if n_seg >= MIN_SPLIT_ROWS else n_seg
+
+
+# A request: seed, q, h, w, seg_len, n_seg, backend.  A reply: the first short
+# id_seg or -1, then the byte count of the accepted words that follow it.
+_REQUEST = struct.Struct("<36sIIIII16s")
+_REPLY = struct.Struct("<qQ")
+
+
+class _RowHelper(NamedTuple):
+    """A forked row helper: its pid, this process's ends of its request and
+    reply pipes, and the pid of the process that forked it."""
+
+    pid: int
+    requests: int
+    replies: int
+    owner: int
+
+
+_helper: _RowHelper | None = None
+_helper_lock = threading.Lock()  # one caller at a time; another one does not split
+_skip = 0                        # calls left to make unsplit after splits that did not pay
+_backoff = 0                     # the next such run's length; 0 after a split that paid
+
+
+def _split_rows(seed: Seed, q: int, h: int, params: GenParams) -> np.ndarray | int:
+    """_limb_rows over all n_seg rows, with rows [h, n_seg) scanned by the
+    row helper where there is one.
+
+    This process joins the two halves, and a short row in its own half
+    comes first, as in the serial scan.  An exception, EOF or interrupt
+    between the request and the whole reply discards the helper, so its
+    pipes never go out of sync; after EOF this process scans the helper's
+    rows itself.  A whole reply is timed for _pace.
+    """
+    n = params.n_seg
+    helper = _row_helper()
+    try:
+        start = time.perf_counter()
+        asked = helper is not None and _ask(helper, seed, q, h, params)
+        cpu = time.thread_time()
+        mine = _limb_rows(seed, q, range(h if asked else n), params)
+        cpu = time.thread_time() - cpu
+        theirs = _answer(helper) if asked else None
+    except BaseException:
+        _stop_helper()
+        raise
+    if not asked:
+        return mine
+    if theirs is None:
+        _stop_helper()
+        theirs = _limb_rows(seed, q, range(h, n), params)
+    else:
+        _pace(time.perf_counter() - start, cpu)
+    if isinstance(mine, int):
+        return mine
+    if isinstance(theirs, int):
+        return theirs
+    return np.concatenate([mine, np.frombuffer(theirs, dtype=mine.dtype)])
+
+
+def _split_due() -> bool:
+    """Whether this call splits: not while a run of unsplit calls that
+    _pace set is left."""
+    global _skip
+    if _skip:
+        _skip -= 1
+        return False
+    return True
+
+
+def _pace(wall: float, cpu: float) -> None:
+    """After a split limb that took wall seconds, this process's half cpu
+    seconds of its own CPU time: an unsplit limb would take about 2 * cpu,
+    so a split above SPLIT_PAYS of that did not pay.  The first such split
+    only arms the back-off, since one slow call on a shared host is noise;
+    each next one in a row makes the next 1, 3, 7, ... calls, at most
+    _SKIP_MAX, unsplit.  A split that paid ends the back-off."""
+    global _skip, _backoff
+    if wall > SPLIT_PAYS * 2 * cpu:
+        _skip, _backoff = _backoff, min(2 * _backoff + 1, _SKIP_MAX)
+    else:
+        _backoff = 0
+
+
+def _ask(helper: _RowHelper, seed: Seed, q: int, h: int, params: GenParams) -> bool:
+    """Send the helper rows [h, n_seg) of q's limb; False, with the helper
+    stopped, if it has gone since it was checked."""
+    request = _REQUEST.pack(seed.data, q, h, params.w, params.seg_len, params.n_seg,
+                            params.backend.encode())
+    try:
+        _write_all(helper.requests, request)
+    except OSError:
+        _stop_helper()
+        return False
+    return True
+
+
+def _answer(helper: _RowHelper) -> bytearray | int | None:
+    """The helper's reply: its rows' accepted words as bytes, or its first
+    short id_seg; None if its reply pipe ends first."""
+    head = bytearray(_REPLY.size)
+    if not _read_into(helper.replies, head):
+        return None
+    short, size = _REPLY.unpack(head)
+    if short >= 0:
+        return short
+    words = bytearray(size)
+    return words if _read_into(helper.replies, words) else None
+
+
+def _read_into(fd: int, buf) -> bool:
+    """Fill buf from fd; False if fd reaches EOF first."""
+    view = memoryview(buf).cast("B")
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
+            return False
+        view = view[got:]
+    return True
+
+
+def _write_all(fd: int, data) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _row_helper() -> _RowHelper | None:
+    """This process's row helper, forked now if there is none and _may_fork
+    allows; None if there is none.
+
+    A helper inherited through os.fork is never used (_own_helper).  A
+    helper whose request pipe has no reader left is stopped before a request
+    is written, so a caller that lets SIGPIPE end it is not ended by a dead
+    helper.
+    """
+    if _own_helper() is not None:
+        gone = select.poll()
+        gone.register(_helper.requests, 0)  # POLLERR once no reader is left
+        if gone.poll(0):
+            _stop_helper()
+    if _helper is None and _may_fork():
+        _start_helper()
+    return _helper
+
+
+def _own_helper() -> _RowHelper | None:
+    """This process's row helper, if it has one.  A helper inherited through
+    os.fork is its owner's: this process closes its copies of that helper's
+    pipe ends and forgets it."""
+    global _helper
+    if _helper is not None and _helper.owner != os.getpid():
+        os.close(_helper.requests)
+        os.close(_helper.replies)
+        _helper = None
+    return _helper
+
+
+def _start_helper() -> None:
+    """Fork the row helper (_serve_rows) and record it in _helper while
+    SIGINT is still held; _helper stays None if os.fork fails."""
+    global _helper
+    creator = os.getpid()
+    requests, replies = os.pipe(), os.pipe()
+
+    def serve() -> None:
+        # The helper outlives the call that forks it, so it keeps no other
+        # descriptor of this process's: a socket it held would send its peer
+        # no EOF at close, and a lock on an open file would never be released.
+        low, high = sorted((requests[0], replies[1]))
+        os.closerange(0, low)
+        os.closerange(low + 1, high)
+        os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+        _serve_rows(requests[0], replies[1], creator)
+
+    try:
+        with _forked(serve, ignore_sigint=True) as pid:
+            if pid:
+                _helper = _RowHelper(pid, requests[1], replies[0], creator)
+    finally:
+        os.close(requests[0])
+        os.close(replies[1])
+        if _helper is None:
+            os.close(requests[1])
+            os.close(replies[0])
+
+
+def _serve_rows(requests: int, replies: int, creator: int) -> None:
+    """The row helper's loop: each request names rows [h, n_seg) of one
+    limb, and the reply is their accepted words or their first short id_seg.
+
+    It returns at EOF of the request pipe, which comes once no process holds
+    its write end, so once its creator is gone, even after a SIGKILL; and,
+    checked every _HELPER_POLL_MS while idle, once creator is no longer its
+    parent.  An error ends it, through _forked's os._exit guard.  A request
+    carries the profile's scalars, and the helper keeps the GenParams it
+    built for each profile, so a request costs it a with_base.
+    """
+    request = bytearray(_REQUEST.size)
+    profiles: dict[tuple, GenParams] = {}
+    idle = select.poll()
+    idle.register(requests, select.POLLIN)
+    while os.getppid() == creator:
+        if not idle.poll(_HELPER_POLL_MS):
+            continue
+        if not _read_into(requests, request):
+            return
+        seed, q, h, w, seg_len, n_seg, backend = _REQUEST.unpack(request)
+        key = (w, seg_len, n_seg, backend.rstrip(b"\0").decode())
+        if key not in profiles:
+            profiles[key] = GenParams(N=seg_len * n_seg, w=w, seg_len=seg_len, n_seg=n_seg,
+                                      base=(q,), backend=key[3])
+        rows = _limb_rows(Seed(seed), q, range(h, n_seg), profiles[key].with_base([q]))
+        if isinstance(rows, int):
+            _write_all(replies, _REPLY.pack(rows, 0))
+        else:
+            _write_all(replies, _REPLY.pack(-1, rows.nbytes))
+            _write_all(replies, rows)
+
+
+def _stop_helper() -> None:
+    """SIGKILL and reap this process's row helper, if it has one, and close
+    its pipe ends; one inherited through os.fork is only forgotten
+    (_own_helper).  Run at exit."""
+    global _helper
+    helper, _helper = _own_helper(), None
+    if helper is None:
+        return
+    os.close(helper.requests)
+    os.close(helper.replies)
+    with contextlib.suppress(ProcessLookupError):
+        os.kill(helper.pid, signal.SIGKILL)
+    _wait(helper.pid)
+
+
+atexit.register(_stop_helper)
 
 
 def _shared_array(shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -355,7 +672,10 @@ def _cpu_quota() -> int | None:
     return quota // period if quota > 0 and period > 0 else None
 
 
-def _may_fork(params: GenParams) -> bool:
+def _may_fork() -> bool:
+    """The CPU rules of both helpers: os.fork exists, no other Python thread
+    is running, and both the affinity mask and any cgroup CPU quota give
+    two CPUs."""
     # threading.active_count() sees Python threads only.  After import numpy
     # the OpenBLAS pool is a second OS thread, and a child that called into
     # BLAS could deadlock on its locks; forking past it is safe because the
@@ -363,12 +683,41 @@ def _may_fork(params: GenParams) -> bool:
     if not all(hasattr(mod, name) for mod, name in
                ((os, "fork"), (os, "sched_getaffinity"), (signal, "pthread_sigmask"))):
         return False
-    if threading.active_count() > 1 or len(params.base) * params.n_seg < MIN_FORK_BLOCKS:
-        return False
-    if len(os.sched_getaffinity(0)) < 2 or len(params.base) < 2:
+    if threading.active_count() > 1 or len(os.sched_getaffinity(0)) < 2:
         return False
     cpus = _cpu_quota()  # two CPUs in the affinity mask may share one CPU of quota
     return cpus is None or cpus >= 2
+
+
+@contextlib.contextmanager
+def _forked(child: Callable[[], None], ignore_sigint: bool = False):
+    """Yields the pid of a forked child that runs child() and leaves through
+    os._exit, 0 if it returned and 1 if it raised; 0 if os.fork fails.
+
+    SIGINT is held from before the fork until the child is inside its
+    os._exit guard and the with-block here has recorded its pid, so a Ctrl-C
+    can neither unwind the child into the caller nor orphan it.  With
+    ignore_sigint the child ignores SIGINT from the start.
+    """
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        try:
+            pid = os.fork()
+        except OSError:
+            pid = None
+        if pid == 0:
+            code = 1
+            try:
+                if ignore_sigint:
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)
+                signal.pthread_sigmask(signal.SIG_SETMASK, held)
+                child()
+                code = 0
+            finally:
+                os._exit(code)
+        yield pid or 0
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
 
 
 def _wait(pid: int) -> int | None:
@@ -392,9 +741,14 @@ def _each_limb(seed: Seed, params: GenParams, row_fn: Callable[[int, np.ndarray]
 
     The worker rule of every caller: this process runs the serial loop in
     base order and raises its first error.  Rows are pure functions of
-    (seed, q), so one helper, forked from this process when _may_fork
-    allows, runs the same loop from the last row down and may only save it
-    work; a row both sides make has the same bits.
+    (seed, q), so one helper, forked from this process for L >= 2 and
+    L * n_seg >= MIN_FORK_BLOCKS where _may_fork allows, runs the same loop
+    from the last row down and may only save it work; a row both sides make
+    has the same bits.  Both sides make their rows unsplit, since this
+    process holds _helper_lock throughout: where this helper is forked it
+    holds the second CPU, and where it is not, the polynomial is below the
+    size at which a fork pays for itself in the CLI, the chief caller,
+    whose process ends with the call.
     Both sides make a row with make(row), which stores the row and then sets
     its bit in a shared per-row record: one bit, stored or not.  A row that
     raises, a short one included, stays unmarked, so this process makes
@@ -416,38 +770,27 @@ def _each_limb(seed: Seed, params: GenParams, row_fn: Callable[[int, np.ndarray]
         made[row] = True
 
     caller = os.getpid()
+
+    def descend() -> None:
+        for row in range(rows - 1, -1, -1):
+            if made[row] or os.getppid() != caller:
+                break
+            make(row)
+
     helper = 0
-    try:
-        if _may_fork(params):
-            # SIGINT is held from before the fork until the helper is inside
-            # its os._exit guard and this process has its pid, so a Ctrl-C
-            # can neither unwind the helper into the caller nor orphan it.
-            held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
-                helper = os.fork()
-                if helper == 0:
-                    code = 1
-                    try:
-                        signal.pthread_sigmask(signal.SIG_SETMASK, held)
-                        for row in range(rows - 1, -1, -1):
-                            if made[row] or os.getppid() != caller:
-                                break
-                            make(row)
-                        code = 0
-                    finally:
-                        os._exit(code)
-            except OSError:
-                pass  # no helper: this process makes every row
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        for row in range(rows):
-            if not made[row]:
-                make(row)
-    finally:
-        if helper:
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(helper, signal.SIGKILL)
-            _wait(helper)
+    with _helper_lock:  # so generate_limb splits no row, here or in the helper
+        try:
+            if rows >= 2 and rows * params.n_seg >= MIN_FORK_BLOCKS and _may_fork():
+                with _forked(descend) as pid:
+                    helper = pid  # 0 if the fork failed: this process makes every row
+            for row in range(rows):
+                if not made[row]:
+                    make(row)
+        finally:
+            if helper:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(helper, signal.SIGKILL)
+                _wait(helper)
     return out
 
 

@@ -6,7 +6,7 @@ import pytest
 from mrpgen import GenParams, Seed, is_ntt_friendly
 from mrpgen.formats import MAGIC, VERSION
 
-from schedules import forking
+from schedules import forking, no_child_left, splitting
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -16,12 +16,26 @@ def fixtures_dir() -> Path:
     return FIXTURES
 
 
+@pytest.fixture(autouse=True)
+def no_helper_leaks():
+    """No test leaves generate_limb's row helper, or any other child, behind."""
+    yield
+    no_child_left()
+
+
 @pytest.fixture
 def forked(monkeypatch) -> list[int]:
     """The limb helper is forked at any size (see schedules.forking); the
     pids os.fork handed out."""
     with forking(monkeypatch) as pids:
         yield pids
+
+
+@pytest.fixture
+def split(monkeypatch) -> None:
+    """generate_limb splits any limb of two rows or more (see schedules.splitting)."""
+    with splitting(monkeypatch):
+        yield
 
 
 @pytest.fixture

@@ -94,6 +94,37 @@ MUTANTS = [
     ("src/mrpgen/sampling.py", "for row in range(rows - 1, -1, -1):",
      "for row in range(rows - 1, 0, -1):",
      "equivalent: the caller makes every row the helper did not store, row 0 included"),
+    # the row helper: its first row, which half's short row is raised, a
+    # helper inherited through os.fork, a helper after an interrupted call
+    ("src/mrpgen/sampling.py", "request = _REQUEST.pack(seed.data, q, h, params.w,",
+     "request = _REQUEST.pack(seed.data, q, h + 1, params.w,", MUST_FAIL),
+    ("src/mrpgen/sampling.py",
+     "    if isinstance(mine, int):\n        return mine\n"
+     "    if isinstance(theirs, int):\n        return theirs\n",
+     "    if isinstance(theirs, int):\n        return theirs\n"
+     "    if isinstance(mine, int):\n        return mine\n", MUST_FAIL),
+    ("src/mrpgen/sampling.py", "    if _helper is not None and _helper.owner != os.getpid():\n",
+     "    if False:\n", MUST_FAIL),
+    ("src/mrpgen/sampling.py",
+     "    except BaseException:\n        _stop_helper()\n        raise\n",
+     "    except BaseException:\n        raise\n", MUST_FAIL),
+    # a split that did not pay: twice this process's half is the unsplit
+    # limb, and the next calls are unsplit
+    ("src/mrpgen/sampling.py", "if wall > SPLIT_PAYS * 2 * cpu:", "if wall > SPLIT_PAYS * cpu:",
+     MUST_FAIL),
+    ("src/mrpgen/sampling.py", "_skip, _backoff = _backoff, min(", "_skip, _backoff = 0, min(",
+     MUST_FAIL),
+    # _each_limb's rows are unsplit: it holds the row helper's lock
+    ("src/mrpgen/sampling.py", "    with _helper_lock:  # so generate_limb splits no row",
+     "    with contextlib.nullcontext():  # so generate_limb splits no row", MUST_FAIL),
+    # the row helper keeps no descriptor of its creator's; CLI gen-limb forks
+    # no row helper; only a FIFO node, not a link to a pipe, is waited for
+    # within a bound
+    ("src/mrpgen/sampling.py", "        os.closerange(0, low)\n", "", MUST_FAIL),
+    ("src/mrpgen/cli.py", "limb = sampling._serial_limb(seed, args.q, params)",
+     "limb = sampling.generate_limb(seed, args.q, params)", MUST_FAIL),
+    ("src/mrpgen/formats.py", "if not stat.S_ISFIFO(os.lstat(path).st_mode):",
+     "if not stat.S_ISFIFO(os.stat(path).st_mode):", MUST_FAIL),
     # the 16-bit segment-id bound, defined once
     ("src/mrpgen/profiles.py", "MAX_N_SEG = 1 << 16", "MAX_N_SEG = 1 << 15", MUST_FAIL),
     ("src/mrpgen/sampling.py", "self.n_seg > MAX_N_SEG:", "self.n_seg >= MAX_N_SEG:",

@@ -6,12 +6,14 @@ by ``oracles.segment``, which shares no code with the generator's engine
 path, so it is the one place two units run at once.  ``forking`` makes
 ``generate_mrp`` and ``verify_mrp_file`` fork their limb helper at any
 size, and ``dying_helper`` and ``caller_waits_for_helper`` fix which rows its
-helper makes.
+helper makes.  ``splitting`` makes ``generate_limb`` split any limb of two
+rows or more with its row helper.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import random
 import signal
@@ -56,11 +58,8 @@ def forking(monkeypatch: pytest.MonkeyPatch):
     Yields the pids os.fork handed out; at exit none may be left unreaped.
     The patches go through `monkeypatch`, so they are undone with it.
     """
-    if not hasattr(os, "fork"):
-        pytest.skip("no os.fork on this platform")
+    _two_cpus(monkeypatch)
     monkeypatch.setattr(sampling, "MIN_FORK_BLOCKS", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(sampling, "_cpu_quota", lambda: None)
     pids = []
     real_fork = os.fork
 
@@ -72,6 +71,39 @@ def forking(monkeypatch: pytest.MonkeyPatch):
 
     monkeypatch.setattr(os, "fork", counted_fork)
     yield pids
+    no_child_left()
+
+
+@contextlib.contextmanager
+def splitting(monkeypatch: pytest.MonkeyPatch):
+    """generate_limb splits any limb of two rows or more with its row
+    helper, as on a host with two CPUs and no cgroup CPU quota, and every
+    split pays (no call is unsplit for sampling._pace).
+
+    At exit the helper is stopped and no child may be left.  The patches go
+    through `monkeypatch`, so they are undone with it.
+    """
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(sampling, "MIN_SPLIT_ROWS", 2)
+    monkeypatch.setattr(sampling, "SPLIT_PAYS", math.inf)
+    monkeypatch.setattr(sampling, "_skip", 0)
+    monkeypatch.setattr(sampling, "_backoff", 0)
+    yield
+    no_child_left()
+
+
+def _two_cpus(monkeypatch: pytest.MonkeyPatch) -> None:
+    """_may_fork sees a host with two CPUs and no cgroup CPU quota."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(sampling, "_cpu_quota", lambda: None)
+
+
+def no_child_left() -> None:
+    """Stop the row helper of generate_limb, then require that no child of
+    this process is left, running or unreaped."""
+    sampling._stop_helper()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -92,11 +124,17 @@ def dying_helper(rows: int):
     return generate_limb
 
 
+class Expired(BaseException):
+    """A block under within() ran past its bound.  Not an Exception, so no
+    handler in the code under test (cli.main's among them) can take it for
+    an error of its own."""
+
+
 @contextlib.contextmanager
 def within(seconds: float):
-    """Raise TimeoutError in this process once the block has run `seconds`."""
+    """Raise Expired in this process once the block has run `seconds`."""
     def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
+        raise Expired(f"still running after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)

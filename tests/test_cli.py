@@ -25,7 +25,7 @@ from conftest import ntt_primes
 from mrpgen import (GenerationFailure, GenParams, Permutation, Seed, analytics, cli, formats,
                     generate_mrp, profiles, read_mrp, sampling, save_params, write_mrp)
 from mrpgen.cli import main
-from schedules import caller_waits_for_helper, dying_helper
+from schedules import caller_waits_for_helper, dying_helper, within
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -89,6 +89,12 @@ class TestGenerateCommands:
         limb = json.loads(out)["result"]
         assert code == 0
         assert limb["sha256"] == mrp_digests["7681"]
+
+    def test_gen_limb_forks_no_row_helper(self, capsys, split, params_file):
+        # one limb cannot pay for the row helper's fork
+        code, out, _ = run(capsys, "--format", "json", "gen-limb",
+                           "--seed", ZERO_SEED, "--params", params_file, "--q", "7681")
+        assert code == 0 and sampling._helper is None
 
     def test_gen_seg_reports_words(self, capsys, params_file):
         code, out, _ = run(capsys, "--format", "json", "gen-seg",
@@ -735,10 +741,13 @@ class TestReportEnvelope:
 # option added to the parser is covered without a test edit.  "{dir}" is a
 # directory, "{empty}" an empty file and "{params}" a params file, which is
 # also what an option that wants an MRP container gets when it draws it;
-# "{truncated}" is the container "{mrp}" cut mid-row and "{trailing}" it
-# with one byte more.
+# "{truncated}" is the container "{mrp}" cut mid-row, "{trailing}" it
+# with one byte more, and "{fifo}" a FIFO that no process writes.  --out
+# never draws "{fifo}": a FIFO output waits for its reader, as a shell
+# redirection does (test_a_fifo_out_gets_the_whole_file_in_order).
 HOSTILE = ["0", "-1", str(2 ** 63), str(2 ** 64), "1e308", "nan", "inf", "1/0", "",
-           "ünïcödé €", "{dir}", "{empty}", "{params}", "{truncated}", "{trailing}"]
+           "ünïcödé €", "{dir}", "{empty}", "{params}", "{truncated}", "{trailing}",
+           "{fifo}"]
 # A value an option may draw instead, by its destination, so that some argv
 # get past the parser and the first checks to the generator, the reader and
 # the writers.  The profile has N = 256, far too small for the helper to fork.
@@ -784,7 +793,8 @@ def _hostile_argv(draw) -> list[str]:
             argv.append(f"{flag}={plausible}")
         else:
             even = single is None and plausible is not None
-            pool = HOSTILE + [plausible] * len(HOSTILE) * even
+            pool = [value for value in HOSTILE if action.dest != "out" or value != "{fifo}"]
+            pool += [plausible] * len(pool) * even
             argv.append(f"{flag}={draw(st.sampled_from(pool))}")  # "=" keeps "-1" a value
     return argv
 
@@ -816,6 +826,27 @@ class TestArgvSurface:
             "truncated": "truncated MRP file", "trailing": "trailing bytes after the last limb",
         }[container] + "\n")
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("command, code, wait", [
+        (["verify", "--seed", ZERO_SEED, "--mrp"], "format-error", None),
+        (["stats", "--mrp"], "format-error", 0.1),
+        (["gen-mrp", "--params"], "params-error", 0.1),
+    ], ids=["verify", "stats", "gen-mrp"])
+    def test_a_fifo_that_no_process_writes_is_refused(self, capsys, monkeypatch, tmp_path,
+                                                      command, code, wait):
+        # the open does not block, and the read waits FIFO_WAIT_S (the
+        # module's own bound for verify) for a writer that never comes
+        if wait is not None:
+            monkeypatch.setattr(formats, "FIFO_WAIT_S", wait)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        start = time.monotonic()
+        with within(formats.FIFO_WAIT_S + 10):
+            got = run(capsys, *command, fifo)
+        assert time.monotonic() - start >= formats.FIFO_WAIT_S
+        assert got == (2, "", f"error code={code} {fifo}: a FIFO that no process wrote to "
+                              f"within {formats.FIFO_WAIT_S:g} s\n")
+
     @settings(deadline=None, max_examples=300)
     @given(_hostile_argv())
     def test_any_argv_exits_with_a_typed_code(self, inputs, argv):
@@ -823,29 +854,29 @@ class TestArgvSurface:
         # "error code=" line for 1 and 2, and exits 0 only with every --out
         # written; argparse refuses what it cannot parse with its own one
         # "error:" line and exit 2, before any handler
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             for name in ("p.params", "p.mrp", "truncated.mrp", "trailing.mrp"):
                 shutil.copy(inputs / name, tmp)
             Path(tmp, "empty").touch()
+            os.mkfifo(Path(tmp, "fifo"))
+            patch.setattr(formats, "FIFO_WAIT_S", 0.05)  # the refusal, not the wait
             argv = [arg.format(dir=tmp, empty=f"{tmp}/empty", params=f"{tmp}/p.params",
                                mrp=f"{tmp}/p.mrp", truncated=f"{tmp}/truncated.mrp",
-                               trailing=f"{tmp}/trailing.mrp") for arg in argv]
+                               trailing=f"{tmp}/trailing.mrp", fifo=f"{tmp}/fifo")
+                    for arg in argv]
             out, err = io.StringIO(), io.StringIO()
-            start = time.perf_counter()
             # a relative --out lands in the temporary directory
-            with (contextlib.chdir(tmp), contextlib.redirect_stdout(out),
+            with (within(10), contextlib.chdir(tmp), contextlib.redirect_stdout(out),
                   contextlib.redirect_stderr(err)):
                 try:
                     code, parsed = main(argv), True
                 except SystemExit as exc:
                     code, parsed = exc.code, False
-            seconds = time.perf_counter() - start
             targets = [arg.partition("=")[2] for arg in argv if arg.startswith("--out=")]
             written = all(os.path.isfile(os.path.join(tmp, target)) for target in targets)
         out, err = out.getvalue(), err.getvalue()
         event(f"exit {code}" if parsed else "argparse")
         assert "Traceback" not in out + err
-        assert seconds < 10
         assert threading.active_count() == 1
         if not parsed:
             assert code == 2 and out == ""

@@ -4,6 +4,7 @@ import os
 import stat
 import tempfile
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -121,6 +122,36 @@ class TestMrpContainer:
         finally:
             writer.join(timeout=10)
         assert not writer.is_alive()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    @pytest.mark.parametrize("reader", ["verify_mrp_file", "read_mrp", "load_params"])
+    def test_a_pipe_whose_writer_is_slow_is_waited_for(self, monkeypatch, stored_mrp,
+                                                       zero_seed, reader):
+        # /dev/fd/N, as /dev/stdin or a shell's <(...), links to a pipe that
+        # already has its writer: its first bytes are waited for past the
+        # bound that refuses a FIFO node no process writes
+        path, mrp, params = stored_mrp
+        if reader == "load_params":
+            save_params(params, path)
+        monkeypatch.setattr(formats, "FIFO_WAIT_S", 0.05)
+        read_end, write_end = os.pipe()
+
+        def write_late():
+            time.sleep(0.5)
+            with os.fdopen(write_end, "wb") as fh:
+                fh.write(path.read_bytes())
+
+        writer = threading.Thread(target=write_late, daemon=True)
+        writer.start()
+        try:
+            got = {"verify_mrp_file": lambda name: verify_mrp_file(name, zero_seed).ok,
+                   "read_mrp": lambda name: np.array_equal(read_mrp(name)[0], mrp.coeffs),
+                   "load_params": lambda name: load_params(name) == params,
+                   }[reader](f"/dev/fd/{read_end}")
+        finally:
+            writer.join(timeout=10)
+            os.close(read_end)
+        assert got and not writer.is_alive()
 
     def test_verify_flags_wrong_seed(self, stored_mrp):
         from mrpgen import Seed
@@ -507,6 +538,20 @@ class TestParamsFile:
         save_params(desk_params, path)
         loaded = load_params(path)
         assert loaded == desk_params
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_pipe_is_read_whole(self, tmp_path, desk_params):
+        path, fifo = tmp_path / "profile.params", tmp_path / "pipe"
+        save_params(desk_params, path)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()),
+                                  daemon=True)
+        writer.start()
+        try:
+            assert load_params(fifo) == desk_params
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
 
     def test_round_trip_reverse_layout(self, tmp_path):
         params = GenParams(N=256, w=32, seg_len=32, n_seg=8, base=(7681,),

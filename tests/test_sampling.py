@@ -5,10 +5,12 @@ import functools
 import hashlib
 import inspect
 import itertools
+import math
 import os
 import random
 import select
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -35,7 +37,7 @@ from mrpgen.xof import encode_domain_input
 import oracles
 from conftest import ntt_primes
 from schedules import (assemble_segments, caller_waits_for_helper, dying_helper, forking,
-                       within)
+                       splitting, within)
 
 
 class TestComputeThreshold:
@@ -309,7 +311,8 @@ class TestGenerateLimb:
         assert hashlib.sha256(coeffs.astype("<u4").tobytes()).hexdigest() == golden["sha256"]
 
     def test_encodes_no_per_segment_inputs(self, monkeypatch, golden_mrp, golden_k12_limb):
-        # one encoder call per limb, over the whole range of its segment ids
+        # one encoder call per limb, over the whole range of its segment ids;
+        # a limb split with the row helper encodes its own half here
         calls, encode = [], sampling.encode_domain_inputs
 
         def recorded(seed, q, ids):
@@ -317,6 +320,7 @@ class TestGenerateLimb:
             return encode(seed, q, ids)
 
         monkeypatch.setattr(sampling, "encode_domain_inputs", recorded)
+        monkeypatch.setattr(sampling, "MIN_SPLIT_ROWS", 1 << 30)
         k12 = golden_k12_limb
         params = GenParams(N=k12["N"], w=32, seg_len=k12["len"], n_seg=k12["n_seg"],
                            base=(k12["q"],), backend=k12["backend"])
@@ -324,11 +328,16 @@ class TestGenerateLimb:
         assert hashlib.sha256(coeffs.astype("<u4").tobytes()).hexdigest() == k12["sha256"]
         assert calls == [range(k12["n_seg"])]
         calls.clear()
-        params = GenParams(N=golden_mrp["N"], w=32, seg_len=golden_mrp["len"],
+        golden = GenParams(N=golden_mrp["N"], w=32, seg_len=golden_mrp["len"],
                            n_seg=golden_mrp["n_seg"], base=golden_mrp["base"])
         for q, expected in golden_mrp["limbs"].items():
-            assert generate_limb(golden_mrp["seed"], q, params).coeffs.tolist() == expected
+            assert generate_limb(golden_mrp["seed"], q, golden).coeffs.tolist() == expected
         assert calls == [range(golden_mrp["n_seg"])] * len(golden_mrp["limbs"])
+        calls.clear()
+        with splitting(monkeypatch):
+            coeffs = generate_limb(k12["seed"], k12["q"], params).coeffs
+        assert hashlib.sha256(coeffs.astype("<u4").tobytes()).hexdigest() == k12["sha256"]
+        assert calls == [range(k12["n_seg"] // 2)]
 
     def test_failure_names_first_short_segment(self, zero_seed):
         q = ntt_primes(64, 1, q_min=2 ** 31, q_max=2 ** 32)[0]
@@ -495,6 +504,40 @@ def _short_prone_profiles(draw):
                            base=tuple(base), layout=layout, backend=backend)
 
 
+@functools.lru_cache(maxsize=None)
+def _partial_modulus(w: int, n_ring: int, seg_len: int) -> int | None:
+    """An NTT-friendly q above 2^(w-1) whose segments are short with
+    probability near 1/4, so that a limb of several rows often has a short
+    row and a complete one; None where even the q just above 2^(w-1) makes
+    a short segment rarer than 1/16."""
+    t = 1344 // w
+
+    def short(q):  # thresh = q: each word is accepted with probability q / 2^w
+        a = Fraction(q, 1 << w)
+        return sum(math.comb(t, i) * a ** i * (1 - a) ** (t - i) for i in range(seg_len))
+
+    lo, hi = (1 << (w - 1)) + 1, (1 << w) - 1
+    if short(lo) < Fraction(1, 16):
+        return None
+    while hi - lo > 2 * n_ring:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if short(mid) > Fraction(1, 4) else (lo, mid)
+    q = lo - (lo - 1) % (2 * n_ring)
+    while not is_ntt_friendly(q, n_ring):
+        q += 2 * n_ring
+    return q if q < 1 << w else None
+
+
+@st.composite
+def _split_prone_profiles(draw):
+    """A short-prone profile with _partial_modulus, where there is one, last in its base."""
+    seed, params = draw(_short_prone_profiles())
+    q = _partial_modulus(params.w, params.N, params.seg_len)
+    if q is not None and q not in params.base:
+        params = params.with_base(params.base + (q,))
+    return seed, params
+
+
 def _outcome(run):
     """The (L, N) array a schedule produced, or the (q, id_seg) it failed on."""
     try:
@@ -550,6 +593,76 @@ class TestBatchedLimbMatchesSegments:
             else:
                 assert got.dtype == np.uint32, name
                 assert np.array_equal(got, expected), name
+
+
+class TestSplitLimbMatchesSegments:
+    @settings(deadline=None, max_examples=100)
+    @given(_split_prone_profiles(), st.data())
+    def test_a_split_limb_is_the_per_segment_limb(self, case, data):
+        # for each limb, this process scans rows [0, h) and the row helper
+        # rows [h, n_seg), h drawn so that the short rows fall in this
+        # process's half, the helper's or both, where the limb allows: the
+        # limb is the per-segment reference (oracles.segment), and a short
+        # one names the same (q, id_seg) as the unsplit limb
+        seed, params = case
+        n = params.n_seg
+        event(params.backend)
+        for q in params.base:
+            expected = _outcome(lambda: assemble_segments(seed, params.with_base([q]), 1,
+                                                          random.Random(0))[0])
+            unsplit = _outcome(lambda: generate_limb(seed, q, params).coeffs)
+            short = [] if not isinstance(expected, tuple) else [
+                j for j in range(n) if len(oracles.segment(seed, q, j, params)) < params.seg_len]
+            halves = {"the caller's half only": (short[-1] + 1, n - 1),
+                      "the helper's half only": (1, short[0]),
+                      "both halves": (short[0] + 1, short[-1])} if short else {
+                      "no half": (1, n - 1)}
+            halves = {name: ends for name, ends in halves.items() if ends[0] <= ends[1]}
+            if n < 2:
+                h, where = n, "not split"
+            else:
+                where = data.draw(st.sampled_from(sorted(halves)))
+                h = data.draw(st.integers(*halves[where]))
+            event(f"short rows in {where}")
+            parent, ranges, real = os.getpid(), [], sampling._limb_rows
+
+            def rows(seed, q, ids, p):
+                if os.getpid() == parent:
+                    ranges.append(ids)
+                return real(seed, q, ids, p)
+
+            with pytest.MonkeyPatch.context() as monkeypatch, splitting(monkeypatch):
+                monkeypatch.setattr(sampling, "_helper_row", lambda n_seg: h)
+                monkeypatch.setattr(sampling, "_limb_rows", rows)
+                split = _outcome(lambda: generate_limb(seed, q, params).coeffs)
+            assert ranges == [range(h)], q
+            for name, got in (("split", split), ("unsplit", unsplit)):
+                if short:
+                    assert got == expected, (name, q)
+                else:
+                    assert got.dtype == np.uint32, (name, q)
+                    assert np.array_equal(got, expected), (name, q)
+
+    def test_a_short_row_in_either_half_is_the_first_short_segment(self, monkeypatch, split):
+        # p_r near 1/5 at len 32 over 8 segments: a split at the first short
+        # row leaves it to the helper, one row later keeps it here, and where
+        # a seed has a later short row too, that one is the helper's
+        q = ntt_primes(256, 1, q_min=(1 << 32) * 4 // 5, q_max=1 << 32)[0]
+        params = GenParams(N=256, w=32, seg_len=32, n_seg=8, base=(q,))
+        seen = set()
+        for i in range(32):
+            seed = Seed(bytes([i]) * 36)
+            short = [j for j in range(8)
+                     if len(oracles.segment(seed, q, j, params)) < params.seg_len]
+            for h in {short[0], short[0] + 1} & set(range(1, 8)) if short else ():
+                monkeypatch.setattr(sampling, "_helper_row", lambda n_seg, h=h: h)
+                with pytest.raises(GenerationFailure) as err:
+                    generate_limb(seed, q, params)
+                assert (err.value.q, err.value.id_seg) == (q, short[0])
+                seen.add("helper" if h == short[0] else
+                         "both" if short[-1] >= h else "caller")
+        assert seen == {"helper", "caller", "both"}
+        assert sampling._helper is not None
 
 
 class TestSegmentMatchesOracle:
@@ -1104,6 +1217,337 @@ class TestForkedGeneration:
         assert np.array_equal(generate_mrp(zero_seed, params).coeffs,
                               _serial_rows(zero_seed, params))
         assert forked == []
+
+
+def _running(pid: int) -> bool:
+    """Whether pid is a process that has not exited; a zombie has."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+class TestRowHelper:
+    """Eight-row limbs split at row 4: this process scans rows 0 to 3, the
+    row helper rows 4 to 7, and each call returns the unsplit bits."""
+
+    BASE = tuple(ntt_primes(256, 4))
+    PARAMS = GenParams(N=256, w=32, seg_len=32, n_seg=8, base=BASE)
+
+    def _check(self, seed, q):
+        expected = assemble_segments(seed, self.PARAMS.with_base([q]), 1, random.Random(0))[0]
+        assert np.array_equal(generate_limb(seed, q, self.PARAMS).coeffs, expected)
+
+    def test_one_helper_serves_every_call(self, split, zero_seed):
+        forks, fork = [], os.fork
+
+        def counted_fork():
+            forks.append(None)
+            return fork()
+
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(os, "fork", counted_fork)
+            for q in self.BASE:
+                self._check(zero_seed, q)
+        assert len(forks) == 1
+
+    def test_the_helper_ignores_sigint(self, split, zero_seed):
+        self._check(zero_seed, self.BASE[0])
+        pid = sampling._helper.pid
+        os.kill(pid, signal.SIGINT)
+        time.sleep(0.2)
+        assert os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
+        self._check(zero_seed, self.BASE[1])
+        assert sampling._helper.pid == pid
+
+    def test_the_helper_holds_no_descriptor_of_its_creator(self, split, zero_seed):
+        # a socket open at the fork and closed after the call must end at its
+        # peer: the helper, which outlives the call, kept no copy of it
+        ours, peer = socket.socketpair()
+        try:
+            self._check(zero_seed, self.BASE[0])
+            pid = sampling._helper.pid
+            if os.path.isdir(f"/proc/{pid}/fd"):
+                assert len(os.listdir(f"/proc/{pid}/fd")) == 2  # its two pipe ends
+            ours.close()
+            peer.settimeout(10)
+            assert peer.recv(1) == b""
+        finally:
+            ours.close()
+            peer.close()
+        self._check(zero_seed, self.BASE[1])
+        assert sampling._helper.pid == pid
+
+    def test_a_split_that_does_not_pay_makes_the_next_calls_unsplit(self, monkeypatch, split,
+                                                                    zero_seed):
+        # no split pays: the first only arms the back-off, and after each
+        # next one the next 1, 3 and then 3 calls (_SKIP_MAX patched to 3)
+        # are unsplit; once a split pays, every call splits again.  The
+        # bits never change.
+        parent, real = os.getpid(), sampling._limb_rows
+        kinds = []
+
+        def rows(seed, q, ids, p):
+            if os.getpid() == parent:
+                kinds.append("split" if len(ids) == 4 else "whole")
+            return real(seed, q, ids, p)
+
+        monkeypatch.setattr(sampling, "_limb_rows", rows)
+        monkeypatch.setattr(sampling, "_SKIP_MAX", 3)
+        monkeypatch.setattr(sampling, "SPLIT_PAYS", 0.0)
+        for i in range(15):
+            self._check(zero_seed, self.BASE[i % 4])
+        runs = [len(list(run)) * (1 if kind == "split" else -1)
+                for kind, run in itertools.groupby(kinds)]
+        assert runs == [2, -1, 1, -3, 1, -3, 1, -3]
+        monkeypatch.setattr(sampling, "SPLIT_PAYS", math.inf)
+        del kinds[:]
+        for i in range(3):
+            self._check(zero_seed, self.BASE[i])
+        assert kinds == ["split"] * 3 and sampling._backoff == 0
+
+    def test_a_split_pays_within_its_share_of_twice_its_own_cpu_time(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_skip", 0)
+        monkeypatch.setattr(sampling, "_backoff", 0)
+        paid = sampling.SPLIT_PAYS * 2 * 0.5  # the longest split of a 0.5 s half that pays
+        sampling._pace(paid * 0.99, 0.5)
+        assert (sampling._skip, sampling._backoff) == (0, 0)
+        sampling._pace(paid * 1.01, 0.5)
+        assert (sampling._skip, sampling._backoff) == (0, 1)  # armed only
+        sampling._pace(paid * 1.01, 0.5)
+        assert (sampling._skip, sampling._backoff) == (1, 3)
+        sampling._pace(paid * 1.01, 0.5)
+        assert (sampling._skip, sampling._backoff) == (3, 7)
+        sampling._pace(paid * 0.99, 0.5)
+        assert sampling._backoff == 0
+
+    def test_a_helper_killed_between_calls_is_replaced(self, split, zero_seed):
+        self._check(zero_seed, self.BASE[0])
+        pid = sampling._helper.pid
+        os.kill(pid, signal.SIGKILL)
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        self._check(zero_seed, self.BASE[1])
+        assert sampling._helper.pid != pid
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)  # reaped before the new one was forked
+
+    @pytest.mark.parametrize("where", ["_limb_rows", "_answer"])
+    def test_an_interrupt_in_a_call_discards_the_helper(self, monkeypatch, split, zero_seed,
+                                                        where):
+        # Ctrl-C while this process scans its half, or while it waits for
+        # the reply: the helper, which has a request in hand, is killed and
+        # reaped, so no reply of that call is read by the next one
+        self._check(zero_seed, self.BASE[0])
+        pid = sampling._helper.pid
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sampling, where, interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                generate_limb(zero_seed, self.BASE[1], self.PARAMS)
+        assert sampling._helper is None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+        self._check(zero_seed, self.BASE[2])
+        assert sampling._helper.pid != pid
+
+    @pytest.mark.parametrize("fault", ["raise", "kill"])
+    def test_a_helper_that_fails_in_a_call_leaves_its_rows_here(self, monkeypatch, split,
+                                                                zero_seed, fault):
+        # the helper fails its first request: this process meets the end of
+        # the reply pipe, stops the helper and scans rows 4 to 7 itself
+        parent, real = os.getpid(), sampling._limb_rows
+        failed = sampling._shared_array((1,), np.int64)  # one flag across the forks
+        ranges = []
+
+        def failing(seed, q, ids, p):
+            if os.getpid() == parent:
+                ranges.append(ids)
+            elif not failed[0]:
+                failed[0] = 1
+                if fault == "raise":
+                    raise RuntimeError("helper fault")
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(seed, q, ids, p)
+
+        monkeypatch.setattr(sampling, "_limb_rows", failing)
+        self._check(zero_seed, self.BASE[0])
+        assert sampling._helper is None and failed[0]
+        assert ranges == [range(4), range(4, 8)]
+        self._check(zero_seed, self.BASE[1])
+        assert sampling._helper is not None
+        assert ranges[2:] == [range(4)]
+
+    def test_a_forked_child_never_uses_its_creators_helper(self, split, zero_seed):
+        self._check(zero_seed, self.BASE[0])
+        pid = sampling._helper.pid
+        expected = assemble_segments(zero_seed, self.PARAMS.with_base([self.BASE[1]]), 1,
+                                     random.Random(0))[0]
+        report = os.pipe()
+        child = os.fork()
+        if child == 0:
+            code = 1
+            try:
+                os.close(report[0])
+                coeffs = generate_limb(zero_seed, self.BASE[1], self.PARAMS).coeffs
+                used = sampling._helper.pid if sampling._helper else 0
+                os.write(report[1], f"{int(np.array_equal(coeffs, expected))} {used}".encode())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(report[1])
+        try:
+            with within(30):
+                message = os.read(report[0], 100)
+                status = os.waitpid(child, 0)[1]
+        finally:
+            os.close(report[0])
+        assert os.waitstatus_to_exitcode(status) == 0
+        same, used = map(int, message.split())
+        assert same and used not in (0, pid)  # the child forked a helper of its own
+        self._check(zero_seed, self.BASE[2])
+        assert sampling._helper.pid == pid
+
+    def test_a_second_thread_does_not_wait_for_the_helper(self, monkeypatch, split,
+                                                          zero_seed):
+        # while one thread holds the helper, a call from another thread scans
+        # its whole limb itself and returns before the first call does
+        self._check(zero_seed, self.BASE[0])
+        pid = sampling._helper.pid
+        parent, real = os.getpid(), sampling._limb_rows
+        holding, released = threading.Event(), threading.Event()
+        ranges, results = [], {}
+
+        def rows(seed, q, ids, p):
+            name = threading.current_thread().name
+            if os.getpid() == parent:
+                ranges.append((name, ids))
+                if name == "first":
+                    holding.set()
+                    released.wait(30)
+            return real(seed, q, ids, p)
+
+        def call(q):
+            results[threading.current_thread().name] = generate_limb(zero_seed, q,
+                                                                     self.PARAMS).coeffs
+
+        monkeypatch.setattr(sampling, "_limb_rows", rows)
+        first = threading.Thread(target=call, args=(self.BASE[1],), name="first")
+        second = threading.Thread(target=call, args=(self.BASE[2],), name="second")
+        first.start()
+        try:
+            assert holding.wait(30)
+            second.start()
+            second.join(30)
+            assert not second.is_alive() and "first" not in results
+        finally:
+            released.set()
+            first.join(30)
+            second.join(30)
+        assert ranges == [("first", range(4)), ("second", range(8))]
+        for name, q in (("first", self.BASE[1]), ("second", self.BASE[2])):
+            expected = assemble_segments(zero_seed, self.PARAMS.with_base([q]), 1,
+                                         random.Random(0))[0]
+            assert np.array_equal(results[name], expected), name
+        self._check(zero_seed, self.BASE[3])
+        assert sampling._helper.pid == pid
+
+    def test_threads_that_share_the_helper_get_their_own_bits(self, split):
+        # six threads on two cores, switching every microsecond, each making
+        # limbs of its own seeds: a reply read by the wrong call, or a pipe
+        # left out of sync, would hand some call another limb's bits
+        self._check(Seed(bytes(36)), self.BASE[0])  # the fork, before any thread
+        pid = sampling._helper.pid
+        calls = [(Seed(bytes([i]) * 36), q) for i in range(1, 7) for q in self.BASE]
+        expected = {call: assemble_segments(call[0], self.PARAMS.with_base([call[1]]), 1,
+                                            random.Random(0))[0] for call in calls}
+        wrong = []
+
+        def work(i):
+            try:
+                for seed, q in calls[4 * i:4 * i + 4]:
+                    coeffs = generate_limb(seed, q, self.PARAMS).coeffs
+                    if not np.array_equal(coeffs, expected[seed, q]):
+                        wrong.append((seed, q))
+            except Exception as exc:
+                wrong.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert sampling._helper.pid == pid
+
+    def test_the_rows_of_each_limb_are_not_split(self, monkeypatch, forked, split, zero_seed):
+        # _each_limb's own helper holds the second CPU: neither side of it
+        # splits a row, and a call after it splits again
+        mrp = generate_mrp(zero_seed, self.PARAMS)
+        assert len(forked) == 1 and sampling._helper is None
+        assert np.array_equal(mrp.coeffs, assemble_segments(zero_seed, self.PARAMS, 1,
+                                                            random.Random(0)))
+        self._check(zero_seed, self.BASE[0])
+        assert len(forked) == 2 and sampling._helper.pid == forked[1]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc/<pid>/stat")
+    @pytest.mark.parametrize("end", ["exit", "kill", "kill-with-a-sibling"])
+    def test_the_helper_is_gone_once_its_creator_ends(self, end):
+        # A fresh interpreter splits one limb and prints its helper's pid; it
+        # then exits (its atexit hook kills and reaps the helper) or is
+        # SIGKILLed (the helper meets the end of its request pipe).  With a
+        # sibling forked from it still holding that pipe open, the helper
+        # leaves once its parent is no longer its creator.  Within 2 s the
+        # helper must be gone or a zombie.
+        script = "\n".join([
+            "import os, sys, time",
+            "from mrpgen import GenParams, Seed, generate_limb, sampling",
+            "sampling.MIN_SPLIT_ROWS = 2",
+            "os.sched_getaffinity = lambda pid: {0, 1}",
+            "sampling._cpu_quota = lambda: None",
+            f"params = GenParams(N=256, w=32, seg_len=32, n_seg=8, base={self.BASE})",
+            "generate_limb(Seed(bytes(36)), params.base[0], params)",
+            "sibling = os.fork() if sys.argv[1] == 'kill-with-a-sibling' else -1",
+            "if sibling == 0:",
+            "    time.sleep(60)",
+            "    os._exit(0)",
+            "print(sampling._helper.pid, sibling, flush=True)",
+            "if sys.argv[1] != 'exit':",
+            "    time.sleep(60)",
+        ])
+        src = os.path.dirname(os.path.dirname(sampling.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        creator = subprocess.Popen([sys.executable, "-c", script, end], stdout=subprocess.PIPE,
+                                   env=env)
+        sibling = -1
+        try:
+            assert select.select([creator.stdout], [], [], 30)[0], "no limb was split"
+            helper, sibling = map(int, creator.stdout.readline().split())
+            if end != "exit":
+                creator.kill()
+            assert creator.wait(timeout=30) == (0 if end == "exit" else -signal.SIGKILL)
+            deadline = time.monotonic() + 2
+            while _running(helper) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not _running(helper), f"the helper was running 2 s after its creator ({end})"
+        finally:
+            if creator.poll() is None:
+                creator.kill()
+                creator.wait()
+            if sibling > 0:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(sibling, signal.SIGKILL)
+            creator.stdout.close()
 
 
 _BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum", "linalg"}
