@@ -6,14 +6,13 @@ carries no timestamp and is byte-reproducible for identical inputs.  The
 catalog scan runs in the calling thread: it is a pure-Python sieve, with
 Miller-Rabin only above 32-bit words, which worker threads cannot overlap.
 gen-mrp, retry-gen and verify run the serial limb loop, which for a large
-polynomial one forked helper process may save work
-(``sampling._each_limb``); their output is the serial loop's.  gen-limb
-makes its one limb in this process alone: the row helper that
-``sampling.generate_limb`` forks pays for itself only over many limbs.
-gen-mrp and retry-gen hash each limb in the process that made it, and with
---out write it there first, at its offset in a preallocated temporary file
-that replaces the target once every limb is in; so no (L, N) array is
-built, and verify reads only the stored row each process compares.
+polynomial one forked helper process may save work (``sampling._each_limb``);
+their output is the serial loop's.  gen-limb makes its one limb in this
+process alone: the row helper that ``sampling.generate_limb`` forks pays for
+itself only over many limbs.  gen-mrp and retry-gen hash each limb in the
+process that made it and, with --out, first store it there as its row of
+the container (``formats._mrp_rows``, the one writer of a container, for any
+target); verify reads only the stored row each process compares.
 
 Exit codes: 0 success; 1 an expected domain failure, raised as a
 ``DomainFailure`` after the report is printed; 2 a usage error (argparse),
@@ -38,6 +37,7 @@ finalized by that collection.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import hashlib
 import json
@@ -50,8 +50,6 @@ from . import __version__, primes, profiles
 from .errors import DomainFailure, GenerationFailure, MrpgenError, ParamsError
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .sampling import GenParams
     from .xof import Seed
 
@@ -123,28 +121,19 @@ def _seed_from_args(args) -> Seed:
     raise ParamsError("a seed is required: --seed or --common/--poly-id")
 
 
-def _sha256_words(coeffs: np.ndarray) -> str:
-    import numpy as np
-
-    return hashlib.sha256(np.ascontiguousarray(coeffs, dtype="<u4")).hexdigest()
-
-
 def _limb_sha256(params: GenParams, out, run):
     """run(make), where make(seed) makes seed's polynomial and returns its
     limb_sha256 summary: each limb's SHA-256 over its "<u4" words, by q.
 
     The process that makes a limb (sampling._each_limb) hashes it and, with
-    out, first writes it at its offset in the new file (formats._mrp_rows),
-    so no (L, N) array is built and this process reads no limb a helper
-    made.  An out that exists and is not a regular file cannot be written at
-    an offset: run then makes each polynomial whole (generate_mrp) and writes
-    it in order (write_mrp).
+    out, first stores it as its row of the container (formats._mrp_rows),
+    so this process reads no limb a helper made.
     """
     import numpy as np
 
     from . import formats, sampling
 
-    def make(seed: Seed, put=None) -> dict:
+    def make(seed: Seed, put) -> dict:
         def digest(row: int, limb: np.ndarray) -> np.ndarray:
             words = np.ascontiguousarray(limb, dtype="<u4")
             if put is not None:
@@ -154,18 +143,8 @@ def _limb_sha256(params: GenParams, out, run):
         digests = sampling._each_limb(seed, params, digest, (32,), np.uint8)
         return {str(q): row.tobytes().hex() for q, row in zip(params.base, digests)}
 
-    if out is None:
-        return run(make)
-    with formats._mrp_rows(out, params) as put:
-        if put is not None:
-            return run(lambda seed: make(seed, put))
-
-    def staged(seed: Seed) -> dict:
-        mrp = sampling.generate_mrp(seed, params)
-        formats.write_mrp(out, mrp, params)
-        return {str(q): _sha256_words(row) for q, row in zip(params.base, mrp.coeffs)}
-
-    return run(staged)
+    with contextlib.nullcontext() if out is None else formats._mrp_rows(out, params) as put:
+        return run(lambda seed: make(seed, put))
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -200,11 +179,13 @@ def cmd_gen_limb(args) -> None:
     params = formats.load_params(args.params)
     seed = _seed_from_args(args)
     limb = sampling._serial_limb(seed, args.q, params)
+    words = np.ascontiguousarray(limb.coeffs, dtype="<u4")
     if args.out is not None:
-        formats._write_file(args.out, (np.ascontiguousarray(limb.coeffs, dtype="<u4"),))
+        with formats._replacing(args.out, words.nbytes) as fh:
+            fh.writelines((words,))
     payload = {
         "seed": seed.hex(), "q": args.q, "coeff_count": len(limb.coeffs),
-        "sha256": _sha256_words(limb.coeffs),
+        "sha256": hashlib.sha256(words).hexdigest(),
         "head": limb.coeffs[:4].tolist(), "tail": limb.coeffs[-4:].tolist(),
         "out": None if args.out is None else str(args.out),
     }

@@ -15,27 +15,29 @@ integers are little-endian 32-bit words:
     mapping    N x u32  only when perm_kind = 2
     limbs      L x N x u32, in base order
 
-The limb section is the polynomial's (L, N) array byte for byte: write_mrp
-writes its buffer after the header and read_mrp returns that array as a view
-of the file's bytes, so neither copies a limb.  Row i starts 4 N i bytes
-after the header, so one limb can be written or read alone: the CLI's
-gen-mrp and retry-gen write each limb at its offset from the process that
-made it (_mrp_rows), and verify_mrp_file preads only the row it compares.
-The header carries the full generation profile so a stored polynomial can be
-re-derived and checked from its seed alone.  Every file written goes through
-one crash-safe protocol (_replacing): a temporary sibling, preallocated, then
-os.replace.
+The limb section is the polynomial's (L, N) array byte for byte, row i 4 N i
+bytes after the header, so one limb can be written or read alone.  One
+writer, _mrp_rows, writes every container a limb at a time: write_mrp's,
+and the CLI's gen-mrp and retry-gen from the process that made each limb;
+read_mrp returns the limb section as a view of the file's bytes, and
+verify_mrp_file preads only the row it compares.  The header carries the
+full generation profile so a stored polynomial can be re-derived and checked
+from its seed alone.  Every file written goes through one crash-safe
+protocol (_replacing): a temporary sibling, preallocated, then os.replace;
+a target that is not a regular file (a FIFO, a pipe) is written in place.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import functools
 import io
 import os
 import select
 import stat
 import struct
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -43,7 +45,8 @@ import numpy as np
 
 from .errors import FormatError, ParamsError
 from .profiles import DEFAULT_R_BITS
-from .sampling import GenParams, MultiResiduePolynomial, Permutation, _each_limb
+from .sampling import (GenParams, MultiResiduePolynomial, Permutation, _each_limb,
+                       _shared_array)
 from .xof import Seed
 
 MAGIC = b"MRPB"
@@ -68,19 +71,20 @@ def _replacing(path, size: int):
     the temporary file and leaves a previous file at path as it was.  The
     replacement keeps an existing file's permission bits and a symlink is
     followed, as writing in place would.  A target that exists but is not a
-    regular file (/dev/null, a FIFO) is never replaced: the block gets None
-    and writes it in place.  An OSError names path as the caller gave it,
-    not the temporary file.
+    regular file, judged by path as given (/dev/null, a FIFO, /dev/stdout in
+    a pipeline), is never replaced: the block gets it opened in place
+    (_open_output).  An OSError names path as given, not the temporary file.
     """
-    target = os.path.realpath(path)
     try:
         try:
-            mode = os.stat(target).st_mode
+            mode = os.stat(path).st_mode
         except FileNotFoundError:
             mode = None
         if mode is not None and not stat.S_ISREG(mode):
-            yield None
+            with _open_output(path) as fh:
+                yield fh
             return
+        target = os.path.realpath(path)
         head, tail = os.path.split(target)
         tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -104,15 +108,34 @@ def _replacing(path, size: int):
         raise
 
 
-def _write_file(path, chunks) -> None:
-    """Write the byte chunks to path, in order, under _replacing."""
-    chunks = [memoryview(chunk).cast("B") for chunk in chunks]
-    with _replacing(path, sum(map(len, chunks))) as fh:
-        if fh is None:
-            with open(os.path.realpath(path), "wb") as fh:
-                fh.writelines(chunks)
-        else:
-            fh.writelines(chunks)
+# How long a FIFO node may wait for its other end (_open_output, _open_input).
+FIFO_WAIT_S = 2.0
+
+
+def _open_output(path):
+    """The existing target path, not a regular file, opened "wb" in place.
+
+    A path that is itself a FIFO node is opened O_NONBLOCK, which fails with
+    ENXIO while no process reads it, retried for up to FIFO_WAIT_S, then made
+    blocking; any other target (a device, a link to a pipe) is opened
+    blocking, as a shell redirection would open it.
+    """
+    if not stat.S_ISFIFO(os.lstat(path).st_mode):
+        return open(path, "wb")
+    deadline = time.monotonic() + FIFO_WAIT_S
+    while True:
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_NONBLOCK)
+            break
+        except OSError as exc:
+            if exc.errno != errno.ENXIO:
+                raise
+            if time.monotonic() >= deadline:
+                exc.strerror = f"a FIFO that no process read from within {FIFO_WAIT_S:g} s"
+                raise
+        time.sleep(0.01)
+    os.set_blocking(fd, True)
+    return open(fd, "wb")
 
 
 def _pwrite(fd: int, data, offset: int) -> None:
@@ -140,29 +163,34 @@ def write_mrp(path, mrp: MultiResiduePolynomial, params: GenParams) -> None:
     if tuple(mrp.base) != params.base or mrp.coeffs.shape != (len(params.base), params.N):
         raise ParamsError(f"the polynomial (base {tuple(mrp.base)}, shape "
                           f"{mrp.coeffs.shape}) does not match the profile's base and N")
-    _write_file(path, (_header(params), np.ascontiguousarray(mrp.coeffs, dtype="<u4")))
+    with _mrp_rows(path, params) as put:
+        for row, limb in enumerate(mrp.coeffs):
+            put(row, np.ascontiguousarray(limb, dtype="<u4"))
 
 
 @contextlib.contextmanager
 def _mrp_rows(path, params: GenParams):
     """The container at path written a limb at a time, in any order and from
-    any process: yields put(row, limb), which writes the limb's "<u4" words
-    at row's offset.
+    any process: yields put(row, limb), which stores the limb's "<u4" words
+    as row.  Every container is written through it.
 
-    The file is the temporary sibling of _replacing, preallocated to the
-    container's size and given its header before the block, so it replaces
-    path only once every row is in.  Yields None when path is not a regular
-    file, which cannot be written at an offset; the caller then writes the
-    whole container in order (write_mrp).
+    A regular file is the temporary sibling of _replacing, given its header
+    before the block, and put writes each row at its offset.  Any other
+    target (a FIFO, a pipe, /dev/null) cannot be written at an offset: put
+    stores each row in an (L, N) array that stays one array across os.fork
+    (sampling._shared_array), and the header and the rows are written in
+    order only when the block ends normally, so a failed run writes nothing.
     """
     header = _header(params)
     with _replacing(path, len(header) + 4 * len(params.base) * params.N) as fh:
-        if fh is None:
-            yield None
-            return
         fd = fh.fileno()
-        _pwrite(fd, header, 0)
-        yield lambda row, limb: _pwrite(fd, limb, len(header) + row * 4 * params.N)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            _pwrite(fd, header, 0)
+            yield lambda row, limb: _pwrite(fd, limb, len(header) + row * 4 * params.N)
+        else:
+            staged = _shared_array((len(params.base), params.N), "<u4")
+            yield staged.__setitem__
+            fh.writelines((header, staged))
 
 
 def _span(data: bytes, offset: int, size: int) -> bytes:
@@ -184,10 +212,6 @@ def _pread(fd: int, length: int, offset: int, size: int) -> bytes:
     if len(data) < size:
         raise FormatError("truncated MRP file")
     return data
-
-
-# How long a named FIFO input may wait for its writer's first bytes.
-FIFO_WAIT_S = 2.0
 
 
 def _open_input(path, mode: str = "rb"):
@@ -399,26 +423,20 @@ def _parse_permutation(value: str, n_ring: int, path: Path) -> Permutation:
 
 
 def save_params(params: GenParams, path) -> None:
-    """Serialize a profile so that load_params round-trips it.
-
-    An explicit layout goes to the index file ``<file name>.perm`` beside it,
-    so files that share a stem, or one named x.perm, keep their own layouts.
-    """
-    path = Path(path)
-    if params.layout.kind in ("identity", "reverse"):
-        perm_value = params.layout.kind
-    else:
-        perm_file = path.with_name(path.name + ".perm")
-        perm_file.write_text(" ".join(str(i) for i in params.layout.mapping) + "\n")
-        perm_value = perm_file.name
-    lines = [
-        f"N = {params.N}",
-        f"w = {params.w}",
-        f"r = {params.r}",
-        f"len = {params.seg_len}",
-        f"n_seg = {params.n_seg}",
-        "base = " + ", ".join(str(q) for q in params.base),
-        f"permutation = {perm_value}",
-        f"backend = {params.backend}",
-    ]
-    path.write_text("\n".join(lines) + "\n")
+    """Serialize a profile so that load_params round-trips it, each file
+    under _replacing.  An explicit layout goes to the index file
+    ``<file name>.perm`` beside it, so files that share a stem, or one named
+    x.perm, keep their own layouts."""
+    path, files = Path(path), []
+    perm_value = params.layout.kind
+    if perm_value == "explicit":
+        perm_value = path.name + ".perm"
+        files.append((path.with_name(perm_value), " ".join(map(str, params.layout.mapping))))
+    fields = {"N": params.N, "w": params.w, "r": params.r, "len": params.seg_len,
+              "n_seg": params.n_seg, "base": ", ".join(map(str, params.base)),
+              "permutation": perm_value, "backend": params.backend}
+    files.append((path, "\n".join(f"{key} = {value}" for key, value in fields.items())))
+    for target, text in files:
+        data = (text + "\n").encode()
+        with _replacing(target, len(data)) as fh:
+            fh.writelines((data,))

@@ -123,8 +123,10 @@ MUTANTS = [
     ("src/mrpgen/sampling.py", "        os.closerange(0, low)\n", "", MUST_FAIL),
     ("src/mrpgen/cli.py", "limb = sampling._serial_limb(seed, args.q, params)",
      "limb = sampling.generate_limb(seed, args.q, params)", MUST_FAIL),
-    ("src/mrpgen/formats.py", "if not stat.S_ISFIFO(os.lstat(path).st_mode):",
-     "if not stat.S_ISFIFO(os.stat(path).st_mode):", MUST_FAIL),
+    ("src/mrpgen/formats.py",
+     "if not stat.S_ISFIFO(os.lstat(path).st_mode):\n        return io.open(path, mode)",
+     "if not stat.S_ISFIFO(os.stat(path).st_mode):\n        return io.open(path, mode)",
+     MUST_FAIL),
     # the 16-bit segment-id bound, defined once
     ("src/mrpgen/profiles.py", "MAX_N_SEG = 1 << 16", "MAX_N_SEG = 1 << 15", MUST_FAIL),
     ("src/mrpgen/sampling.py", "self.n_seg > MAX_N_SEG:", "self.n_seg >= MAX_N_SEG:",
@@ -167,6 +169,11 @@ MUTANTS = [
      MUST_FAIL),
     ("src/mrpgen/cli.py", "for q, row in zip(params.base, digests)}",
      "for q, row in zip(params.base, digests[::-1])}", MUST_FAIL),
+    # a target that is not a regular file gets the staged rows, in order, once
+    # the block ends; a FIFO output with no reader is refused within a bound
+    ("src/mrpgen/formats.py", "            fh.writelines((header, staged))\n", "", MUST_FAIL),
+    ("src/mrpgen/formats.py", "fd = os.open(path, os.O_WRONLY | os.O_NONBLOCK)",
+     "fd = os.open(path, os.O_WRONLY)", MUST_FAIL),
     # the catalog's cap only tightens, and its weight cap is not negative; the
     # solver keeps an endpoint that meets the budget exactly; the seed options
     # exclude each other

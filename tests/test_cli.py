@@ -250,6 +250,24 @@ class TestWriteAndHash:
         assert (tmp_path / "out.mrp").read_bytes() == b"old"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.mrp", "prone.params"]
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_failed_run_writes_nothing_to_a_fifo(self, capsys, tmp_path, hard_params_file):
+        # every attempt fails: the reader gets EOF and no byte (an old regular
+        # file is kept: test_retry_exhaustion_keeps_the_old_out)
+        path, _ = hard_params_file
+        fifo, got = tmp_path / "out.mrp", []
+        os.mkfifo(fifo)
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        with within(30):
+            code, out, err = run(capsys, "retry-gen", "--params", path,
+                                 "--max-attempts", "2", "--out", fifo)
+        reader.join(timeout=10)
+        assert (code, out) == (1, "")
+        assert err.startswith("error code=retry-exhausted no valid seed found in 2 attempts")
+        assert not reader.is_alive() and got == [b""]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["hard.params", "out.mrp"]
+
 
 class TestExitWithoutCollection:
     """main() run as the program freezes the heap, so the interpreter's final
@@ -742,9 +760,7 @@ class TestReportEnvelope:
 # directory, "{empty}" an empty file and "{params}" a params file, which is
 # also what an option that wants an MRP container gets when it draws it;
 # "{truncated}" is the container "{mrp}" cut mid-row, "{trailing}" it
-# with one byte more, and "{fifo}" a FIFO that no process writes.  --out
-# never draws "{fifo}": a FIFO output waits for its reader, as a shell
-# redirection does (test_a_fifo_out_gets_the_whole_file_in_order).
+# with one byte more, and "{fifo}" a FIFO that no process reads or writes.
 HOSTILE = ["0", "-1", str(2 ** 63), str(2 ** 64), "1e308", "nan", "inf", "1/0", "",
            "ünïcödé €", "{dir}", "{empty}", "{params}", "{truncated}", "{trailing}",
            "{fifo}"]
@@ -793,8 +809,7 @@ def _hostile_argv(draw) -> list[str]:
             argv.append(f"{flag}={plausible}")
         else:
             even = single is None and plausible is not None
-            pool = [value for value in HOSTILE if action.dest != "out" or value != "{fifo}"]
-            pool += [plausible] * len(pool) * even
+            pool = HOSTILE + [plausible] * len(HOSTILE) * even
             argv.append(f"{flag}={draw(st.sampled_from(pool))}")  # "=" keeps "-1" a value
     return argv
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import mrp_header, ntt_primes
-from schedules import caller_waits_for_helper
+from schedules import caller_waits_for_helper, within
 from mrpgen import (FormatError, GenerationFailure, GenParams, MrpgenError,
                     MultiResiduePolynomial, ParamsError, Permutation, Seed, cli, formats,
                     generate_mrp, load_params, read_mrp, sampling, save_params,
@@ -289,15 +289,17 @@ class TestCrashSafeOutput:
                                               str(params_file), "--out", str(path)]),
             "retry-gen": lambda path: cli.main(["retry-gen", "--params", str(params_file),
                                                 "--out", str(path)]),
+            "save_params": lambda path: save_params(params, path),
         }
 
     @pytest.mark.parametrize("writer, fault", [
-        pytest.param("write_mrp", "write", id="write_mrp"),
+        pytest.param("write_mrp", "pwrite", id="write_mrp"),
         pytest.param("gen-limb", "write", id="gen-limb"),
         pytest.param("gen-mrp", "pwrite", id="gen-mrp"),
         pytest.param("retry-gen", "pwrite", id="retry-gen"),
+        pytest.param("save_params", "write", id="save_params"),
         *(pytest.param(writer, "fallocate", id=f"{writer}-fallocate")
-          for writer in ("write_mrp", "gen-limb", "gen-mrp", "retry-gen")),
+          for writer in ("write_mrp", "gen-limb", "gen-mrp", "retry-gen", "save_params")),
     ])
     def test_a_failed_body_write_keeps_the_old_file(self, stored_mrp, monkeypatch, capsys,
                                                      writer, fault):
@@ -343,7 +345,7 @@ class TestCrashSafeOutput:
             monkeypatch.setattr(os, "pwrite", pwrite)
         else:
             monkeypatch.setattr(os, "posix_fallocate", fallocate, raising=False)
-        if writer == "write_mrp":
+        if writer in ("write_mrp", "save_params"):
             with pytest.raises(OSError, match=os.strerror(errno.ENOSPC)):
                 write(path)
         else:
@@ -391,7 +393,8 @@ class TestCrashSafeOutput:
         assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == [
             "desk.params", "expected.mrp", "got.mrp"]
 
-    @pytest.mark.parametrize("writer", ["write_mrp", "gen-limb", "gen-mrp", "retry-gen"])
+    @pytest.mark.parametrize("writer", ["write_mrp", "gen-limb", "gen-mrp", "retry-gen",
+                                        "save_params"])
     def test_a_rewrite_keeps_the_mode_and_follows_a_symlink(self, stored_mrp, capsys,
                                                              writer):
         path, mrp, params = stored_mrp
@@ -424,6 +427,61 @@ class TestCrashSafeOutput:
         assert got == [expected.read_bytes()]
         assert stat.S_ISFIFO(fifo.stat().st_mode)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file.mrp", "pipe"]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    @pytest.mark.parametrize("writer", ["write_mrp", "gen-limb", "gen-mrp", "retry-gen",
+                                        "save_params"])
+    def test_a_link_to_a_pipe_is_written_in_place(self, stored_mrp, capsys, writer):
+        # /dev/fd/N names a pipe (as /dev/stdout in a pipeline and a shell's
+        # >(...) do) whose link resolves to no path: it gets a file's bytes
+        path, mrp, params = stored_mrp
+        write = self._writers(path.parent, mrp, params)[writer]
+        assert write(path) in (None, 0)
+        r, w = os.pipe()
+        got = []
+
+        def read():
+            with open(r, "rb") as fh:
+                got.append(fh.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        try:
+            assert write(f"/dev/fd/{w}") in (None, 0)
+        finally:
+            os.close(w)
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert capsys.readouterr().err == ""
+        assert got == [path.read_bytes()]
+        assert sorted(p.name for p in path.parent.iterdir()) == ["desk.params", path.name]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("writer", ["write_mrp", "gen-limb", "gen-mrp", "retry-gen",
+                                        "save_params"])
+    def test_a_fifo_that_no_process_reads_is_refused(self, stored_mrp, monkeypatch, capsys,
+                                                     writer):
+        # the open does not block: it is retried for FIFO_WAIT_S, then refused
+        path, mrp, params = stored_mrp
+        write = self._writers(path.parent, mrp, params)[writer]
+        monkeypatch.setattr(formats, "FIFO_WAIT_S", 0.1)
+        fifo = path.parent / "pipe"
+        os.mkfifo(fifo)
+        message = (f"[Errno {errno.ENXIO}] a FIFO that no process read from within 0.1 s: "
+                   f"{str(fifo)!r}")
+        start = time.monotonic()
+        with within(10):
+            if writer in ("write_mrp", "save_params"):
+                with pytest.raises(OSError) as err:
+                    write(fifo)
+                assert str(err.value) == message
+            else:
+                assert write(fifo) == 2
+                assert capsys.readouterr() == ("", f"error code=io-error {message}\n")
+        assert time.monotonic() - start >= 0.1
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert sorted(p.name for p in path.parent.iterdir()) == ["desk.params", "pipe",
+                                                                  path.name]
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     @pytest.mark.parametrize("writer", ["gen-mrp", "retry-gen"])
